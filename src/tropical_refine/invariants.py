@@ -19,22 +19,17 @@ so that every run of a given seed is reproducible down to the byte.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .errors import (DegenerateType, ExhaustedRetries, InvarianceViolation,
                      NonGenericMoments, TropicalError)
 from .lattice import Degree, MomentVector, frac_str, split_even_ends
 from .laurent import HalfLaurent, w_pow_minus_inverse
-from .solver import TropicalSolution, solve
+from .solver import TropicalSolution, solve, solve_all
 from .trees import enumerate_types
 
 _MASK64 = (1 << 64) - 1
-
-THREADS_ENV_VAR = "TROPICAL_REFINE_THREADS"
 
 
 class SplitMix64:
@@ -61,47 +56,43 @@ def moment_from_draw(draw: int) -> Fraction:
     return Fraction(draw % 2001 - 1000, 1 + draw % 7)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_types(fn: Callable, items: Iterable) -> list:
-    """Apply fn over combinatorial types, optionally on a capped thread pool.
-
-    Results keep list order either way, so downstream sums are byte-stable.
-    Exact-rational work holds the GIL, hence the default cap of 1.
-    """
-    cap = _thread_cap()
-    items = list(items)
-    if cap == 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
+def _total(solutions: list[TropicalSolution]) -> HalfLaurent:
+    total = HalfLaurent(0)
+    for sol in solutions:
+        total = total + sol.refined_multiplicity()
+    return total
 
 
 def refined_count(delta_s: Degree,
                   mu: MomentVector) -> tuple[HalfLaurent, list[TropicalSolution]]:
     """Sum of refined multiplicities over all curves through mu.
 
-    Degenerate types are skipped (they never carry isolated solutions);
-    NonGenericMoments propagates so callers can resample.
+    The curves come from the subset dynamic program of
+    `solver.solve_all`, which places every vertex from its split of the end
+    set alone and so needs no per-type linear solve. It returns the same
+    solutions, in the same order, as `refined_count_brute`, and raises
+    NonGenericMoments exactly when that would, so callers can resample.
     """
+    solutions = solve_all(delta_s, mu)
+    return _total(solutions), solutions
 
-    def attempt(ctype):
+
+def refined_count_brute(
+        delta_s: Degree,
+        mu: MomentVector) -> tuple[HalfLaurent, list[TropicalSolution]]:
+    """refined_count by solving each of the (2n-5)!! types from
+    enumerate_types on its own; the reference the fast path is tested
+    against. Degenerate (flat) types are skipped, as they never carry
+    isolated solutions."""
+    solutions = []
+    for ctype in enumerate_types(delta_s):
         try:
-            return solve(ctype, mu)
+            sol = solve(ctype, mu)
         except DegenerateType:
-            return None
-
-    solutions = [s for s in _map_types(attempt, enumerate_types(delta_s)) if s]
-    total = HalfLaurent(0)
-    for sol in solutions:
-        total = total + sol.refined_multiplicity()
-    return total, solutions
+            continue
+        if sol is not None:
+            solutions.append(sol)
+    return _total(solutions), solutions
 
 
 def _position_signature(sol: TropicalSolution):

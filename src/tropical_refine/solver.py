@@ -1,27 +1,43 @@
-"""Exact solver for the boundary-moment evaluation map.
+"""Exact solvers for the boundary-moment evaluation map.
 
 Fixing a combinatorial type, a parametrized curve is pinned down by the
 position of the root vertex (the one adjacent to end 1) and the lengths of
 the n-3 bounded edges. Each end moment is an affine function of these n-1
 unknowns, so prescribing the moments of ends 2..n gives a square integer
 linear system. Its determinant factors as the product of the vertex
-multiplicities, which gives the solver a built-in cross-check.
+multiplicities. `solve` handles one type this way, by Gaussian elimination
+over Fraction; it is the reference the fast path is tested against.
 
-All arithmetic is over Fraction; a solution is accepted only when every edge
-length is strictly positive. A length of exactly zero means the constraint
-sits on a wall of the moment cone and callers must resample.
+`solve_all` finds the curves of every type at once. Hang the tree from end
+1; the vertex above an end set S with children A and B sits where the lines
+L_A and L_B meet, L_X = {p : wedge(n_X, p) = sum of the moments of X}, so
+its position depends on the split (A, B) alone, and the edge down to A has
+positive length exactly when A's own vertex lies further along n_A. A
+subset dynamic program over end sets, with each set's splits sorted by
+their position along n_S and suffix sums of curve counts, therefore counts
+all curves with one bisection per child and no linear algebra, and
+backtracking through the states that contribute rebuilds the curves
+themselves as the same objects, in the same order, that solving every
+enumerated type would give.
+
+All arithmetic is exact; a curve is accepted only when every edge length is
+strictly positive. A length of exactly zero means the constraint sits on a
+wall of the moment cone and callers must resample.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import accumulate
+from math import lcm, prod
+from typing import NamedTuple
 
-from .errors import DegenerateType, NonGenericMoments
-from .lattice import MomentVector, Vec, wedge
+from .errors import DegenerateType, NonGenericMoments, TooFewEnds, TropicalError
+from .lattice import Degree, MomentVector, Vec, wedge
 from .laurent import HalfLaurent, q_analog
-from .trees import CombinatorialType
+from .trees import CombinatorialType, type_from_clades
 
 
 def evaluation_matrix(ctype: CombinatorialType) -> list[list[int]]:
@@ -137,27 +153,176 @@ class TropicalSolution:
         return self.det_abs
 
 
+def _check_moment_count(mu: MomentVector, n: int) -> None:
+    if len(mu) != n:
+        raise ValueError(f"moment vector for {len(mu)} ends, type has {n}")
+
+
 def solve(ctype: CombinatorialType, mu: MomentVector) -> TropicalSolution | None:
     """Solve the moment constraints for one combinatorial type.
 
     Returns None when the type does not realize (some length negative),
     raises DegenerateType when the system is singular (a flat vertex) and
-    NonGenericMoments when a length vanishes exactly.
+    NonGenericMoments when a length vanishes exactly. A determinant that is
+    not the product of the vertex multiplicities raises TropicalError: it
+    can only mean a bug in the matrix or the elimination.
     """
-    n = ctype.n
-    if len(mu) != n:
-        raise ValueError(f"moment vector for {len(mu)} ends, type has {n}")
+    _check_moment_count(mu, ctype.n)
     matrix = evaluation_matrix(ctype)
     det, x = _solve_exact(matrix, list(mu.values))
     if det == 0:
         raise DegenerateType("singular evaluation map (flat vertex)")
     det_int = int(det)
-    assert det == det_int and abs(det_int) == prod(
-        ctype.multiplicities().values()
-    ), "determinant must factor as the product of vertex multiplicities"
+    if det != det_int or abs(det_int) != prod(ctype.multiplicities().values()):
+        raise TropicalError(
+            f"determinant {det} is not the product of the vertex "
+            f"multiplicities {ctype.multiplicities()}")
     lengths = {e: x[2 + i] for i, e in enumerate(ctype.bounded_edges)}
     if any(v < 0 for v in lengths.values()):
         return None
     if any(v == 0 for v in lengths.values()):
         raise NonGenericMoments("an edge length vanishes; resample moments")
     return TropicalSolution(ctype, mu, (x[0], x[1]), lengths, abs(det_int))
+
+
+class _Split(NamedTuple):
+    """A vertex above end set S = A | B, placed where L_A and L_B meet.
+
+    Positions along a direction are integers: dot(p, n) times one scale
+    common to the whole count, so that splits compare exactly. `key` is the
+    vertex's position along n_S; `along_a` and `along_b`, along n_A and n_B,
+    are the positions the child vertices must lie beyond. `strict` counts
+    the subtrees hanging from it with every length > 0, `weak` those with
+    every length >= 0.
+    """
+
+    key: int
+    a: int
+    b: int
+    mult: int
+    x: int
+    y: int
+    along_a: int
+    along_b: int
+    strict: int
+    weak: int
+
+
+def _subset_sums(values: list[int]) -> list[int]:
+    """For each bitmask of ends 1..n-1, the sum of values[j] over its ends
+    j (masks are even: end 0 is never in a set)."""
+    out = [0] * (1 << len(values))
+    for mask in range(2, len(out), 2):
+        low = mask & -mask
+        out[mask] = out[mask ^ low] + values[low.bit_length() - 1]
+    return out
+
+
+def _suffix_sums(values: list[int]) -> list[int]:
+    """out[i] = sum(values[i:]), with a trailing 0."""
+    return list(accumulate(reversed(values), initial=0))[::-1]
+
+
+def solve_all(delta: Degree, mu: MomentVector) -> list[TropicalSolution]:
+    """Every curve of the degree through mu, in enumerate_types order.
+
+    Equal, solution for solution, to calling `solve` on every type from
+    enumerate_types and keeping the accepted ones. Raises NonGenericMoments
+    whenever that would (some non-flat type has all lengths >= 0 and one of
+    them zero), seen as a difference between the weak and strict counts.
+    """
+    dirs = tuple(delta.entries)
+    n = len(dirs)
+    if n < 3:
+        raise TooFewEnds(f"a curve needs at least 3 ends, got {n}")
+    _check_moment_count(mu, n)
+    full_mu = mu.full()
+    scale_mu = lcm(*(v.denominator for v in full_mu))
+    moment = _subset_sums([v.numerator * (scale_mu // v.denominator)
+                           for v in full_mu])
+    sx = _subset_sums([d.x for d in dirs])
+    sy = _subset_sums([d.y for d in dirs])
+    splits = {}
+    for mask in range(2, 1 << n, 2):
+        low = mask & -mask
+        rest = sub = mask ^ low
+        rows = splits[mask] = []
+        while sub:
+            sub = (sub - 1) & rest
+            a = low | sub
+            b = mask ^ a
+            d = sx[a] * sy[b] - sy[a] * sx[b]
+            if d:
+                rows.append((a, b, d))
+    scale_d = lcm(1, *(abs(d) for rows in splits.values() for _, _, d in rows))
+    table, keys, strict_from, weak_from = {}, {}, {}, {}
+
+    def below(child: int, threshold: int) -> tuple[int, int]:
+        if child & (child - 1) == 0:
+            return 1, 1
+        ks = keys[child]
+        return (strict_from[child][bisect_right(ks, threshold)],
+                weak_from[child][bisect_left(ks, threshold)])
+
+    for mask, rows in splits.items():
+        placed = []
+        for a, b, d in rows:
+            ma, mb = moment[a], moment[b]
+            f = scale_d // d
+            x = (ma * sx[b] - sx[a] * mb) * f
+            y = (sy[b] * ma - sy[a] * mb) * f
+            along_a = x * sx[a] + y * sy[a]
+            along_b = x * sx[b] + y * sy[b]
+            strict_a, weak_a = below(a, along_a)
+            strict_b, weak_b = below(b, along_b)
+            if weak_a and weak_b:
+                placed.append(_Split(along_a + along_b, a, b, abs(d), x, y,
+                                     along_a, along_b, strict_a * strict_b,
+                                     weak_a * weak_b))
+        placed.sort()
+        table[mask] = placed
+        keys[mask] = [s.key for s in placed]
+        strict_from[mask] = _suffix_sums([s.strict for s in placed])
+        weak_from[mask] = _suffix_sums([s.weak for s in placed])
+    full = (1 << n) - 2
+    if strict_from[full][0] != weak_from[full][0]:
+        raise NonGenericMoments("an edge length vanishes; resample moments")
+
+    def subtrees(mask: int, start: int) -> list[dict[int, _Split]]:
+        if mask & (mask - 1) == 0:
+            return [{}]
+        return [{mask: s, **left, **right}
+                for s in table[mask][start:] if s.strict
+                for left in subtrees(s.a, bisect_right(keys[s.a], s.along_a))
+                for right in subtrees(s.b, bisect_right(keys[s.b], s.along_b))]
+
+    scale = scale_mu * scale_d
+    found = [_curve(dirs, mu, chosen, sx, sy, scale)
+             for chosen in subtrees(full, 0)]
+    found.sort(key=lambda pair: pair[0])
+    return [sol for _, sol in found]
+
+
+def _curve(dirs: tuple[Vec, ...], mu: MomentVector, chosen: dict[int, _Split],
+           sx: list[int], sy: list[int],
+           scale: int) -> tuple[tuple[int, ...], TropicalSolution]:
+    """The solution whose vertices are the chosen splits, keyed by its
+    position in enumerate_types order."""
+    parent = {}
+    for mask, s in chosen.items():
+        parent[s.a] = parent[s.b] = mask
+    order, ctype, top = type_from_clades(dirs, parent)
+    lengths = {}
+    for mask, s in chosen.items():
+        if mask in parent:
+            up = chosen[parent[mask]]
+            start = up.along_a if up.a == mask else up.along_b
+            edge = tuple(sorted((top[mask], top[parent[mask]])))
+            lengths[edge] = Fraction(s.key - start,
+                                     scale * (sx[mask] ** 2 + sy[mask] ** 2))
+    root = chosen[len(sx) - 2]          # the set of all ends 2..n
+    return order, TropicalSolution(
+        ctype, mu, (Fraction(root.x, scale), Fraction(root.y, scale)),
+        {e: lengths[e] for e in ctype.bounded_edges},
+        prod(s.mult for s in chosen.values()))
+

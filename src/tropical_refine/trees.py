@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import TooFewEnds
 from .lattice import Degree, Vec, ZERO, wedge
@@ -167,11 +167,6 @@ class CombinatorialType:
         return "(" + ",".join(render(c) for c in key) + ")"
 
 
-def overvalence(valences: Iterable[int]) -> int:
-    """Total excess valence over trivalent, summed across vertices."""
-    return sum(v - 3 for v in valences)
-
-
 def double_factorial_count(n: int) -> int:
     """(2n-5)!!, the number of trivalent trees on n labeled leaves."""
     if n < 3:
@@ -210,3 +205,56 @@ def enumerate_types(delta: Degree) -> Iterator[CombinatorialType]:
             edges[i] = (u, v)
 
     return grow(3)
+
+
+def type_from_clades(
+        dirs: tuple[Vec, ...], parent: dict[int, int]
+) -> tuple[tuple[int, ...], CombinatorialType, dict[int, int]]:
+    """The enumerated type of a tree given by its clades, with its vertex ids.
+
+    Hanging the tree from leaf 0, every edge cuts off a clade: the set of
+    leaves on its far side, as a bitmask over leaves 1..n-1. `parent` maps
+    each leaf bit and each internal clade to the smallest clade strictly
+    containing it (the full clade has no entry). Pruning leaves n-1..3 finds
+    the clade each leaf was inserted on; replaying those insertions from the
+    star rebuilds exactly the edge list, and so the vertex ids, that
+    enumerate_types yields for this tree.
+
+    Returns the insertion indices (the tree's position in enumeration order
+    is the lexicographic order of these tuples), the CombinatorialType, and
+    the internal vertex at the top of each clade of two or more leaves.
+    """
+    n = len(dirs)
+    edges = [(0, n), (1, n), (2, n)]
+    clades = [0b110, 0b010, 0b100]
+    far = [n, 1, 2]                 # endpoint of each edge away from leaf 0
+    inserted_at = []
+    for leaf in range(3, n):
+        bit = 1 << leaf
+        earlier = bit - 2           # leaves 1..leaf-1
+        above = parent[bit]
+        while not above & earlier:
+            above = parent[above]
+        target = above & earlier
+        i = clades.index(target)
+        inserted_at.append(i)
+        for j, c in enumerate(clades):
+            if c & target == target:
+                clades[j] = c | bit
+        w = n + leaf - 2
+        u, v = edges[i]
+        edges[i] = (u, w)
+        edges.append((w, v))
+        if far[i] == v:
+            far[i] = w
+            far.append(v)
+            clades.append(target)
+        else:
+            clades[i] = target
+            far.append(w)
+            clades.append(target | bit)
+        edges.append((w, leaf))
+        far.append(leaf)
+        clades.append(bit)
+    top = {c: f for c, f in zip(clades, far) if f >= n}
+    return tuple(inserted_at), CombinatorialType(dirs, tuple(edges)), top

@@ -1,13 +1,17 @@
 """The tropical-refine command line: grammar, formats, schemas, determinism."""
 
 import json
+import os
 import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import tropical_refine
 from tropical_refine import (Degree, MenelausViolation, TropicalError, Vec,
                              random_generic_moments)
 from tropical_refine.cli import (default_n1, load_degree, main, parse_moments,
@@ -288,10 +292,18 @@ def test_error_malformed_degree(capsys):
 
 
 def test_console_script_runs():
+    # the tropical-refine script calls cli:main; run that target through
+    # `python -m`, which needs no installed script on PATH
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert ('tropical-refine = "tropical_refine.cli:main"'
+            in pyproject.read_text(encoding="utf-8"))
+    src = str(Path(tropical_refine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
-        ["tropical-refine", "enumerate", f"--degree={TRIANGLE}",
-         "--moments", "3,2"],
-        capture_output=True, text=True, timeout=60)
+        [sys.executable, "-m", "tropical_refine", "enumerate",
+         f"--degree={TRIANGLE}", "--moments", "3,2"],
+        capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["solutionCount"] == 1

@@ -1,17 +1,20 @@
 """Refined counts, the invariance audit, and the theorem conversions."""
 
-import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropical_refine import (Degree, ExhaustedRetries, HalfLaurent,
-                             MomentVector, NotDivisible, SplitMix64,
-                             broccoli_from_r, build_delta_s, delta_d,
-                             invariance_audit, q_analog, r_from_n,
-                             random_generic_moments, refined_count,
-                             w_pow_minus_inverse)
-from tropical_refine.invariants import THREADS_ENV_VAR, moment_from_draw
+                             MomentVector, NonGenericMoments, NotDivisible,
+                             SplitMix64, TooFewEnds, Vec,
+                             WeightedPlaneParam, broccoli_from_r,
+                             build_delta_s, delta_d, invariance_audit,
+                             lattice_length, m_prime, maximal_split,
+                             q_analog, r_from_n, random_generic_moments,
+                             refined_count, w_pow_minus_inverse)
+from tropical_refine.invariants import moment_from_draw, refined_count_brute
 
 W_MINUS = w_pow_minus_inverse(1)   # q^(1/2) - q^(-1/2)
 W_PLUS = HalfLaurent({1: 1, -1: 1})
@@ -168,21 +171,6 @@ def test_audit_json_shape(triangle):
                                "refinedCount"}
 
 
-def test_thread_cap_does_not_change_results(conic_merged):
-    mu = random_generic_moments(conic_merged, 8)
-    single, _ = refined_count(conic_merged, mu)
-    old = os.environ.get(THREADS_ENV_VAR)
-    os.environ[THREADS_ENV_VAR] = "4"
-    try:
-        threaded, _ = refined_count(conic_merged, mu)
-    finally:
-        if old is None:
-            del os.environ[THREADS_ENV_VAR]
-        else:
-            os.environ[THREADS_ENV_VAR] = old
-    assert threaded == single
-
-
 def test_merged_degrees_share_a_polygon_but_not_a_count(conic, conic_merged):
     from tropical_refine import polygon_of
     assert polygon_of(conic).vertices == polygon_of(conic_merged).vertices
@@ -195,3 +183,122 @@ def test_build_delta_s_feeds_audit(conic):
     merged = build_delta_s(conic, (-1, 0), 1)
     report = invariance_audit(merged, trials=5, seed=0)
     assert report.n_trop == W_PLUS
+
+
+# -- the subset DP against the per-type oracle -------------------------------
+
+
+def count_or_wall(count, delta, mu):
+    try:
+        return count(delta, mu)
+    except NonGenericMoments as exc:
+        return ("wall", str(exc))
+
+
+def assert_matches_brute(delta, mu):
+    """Same N, the same solutions in the same order, or the same wall."""
+    fast = count_or_wall(refined_count, delta, mu)
+    assert fast == count_or_wall(refined_count_brute, delta, mu)
+    return fast
+
+
+def raw_moments(n: int, seed: int) -> MomentVector:
+    """Seeded moments without rejection sampling, so walls stay possible."""
+    gen = SplitMix64(seed)
+    return MomentVector(tuple(moment_from_draw(gen.next_u64())
+                              for _ in range(n - 1)))
+
+
+FIXTURE_DEGREES = ("triangle", "square", "conic", "conic_merged",
+                   "doubled_quad")
+
+
+@pytest.mark.parametrize("name", FIXTURE_DEGREES)
+def test_dp_matches_brute_on_fixture_degrees(name, request):
+    delta = request.getfixturevalue(name)
+    n = len(delta)
+    for seed in range(4):
+        assert_matches_brute(delta, random_generic_moments(delta, seed))
+        assert_matches_brute(delta, raw_moments(n, seed))
+    for small in range(-2, 3):
+        assert_matches_brute(delta, MomentVector((Fraction(small),) * (n - 1)))
+
+
+def test_dp_matches_brute_on_fixture_moments(triangle, triangle_mu, square,
+                                            square_mu, doubled_quad,
+                                            doubled_quad_mu):
+    for delta, mu in ((triangle, triangle_mu), (square, square_mu),
+                      (doubled_quad, doubled_quad_mu)):
+        _, sols = assert_matches_brute(delta, mu)
+        assert len(sols) == 1
+
+
+def test_dp_raises_on_the_same_wall(square):
+    wall = MomentVector((Fraction(1), Fraction(2), Fraction(-2)))
+    assert assert_matches_brute(square, wall)[0] == "wall"
+
+
+def test_dp_keeps_input_errors():
+    with pytest.raises(TooFewEnds):
+        refined_count(Degree(((1, 0), (-1, 0))), MomentVector((Fraction(1),)))
+    with pytest.raises(ValueError):
+        refined_count(delta_d(1), MomentVector((Fraction(1),)))
+
+
+DIRECTIONS = (Vec(1, 0), Vec(0, 1), Vec(1, 1), Vec(1, -1), Vec(2, 1),
+              Vec(1, 2))
+
+
+@st.composite
+def balanced_degrees(draw):
+    """Degrees with 3..7 ends of weight 1 or 2, drawn from a small direction
+    pool, with anti-parallel pairs added on purpose: repeated directions and
+    end sets with n_S = 0 (always flat) are both common."""
+    n = draw(st.integers(3, 7))
+    ends = []
+    while len(ends) < n - 1:
+        d = draw(st.sampled_from(DIRECTIONS)).scale(draw(st.sampled_from((1, -1))))
+        ends.append(d.scale(draw(st.integers(1, 2))))
+        if len(ends) < n - 1 and draw(st.booleans()):
+            ends.append(d.scale(-draw(st.integers(1, 2))))
+    last = Vec(-sum(e.x for e in ends), -sum(e.y for e in ends))
+    assume(lattice_length(last) in (1, 2))
+    return Degree(tuple(ends) + (last,))
+
+
+@st.composite
+def degrees_with_moments(draw):
+    delta = draw(balanced_degrees())
+    draws = st.integers(0, 2 ** 64 - 1).map(moment_from_draw)
+    small = st.integers(-2, 2).map(Fraction)
+    moment = draws if draw(st.booleans()) else small
+    return delta, MomentVector(tuple(draw(moment)
+                                     for _ in range(len(delta) - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(degrees_with_moments())
+def test_dp_matches_brute_on_random_degrees(case):
+    assert_matches_brute(*case)
+
+
+# -- theorem-level checks at sizes the oracle cannot reach in a test ---------
+
+
+@pytest.mark.parametrize("delta_s", [
+    delta_d(3), build_delta_s(delta_d(3), Vec(-1, 0), 1)],
+    ids=["delta_3", "delta_3_s1"])
+def test_audit_properties_beyond_brute_force(delta_s):
+    # the audit itself insists that N agrees across its three seeds and that
+    # r_from_n divides exactly; it raises otherwise
+    report = invariance_audit(delta_s, trials=3, seed=7)
+    m, s = report.m, report.s
+    assert report.n_trop.is_symmetric()
+    assert report.r_inv == HalfLaurent.from_json_pairs(
+        [[-k, c * (-1) ** m] for k, c in report.r_inv.to_json_pairs()])
+    for record in report.trial_records:
+        total = HalfLaurent(0)
+        for sol in record.solutions:
+            split = maximal_split(WeightedPlaneParam.from_solution(sol))
+            total = total + m_prime(split, sol.ctype.multiplicities())
+        assert total.exact_div(HalfLaurent(4)) == r_from_n(record.n_trop, m, s)

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropical_refine import (CombinatorialType, Degree, DegenerateType,
-                             MomentVector, NonGenericMoments, Vec,
-                             enumerate_types, evaluation_matrix, solve)
+                             MomentVector, NonGenericMoments, TropicalError,
+                             Vec, enumerate_types, evaluation_matrix, solve)
 
 
 def only_type(degree: Degree) -> CombinatorialType:
@@ -107,6 +107,17 @@ def test_determinant_factors_over_vertices(doubled_quad, doubled_quad_mu):
             prod *= m
         assert sol.det_abs == prod
         sol.verify()
+
+
+def test_determinant_mismatch_raises(doubled_quad, doubled_quad_mu,
+                                     monkeypatch):
+    ctype = next(t for t in enumerate_types(doubled_quad)
+                 if not t.has_flat_vertex())
+    wrong = {v: m + 1 for v, m in ctype.multiplicities().items()}
+    monkeypatch.setattr(CombinatorialType, "multiplicities",
+                        lambda self: wrong)
+    with pytest.raises(TropicalError, match="not the product"):
+        solve(ctype, doubled_quad_mu)
 
 
 def test_refined_multiplicity_of_weight_two_solution(doubled_quad,

@@ -14,6 +14,7 @@ import pytest
 
 from tropical_refine import (CombinatorialType, Degree, TooFewEnds, Vec,
                              double_factorial_count, enumerate_types, wedge)
+from tropical_refine.trees import type_from_clades
 
 
 def generic_degree(n: int) -> Degree:
@@ -98,6 +99,37 @@ def test_enumeration_matches_brute_force(n):
     ours = {t.canonical_key() for t in enumerate_types(generic_degree(n))}
     theirs = brute_force_keys(n)
     assert ours == theirs
+
+
+def clade_parents(t: CombinatorialType) -> tuple[dict[int, int], dict]:
+    """Each clade's smallest strict superclade, hanging t from leaf 0, and
+    the vertex at the top of each internal clade."""
+    parent, top = {}, {}
+
+    def walk(above: int, v: int) -> int:
+        if v < t.n:
+            return 1 << v
+        kids = [walk(v, w) for w in t.adjacency[v] if w != above]
+        clade = sum(kids)
+        for k in kids:
+            parent[k] = clade
+        top[clade] = v
+        return clade
+
+    walk(0, t.root_vertex)
+    return parent, top
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_type_from_clades_replays_enumeration(n):
+    previous = None
+    for t in enumerate_types(generic_degree(n)):
+        parent, top = clade_parents(t)
+        order, rebuilt, rebuilt_top = type_from_clades(t.leaf_dirs, parent)
+        assert rebuilt == t
+        assert rebuilt_top == top
+        assert previous is None or order > previous
+        previous = order
 
 
 def test_three_ends_single_star():
