@@ -8,8 +8,7 @@ the half-integer Laurent ring.
 """
 
 from tropical_refine import (Vec, broccoli_from_r, build_delta_s, delta_d,
-                             invariance_audit, r_from_n,
-                             random_generic_moments, refined_count,
+                             invariance_audit, r_from_n, sample_trial,
                              split_even_ends)
 
 delta_s = build_delta_s(delta_d(2), Vec(-1, 0), 1)
@@ -19,9 +18,10 @@ print("degree:", " ".join(f"({v.x},{v.y})" for v in delta_s))
 print(f"parent ends m = {m}, merged pairs s = {s}")
 print()
 
-mu = random_generic_moments(delta_s, seed=42)
+# one call draws generic moments and counts the curves through them
+trial = sample_trial(delta_s, seed=42)
+mu, n_trop, solutions = trial.moments, trial.n_trop, trial.solutions
 print("drawn moments:", ", ".join(str(v) for v in mu.values))
-n_trop, solutions = refined_count(delta_s, mu)
 for sol in solutions:
     print(f"  curve of type {sol.ctype.canonical_key()}: "
           f"multiplicity {sol.classical_multiplicity()}, "

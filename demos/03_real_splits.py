@@ -13,13 +13,13 @@ from tropical_refine import (CombinatorialType, Degree, HalfLaurent, Vec,
                              WeightedPlaneParam, admissible_sets, build_split,
                              even_components, gamma_even, m_prime,
                              maximal_split, oriented_solution_count,
-                             quotient_curve, r_from_n, random_generic_moments,
-                             refined_count, w_pow_minus_inverse)
+                             quotient_curve, r_from_n, sample_trial,
+                             w_pow_minus_inverse)
 
 delta_s = Degree(((-2, 0), (0, -1), (1, 1), (1, 0)))
 m, s = 5, 1   # the parent degree splits the weight-2 end into two ends
-mu = random_generic_moments(delta_s, seed=9)
-n_trop, solutions = refined_count(delta_s, mu)
+trial = sample_trial(delta_s, seed=9)
+n_trop, solutions = trial.n_trop, trial.solutions
 print("degree:", " ".join(f"({v.x},{v.y})" for v in delta_s))
 print("N =", n_trop, " R =", r_from_n(n_trop, m, s))
 print()

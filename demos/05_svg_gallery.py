@@ -10,8 +10,7 @@ import sys
 from pathlib import Path
 
 from tropical_refine import (Degree, delta_d, dual_subdivision, polygon_of,
-                             random_generic_moments, refined_count,
-                             render_svg, wedge)
+                             render_svg, sample_trial, wedge)
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(".")
 out_dir.mkdir(parents=True, exist_ok=True)
@@ -23,8 +22,8 @@ gallery = (
 )
 
 for name, delta, seed in gallery:
-    mu = random_generic_moments(delta, seed)
-    n_trop, solutions = refined_count(delta, mu)
+    trial = sample_trial(delta, seed)
+    n_trop, solutions = trial.n_trop, trial.solutions
     svg = render_svg(solutions, polygon=polygon_of(delta))
     path = out_dir / f"{name}.svg"
     path.write_text(svg)

@@ -16,7 +16,8 @@ from .errors import (DegenerateDegree, DegenerateType, ExhaustedRetries,
                      TooFewEnds, TropicalError)
 from .invariants import (InvariantReport, SplitMix64, TrialRecord,
                          broccoli_from_r, invariance_audit, r_from_n,
-                         random_generic_moments, refined_count)
+                         random_generic_moments, refined_count,
+                         sample_trial)
 from .lattice import (Degree, LatticePolygon, MomentVector, Vec,
                       build_delta_s, delta_d, frac_str, lattice_length,
                       menelaus_sum, normals_of, polygon_of, primitive, rot90,
@@ -99,6 +100,7 @@ __all__ = [
     "refined_count",
     "render_svg",
     "rot90",
+    "sample_trial",
     "solve",
     "split_even_ends",
     "stem_of",

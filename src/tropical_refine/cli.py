@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .errors import MenelausViolation, TropicalError
-from .invariants import invariance_audit, r_from_n, random_generic_moments, refined_count
+from .invariants import invariance_audit, r_from_n, refined_count, sample_trial
 from .lattice import (Degree, MomentVector, Vec, build_delta_s, frac_str,
                       polygon_of, primitive, split_even_ends)
 from .laurent import HalfLaurent
@@ -100,10 +100,14 @@ def parse_moments(text: str, delta_s: Degree) -> MomentVector:
     return MomentVector(tuple(values))
 
 
-def resolve_moments(args: argparse.Namespace, delta_s: Degree) -> MomentVector:
-    if args.moments is not None:
-        return parse_moments(args.moments, delta_s)
-    return random_generic_moments(delta_s, args.seed)
+def count_curves(args: argparse.Namespace, delta_s: Degree):
+    """(moments, N, curves) for --moments, or for the seeded draw, whose
+    count is the one sampling accepted it with."""
+    if args.moments is None:
+        trial = sample_trial(delta_s, args.seed)
+        return trial.moments, trial.n_trop, trial.solutions
+    mu = parse_moments(args.moments, delta_s)
+    return (mu, *refined_count(delta_s, mu))
 
 
 def degree_text(delta: Degree) -> str:
@@ -132,8 +136,7 @@ def solution_json(sol: TropicalSolution) -> dict:
 
 def run_enumerate(args: argparse.Namespace) -> tuple[dict, str]:
     delta_s = resolve_degree(args)
-    mu = resolve_moments(args, delta_s)
-    n_trop, sols = refined_count(delta_s, mu)
+    mu, n_trop, sols = count_curves(args, delta_s)
     payload = {
         "command": "enumerate",
         "degree": delta_s.to_json(),
@@ -202,8 +205,7 @@ def run_quantum(args: argparse.Namespace) -> tuple[dict, str]:
 
 def run_realize(args: argparse.Namespace) -> tuple[dict, str]:
     delta_s = resolve_degree(args)
-    mu = resolve_moments(args, delta_s)
-    n_trop, sols = refined_count(delta_s, mu)
+    mu, n_trop, sols = count_curves(args, delta_s)
     delta, s = split_even_ends(delta_s)
     r_inv = r_from_n(n_trop, len(delta), s)
     total = HalfLaurent(0)
@@ -243,23 +245,18 @@ def run_realize(args: argparse.Namespace) -> tuple[dict, str]:
     return payload, "\n".join(lines) + "\n"
 
 
-def run_plot(args: argparse.Namespace) -> tuple[dict, str]:
-    return run_enumerate(args)
-
-
 _RUNNERS = {
     "enumerate": run_enumerate,
     "invariant": run_invariant,
     "quantum": run_quantum,
     "realize": run_realize,
-    "plot": run_plot,
+    "plot": run_enumerate,          # with an SVG default
 }
 
 
 def render_solutions_svg(args: argparse.Namespace) -> str:
     delta_s = resolve_degree(args)
-    mu = resolve_moments(args, delta_s)
-    _, sols = refined_count(delta_s, mu)
+    _, _, sols = count_curves(args, delta_s)
     return render_svg(sols, polygon_of(delta_s))
 
 

@@ -10,7 +10,15 @@ from __future__ import annotations
 
 
 class TropicalError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    Keyword arguments become attributes, so that an error can carry the
+    data needed to reproduce it.
+    """
+
+    def __init__(self, *args, **data):
+        super().__init__(*args)
+        self.__dict__.update(data)
 
 
 class DegenerateDegree(TropicalError, ValueError):
@@ -37,9 +45,7 @@ class NotDivisible(TropicalError):
     how far from divisible the input was.
     """
 
-    def __init__(self, message: str, remainder=None):
-        super().__init__(message)
-        self.remainder = remainder
+    remainder = None
 
 
 class TooFewEnds(TropicalError):
@@ -64,7 +70,9 @@ class MenelausViolation(TropicalError):
 
 
 class ExhaustedRetries(TropicalError):
-    """Rejection sampling failed to find a generic moment vector in time."""
+    """Rejection sampling failed to find a generic moment vector in time;
+    `reasons` says why each attempt was rejected, in order ("wall" or
+    "coincident curves")."""
 
 
 class InvarianceViolation(TropicalError):
@@ -72,6 +80,8 @@ class InvarianceViolation(TropicalError):
 
     This is a bug detector: the refined count is a theorem-level invariant,
     so unequal values mean the implementation (not the input) is wrong.
+    `trials` holds the two disagreeing TrialRecords whole, so they can be
+    replayed from their seeds and diffed curve by curve.
     """
 
 

@@ -30,6 +30,10 @@ from .solver import TropicalSolution, solve, solve_all
 from .trees import enumerate_types
 
 _MASK64 = (1 << 64) - 1
+W_MINUS = w_pow_minus_inverse(1)            # q^(1/2) - q^(-1/2)
+W_PLUS = HalfLaurent({1: 1, -1: 1})         # q^(1/2) + q^(-1/2)
+Q_MINUS = w_pow_minus_inverse(2)            # q - q^(-1)
+Q_PLUS = HalfLaurent({2: 1, -2: 1})         # q + q^(-1)
 
 
 class SplitMix64:
@@ -99,29 +103,40 @@ def _position_signature(sol: TropicalSolution):
     return tuple(sorted(sol.positions().values()))
 
 
-def random_generic_moments(delta_s: Degree, seed: int,
-                           max_retries: int = 64) -> MomentVector:
-    """Seeded generic moments for ends 2..n, rejection-sampled.
+def sample_trial(delta_s: Degree, seed: int,
+                 max_retries: int = 64) -> TrialRecord:
+    """Seeded generic moments for ends 2..n and the count that accepted them.
 
-    A candidate is rejected when any type solves onto a wall (zero length)
-    or two accepted curves coincide as point sets. Raises ExhaustedRetries
-    after max_retries candidates.
+    A candidate is rejected when some type solves onto a wall (zero length)
+    or two curves coincide as point sets. Raises ExhaustedRetries, with the
+    reason for every rejection, after max_retries candidates.
     """
     stream = SplitMix64(seed)
     n = len(delta_s)
+    reasons = []
     for _ in range(max_retries):
         mu = MomentVector(tuple(moment_from_draw(stream.next_u64())
                                 for _ in range(n - 1)))
         try:
-            _, sols = refined_count(delta_s, mu)
+            n_trop, sols = refined_count(delta_s, mu)
         except NonGenericMoments:
+            reasons.append("wall")
             continue
-        signatures = [_position_signature(s) for s in sols]
-        if len(set(signatures)) != len(signatures):
+        if len({_position_signature(s) for s in sols}) != len(sols):
+            reasons.append("coincident curves")
             continue
-        return mu
-    raise ExhaustedRetries(
-        f"no generic moments for seed {seed} in {max_retries} attempts")
+        return TrialRecord(seed, mu, tuple(sols), n_trop)
+    tally = ", ".join(f"{reasons.count(r)} {r}" for r in dict.fromkeys(reasons))
+    raise ExhaustedRetries(f"no generic moments for seed {seed} in "
+                           f"{max_retries} attempts ({tally or 'none made'})",
+                           reasons=reasons)
+
+
+def random_generic_moments(delta_s: Degree, seed: int,
+                           max_retries: int = 64) -> MomentVector:
+    """The moments of sample_trial(delta_s, seed, max_retries); the count
+    that accepted them is discarded."""
+    return sample_trial(delta_s, seed, max_retries).moments
 
 
 def _ratio(value: HalfLaurent, num_base: HalfLaurent, num_exp: int,
@@ -143,11 +158,8 @@ def r_from_n(n_trop: HalfLaurent, m: int, s: int) -> HalfLaurent:
     weight-2 ends. NotDivisible here is fatal: it falsifies the theorem for
     the computed N, i.e. reveals a bug upstream.
     """
-    w_minus = w_pow_minus_inverse(1)            # q^(1/2) - q^(-1/2)
-    w_plus = HalfLaurent({1: 1, -1: 1})         # q^(1/2) + q^(-1/2)
-    q_minus = w_pow_minus_inverse(2)            # q - q^(-1)
-    form_a = _ratio(n_trop, w_minus, m - 2 - s, q_minus, s)
-    form_b = _ratio(n_trop, w_minus, m - 2 - 2 * s, w_plus, s)
+    form_a = _ratio(n_trop, W_MINUS, m - 2 - s, Q_MINUS, s)
+    form_b = _ratio(n_trop, W_MINUS, m - 2 - 2 * s, W_PLUS, s)
     if form_a != form_b:
         raise TropicalError(
             f"theorem forms disagree: {form_a} vs {form_b} (m={m}, s={s})")
@@ -161,9 +173,7 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
     checked through the identity BG * (w + 1/w)^s = N * (q + 1/q)^s, which
     the invariance audit asserts whenever it has N at hand.
     """
-    w_minus = w_pow_minus_inverse(1)
-    q_plus = HalfLaurent({2: 1, -2: 1})         # q + q^(-1)
-    return _ratio(r, q_plus, s, w_minus, m - 2 - 2 * s)
+    return _ratio(r, Q_PLUS, s, W_MINUS, m - 2 - 2 * s)
 
 
 @dataclass(frozen=True)
@@ -228,10 +238,18 @@ class InvariantReport:
         }
 
 
+def _describe(rec: TrialRecord) -> str:
+    moments = ", ".join(frac_str(v) for v in rec.moments.values)
+    mults = ", ".join(str(sol.refined_multiplicity()) for sol in rec.solutions)
+    return (f"trial with seed {rec.seed} and moments [{moments}] gave "
+            f"N = {rec.n_trop} from curves of multiplicity [{mults}]")
+
+
 def invariance_audit(delta_s: Degree, trials: int = 5,
                      seed: int = 2024) -> InvariantReport:
-    """Recompute the refined count for several seeded generic constraints and
-    insist the values agree; derive R and the Broccoli normalization once.
+    """Count the curves through several seeded generic constraints, each
+    counted once while it is sampled, and insist the refined counts agree;
+    derive R and the Broccoli normalization once.
 
     Raises InvarianceViolation (a bug detector, not an input error) when two
     trials disagree.
@@ -239,24 +257,18 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
     if trials < 1:
         raise ValueError("need at least one trial")
     seed_stream = SplitMix64(seed)
-    records: list[TrialRecord] = []
-    for _ in range(trials):
-        ts = seed_stream.next_u64()
-        mu = random_generic_moments(delta_s, ts)
-        n_t, sols = refined_count(delta_s, mu)
-        records.append(TrialRecord(ts, mu, tuple(sols), n_t))
+    records = [sample_trial(delta_s, seed_stream.next_u64())
+               for _ in range(trials)]
     first = records[0].n_trop
     for rec in records[1:]:
         if rec.n_trop != first:
             raise InvarianceViolation(
-                f"trial with seed {records[0].seed} gave {first} but trial "
-                f"with seed {rec.seed} gave {rec.n_trop}")
+                f"{_describe(records[0])}, but {_describe(rec)}",
+                trials=(records[0], rec))
     delta, s = split_even_ends(delta_s)
     m = len(delta)
     r = r_from_n(first, m, s)
     bg = broccoli_from_r(r, m, s)
-    q_plus = HalfLaurent({2: 1, -2: 1})
-    w_plus = HalfLaurent({1: 1, -1: 1})
-    if bg * w_plus ** s != first * q_plus ** s:
+    if bg * W_PLUS ** s != first * Q_PLUS ** s:
         raise TropicalError("Broccoli consistency identity failed")
     return InvariantReport(delta, delta_s, s, m, tuple(records), first, r, bg)

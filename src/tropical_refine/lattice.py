@@ -265,11 +265,7 @@ def normals_of(poly: LatticePolygon) -> Degree:
 
 def as_fraction(value) -> Fraction:
     """Accept Fraction, int, or a 'p/q' string."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (Fraction, int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -297,10 +293,7 @@ class MomentVector:
 
 def frac_str(value) -> str:
     """Lossless text form of a rational: "3", "-7/2"."""
-    value = as_fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(as_fraction(value))
 
 
 def menelaus_sum(full_moments: Iterable, delta: Degree) -> Fraction:

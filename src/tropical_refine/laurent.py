@@ -238,12 +238,6 @@ class HalfLaurent:
         return cls.from_pairs((int(k), int(c)) for k, c in pairs)
 
 
-ZERO = HalfLaurent(0)
-ONE = HalfLaurent(1)
-Q = HalfLaurent.q_power(1)
-Q_HALF = HalfLaurent.monomial(1)
-
-
 def q_analog(a: int) -> HalfLaurent:
     """The quantum integer [a] = q^((a-1)/2) + q^((a-3)/2) + ... + q^(-(a-1)/2)."""
     if a < 1:

@@ -343,17 +343,9 @@ def build_split(base: WeightedPlaneParam,
     pieces: list[tuple[tuple, tuple, Vec, Fraction | None, EdgeKey]] = []
     for edge in tree.edges:
         e = _key(edge)
-        slope_near_far: Vec
-        if e in rooted:
-            near, far = rooted[e]
-        else:
-            near, far = e
+        near, far = rooted.get(e, e)
         slope = tree.slopes[(near, far)]
-        full = None
-        if min(e) >= n:
-            full = base.edge_length(e)
-        elif far < n:
-            full = None
+        full = base.edge_length(e) if min(e) >= n else None
         if e in edge_points:
             off = edge_points[e]
             cut = ("cut", e)
@@ -391,9 +383,6 @@ def build_split(base: WeightedPlaneParam,
         for y in comp_nodes:
             region[y] = tag
 
-    def lift(x, sign):
-        return (sign, x)
-
     split_edges: list[SplitEdge] = []
     node_set: set = set()
     for a, b, slope, length, image in pieces:
@@ -405,12 +394,12 @@ def build_split(base: WeightedPlaneParam,
             half = Vec(slope.x // 2, slope.y // 2)
             twice = None if length is None else 2 * length
             for sign in ("+", "-"):
-                ta = lift(a, sign if region[a] == "split" else "f")
-                tb = lift(b, sign if region[b] == "split" else "f")
+                ta = (sign if region[a] == "split" else "f", a)
+                tb = (sign if region[b] == "split" else "f", b)
                 split_edges.append(SplitEdge(ta, tb, half, twice, image))
                 node_set.update((ta, tb))
         else:
-            ta, tb = lift(a, "f"), lift(b, "f")
+            ta, tb = ("f", a), ("f", b)
             split_edges.append(SplitEdge(ta, tb, slope, length, image))
             node_set.update((ta, tb))
 
@@ -532,7 +521,10 @@ def maximal_split(base: WeightedPlaneParam) -> RealSplit:
         raise FlatVertex("even subgraph extends past the weight-2 ends; "
                          "some vertex joining them is flat")
     split = build_split(base, [(e, Fraction(0)) for e in sorted(end_edges)])
-    assert len(split.quad_vertices) == len(evens) and not split.flat_nodes
+    if len(split.quad_vertices) != len(evens) or split.flat_nodes:
+        raise TropicalError(
+            f"maximal split has {len(split.quad_vertices)} quadrivalent and "
+            f"{len(split.flat_nodes)} flat vertices for {len(evens)} even ends")
     return split
 
 

@@ -106,19 +106,18 @@ class TropicalSolution:
     det_abs: int
 
     def positions(self) -> dict[int, tuple[Fraction, Fraction]]:
-        """Exact plane position of every internal vertex."""
+        """Exact plane position of every internal vertex, each one placed
+        from its parent along the last edge of its path from the root."""
         slopes = self.ctype.slopes
-        pos = {self.ctype.root_vertex: self.root}
+        pos = {}
         for v, path in self.ctype.paths_from_root().items():
-            if v in pos:
+            if not path:
+                pos[v] = self.root
                 continue
-            x, y = self.root
-            for a, b in path:
-                ln = self.lengths[tuple(sorted((a, b)))]
-                s = slopes[(a, b)]
-                x += ln * s.x
-                y += ln * s.y
-            pos[v] = (x, y)
+            a, b = path[-1]
+            ln, s = self.lengths[tuple(sorted((a, b)))], slopes[(a, b)]
+            x, y = pos[a]
+            pos[v] = (x + ln * s.x, y + ln * s.y)
         return pos
 
     def end_moments(self) -> tuple[Fraction, ...]:

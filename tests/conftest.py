@@ -62,3 +62,29 @@ def square_mu() -> MomentVector:
 @pytest.fixture
 def doubled_quad_mu() -> MomentVector:
     return MomentVector((Fraction(1), Fraction(1), Fraction(10)))
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """Counters, from here on, of `solve_all` calls ("solves") and of moments
+    drawn by sampling ("draws"; n - 1 per attempt). Calls whose 1-based
+    number is in the set "walls" raise NonGenericMoments instead, as a
+    constraint on a wall would."""
+    from tropical_refine import NonGenericMoments, invariants
+
+    counts = {"solves": 0, "draws": 0, "walls": set()}
+    real_solve, real_draw = invariants.solve_all, invariants.moment_from_draw
+
+    def solve_all(delta, mu):
+        counts["solves"] += 1
+        if counts["solves"] in counts["walls"]:
+            raise NonGenericMoments("forced wall")
+        return real_solve(delta, mu)
+
+    def moment_from_draw(draw):
+        counts["draws"] += 1
+        return real_draw(draw)
+
+    monkeypatch.setattr(invariants, "solve_all", solve_all)
+    monkeypatch.setattr(invariants, "moment_from_draw", moment_from_draw)
+    return counts

@@ -111,6 +111,25 @@ def test_enumerate_uses_seeded_moments(capsys, triangle):
     assert payload["moments"] == [frac_str(v) for v in mu.full()]
 
 
+@pytest.mark.parametrize("command", ["enumerate", "realize", "plot"])
+def test_seeded_commands_count_each_attempt_once(capsys, count_solves,
+                                                 command):
+    count_solves["walls"].add(1)            # the first draw is redrawn
+    code, _ = run_cli(capsys, [command, f"--degree={CONIC}", "--s", "1",
+                               "--seed", "4"])
+    assert code == 0
+    attempts = count_solves["draws"] // 4   # the merged conic has 5 ends
+    assert attempts == 2 and count_solves["solves"] == attempts
+
+
+@pytest.mark.parametrize("command", ["enumerate", "realize", "plot"])
+def test_given_moments_are_counted_once(capsys, count_solves, command):
+    code, _ = run_cli(capsys, [command, f"--degree={TRIANGLE}",
+                               "--moments", "3,2"])
+    assert code == 0
+    assert (count_solves["solves"], count_solves["draws"]) == (1, 0)
+
+
 def test_enumerate_output_is_byte_identical(capsys):
     argv = ["enumerate", f"--degree={CONIC}", "--seed", "11"]
     _, first = run_cli(capsys, argv)

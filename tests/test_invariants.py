@@ -7,13 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropical_refine import (Degree, ExhaustedRetries, HalfLaurent,
-                             MomentVector, NonGenericMoments, NotDivisible,
-                             SplitMix64, TooFewEnds, Vec,
+                             InvarianceViolation, MomentVector,
+                             NonGenericMoments, NotDivisible, SplitMix64,
+                             TooFewEnds, TrialRecord, Vec,
                              WeightedPlaneParam, broccoli_from_r,
                              build_delta_s, delta_d, invariance_audit,
-                             lattice_length, m_prime, maximal_split,
-                             q_analog, r_from_n, random_generic_moments,
-                             refined_count, w_pow_minus_inverse)
+                             invariants, lattice_length, m_prime,
+                             maximal_split, q_analog, r_from_n,
+                             random_generic_moments, refined_count,
+                             sample_trial, w_pow_minus_inverse)
 from tropical_refine.invariants import moment_from_draw, refined_count_brute
 
 W_MINUS = w_pow_minus_inverse(1)   # q^(1/2) - q^(-1/2)
@@ -75,6 +77,84 @@ def test_random_generic_moments_triangle_never_rejects(triangle):
 def test_random_generic_moments_exhaustion(square):
     with pytest.raises(ExhaustedRetries):
         random_generic_moments(square, 0, max_retries=0)
+
+
+def test_exhausted_retries_gives_every_reason(square, monkeypatch):
+    # all-zero moments put every curve of the square onto a wall
+    monkeypatch.setattr(invariants, "moment_from_draw", lambda draw: Fraction(0))
+    with pytest.raises(ExhaustedRetries) as info:
+        sample_trial(square, 3, max_retries=4)
+    assert info.value.reasons == ["wall"] * 4
+    assert str(info.value) == ("no generic moments for seed 3 in 4 attempts "
+                               "(4 wall)")
+    with pytest.raises(ExhaustedRetries) as info:
+        sample_trial(square, 3, max_retries=0)
+    assert info.value.reasons == []
+    assert str(info.value).endswith("in 0 attempts (none made)")
+
+
+def test_exhausted_retries_tells_walls_from_coincident_curves(conic,
+                                                              monkeypatch):
+    real = invariants.refined_count
+    calls = []
+
+    def wall_then_doubled(delta, mu):
+        calls.append(mu)
+        if len(calls) % 2:
+            raise NonGenericMoments("forced wall")
+        n_trop, sols = real(delta, mu)
+        return n_trop, sols + sols      # every curve twice: they coincide
+
+    monkeypatch.setattr(invariants, "refined_count", wall_then_doubled)
+    with pytest.raises(ExhaustedRetries) as info:
+        sample_trial(conic, 8, max_retries=5)
+    assert info.value.reasons == ["wall", "coincident curves", "wall",
+                                  "coincident curves", "wall"]
+    assert str(info.value) == ("no generic moments for seed 8 in 5 attempts "
+                               "(3 wall, 2 coincident curves)")
+
+
+@pytest.mark.parametrize("name", ["triangle", "square", "conic",
+                                  "conic_merged", "doubled_quad"])
+def test_sample_trial_is_the_counted_draw(name, request):
+    delta = request.getfixturevalue(name)
+    for seed in range(4):
+        trial = sample_trial(delta, seed)
+        mu = random_generic_moments(delta, seed)
+        n_trop, sols = refined_count(delta, mu)
+        assert trial == TrialRecord(seed, mu, tuple(sols), n_trop)
+
+
+def test_audit_counts_each_attempt_once(conic_merged, count_solves):
+    count_solves["walls"].update({1, 4})    # trials 1 and 2 redraw once
+    report = invariance_audit(conic_merged, trials=3, seed=11)
+    attempts = count_solves["draws"] // (len(conic_merged) - 1)
+    assert (report.trials, attempts) == (3, 5)
+    assert count_solves["solves"] == attempts
+
+
+def test_invariance_violation_carries_both_trials(conic_merged, monkeypatch):
+    real = invariants.refined_count
+    calls = []
+
+    def drifting(delta, mu):
+        calls.append(mu)
+        n_trop, sols = real(delta, mu)
+        return n_trop + len(calls) - 1, sols    # a wrong N from trial 2 on
+
+    monkeypatch.setattr(invariants, "refined_count", drifting)
+    with pytest.raises(InvarianceViolation) as info:
+        invariance_audit(conic_merged, trials=2, seed=5)
+    first, second = info.value.trials
+    assert isinstance(first, TrialRecord) and isinstance(second, TrialRecord)
+    assert first.n_trop == W_PLUS and second.n_trop == W_PLUS + 1
+    message = str(info.value)
+    for rec in (first, second):
+        assert f"seed {rec.seed} " in message
+        moments = ", ".join(str(v) for v in rec.moments.values)
+        assert f"moments [{moments}]" in message
+        assert f"N = {rec.n_trop} " in message
+    assert message.count("multiplicity [q^1/2 + q^-1/2]") == 2
 
 
 def test_r_from_n_zero_pairs_is_multiplication():
@@ -286,8 +366,9 @@ def test_dp_matches_brute_on_random_degrees(case):
 
 
 @pytest.mark.parametrize("delta_s", [
-    delta_d(3), build_delta_s(delta_d(3), Vec(-1, 0), 1)],
-    ids=["delta_3", "delta_3_s1"])
+    delta_d(3), build_delta_s(delta_d(3), Vec(-1, 0), 1),
+    delta_d(4), build_delta_s(delta_d(4), Vec(-1, 0), 1)],
+    ids=["delta_3", "delta_3_s1", "delta_4", "delta_4_s1"])
 def test_audit_properties_beyond_brute_force(delta_s):
     # the audit itself insists that N agrees across its three seeds and that
     # r_from_n divides exactly; it raises otherwise

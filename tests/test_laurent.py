@@ -1,7 +1,9 @@
 """Half-integer Laurent polynomials: ring laws, division, rendering."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropical_refine import (HalfLaurent, NotDivisible, q_analog,
@@ -99,6 +101,77 @@ def test_exact_div_rejects_fractional_quotient():
 @given(polys, nonzero_polys)
 def test_exact_div_inverts_multiplication(a, b):
     assert (a * b).exact_div(b) == a
+
+
+def fraction_long_division(num: HalfLaurent, den: HalfLaurent):
+    """Long division of num by den over Q, from the top exponent down:
+    (quotient, remainder) as {half_exponent: Fraction} without zeros. An
+    independent reference for exact_div, which must divide exactly when
+    the remainder is zero and every quotient coefficient is an integer."""
+    if not num:
+        return {}, {}
+    nlo, nhi = num.support()[0], num.support()[-1]
+    dlo, dhi = den.support()[0], den.support()[-1]
+    rem = {k: Fraction(num.coeff(k)) for k in range(nlo, nhi + 1)}
+    quot = {}
+    for top in range(nhi, nlo + (dhi - dlo) - 1, -1):
+        c = rem[top] / den.coeff(dhi)
+        if c:
+            quot[top - dhi] = c
+            for k in den.support():
+                rem[top - dhi + k] -= c * den.coeff(k)
+    return quot, {k: c for k, c in rem.items() if c}
+
+
+@st.composite
+def division_cases(draw):
+    """(num, den) with den's leading coefficient in +-1, +-2, +-3: exact
+    multiples, multiples plus noise, and multiples of den / k, whose
+    quotient is fractional unless k divides it."""
+    lower = draw(st.dictionaries(st.integers(-3, 2), st.integers(-4, 4),
+                                 max_size=4))
+    lead = draw(st.sampled_from((1, -1, 2, -2, 3, -3)))
+    den = HalfLaurent({**lower, draw(st.integers(3, 5)): lead})
+    num = draw(polys) * den
+    kind = draw(st.sampled_from(("exact", "noise", "fractional")))
+    if kind == "noise":
+        num = num + draw(polys)
+    elif kind == "fractional":
+        den = den * draw(st.sampled_from((2, 3)))
+    return num, den
+
+
+def test_fraction_long_division_reference():
+    w_plus = HalfLaurent({1: 1, -1: 1})
+    assert fraction_long_division(HalfLaurent({2: 1, -2: -1}), w_plus) == (
+        {1: 1, -1: -1}, {})
+    assert fraction_long_division(w_plus, w_plus * 2) == ({0: Fraction(1, 2)}, {})
+    assert fraction_long_division(HalfLaurent(1), w_plus) == ({}, {0: 1})
+
+
+@settings(max_examples=300)
+@given(division_cases())
+def test_exact_div_matches_fraction_long_division(case):
+    num, den = case
+    quot, rem = fraction_long_division(num, den)
+    if rem or any(c.denominator != 1 for c in quot.values()):
+        with pytest.raises(NotDivisible) as info:
+            num.exact_div(den)
+        assert info.value.remainder is not None
+    else:
+        assert num.exact_div(den) == HalfLaurent(
+            {k: int(c) for k, c in quot.items()})
+
+
+def test_exact_div_lead_two_and_three():
+    base = HalfLaurent({2: 1, 0: -1, -2: 1})
+    assert (base * 6).exact_div(base * 2) == HalfLaurent(3)
+    assert (base * 3).exact_div(base * -3) == HalfLaurent(-1)
+    for num, den in ((base, base * 2), (base * 2, base * 3),
+                     (base * 2 + 1, base * 2)):
+        with pytest.raises(NotDivisible) as info:
+            num.exact_div(den)
+        assert info.value.remainder is not None
 
 
 @given(polys)

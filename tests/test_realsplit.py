@@ -16,7 +16,8 @@ from tropical_refine import (CombinatorialType, FlatVertex, HalfLaurent,
                              even_components, gamma_even, m_prime,
                              maximal_split, oriented_solution_count,
                              quad_indices, quad_refined_sum, quotient_curve,
-                             r_from_n, random_generic_moments, refined_count,
+                             r_from_n, random_generic_moments, realsplit,
+                             refined_count,
                              stem_of, trivalent_quantum_index,
                              w_pow_minus_inverse)
 
@@ -244,6 +245,20 @@ def test_maximal_split_rejects_two_divisors():
 def test_maximal_split_rejects_joined_even_ends():
     with pytest.raises(FlatVertex):
         maximal_split(WeightedPlaneParam(closure_tree()))
+
+
+def test_maximal_split_checks_its_quad_vertices(doubled_quad, doubled_quad_mu,
+                                                monkeypatch):
+    real = realsplit.build_split
+
+    def without_quads(base, points):
+        return dataclasses.replace(real(base, points), quad_vertices=())
+
+    monkeypatch.setattr(realsplit, "build_split", without_quads)
+    _, sols = refined_count(doubled_quad, doubled_quad_mu)
+    with pytest.raises(TropicalError, match="has 0 quadrivalent and 0 flat "
+                                            "vertices for 1 even ends"):
+        maximal_split(WeightedPlaneParam.from_solution(sols[0]))
 
 
 def test_maximal_split_triangle(triangle, triangle_mu):
