@@ -6,12 +6,13 @@ Five subcommands over one shared flag grammar:
         --degree <path|inline> [--s N] [--n1 x,y] [--moments a/b,...]
         [--seed N] [--trials N] [--out PATH] [--format json|text|svg]
 
-`enumerate` solves every combinatorial type against one moment constraint,
-`invariant` runs the multi-seed invariance audit and reports N, R and the
-Broccoli normalization, `quantum` tabulates quadrivalent quantum-index data
-(it takes --m1 and --delta instead of a curve count), `realize` computes the
-maximal splitting and first-order real multiplicity of every solution, and
-`plot` is `enumerate` with an SVG default.
+`enumerate` counts the curves through one moment constraint and lists each
+with its type, root and multiplicities, `invariant` runs the multi-seed
+invariance audit and reports N, R and the Broccoli normalization, `quantum`
+tabulates quadrivalent quantum-index data (it takes --m1 and --delta instead
+of a curve count), `realize` computes the maximal splitting and first-order
+real multiplicity of every solution, and `plot` is `enumerate` with an SVG
+default.
 
 Degrees are read from a JSON file ({"entries": [[x, y], ...]}), an inline
 JSON literal, or the compact form "x,y;x,y;...". Moments are exact rationals;

@@ -8,6 +8,12 @@ the pieces beyond the cuts are doubled. The resulting graph carries an
 involution whose quotient recovers the original curve; edge lengths double
 and slopes halve on the doubled part.
 
+Each component of the even part hangs from its stem, the one vertex where
+it meets the rest of the curve. By the closure rule every other vertex of a
+component has all its edges even, so below the stem a component only ends
+in even ends; the doubled part is everything past the cut points, as seen
+walking down from the stems.
+
 Cut positions are discretized: on a bounded edge only the interior class
 matters, while on an unbounded end the interior position (which creates a
 flat trivalent vertex out on the end) and the position at the adjacent
@@ -30,7 +36,7 @@ from .errors import (FlatVertex, InadmissibleSet, MultipleDivisors,
 from .lattice import Vec, lattice_length, primitive, wedge
 from .laurent import HalfLaurent, w_pow_minus_inverse
 from .solver import TropicalSolution
-from .trees import CombinatorialType, VertexData
+from .trees import CombinatorialType
 
 EdgeKey = tuple[int, int]
 
@@ -117,64 +123,59 @@ def gamma_even(base: WeightedPlaneParam) -> frozenset[EdgeKey]:
     return frozenset(even)
 
 
-def even_components(base: WeightedPlaneParam) -> list[frozenset[EdgeKey]]:
-    """Connected components of the even subgraph, as edge sets."""
-    remaining = set(gamma_even(base))
-    comps = []
-    while remaining:
-        seed = next(iter(remaining))
-        comp = {seed}
-        remaining.discard(seed)
-        frontier = [seed]
-        while frontier:
-            e = frontier.pop()
-            for f in list(remaining):
-                if set(e) & set(f):
-                    comp.add(f)
-                    remaining.discard(f)
-                    frontier.append(f)
-        comps.append(frozenset(comp))
-    return comps
+def _stem_tree(base: WeightedPlaneParam):
+    """Hang every even component from its stem.
 
-
-def _root_component(base: WeightedPlaneParam, comp: frozenset[EdgeKey]):
-    """Orient a component away from its stem.
-
-    Returns (stem, orient, children) where orient maps each component edge to
-    (stem side, far side) and children maps it to the component edges hanging
-    below its far side.
+    Returns (roots, orient, children): roots maps each stem to the component
+    edge at it, orient maps each even edge to (stem side, far side) and
+    children maps it to the sorted even edges hanging below its far side.
     """
-    tree = base.tree
-    n = tree.n
+    n = base.tree.n
+    even = gamma_even(base)
     incident: dict[int, list[EdgeKey]] = {}
-    for e in comp:
+    for e in even:
         for v in e:
             if v >= n:
                 incident.setdefault(v, []).append(e)
-    boundary = [v for v, es in incident.items()
-                if len(es) < len(tree.adjacency[v])]
-    if len(boundary) != 1 or len(incident[boundary[0]]) != 1:
-        raise TropicalError("even component has no unique stem vertex")
-    stem = boundary[0]
+    roots = {v: es[0] for v, es in sorted(incident.items())
+             if len(es) < len(base.tree.adjacency[v])}
     orient: dict[EdgeKey, tuple[int, int]] = {}
     children: dict[EdgeKey, list[EdgeKey]] = {}
-    queue: list[tuple[int, EdgeKey]] = [(stem, incident[stem][0])]
-    while queue:
-        near, e = queue.pop()
+    walk = list(roots.items())
+    for near, e in walk:
         far = e[0] if e[1] == near else e[1]
         orient[e] = (near, far)
-        kids = []
-        if far >= n:
-            for f in incident[far]:
-                if f != e:
-                    kids.append(f)
-                    queue.append((far, f))
-        children[e] = sorted(kids)
-    return stem, orient, children
+        children[e] = sorted(f for f in incident.get(far, ()) if f != e)
+        walk.extend((far, f) for f in children[e])
+    # a component with two stems is walked twice; one without, not at all
+    if len(walk) != len(orient) or len(orient) != len(even):
+        raise TropicalError("even component has no unique stem vertex")
+    return roots, orient, children
+
+
+def _below(children, e: EdgeKey) -> frozenset[EdgeKey]:
+    out = [e]
+    for f in out:
+        out.extend(children[f])
+    return frozenset(out)
+
+
+def even_components(base: WeightedPlaneParam) -> list[frozenset[EdgeKey]]:
+    """Connected components of the even subgraph, as edge sets."""
+    roots, _, children = _stem_tree(base)
+    return [_below(children, e) for e in roots.values()]
+
+
+def _component_root(base: WeightedPlaneParam, comp: frozenset[EdgeKey]):
+    roots, _, children = _stem_tree(base)
+    for stem, e in roots.items():
+        if e in comp and _below(children, e) == comp:
+            return stem, e, children
+    raise TropicalError(f"{sorted(comp)} is not an even component")
 
 
 def stem_of(base: WeightedPlaneParam, comp: frozenset[EdgeKey]) -> int:
-    return _root_component(base, comp)[0]
+    return _component_root(base, comp)[0]
 
 
 def admissible_sets(base: WeightedPlaneParam,
@@ -185,8 +186,7 @@ def admissible_sets(base: WeightedPlaneParam,
     from the stem to an even end exactly once; a cut point sits in the
     interior of each listed edge.
     """
-    stem, orient, children = _root_component(base, comp)
-    root_edge = next(e for e, (near, _) in orient.items() if near == stem)
+    _, root_edge, children = _component_root(base, comp)
 
     def cuts(e: EdgeKey) -> list[frozenset[EdgeKey]]:
         out = [frozenset({e})]
@@ -268,22 +268,20 @@ class RealSplit:
         return not self.flat_nodes
 
 
-def _normalize_points(base, rooted, points):
+def _normalize_points(base, orient, points):
     """Sort raw (edge, offset) pairs into vertex points and interior edge
     points, rejecting duplicates and off-even placements."""
-    even = gamma_even(base)
     vertex_points: set[int] = set()
     edge_points: dict[EdgeKey, Fraction] = {}
     for edge, offset in points:
         e = _key(edge)
-        if e not in even:
+        if e not in orient:
             raise InadmissibleSet(f"point on {e} is not on the even subgraph")
         offset = Fraction(offset)
         if offset < 0:
             raise InadmissibleSet("negative offset")
-        near, far = rooted[e]
         if offset == 0:
-            vertex_points.add(near)
+            vertex_points.add(orient[e][0])
             continue
         is_end = min(e) < base.tree.n
         if not is_end:
@@ -308,42 +306,32 @@ def build_split(base: WeightedPlaneParam,
     """
     tree = base.tree
     n = tree.n
-    comps = even_components(base)
-    rooted: dict[EdgeKey, tuple[int, int]] = {}
-    comp_parents: dict[int, tuple[int, EdgeKey] | None] = {}
-    for comp in comps:
-        stem, orient, _ = _root_component(base, comp)
-        rooted.update(orient)
-        for e, (near, far) in orient.items():
-            if far >= n:
-                comp_parents[far] = (near, e)
-        comp_parents.setdefault(stem, None)
-    vertex_points, edge_points = _normalize_points(base, rooted, points)
+    roots, orient, children = _stem_tree(base)
+    vertex_points, edge_points = _normalize_points(base, orient, points)
 
-    # admissibility: walk up from every even end and count separators
+    # one walk down from the stems: count the cut points above every node
+    # and double every node past one
+    hits: dict[int, int] = {}
+    doubled: set[int] = set()
+    walk = [(e, int(stem in vertex_points)) for stem, e in roots.items()]
+    for e, seen in walk:
+        far = orient[e][1]
+        seen += e in edge_points
+        if seen:
+            doubled.add(far)
+        seen += far in vertex_points
+        hits[far] = seen
+        walk.extend((f, seen) for f in children[e])
     for leaf in base.even_leaves():
-        e = _key(tree.end_edge(leaf))
-        hits = 1 if e in edge_points else 0
-        v = rooted[e][0]
-        while True:
-            if v in vertex_points:
-                hits += 1
-            up = comp_parents.get(v)
-            if up is None:
-                break
-            parent_vertex, through = up
-            if through in edge_points:
-                hits += 1
-            v = parent_vertex
-        if hits != 1:
-            raise InadmissibleSet(
-                f"path from the stem to end {leaf} crosses {hits} cut points")
+        if hits[leaf] != 1:
+            raise InadmissibleSet(f"path from the stem to end {leaf} "
+                                  f"crosses {hits[leaf]} cut points")
 
     # pieces: base edges, subdivided at interior cut points
     pieces: list[tuple[tuple, tuple, Vec, Fraction | None, EdgeKey]] = []
     for edge in tree.edges:
         e = _key(edge)
-        near, far = rooted.get(e, e)
+        near, far = orient.get(e, e)
         slope = tree.slopes[(near, far)]
         full = base.edge_length(e) if min(e) >= n else None
         if e in edge_points:
@@ -355,47 +343,18 @@ def build_split(base: WeightedPlaneParam,
         else:
             pieces.append((near, far, slope, full, e))
 
-    # regions of the complement of the cut points
-    removed = set(vertex_points) | {("cut", e) for e in edge_points}
-    neighbors: dict = {}
-    for a, b, *_ in pieces:
-        neighbors.setdefault(a, []).append(b)
-        neighbors.setdefault(b, []).append(a)
-    region: dict = {x: None for x in neighbors}
-    for x in removed:
-        region[x] = "fix"
-    even_leaf_set = set(base.even_leaves())
-    for x in list(region):
-        if region[x] is not None:
-            continue
-        comp_nodes = [x]
-        seen = {x}
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for z in neighbors[y]:
-                if z not in seen and z not in removed:
-                    seen.add(z)
-                    comp_nodes.append(z)
-                    stack.append(z)
-        tag = "split" if any(isinstance(y, int) and y in even_leaf_set
-                             for y in comp_nodes) else "fix"
-        for y in comp_nodes:
-            region[y] = tag
-
     split_edges: list[SplitEdge] = []
     node_set: set = set()
     for a, b, slope, length, image in pieces:
-        doubling = region[a] == "split" or region[b] == "split"
-        if doubling:
+        if a in doubled or b in doubled:
             if slope.x % 2 or slope.y % 2:
                 raise InadmissibleSet(
                     f"cannot halve odd slope {tuple(slope)} on {image}")
             half = Vec(slope.x // 2, slope.y // 2)
             twice = None if length is None else 2 * length
             for sign in ("+", "-"):
-                ta = (sign if region[a] == "split" else "f", a)
-                tb = (sign if region[b] == "split" else "f", b)
+                ta = (sign if a in doubled else "f", a)
+                tb = (sign if b in doubled else "f", b)
                 split_edges.append(SplitEdge(ta, tb, half, twice, image))
                 node_set.update((ta, tb))
         else:
@@ -528,29 +487,15 @@ def maximal_split(base: WeightedPlaneParam) -> RealSplit:
     return split
 
 
-def _mult_map(vertex_mults) -> dict[int, int]:
-    if isinstance(vertex_mults, Mapping):
-        return dict(vertex_mults)
-    out = {}
-    for vd in vertex_mults:
-        if isinstance(vd, VertexData):
-            out[vd.vertex] = vd.mult
-        else:
-            v, m = vd
-            out[v] = m
-    return out
-
-
-def m_prime(split: RealSplit, vertex_mults) -> HalfLaurent:
+def m_prime(split: RealSplit, mults: Mapping[int, int]) -> HalfLaurent:
     """First-order real multiplicity of the split curve.
 
     4 * prod over quadrivalent W of (q^(m_W/2) - q^(-m_W/2)) / (q - 1/q)
       * prod over the other vertices of (q^(m_V/2) - q^(-m_V/2)).
 
-    vertex_mults carries the base-vertex multiplicities (a mapping, a list of
-    VertexData, or (vertex, mult) pairs).
+    mults maps each base vertex to its multiplicity, as
+    `CombinatorialType.multiplicities()` gives it.
     """
-    mults = _mult_map(vertex_mults)
     quads = dict(split.quad_vertices)
     for v, m in quads.items():
         if mults.get(v, m) != m:

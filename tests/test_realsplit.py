@@ -2,18 +2,21 @@
 the quantum-index arithmetic at quadrivalent vertices."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tropical_refine import (CombinatorialType, FlatVertex, HalfLaurent,
-                             InadmissibleSet, MomentVector, MultipleDivisors,
-                             OddQuadMultiplicity, OutOfRange, TropicalError,
-                             Vec, WeightedPlaneParam, admissible_sets,
-                             build_split, c_k_values, coamoeba_area,
-                             even_components, gamma_even, m_prime,
+from tropical_refine import (CombinatorialType, Degree, FlatVertex,
+                             HalfLaurent, InadmissibleSet, MomentVector,
+                             MultipleDivisors, OddQuadMultiplicity, OutOfRange,
+                             TropicalError, Vec, WeightedPlaneParam,
+                             admissible_sets, build_delta_s, build_split,
+                             c_k_values, coamoeba_area, delta_d,
+                             enumerate_types, even_components, gamma_even,
+                             m_prime,
                              maximal_split, oriented_solution_count,
                              quad_indices, quad_refined_sum, quotient_curve,
                              r_from_n, random_generic_moments, realsplit,
@@ -234,6 +237,95 @@ def test_inadmissible_cut_sets():
         build_split(metric, [((4, 5), Fraction(7, 2))])
 
 
+def test_inadmissible_sets_name_the_first_failing_end():
+    cat = WeightedPlaneParam(caterpillar_tree())
+    assert cat.even_leaves() == (4, 5)
+    with pytest.raises(InadmissibleSet, match="to end 4 crosses 0 cut points"):
+        build_split(cat, [])
+    with pytest.raises(InadmissibleSet, match="to end 5 crosses 0 cut points"):
+        build_split(cat, [((4, 6), Fraction(0))])
+    # end 4 is cut once, end 5 twice: at its vertex and inside the end
+    with pytest.raises(InadmissibleSet, match="to end 5 crosses 2 cut points"):
+        build_split(cat, [((4, 6), Fraction(0)), ((5, 9), Fraction(0)),
+                          ((5, 9), Fraction(1, 2))])
+    base = WeightedPlaneParam(closure_tree())
+    # a cut on the bounded edge and another below it on end 3
+    with pytest.raises(InadmissibleSet, match="to end 3 crosses 2 cut points"):
+        build_split(base, [((4, 5), Fraction(1)), ((3, 5), Fraction(1, 3))])
+    # the stem vertex and the edge below it
+    with pytest.raises(InadmissibleSet, match="to end 2 crosses 2 cut points"):
+        build_split(base, [((4, 5), Fraction(0)), ((4, 5), Fraction(1))])
+
+
+def test_stem_queries_reject_edge_sets_that_are_not_components():
+    base = WeightedPlaneParam(closure_tree())
+    cat = WeightedPlaneParam(caterpillar_tree())
+    for where, edges in ((base, ()), (base, ((2, 5),)), (base, ((0, 4),)),
+                         (base, ((2, 5), (3, 5))),
+                         (cat, ((4, 6), (5, 9)))):
+        comp = frozenset(edges)
+        with pytest.raises(TropicalError, match="is not an even component"):
+            stem_of(where, comp)
+        with pytest.raises(TropicalError, match="is not an even component"):
+            admissible_sets(where, comp)
+
+
+def test_components_without_a_unique_stem_are_rejected():
+    # ends that do not balance: the closure swallows the whole star
+    unbalanced = CombinatorialType((Vec(2, 0), Vec(0, 2), Vec(1, 1)),
+                                   ((0, 3), (1, 3), (2, 3)))
+    # a quadrivalent vertex holding both even ends meets them through two
+    # even edges
+    quadrivalent = CombinatorialType(
+        (Vec(3, 1), Vec(1, -1), Vec(-2, 0), Vec(-2, 0)),
+        ((0, 4), (1, 4), (2, 4), (3, 4)))
+    for tree in (unbalanced, quadrivalent):
+        base = WeightedPlaneParam(tree)
+        assert gamma_even(base)
+        with pytest.raises(TropicalError, match="no unique stem vertex"):
+            even_components(base)
+        with pytest.raises(TropicalError, match="no unique stem vertex"):
+            build_split(base, [])
+
+
+def _generated_bases():
+    """Every type of the two small s >= 1 degrees and a sample of the s = 1
+    surgery on delta_3, without and with edge lengths."""
+    six = Degree(((1, 1), (1, 1), (1, -1), (1, -1), (-2, 0), (-2, 0)))
+    trees = [*enumerate_types(build_delta_s(delta_d(2), Vec(-1, 0), 1)),
+             *enumerate_types(six),
+             *itertools.islice(enumerate_types(
+                 build_delta_s(delta_d(3), Vec(-1, 0), 1)), 0, None, 97)]
+    for tree in trees:
+        yield WeightedPlaneParam(tree)
+        yield WeightedPlaneParam(tree, {e: Fraction(k + 1) for k, e in
+                                        enumerate(tree.bounded_edges)})
+
+
+def test_stem_tree_on_generated_trees():
+    bases = splits = 0
+    for base in _generated_bases():
+        bases += 1
+        adjacency = base.tree.adjacency
+        comps = even_components(base)
+        assert sum(len(c) for c in comps) == len(gamma_even(base))
+        assert frozenset().union(*comps) == gamma_even(base)
+        classes = []
+        for comp in comps:
+            leaving = {v for e in comp for v in e
+                       if any(tuple(sorted((v, w))) not in comp
+                              for w in adjacency[v])}
+            assert leaving == {stem_of(base, comp)}
+            classes.append(list(admissible_sets(base, comp)))
+        for product in itertools.product(*classes):
+            cuts = sorted(frozenset().union(*product))
+            for offset in (Fraction(1, 2), Fraction(0)):
+                split = build_split(base, [(e, offset) for e in cuts])
+                check_symmetric_model(split, base)
+                splits += 1
+    assert (bases, splits) == (456, 972)
+
+
 def test_maximal_split_rejects_two_divisors():
     dirs = (Vec(0, 2), Vec(2, 0), Vec(-1, -1), Vec(-1, -1))
     edges = ((0, 4), (1, 4), (4, 5), (2, 5), (3, 5))
@@ -401,9 +493,8 @@ def test_m_prime_accepts_all_multiplicity_forms():
     base = WeightedPlaneParam(caterpillar_tree())
     split = maximal_split(base)
     as_map = m_prime(split, base.tree.multiplicities())
-    as_data = m_prime(split, base.tree.vertex_data)
-    as_pairs = m_prime(split, [(6, 2), (7, 2), (8, 2), (9, 2)])
-    assert as_map == as_data == as_pairs
+    assert as_map == m_prime(split, {6: 2, 7: 2, 8: 2, 9: 2})
+    assert str(as_map) == "4*q^2 - 8 + 4*q^-2"
 
 
 def test_m_prime_rejects_odd_quad_multiplicity():
