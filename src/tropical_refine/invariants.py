@@ -19,6 +19,7 @@ so that every run of a given seed is reproducible down to the byte.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,15 +140,21 @@ def random_generic_moments(delta_s: Degree, seed: int,
     return sample_trial(delta_s, seed, max_retries).moments
 
 
+@functools.cache
+def _power(base: HalfLaurent, exp: int) -> HalfLaurent:
+    """base ** exp for the four theorem factors, each built once."""
+    return base ** exp
+
+
 def _ratio(value: HalfLaurent, num_base: HalfLaurent, num_exp: int,
            den_base: HalfLaurent, den_exp: int) -> HalfLaurent:
     """value * num_base^num_exp / den_base^den_exp with exact division;
     a negative num_exp moves that factor to the divisor."""
-    den = den_base ** den_exp
+    den = _power(den_base, den_exp)
     if num_exp >= 0:
-        value = value * num_base ** num_exp
+        value = value * _power(num_base, num_exp)
     else:
-        den = den * num_base ** (-num_exp)
+        den = den * _power(num_base, -num_exp)
     return value.exact_div(den)
 
 
@@ -269,6 +276,6 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
     m = len(delta)
     r = r_from_n(first, m, s)
     bg = broccoli_from_r(r, m, s)
-    if bg * W_PLUS ** s != first * Q_PLUS ** s:
+    if bg * _power(W_PLUS, s) != first * _power(Q_PLUS, s):
         raise TropicalError("Broccoli consistency identity failed")
     return InvariantReport(delta, delta_s, s, m, tuple(records), first, r, bg)

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import TooFewEnds
+from .errors import TooFewEnds, TropicalError
 from .lattice import Degree, Vec, ZERO, wedge
 
 
@@ -112,6 +112,16 @@ class CombinatorialType:
 
     @functools.cached_property
     def vertex_data(self) -> tuple[VertexData, ...]:
+        """Slopes and multiplicity of every internal vertex. Raises
+        TropicalError, naming the first offending vertex, unless every leaf
+        has one edge and every internal vertex three."""
+        for v, nbrs in self.adjacency.items():
+            want = 1 if v < self.n else 3
+            if len(nbrs) != want:
+                kind = "leaf" if v < self.n else "internal vertex"
+                raise TropicalError(
+                    f"{kind} {v} has valence {len(nbrs)}; a trivalent tree "
+                    f"needs {want}")
         out = []
         for v in self.internal_vertices:
             sl = self.vertex_slopes(v)

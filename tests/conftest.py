@@ -88,3 +88,20 @@ def count_solves(monkeypatch):
     monkeypatch.setattr(invariants, "solve_all", solve_all)
     monkeypatch.setattr(invariants, "moment_from_draw", moment_from_draw)
     return counts
+
+
+@pytest.fixture
+def count_tables(monkeypatch):
+    """The end directions of every split table `solve_all` builds from here
+    on, one entry per build."""
+    from tropical_refine import solver
+
+    built = []
+    real_table = solver._SplitTable
+
+    def build(dirs):
+        built.append(dirs)
+        return real_table(dirs)
+
+    monkeypatch.setattr(solver, "_SplitTable", build)
+    return built

@@ -133,6 +133,34 @@ def test_audit_counts_each_attempt_once(conic_merged, count_solves):
     assert count_solves["solves"] == attempts
 
 
+def test_split_table_is_built_once_across_retries(square, count_solves,
+                                                 count_tables, monkeypatch):
+    merged = Degree(((0, -1), (0, -1), (1, 1), (1, 1), (-2, 0)),
+                    name="table across retries")
+    count_solves["walls"].update({1, 2, 4})     # seeds 0 and 1 redraw
+    for seed in range(3):
+        sample_trial(merged, seed)
+    assert count_solves["solves"] == 6
+    assert count_tables == [merged.entries]
+    # walls the solver finds itself: every attempt reaches the table
+    count_solves["walls"].clear()
+    monkeypatch.setattr(invariants, "moment_from_draw", lambda draw: Fraction(0))
+    walled = Degree(square.entries, name="table across real walls")
+    with pytest.raises(ExhaustedRetries):
+        sample_trial(walled, 3, max_retries=4)
+    assert count_solves["solves"] == 10
+    assert count_tables == [merged.entries, walled.entries]
+
+
+def test_split_table_is_built_once_per_audit(count_solves, count_tables):
+    delta = Degree(build_delta_s(delta_d(2), Vec(-1, 0), 1).entries,
+                   name="table across trials")
+    count_solves["walls"].add(2)
+    report = invariance_audit(delta, trials=4, seed=3)
+    assert (report.trials, count_solves["solves"]) == (4, 5)
+    assert count_tables == [delta.entries]
+
+
 def test_invariance_violation_carries_both_trials(conic_merged, monkeypatch):
     real = invariants.refined_count
     calls = []
@@ -360,6 +388,23 @@ def degrees_with_moments(draw):
 @given(degrees_with_moments())
 def test_dp_matches_brute_on_random_degrees(case):
     assert_matches_brute(*case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(balanced_degrees(), st.data())
+def test_reused_and_fresh_tables_match_brute(delta, data):
+    draws = st.integers(0, 2 ** 64 - 1).map(moment_from_draw)
+    small = st.integers(-2, 2).map(Fraction)
+    for k in range(4):
+        moment = draws if k % 2 else small
+        mu = MomentVector(tuple(data.draw(moment)
+                                for _ in range(len(delta) - 1)))
+        # `delta` keeps one table across the moment vectors; an equal
+        # degree under a new name gets a table built for this call alone
+        fresh = Degree(delta.entries, name=f"fresh table {k}")
+        reused = count_or_wall(refined_count, delta, mu)
+        assert reused == count_or_wall(refined_count, fresh, mu)
+        assert reused == count_or_wall(refined_count_brute, delta, mu)
 
 
 # -- theorem-level checks at sizes the oracle cannot reach in a test ---------

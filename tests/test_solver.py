@@ -1,5 +1,7 @@
 """The moment evaluation map: exact solves, multiplicities, walls."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropical_refine import (CombinatorialType, Degree, DegenerateType,
-                             MomentVector, NonGenericMoments, TropicalError,
-                             Vec, enumerate_types, evaluation_matrix, solve)
+                             HalfLaurent, MomentVector, NonGenericMoments,
+                             TropicalError, Vec, delta_d, enumerate_types,
+                             evaluation_matrix, q_analog,
+                             random_generic_moments, solve, solver)
 
 
 def only_type(degree: Degree) -> CombinatorialType:
@@ -144,3 +148,41 @@ def test_solution_positions_connect_by_lengths(conic):
             assert (bx - ax, by - ay) in ((ln * slope.x, ln * slope.y),
                                           (-ln * slope.x, -ln * slope.y))
             assert ln > 0
+
+
+def test_refined_multiplicity_is_built_once(conic, monkeypatch):
+    sols = solver.solve_all(conic, random_generic_moments(conic, 11))
+    built = []
+    monkeypatch.setattr(solver, "q_analog",
+                        lambda m: built.append(m) or q_analog(m))
+    for sol in sols:
+        first = sol.refined_multiplicity()
+        assert sol.refined_multiplicity() is first
+        want = HalfLaurent(1)
+        for m in sol.ctype.multiplicities().values():
+            want = want * q_analog(m)
+        assert first == want
+    assert len(built) == sum(sol.ctype.n - 2 for sol in sols)
+
+
+# -- the per-degree split table of solve_all ---------------------------------
+
+
+def test_equal_degrees_give_identical_solutions(count_tables):
+    first = Degree(delta_d(3).entries, name="equal twins")
+    second = Degree(delta_d(3).entries, name="equal twins")
+    assert first == second and first is not second
+    for seed in range(3):
+        mu = random_generic_moments(first, seed)
+        assert solver.solve_all(first, mu) == solver.solve_all(second, mu)
+    # equal degrees look up the same table
+    assert count_tables == [first.entries]
+
+
+def test_dropping_the_degree_frees_its_table(conic):
+    delta = Degree(conic.entries, name="dropped")
+    solver.solve_all(delta, random_generic_moments(conic, 2))
+    table = weakref.ref(solver._TABLES[delta])
+    del delta
+    gc.collect()
+    assert table() is None

@@ -12,8 +12,10 @@ import math
 
 import pytest
 
-from tropical_refine import (CombinatorialType, Degree, TooFewEnds, Vec,
-                             double_factorial_count, enumerate_types, wedge)
+from tropical_refine import (CombinatorialType, Degree, TooFewEnds,
+                             TropicalError, Vec, WeightedPlaneParam,
+                             double_factorial_count, enumerate_types,
+                             maximal_split, wedge)
 from tropical_refine.trees import type_from_clades
 
 
@@ -204,3 +206,26 @@ def test_multiplicity_is_wedge_of_outgoing_slopes():
             u, v, w = vd.slopes
             assert vd.mult == abs(wedge(u, v))
             assert abs(wedge(u, v)) == abs(wedge(v, w)) == abs(wedge(u, w))
+
+
+SQUARE_DIRS = (Vec(1, 0), Vec(0, 1), Vec(-1, 0), Vec(0, -1))
+
+
+def test_quadrivalent_star_is_rejected_by_valence():
+    # vertex 4 holds all four ends and vertex 5 none
+    star = CombinatorialType(SQUARE_DIRS, ((0, 4), (1, 4), (2, 4), (3, 4)))
+    message = "internal vertex 4 has valence 4; a trivalent tree needs 3"
+    with pytest.raises(TropicalError, match=message):
+        star.multiplicities()
+    with pytest.raises(TropicalError, match=message):
+        maximal_split(WeightedPlaneParam(star))
+
+
+def test_leaf_of_valence_two_is_rejected():
+    # end 3 hangs from leaf 0 instead of from an internal vertex
+    tree = CombinatorialType(SQUARE_DIRS, ((0, 4), (1, 4), (2, 4), (3, 0)))
+    message = "leaf 0 has valence 2; a trivalent tree needs 1"
+    with pytest.raises(TropicalError, match=message):
+        tree.multiplicities()
+    with pytest.raises(TropicalError, match=message):
+        tree.has_flat_vertex()
