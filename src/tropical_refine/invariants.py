@@ -101,7 +101,8 @@ def refined_count_brute(
 
 
 def _position_signature(sol: TropicalSolution):
-    return tuple(sorted(sol.positions().values()))
+    """Equal exactly for curves with the same vertex positions."""
+    return sol.scale, tuple(sorted(sol.points))
 
 
 def sample_trial(delta_s: Degree, seed: int,

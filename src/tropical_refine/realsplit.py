@@ -83,6 +83,21 @@ class WeightedPlaneParam:
     def from_solution(cls, sol: TropicalSolution) -> "WeightedPlaneParam":
         return cls(sol.ctype, dict(sol.lengths))
 
+    @functools.cached_property
+    def _gamma_even(self) -> frozenset[EdgeKey]:
+        tree = self.tree
+        even = {_key(tree.end_edge(l)) for l in self.even_leaves()}
+        changed = True
+        while changed:
+            changed = False
+            for v in tree.internal_vertices:
+                incident = [_key((v, w)) for w in tree.adjacency[v]]
+                missing = [e for e in incident if e not in even]
+                if len(missing) == 1:
+                    even.add(missing[0])
+                    changed = True
+        return frozenset(even)
+
     def even_leaves(self) -> tuple[int, ...]:
         return tuple(l for l, d in enumerate(self.tree.leaf_dirs)
                      if _is_even(d))
@@ -108,19 +123,8 @@ class WeightedPlaneParam:
 
 def gamma_even(base: WeightedPlaneParam) -> frozenset[EdgeKey]:
     """Minimal even subgraph: all weight-2 end edges, closed under the
-    extendable-vertex rule."""
-    tree = base.tree
-    even: set[EdgeKey] = {_key(tree.end_edge(l)) for l in base.even_leaves()}
-    changed = True
-    while changed:
-        changed = False
-        for v in tree.internal_vertices:
-            incident = [_key((v, w)) for w in tree.adjacency[v]]
-            missing = [e for e in incident if e not in even]
-            if len(missing) == 1:
-                even.add(missing[0])
-                changed = True
-    return frozenset(even)
+    extendable-vertex rule. Computed once per curve."""
+    return base._gamma_even
 
 
 def _stem_tree(base: WeightedPlaneParam):

@@ -18,7 +18,11 @@ their position along n_S and suffix sums of curve counts, therefore counts
 all curves with one bisection per child and no linear algebra, and
 backtracking through the states that contribute rebuilds the curves
 themselves as the same objects, in the same order, that solving every
-enumerated type would give.
+enumerated type would give. A rebuilt curve takes its vertex
+multiplicities (each split's |d|) and its vertex positions (where L_A and
+L_B meet, as integers over the count's common scale, then reduced to the
+least one) from the splits, and needs its tree only for the vertex ids, so
+weighing curves and comparing them as point sets never walks the tree.
 
 Everything that depends on the degree alone (the direction sums of the end
 sets, their splits with d = wedge(n_A, n_B) != 0, the common scale lcm|d|
@@ -41,7 +45,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
@@ -108,28 +112,39 @@ def _solve_exact(matrix: list[list[int]], rhs: list[Fraction]):
 
 @dataclass(frozen=True)
 class TropicalSolution:
-    """A parametrized curve of a fixed type through the given moments."""
+    """A parametrized curve of a fixed type through the given moments.
+
+    Internal vertex ctype.n + i has multiplicity mults[i] and lies at
+    points[i] / scale, where scale is the least positive integer that makes
+    every coordinate whole. That form is unique, so a curve has the same
+    fields whichever of the two constructors, `solve` or `solve_all`, built
+    it, and two curves have equal point sets exactly when their scales and
+    sorted points are equal.
+    """
 
     ctype: CombinatorialType
     moments: MomentVector
-    root: tuple[Fraction, Fraction]
     lengths: dict[tuple[int, int], Fraction]
-    det_abs: int
+    mults: tuple[int, ...]
+    points: tuple[tuple[int, int], ...]
+    scale: int
+
+    @property
+    def root(self) -> tuple[Fraction, Fraction]:
+        """Position of the vertex adjacent to end 1."""
+        x, y = self.points[self.ctype.root_vertex - self.ctype.n]
+        return Fraction(x, self.scale), Fraction(y, self.scale)
+
+    @property
+    def det_abs(self) -> int:
+        """|det| of the evaluation map: the product of the multiplicities."""
+        return prod(self.mults)
 
     def positions(self) -> dict[int, tuple[Fraction, Fraction]]:
-        """Exact plane position of every internal vertex, each one placed
-        from its parent along the last edge of its path from the root."""
-        slopes = self.ctype.slopes
-        pos = {}
-        for v, path in self.ctype.paths_from_root().items():
-            if not path:
-                pos[v] = self.root
-                continue
-            a, b = path[-1]
-            ln, s = self.lengths[tuple(sorted((a, b)))], slopes[(a, b)]
-            x, y = pos[a]
-            pos[v] = (x + ln * s.x, y + ln * s.y)
-        return pos
+        """Exact plane position of every internal vertex."""
+        n, scale = self.ctype.n, self.scale
+        return {n + i: (Fraction(x, scale), Fraction(y, scale))
+                for i, (x, y) in enumerate(self.points)}
 
     def end_moments(self) -> tuple[Fraction, ...]:
         """Recomputed moments of all n ends (including end 1) from geometry."""
@@ -142,30 +157,58 @@ class TropicalSolution:
         return tuple(out)
 
     def verify(self) -> None:
-        """Assert the defining equations hold exactly; raises on any drift."""
+        """Check the vertex data against the tree and the defining equations
+        exactly; raises TropicalError on any drift."""
+        want_mults = tuple(self.ctype.multiplicities().values())
+        if self.mults != want_mults:
+            raise TropicalError(f"vertex multiplicities {self.mults} are not "
+                                f"the tree's {want_mults}")
+        if gcd(self.scale, *(c for p in self.points for c in p)) != 1:
+            raise TropicalError(f"scale {self.scale} of the vertex positions "
+                                f"is not the least one")
+        if self.positions() != _walk(self.ctype, self.root, self.lengths):
+            raise TropicalError("vertex positions disagree with the edge "
+                                "lengths walked from the root")
+        # the wanted moments sum to 0 (Menelaus), so equal ones do as well
         got = self.end_moments()
         want = self.moments.full()
         if got != want:
-            raise AssertionError(f"moment mismatch: {got} != {want}")
-        if sum(got, Fraction(0)) != 0:
-            raise AssertionError("Menelaus sum nonzero")
-        if self.det_abs != prod(self.ctype.multiplicities().values()):
-            raise AssertionError("determinant does not factor over vertices")
+            raise TropicalError(f"moment mismatch: {got} != {want}")
 
     def refined_multiplicity(self) -> HalfLaurent:
-        """Product of quantum integers [m_V] over the vertices, built on
-        the first call."""
-        return self._refined_multiplicity
-
-    @functools.cached_property
-    def _refined_multiplicity(self) -> HalfLaurent:
-        out = HalfLaurent(1)
-        for m in self.ctype.multiplicities().values():
-            out = out * q_analog(m)
-        return out
+        """Product of quantum integers [m_V] over the vertices."""
+        return _q_product(tuple(sorted(self.mults)))
 
     def classical_multiplicity(self) -> int:
         return self.det_abs
+
+
+@functools.cache
+def _q_product(mults: tuple[int, ...]) -> HalfLaurent:
+    """Product of q_analog(m) over a sorted multiplicity tuple, built once
+    per tuple."""
+    out = HalfLaurent(1)
+    for m in mults:
+        out = out * q_analog(m)
+    return out
+
+
+def _walk(ctype: CombinatorialType, root: tuple[Fraction, Fraction],
+          lengths: dict[tuple[int, int], Fraction]
+          ) -> dict[int, tuple[Fraction, Fraction]]:
+    """Position of every internal vertex, each one placed from its parent
+    along the last edge of its path from the root."""
+    slopes = ctype.slopes
+    pos = {}
+    for v, path in ctype.paths_from_root().items():
+        if not path:
+            pos[v] = root
+            continue
+        a, b = path[-1]
+        ln, s = lengths[tuple(sorted((a, b)))], slopes[(a, b)]
+        x, y = pos[a]
+        pos[v] = (x + ln * s.x, y + ln * s.y)
+    return pos
 
 
 def _check_moment_count(mu: MomentVector, n: int) -> None:
@@ -187,17 +230,25 @@ def solve(ctype: CombinatorialType, mu: MomentVector) -> TropicalSolution | None
     det, x = _solve_exact(matrix, list(mu.values))
     if det == 0:
         raise DegenerateType("singular evaluation map (flat vertex)")
+    mults = ctype.multiplicities()
     det_int = int(det)
-    if det != det_int or abs(det_int) != prod(ctype.multiplicities().values()):
+    if det != det_int or abs(det_int) != prod(mults.values()):
         raise TropicalError(
             f"determinant {det} is not the product of the vertex "
-            f"multiplicities {ctype.multiplicities()}")
+            f"multiplicities {mults}")
     lengths = {e: x[2 + i] for i, e in enumerate(ctype.bounded_edges)}
     if any(v < 0 for v in lengths.values()):
         return None
     if any(v == 0 for v in lengths.values()):
         raise NonGenericMoments("an edge length vanishes; resample moments")
-    return TropicalSolution(ctype, mu, (x[0], x[1]), lengths, abs(det_int))
+    pos = _walk(ctype, (x[0], x[1]), lengths)
+    coords = [pos[v] for v in ctype.internal_vertices]
+    scale = lcm(*(c.denominator for p in coords for c in p))
+    points = tuple((px.numerator * (scale // px.denominator),
+                    py.numerator * (scale // py.denominator))
+                   for px, py in coords)
+    return TropicalSolution(ctype, mu, lengths, tuple(mults.values()), points,
+                            scale)
 
 
 class _Split(NamedTuple):
@@ -372,29 +423,34 @@ def _curve(delta: Degree, mu: MomentVector, chosen: dict[int, _Split],
            table: _SplitTable, moment: list[int],
            scale_mu: int) -> tuple[tuple[int, ...], TropicalSolution]:
     """The solution whose vertices are the chosen splits, keyed by its
-    position in enumerate_types order."""
+    position in enumerate_types order. Each vertex's multiplicity is its
+    split's |d| and its position is where L_A and L_B meet, so the tree is
+    needed only for its vertex ids."""
     sx, sy = table.sx, table.sy
-    scale = scale_mu * table.scale
+    common = scale_mu * table.scale
     parent = {}
-    mult = 1
     for mask, s in chosen.items():
         parent[s.a] = parent[s.b] = mask
-        mult *= abs(sx[s.a] * sy[s.b] - sy[s.a] * sx[s.b])
     order, ctype, top = type_from_clades(delta.entries, parent)
+    n = ctype.n
+    mults, points = [0] * (n - 2), [(0, 0)] * (n - 2)
     lengths = {}
     for mask, s in chosen.items():
+        a, b = s.a, s.b
+        d = sx[a] * sy[b] - sy[a] * sx[b]
+        f = table.scale // d
+        ma, mb = moment[a], moment[b]
+        i = top[mask] - n
+        mults[i] = abs(d)
+        points[i] = ((ma * sx[b] - sx[a] * mb) * f,
+                     (ma * sy[b] - sy[a] * mb) * f)
         if mask in parent:
             up = chosen[parent[mask]]
             start = up.along_a if up.a == mask else up.along_b
             edge = tuple(sorted((top[mask], top[parent[mask]])))
             lengths[edge] = Fraction(s.key - start,
-                                     scale * (sx[mask] ** 2 + sy[mask] ** 2))
-    root = chosen[len(sx) - 2]          # the set of all ends 2..n
-    a, b = root.a, root.b
-    f = table.scale // (sx[a] * sy[b] - sy[a] * sx[b])
-    ma, mb = moment[a], moment[b]
-    x = (ma * sx[b] - sx[a] * mb) * f
-    y = (sy[b] * ma - sy[a] * mb) * f
+                                     common * (sx[mask] ** 2 + sy[mask] ** 2))
+    g = gcd(common, *(c for p in points for c in p))
     return order, TropicalSolution(
-        ctype, mu, (Fraction(x, scale), Fraction(y, scale)),
-        {e: lengths[e] for e in ctype.bounded_edges}, mult)
+        ctype, mu, {e: lengths[e] for e in ctype.bounded_edges}, tuple(mults),
+        tuple((x // g, y // g) for x, y in points), common // g)

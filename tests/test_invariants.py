@@ -1,5 +1,7 @@
 """Refined counts, the invariance audit, and the theorem conversions."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from tropical_refine import (Degree, ExhaustedRetries, HalfLaurent,
                              InvarianceViolation, MomentVector,
                              NonGenericMoments, NotDivisible, SplitMix64,
-                             TooFewEnds, TrialRecord, Vec,
+                             TooFewEnds, TrialRecord, TropicalError, Vec,
                              WeightedPlaneParam, broccoli_from_r,
                              build_delta_s, delta_d, invariance_audit,
                              invariants, lattice_length, m_prime,
@@ -405,6 +407,85 @@ def test_reused_and_fresh_tables_match_brute(delta, data):
         reused = count_or_wall(refined_count, delta, mu)
         assert reused == count_or_wall(refined_count, fresh, mu)
         assert reused == count_or_wall(refined_count_brute, delta, mu)
+
+
+# -- the vertex data rebuilt curves carry from the split table --------------
+
+
+def assert_carries_the_tree_data(sols):
+    """Multiplicities, positions and refined weight taken from the splits
+    equal what the tree gives: its vertex data and the walk from the root
+    along the edge lengths."""
+    for sol in sols:
+        ctype = sol.ctype
+        mults = ctype.multiplicities()
+        assert sol.mults == tuple(mults.values())
+        walked = {}
+        for v, path in ctype.paths_from_root().items():
+            if not path:
+                walked[v] = sol.root
+                continue
+            a, b = path[-1]
+            ln, slope = sol.lengths[tuple(sorted(path[-1]))], ctype.slopes[a, b]
+            walked[v] = (walked[a][0] + ln * slope.x,
+                         walked[a][1] + ln * slope.y)
+        assert sol.positions() == walked
+        want = HalfLaurent(1)
+        for m in mults.values():
+            want = want * q_analog(m)
+        assert sol.refined_multiplicity() == want
+        sol.verify()
+
+
+@settings(max_examples=30, deadline=None)
+@given(degrees_with_moments())
+def test_dp_curves_carry_the_tree_data(case):
+    counted = count_or_wall(refined_count, *case)
+    if counted[0] != "wall":
+        assert_carries_the_tree_data(counted[1])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dp_curves_carry_the_tree_data_at_twelve_ends(seed):
+    record = sample_trial(delta_d(4), seed)
+    assert len(record.solutions) > 100
+    assert_carries_the_tree_data(record.solutions)
+
+
+def test_position_signature_is_the_point_set(conic_merged):
+    # sample_trial's coincident-curve rule: equal signatures exactly when
+    # the Fraction point sets are equal, whatever the vertex ids
+    sols = [sol for delta in (conic_merged, delta_d(3)) for seed in range(3)
+            for sol in sample_trial(delta, seed).solutions]
+    sols += [dataclasses.replace(sol, points=sol.points[::-1])
+             for sol in sols[::4]]
+    sols.append(dataclasses.replace(sols[0], scale=2 * sols[0].scale))
+    point_sets = [sorted(sol.positions().values()) for sol in sols]
+    signatures = [invariants._position_signature(sol) for sol in sols]
+    for i, j in itertools.combinations(range(len(sols)), 2):
+        assert ((signatures[i] == signatures[j])
+                == (point_sets[i] == point_sets[j]))
+    assert len(set(signatures)) < len(sols)
+
+
+def test_counting_never_walks_the_tree(conic_merged, monkeypatch):
+    from tropical_refine import CombinatorialType
+
+    def walked(*_):
+        raise TropicalError("the counting path walked the tree")
+
+    monkeypatch.setattr(CombinatorialType, "slopes", property(walked))
+    monkeypatch.setattr(CombinatorialType, "vertex_data", property(walked))
+    monkeypatch.setattr(CombinatorialType, "paths_from_root", walked)
+    delta = Degree(conic_merged.entries, name="counted without the tree")
+    record = sample_trial(delta, 4)
+    assert record.n_trop == W_PLUS
+    n_trop, sols = refined_count(delta, record.moments)
+    assert n_trop == W_PLUS and sols == list(record.solutions)
+    assert invariance_audit(delta, trials=3, seed=5).n_trop == W_PLUS
+    # the guard is live: the tree data itself is out of reach
+    with pytest.raises(TropicalError, match="walked the tree"):
+        sols[0].ctype.multiplicities()
 
 
 # -- theorem-level checks at sizes the oracle cannot reach in a test ---------

@@ -2,6 +2,7 @@
 the quantum-index arithmetic at quadrivalent vertices."""
 
 import dataclasses
+import functools
 import itertools
 from fractions import Fraction
 
@@ -351,6 +352,24 @@ def test_maximal_split_checks_its_quad_vertices(doubled_quad, doubled_quad_mu,
     with pytest.raises(TropicalError, match="has 0 quadrivalent and 0 flat "
                                             "vertices for 1 even ends"):
         maximal_split(WeightedPlaneParam.from_solution(sols[0]))
+
+
+def test_maximal_split_computes_gamma_even_once(doubled_quad, doubled_quad_mu,
+                                                monkeypatch):
+    real = WeightedPlaneParam._gamma_even.func
+    computed = []
+
+    def counted(base):
+        computed.append(base)
+        return real(base)
+
+    cached = functools.cached_property(counted)
+    cached.__set_name__(WeightedPlaneParam, "_gamma_even")
+    monkeypatch.setattr(WeightedPlaneParam, "_gamma_even", cached)
+    _, sols = refined_count(doubled_quad, doubled_quad_mu)
+    base = WeightedPlaneParam.from_solution(sols[0])
+    maximal_split(base)
+    assert computed == [base]
 
 
 def test_maximal_split_triangle(triangle, triangle_mu):

@@ -1,5 +1,7 @@
 """The moment evaluation map: exact solves, multiplicities, walls."""
 
+import dataclasses
+import functools
 import gc
 import weakref
 from fractions import Fraction
@@ -12,7 +14,8 @@ from tropical_refine import (CombinatorialType, Degree, DegenerateType,
                              HalfLaurent, MomentVector, NonGenericMoments,
                              TropicalError, Vec, delta_d, enumerate_types,
                              evaluation_matrix, q_analog,
-                             random_generic_moments, solve, solver)
+                             random_generic_moments, sample_trial, solve,
+                             solver)
 
 
 def only_type(degree: Degree) -> CombinatorialType:
@@ -150,11 +153,18 @@ def test_solution_positions_connect_by_lengths(conic):
             assert ln > 0
 
 
-def test_refined_multiplicity_is_built_once(conic, monkeypatch):
-    sols = solver.solve_all(conic, random_generic_moments(conic, 11))
+def test_refined_multiplicity_is_built_once(conic, conic_merged, monkeypatch):
+    # in the third degree one multiset of multiplicities sits on the
+    # vertices of different curves in different orders
+    mixed = Degree(((1, 2), (2, 1), (-1, -1), (-1, -1), (-1, 0), (0, -1)))
+    sols = [sol for delta in (conic, conic_merged, mixed) for seed in range(3)
+            for sol in solver.solve_all(delta, random_generic_moments(delta,
+                                                                      seed))]
     built = []
     monkeypatch.setattr(solver, "q_analog",
                         lambda m: built.append(m) or q_analog(m))
+    monkeypatch.setattr(solver, "_q_product",
+                        functools.cache(solver._q_product.__wrapped__))
     for sol in sols:
         first = sol.refined_multiplicity()
         assert sol.refined_multiplicity() is first
@@ -162,7 +172,33 @@ def test_refined_multiplicity_is_built_once(conic, monkeypatch):
         for m in sol.ctype.multiplicities().values():
             want = want * q_analog(m)
         assert first == want
-    assert len(built) == sum(sol.ctype.n - 2 for sol in sols)
+    # one product per distinct sorted multiplicity tuple, not per curve
+    distinct = {tuple(sorted(sol.mults)) for sol in sols}
+    assert len(distinct) < len({sol.mults for sol in sols})
+    assert sorted(built) == sorted(m for t in distinct for m in t)
+
+
+def test_verify_raises_domain_errors_on_drift(conic_merged):
+    sol = sample_trial(conic_merged, 0).solutions[0]
+    sol.verify()
+    *rest, (x, y) = sol.points
+    mu = sol.moments
+    drifts = [
+        ("multiplicities", dataclasses.replace(
+            sol, mults=(sol.mults[0] + 1,) + sol.mults[1:])),
+        ("is not the least", dataclasses.replace(
+            sol, points=tuple((2 * px, 2 * py) for px, py in sol.points),
+            scale=2 * sol.scale)),
+        ("edge lengths walked", dataclasses.replace(
+            sol, points=(*rest, (x + sol.scale, y)))),
+        ("edge lengths walked", dataclasses.replace(
+            sol, lengths={e: 2 * ln for e, ln in sol.lengths.items()})),
+        ("moment mismatch", dataclasses.replace(
+            sol, moments=MomentVector((mu.values[0] + 1,) + mu.values[1:]))),
+    ]
+    for what, bad in drifts:
+        with pytest.raises(TropicalError, match=what):
+            bad.verify()
 
 
 # -- the per-degree split table of solve_all ---------------------------------
