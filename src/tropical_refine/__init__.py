@@ -31,8 +31,7 @@ from .realsplit import (RealSplit, SplitEdge, WeightedPlaneParam,
                         trivalent_quantum_index)
 from .solver import TropicalSolution, evaluation_matrix, solve
 from .svgplot import dual_subdivision, render_svg
-from .trees import (CombinatorialType, VertexData, double_factorial_count,
-                    enumerate_types)
+from .trees import CombinatorialType, double_factorial_count, enumerate_types
 
 __version__ = "0.1.0"
 
@@ -66,7 +65,6 @@ __all__ = [
     "TropicalError",
     "TropicalSolution",
     "Vec",
-    "VertexData",
     "WeightedPlaneParam",
     "admissible_sets",
     "broccoli_from_r",

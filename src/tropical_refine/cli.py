@@ -215,6 +215,7 @@ def run_realize(args: argparse.Namespace) -> tuple[dict, str]:
     for sol in sols:
         split = maximal_split(WeightedPlaneParam.from_solution(sol))
         mp = m_prime(split, sol.ctype.multiplicities())
+        oriented = oriented_solution_count(split)
         total = total + mp
         entries.append({
             "tree": sol.ctype.serialize(),
@@ -224,11 +225,11 @@ def run_realize(args: argparse.Namespace) -> tuple[dict, str]:
             "realizable": split.is_realizable,
             "mPrime": mp.to_json_pairs(),
             "mPrimeText": str(mp),
-            "orientedSolutions": oriented_solution_count(split),
+            "orientedSolutions": oriented,
         })
         lines.append(f"  tree {sol.ctype.serialize()}  quads "
                      f"{len(split.quad_vertices)}  m' = {mp}  oriented "
-                     f"{oriented_solution_count(split)}")
+                     f"{oriented}")
     quarter = total.exact_div(HalfLaurent(4))
     payload = {
         "command": "realize",

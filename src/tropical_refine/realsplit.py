@@ -12,7 +12,8 @@ Each component of the even part hangs from its stem, the one vertex where
 it meets the rest of the curve. By the closure rule every other vertex of a
 component has all its edges even, so below the stem a component only ends
 in even ends; the doubled part is everything past the cut points, as seen
-walking down from the stems.
+walking down from the stems. Each WeightedPlaneParam builds its even
+subgraph and this stem tree once, and every split of it reads them.
 
 Cut positions are discretized: on a bounded edge only the interior class
 matters, while on an unbounded end the interior position (which creates a
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -98,6 +99,36 @@ class WeightedPlaneParam:
                     changed = True
         return frozenset(even)
 
+    @functools.cached_property
+    def _stem_tree(self):
+        """Every even component hung from its stem, built once per curve.
+
+        Returns (roots, orient, children): roots maps each stem to the edge
+        at it, orient maps each even edge to (stem side, far side) and
+        children maps it to the sorted even edges hanging below its far side.
+        """
+        n = self.tree.n
+        even = self._gamma_even
+        incident: dict[int, list[EdgeKey]] = {}
+        for e in even:
+            for v in e:
+                if v >= n:
+                    incident.setdefault(v, []).append(e)
+        roots = {v: es[0] for v, es in sorted(incident.items())
+                 if len(es) < len(self.tree.adjacency[v])}
+        orient: dict[EdgeKey, tuple[int, int]] = {}
+        children: dict[EdgeKey, list[EdgeKey]] = {}
+        walk = list(roots.items())
+        for near, e in walk:
+            far = e[0] if e[1] == near else e[1]
+            orient[e] = (near, far)
+            children[e] = sorted(f for f in incident.get(far, ()) if f != e)
+            walk.extend((far, f) for f in children[e])
+        # a component with two stems is walked twice; one without, not at all
+        if len(walk) != len(orient) or len(orient) != len(even):
+            raise TropicalError("even component has no unique stem vertex")
+        return roots, orient, children
+
     def even_leaves(self) -> tuple[int, ...]:
         return tuple(l for l, d in enumerate(self.tree.leaf_dirs)
                      if _is_even(d))
@@ -123,38 +154,9 @@ class WeightedPlaneParam:
 
 def gamma_even(base: WeightedPlaneParam) -> frozenset[EdgeKey]:
     """Minimal even subgraph: all weight-2 end edges, closed under the
-    extendable-vertex rule. Computed once per curve."""
+    extendable-vertex rule. Each WeightedPlaneParam builds it, and the stem
+    tree hung from it, once."""
     return base._gamma_even
-
-
-def _stem_tree(base: WeightedPlaneParam):
-    """Hang every even component from its stem.
-
-    Returns (roots, orient, children): roots maps each stem to the component
-    edge at it, orient maps each even edge to (stem side, far side) and
-    children maps it to the sorted even edges hanging below its far side.
-    """
-    n = base.tree.n
-    even = gamma_even(base)
-    incident: dict[int, list[EdgeKey]] = {}
-    for e in even:
-        for v in e:
-            if v >= n:
-                incident.setdefault(v, []).append(e)
-    roots = {v: es[0] for v, es in sorted(incident.items())
-             if len(es) < len(base.tree.adjacency[v])}
-    orient: dict[EdgeKey, tuple[int, int]] = {}
-    children: dict[EdgeKey, list[EdgeKey]] = {}
-    walk = list(roots.items())
-    for near, e in walk:
-        far = e[0] if e[1] == near else e[1]
-        orient[e] = (near, far)
-        children[e] = sorted(f for f in incident.get(far, ()) if f != e)
-        walk.extend((far, f) for f in children[e])
-    # a component with two stems is walked twice; one without, not at all
-    if len(walk) != len(orient) or len(orient) != len(even):
-        raise TropicalError("even component has no unique stem vertex")
-    return roots, orient, children
 
 
 def _below(children, e: EdgeKey) -> frozenset[EdgeKey]:
@@ -166,12 +168,12 @@ def _below(children, e: EdgeKey) -> frozenset[EdgeKey]:
 
 def even_components(base: WeightedPlaneParam) -> list[frozenset[EdgeKey]]:
     """Connected components of the even subgraph, as edge sets."""
-    roots, _, children = _stem_tree(base)
+    roots, _, children = base._stem_tree
     return [_below(children, e) for e in roots.values()]
 
 
 def _component_root(base: WeightedPlaneParam, comp: frozenset[EdgeKey]):
-    roots, _, children = _stem_tree(base)
+    roots, _, children = base._stem_tree
     for stem, e in roots.items():
         if e in comp and _below(children, e) == comp:
             return stem, e, children
@@ -310,7 +312,7 @@ def build_split(base: WeightedPlaneParam,
     """
     tree = base.tree
     n = tree.n
-    roots, orient, children = _stem_tree(base)
+    roots, orient, children = base._stem_tree
     vertex_points, edge_points = _normalize_points(base, orient, points)
 
     # one walk down from the stems: count the cut points above every node
@@ -331,8 +333,9 @@ def build_split(base: WeightedPlaneParam,
             raise InadmissibleSet(f"path from the stem to end {leaf} "
                                   f"crosses {hits[leaf]} cut points")
 
-    # pieces: base edges, subdivided at interior cut points
-    pieces: list[tuple[tuple, tuple, Vec, Fraction | None, EdgeKey]] = []
+    # one pass over the base edges: subdivide each at its cut point, then
+    # halve and double the pieces past the cut
+    split_edges: list[SplitEdge] = []
     for edge in tree.edges:
         e = _key(edge)
         near, far = orient.get(e, e)
@@ -342,64 +345,48 @@ def build_split(base: WeightedPlaneParam,
             off = edge_points[e]
             cut = ("cut", e)
             rest = None if full is None else full - off
-            pieces.append((near, cut, slope, off, e))
-            pieces.append((cut, far, slope, rest, e))
+            pieces = ((near, cut, off), (cut, far, rest))
         else:
-            pieces.append((near, far, slope, full, e))
+            pieces = ((near, far, full),)
+        for a, b, length in pieces:
+            if a in doubled or b in doubled:
+                if slope.x % 2 or slope.y % 2:
+                    raise InadmissibleSet(
+                        f"cannot halve odd slope {tuple(slope)} on {e}")
+                half = Vec(slope.x // 2, slope.y // 2)
+                twice = None if length is None else 2 * length
+                for sign in ("+", "-"):
+                    ta = (sign if a in doubled else "f", a)
+                    tb = (sign if b in doubled else "f", b)
+                    split_edges.append(SplitEdge(ta, tb, half, twice, e))
+            else:
+                split_edges.append(
+                    SplitEdge(("f", a), ("f", b), slope, length, e))
 
-    split_edges: list[SplitEdge] = []
-    node_set: set = set()
-    for a, b, slope, length, image in pieces:
-        if a in doubled or b in doubled:
-            if slope.x % 2 or slope.y % 2:
-                raise InadmissibleSet(
-                    f"cannot halve odd slope {tuple(slope)} on {image}")
-            half = Vec(slope.x // 2, slope.y // 2)
-            twice = None if length is None else 2 * length
-            for sign in ("+", "-"):
-                ta = (sign if a in doubled else "f", a)
-                tb = (sign if b in doubled else "f", b)
-                split_edges.append(SplitEdge(ta, tb, half, twice, image))
-                node_set.update((ta, tb))
-        else:
-            ta, tb = ("f", a), ("f", b)
-            split_edges.append(SplitEdge(ta, tb, slope, length, image))
-            node_set.update((ta, tb))
-
-    # classify special finite vertices of the split curve
-    valence: dict = {}
-    slopes_at: dict = {}
-    for e in split_edges:
-        for nd, sl in ((e.a, e.slope), (e.b, -e.slope)):
-            valence[nd] = valence.get(nd, 0) + 1
-            slopes_at.setdefault(nd, []).append(sl)
-
-    def finite(nd):
-        x = nd[1]
-        return not (isinstance(x, int) and x < n)
-
-    base_mults = tree.multiplicities()
-    quads = []
-    flats = []
-    for nd in sorted(node_set, key=repr):
-        if not finite(nd):
-            continue
-        if valence[nd] == 4 and isinstance(nd[1], int):
-            quads.append((nd[1], base_mults[nd[1]]))
-        sl = slopes_at[nd]
-        if valence[nd] >= 3 and all(
-                wedge(sl[0], s) == 0 and wedge(sl[1], s) == 0 for s in sl):
-            flats.append(nd)
-
-    return RealSplit(
+    nodes = {nd for se in split_edges for nd in (se.a, se.b)}
+    split = RealSplit(
         base=base,
         vertex_points=tuple(sorted(vertex_points)),
         edge_points=tuple(sorted(edge_points.items())),
-        nodes=tuple(sorted(node_set, key=repr)),
+        nodes=tuple(sorted(nodes, key=repr)),
         edges=tuple(split_edges),
-        quad_vertices=tuple(sorted(quads)),
-        flat_nodes=tuple(flats),
+        quad_vertices=(),
+        flat_nodes=(),
     )
+
+    # classify the special finite vertices on the split curve itself
+    base_mults = tree.multiplicities()
+    quads = []
+    flats = []
+    for nd, valence in split.valences().items():
+        if valence == 4 and isinstance(nd[1], int):
+            quads.append((nd[1], base_mults[nd[1]]))
+        sl = split.outgoing_slopes(nd)
+        if valence >= 3 and all(
+                wedge(sl[0], s) == 0 and wedge(sl[1], s) == 0 for s in sl):
+            flats.append(nd)
+    return replace(split, quad_vertices=tuple(sorted(quads)),
+                   flat_nodes=tuple(flats))
 
 
 def quotient_curve(split: RealSplit) -> WeightedPlaneParam:

@@ -24,19 +24,6 @@ from .lattice import Degree, Vec, ZERO, wedge
 
 
 @dataclass(frozen=True)
-class VertexData:
-    """An internal vertex with its outgoing slopes and multiplicity."""
-
-    vertex: int
-    slopes: tuple[Vec, ...]
-    mult: int
-
-    @property
-    def is_flat(self) -> bool:
-        return self.mult == 0
-
-
-@dataclass(frozen=True)
 class CombinatorialType:
     """A trivalent tree with labeled leaves carrying end directions."""
 
@@ -107,14 +94,12 @@ class CombinatorialType:
             out[(v, u)] = -out[(u, v)]
         return out
 
-    def vertex_slopes(self, v: int) -> tuple[Vec, ...]:
-        return tuple(self.slopes[(v, w)] for w in self.adjacency[v])
-
     @functools.cached_property
-    def vertex_data(self) -> tuple[VertexData, ...]:
-        """Slopes and multiplicity of every internal vertex. Raises
-        TropicalError, naming the first offending vertex, unless every leaf
-        has one edge and every internal vertex three."""
+    def _multiplicities(self) -> dict[int, int]:
+        """Multiplicity |wedge| of two outgoing slopes at every internal
+        vertex, in vertex order; built once per tree. Raises TropicalError,
+        naming the first offending vertex, unless every leaf has one edge
+        and every internal vertex three."""
         for v, nbrs in self.adjacency.items():
             want = 1 if v < self.n else 3
             if len(nbrs) != want:
@@ -122,17 +107,17 @@ class CombinatorialType:
                 raise TropicalError(
                     f"{kind} {v} has valence {len(nbrs)}; a trivalent tree "
                     f"needs {want}")
-        out = []
+        out = {}
         for v in self.internal_vertices:
-            sl = self.vertex_slopes(v)
-            out.append(VertexData(v, sl, abs(wedge(sl[0], sl[1]))))
-        return tuple(out)
+            a, b, _ = self.adjacency[v]
+            out[v] = abs(wedge(self.slopes[(v, a)], self.slopes[(v, b)]))
+        return out
 
     def multiplicities(self) -> dict[int, int]:
-        return {vd.vertex: vd.mult for vd in self.vertex_data}
+        return dict(self._multiplicities)
 
     def has_flat_vertex(self) -> bool:
-        return any(vd.is_flat for vd in self.vertex_data)
+        return 0 in self._multiplicities.values()
 
     def paths_from_root(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """For every internal vertex, the directed edge path from the root

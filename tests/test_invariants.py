@@ -475,7 +475,7 @@ def test_counting_never_walks_the_tree(conic_merged, monkeypatch):
         raise TropicalError("the counting path walked the tree")
 
     monkeypatch.setattr(CombinatorialType, "slopes", property(walked))
-    monkeypatch.setattr(CombinatorialType, "vertex_data", property(walked))
+    monkeypatch.setattr(CombinatorialType, "_multiplicities", property(walked))
     monkeypatch.setattr(CombinatorialType, "paths_from_root", walked)
     delta = Degree(conic_merged.entries, name="counted without the tree")
     record = sample_trial(delta, 4)

@@ -23,7 +23,7 @@ from tropical_refine import (CombinatorialType, Degree, FlatVertex,
                              r_from_n, random_generic_moments, realsplit,
                              refined_count,
                              stem_of, trivalent_quantum_index,
-                             w_pow_minus_inverse)
+                             w_pow_minus_inverse, wedge)
 
 W_MINUS = w_pow_minus_inverse(1)   # q^(1/2) - q^(-1/2)
 
@@ -83,6 +83,22 @@ def check_symmetric_model(split, base):
                 seen.add(w)
                 stack.append(w)
     assert seen == fixed
+    # the special vertices, recounted from the edges alone
+    n = base.tree.n
+    slopes = {}
+    for e in split.edges:
+        slopes.setdefault(e.a, []).append(e.slope)
+        slopes.setdefault(e.b, []).append(-e.slope)
+    assert set(slopes) == set(split.nodes)
+    finite = [nd for nd in split.nodes
+              if not (isinstance(nd[1], int) and nd[1] < n)]
+    mults = base.tree.multiplicities()
+    quads = sorted((nd[1], mults[nd[1]]) for nd in finite
+                   if isinstance(nd[1], int) and len(slopes[nd]) == 4)
+    assert tuple(quads) == split.quad_vertices
+    flats = [nd for nd in finite if len(slopes[nd]) >= 3
+             and all(wedge(s, t) == 0 for s in slopes[nd] for t in slopes[nd])]
+    assert tuple(flats) == split.flat_nodes
     # quotient is a two-sided inverse of the construction
     assert quotient_curve(split) == base
 
@@ -370,6 +386,29 @@ def test_maximal_split_computes_gamma_even_once(doubled_quad, doubled_quad_mu,
     base = WeightedPlaneParam.from_solution(sols[0])
     maximal_split(base)
     assert computed == [base]
+
+
+def test_stem_tree_is_built_once_per_curve(monkeypatch):
+    real = WeightedPlaneParam._stem_tree.func
+    built = []
+
+    def counted(base):
+        built.append(base)
+        return real(base)
+
+    cached = functools.cached_property(counted)
+    cached.__set_name__(WeightedPlaneParam, "_stem_tree")
+    monkeypatch.setattr(WeightedPlaneParam, "_stem_tree", cached)
+    base = WeightedPlaneParam(caterpillar_tree())
+    classes = []
+    for comp in even_components(base):
+        stem_of(base, comp)
+        classes.append(list(admissible_sets(base, comp)))
+    for product in itertools.product(*classes):
+        cuts = sorted(frozenset().union(*product))
+        build_split(base, [(e, Fraction(1, 2)) for e in cuts])
+    maximal_split(base)
+    assert built == [base]
 
 
 def test_maximal_split_triangle(triangle, triangle_mu):

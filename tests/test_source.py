@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import tropical_refine
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -33,3 +35,10 @@ def test_the_source_rule_sees_hand_raised_assertion_errors():
               if isinstance(node, ast.Raise)]
     assert [_raises_assertion_error(node) for node in raised] == [
         True, True, False]
+
+
+def test_every_export_exists_once():
+    # a deleted name left in __all__ breaks `from tropical_refine import *`
+    names = tropical_refine.__all__
+    assert [n for n in names if not hasattr(tropical_refine, n)] == []
+    assert len(set(names)) == len(names)

@@ -202,9 +202,10 @@ def test_paths_from_root():
 
 def test_multiplicity_is_wedge_of_outgoing_slopes():
     for t in enumerate_types(generic_degree(5)):
-        for vd in t.vertex_data:
-            u, v, w = vd.slopes
-            assert vd.mult == abs(wedge(u, v))
+        mults = t.multiplicities()
+        for vertex in t.internal_vertices:
+            u, v, w = (t.slopes[(vertex, nb)] for nb in t.adjacency[vertex])
+            assert mults[vertex] == abs(wedge(u, v))
             assert abs(wedge(u, v)) == abs(wedge(v, w)) == abs(wedge(u, w))
 
 
