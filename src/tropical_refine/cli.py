@@ -86,8 +86,15 @@ def resolve_degree(args: argparse.Namespace) -> Degree:
     return build_delta_s(delta, n1, args.s)
 
 
+def parse_moment(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"moment {text!r} has a zero denominator") from None
+
+
 def parse_moments(text: str, delta_s: Degree) -> MomentVector:
-    values = [Fraction(chunk) for chunk in text.split(",") if chunk]
+    values = [parse_moment(chunk) for chunk in text.split(",") if chunk]
     n = len(delta_s)
     if len(values) == n:
         total = sum(values, Fraction(0))

@@ -9,9 +9,14 @@ primitive ends of an m-end primitive degree, the real refined invariant is
     R = (q^(1/2) - q^(-1/2))^(m-2-s)  / (q - q^(-1))^s        * N
       = (q^(1/2) - q^(-1/2))^(m-2-2s) / (q^(1/2) + q^(-1/2))^s * N
 
-and both divisions are exact. Both forms are always computed and compared;
-they differ by the factorization q - 1/q = (w - 1/w)(w + 1/w) in w = q^(1/2),
-so a mismatch or a nonzero remainder can only mean an implementation bug.
+and both divisions are exact. The two forms differ by the factorization
+q - 1/q = (w - 1/w)(w + 1/w) in w = q^(1/2). Only the second form is divided
+out; the first is checked by multiplying back, R * (q - 1/q)^s ==
+N * (w - 1/w)^(m-2-s). That check is as strong as a second division:
+Z[w, 1/w] has no zero divisors, so an exact quotient is unique, and the
+product holds exactly when the first division would be exact and equal the
+second. A failed check or a nonzero remainder can only mean an
+implementation bug.
 
 Generic constraints are drawn from a fixed portable generator (SplitMix64)
 so that every run of a given seed is reproducible down to the byte.
@@ -147,28 +152,50 @@ def _power(base: HalfLaurent, exp: int) -> HalfLaurent:
     return base ** exp
 
 
-def _ratio(value: HalfLaurent, num_base: HalfLaurent, num_exp: int,
-           den_base: HalfLaurent, den_exp: int) -> HalfLaurent:
-    """value * num_base^num_exp / den_base^den_exp with exact division;
-    a negative num_exp moves that factor to the divisor."""
+def _fraction(value: HalfLaurent, num_base: HalfLaurent, num_exp: int,
+              den_base: HalfLaurent,
+              den_exp: int) -> tuple[HalfLaurent, HalfLaurent]:
+    """Numerator and denominator of value * num_base^num_exp /
+    den_base^den_exp; a negative num_exp moves that factor to the
+    denominator."""
     den = _power(den_base, den_exp)
     if num_exp >= 0:
-        value = value * _power(num_base, num_exp)
-    else:
-        den = den * _power(num_base, -num_exp)
-    return value.exact_div(den)
+        return value * _power(num_base, num_exp), den
+    return value, den * _power(num_base, -num_exp)
+
+
+def _ratio(value: HalfLaurent, num_base: HalfLaurent, num_exp: int,
+           den_base: HalfLaurent, den_exp: int) -> HalfLaurent:
+    """value * num_base^num_exp / den_base^den_exp with exact division."""
+    num, den = _fraction(value, num_base, num_exp, den_base, den_exp)
+    return num.exact_div(den)
+
+
+def _is_ratio(quot: HalfLaurent, value: HalfLaurent, num_base: HalfLaurent,
+              num_exp: int, den_base: HalfLaurent, den_exp: int) -> bool:
+    """Whether quot == _ratio(value, ...), checked by multiplying back.
+
+    Z[q^(1/2), q^(-1/2)] has no zero divisors, so quot * den == num holds
+    exactly when the division is exact and its quotient is quot.
+    """
+    num, den = _fraction(value, num_base, num_exp, den_base, den_exp)
+    return quot * den == num
 
 
 def r_from_n(n_trop: HalfLaurent, m: int, s: int) -> HalfLaurent:
     """Real refined invariant from the refined count, via both theorem forms.
 
     m is the number of ends of the primitive parent degree, s the number of
-    weight-2 ends. NotDivisible here is fatal: it falsifies the theorem for
-    the computed N, i.e. reveals a bug upstream.
+    weight-2 ends. The second form, N * (w - 1/w)^(m-2-2s) / (w + 1/w)^s,
+    is the one divided out; the first is checked by multiplying back,
+    R * (q - 1/q)^s == N * (w - 1/w)^(m-2-s). Only when that check fails is
+    the first form divided, to report which way the theorem broke.
+    NotDivisible here is fatal: it falsifies the theorem for the computed N,
+    i.e. reveals a bug upstream.
     """
-    form_a = _ratio(n_trop, W_MINUS, m - 2 - s, Q_MINUS, s)
     form_b = _ratio(n_trop, W_MINUS, m - 2 - 2 * s, W_PLUS, s)
-    if form_a != form_b:
+    if not _is_ratio(form_b, n_trop, W_MINUS, m - 2 - s, Q_MINUS, s):
+        form_a = _ratio(n_trop, W_MINUS, m - 2 - s, Q_MINUS, s)
         raise TropicalError(
             f"theorem forms disagree: {form_a} vs {form_b} (m={m}, s={s})")
     return form_b
@@ -177,9 +204,9 @@ def r_from_n(n_trop: HalfLaurent, m: int, s: int) -> HalfLaurent:
 def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
     """Broccoli-normalized invariant: R = BG * (w - 1/w)^(m-2-2s) / (q + 1/q)^s.
 
-    For s = 0 this is the refined count itself. Consistency with r_from_n is
-    checked through the identity BG * (w + 1/w)^s = N * (q + 1/q)^s, which
-    the invariance audit asserts whenever it has N at hand.
+    For s = 0 this is the refined count itself. BG is R * (q + 1/q)^s
+    divided by (w - 1/w)^(m-2-2s). The invariance audit derives the same BG
+    from N instead and checks this definition by multiplying back.
     """
     return _ratio(r, Q_PLUS, s, W_MINUS, m - 2 - 2 * s)
 
@@ -259,6 +286,12 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
     counted once while it is sampled, and insist the refined counts agree;
     derive R and the Broccoli normalization once.
 
+    R comes from r_from_n. BG is divided out of N directly, as
+    N * (q + 1/q)^s / (w + 1/w)^s, whose divisor has only s + 1 terms;
+    its definition in terms of R, R * (q + 1/q)^s == BG * (w - 1/w)^(m-2-2s),
+    is then checked by multiplying back, which is exact for the reason
+    given in r_from_n. Each audit divides twice: once for R, once for BG.
+
     Raises InvarianceViolation (a bug detector, not an input error) when two
     trials disagree.
     """
@@ -276,7 +309,7 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
     delta, s = split_even_ends(delta_s)
     m = len(delta)
     r = r_from_n(first, m, s)
-    bg = broccoli_from_r(r, m, s)
-    if bg * _power(W_PLUS, s) != first * _power(Q_PLUS, s):
+    bg = _ratio(first, Q_PLUS, s, W_PLUS, s)
+    if not _is_ratio(r, bg, W_MINUS, m - 2 - 2 * s, Q_PLUS, s):
         raise TropicalError("Broccoli consistency identity failed")
     return InvariantReport(delta, delta_s, s, m, tuple(records), first, r, bg)

@@ -146,8 +146,20 @@ class Degree:
 
     @classmethod
     def from_json(cls, data: dict) -> "Degree":
-        return cls(tuple(Vec(int(x), int(y)) for x, y in data["entries"]),
-                   name=data.get("name"))
+        """The inverse of to_json. Every coordinate must be an integer;
+        anything else raises ValueError naming the bad value."""
+        entries = data.get("entries") if isinstance(data, dict) else None
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(
+                f'a degree is {{"entries": [[x, y], ...]}}, got {data!r}')
+        vecs = []
+        for entry in entries:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and all(type(c) is int for c in entry)):
+                raise ValueError(
+                    f"a degree entry is a pair of integers, got {entry!r}")
+            vecs.append(Vec(*entry))
+        return cls(tuple(vecs), name=data.get("name"))
 
 
 def delta_d(d: int) -> Degree:

@@ -25,14 +25,21 @@ class HalfLaurent:
 
     def __init__(self, coeffs: Mapping[int, int] | int = 0):
         if isinstance(coeffs, int):
-            coeffs = {0: coeffs} if coeffs else {}
-        clean = {}
+            coeffs = {0: coeffs}
+        elif not isinstance(coeffs, Mapping):
+            raise TypeError("a HalfLaurent is built from an int or a mapping")
         for k, c in coeffs.items():
             if not isinstance(k, int) or not isinstance(c, int):
                 raise TypeError("exponents and coefficients must be integers")
-            if c:
-                clean[k] = c
-        object.__setattr__(self, "_c", clean)
+        object.__setattr__(self, "_c", {k: c for k, c in coeffs.items() if c})
+
+    @classmethod
+    def _of(cls, coeffs: dict[int, int]) -> "HalfLaurent":
+        """An arithmetic result, whose keys and coefficients are ints by
+        construction: only its zero coefficients are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_c", {k: c for k, c in coeffs.items() if c})
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("HalfLaurent is immutable")
@@ -91,12 +98,12 @@ class HalfLaurent:
         d = dict(self._c)
         for k, c in other._c.items():
             d[k] = d.get(k, 0) + c
-        return HalfLaurent(d)
+        return HalfLaurent._of(d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HalfLaurent({k: -c for k, c in self._c.items()})
+        return HalfLaurent._of({k: -c for k, c in self._c.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -110,7 +117,7 @@ class HalfLaurent:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return HalfLaurent({k: c * other for k, c in self._c.items()})
+            return HalfLaurent._of({k: c * other for k, c in self._c.items()})
         if not isinstance(other, HalfLaurent):
             return NotImplemented
         d: dict[int, int] = {}
@@ -118,7 +125,7 @@ class HalfLaurent:
             for k2, c2 in other._c.items():
                 k = k1 + k2
                 d[k] = d.get(k, 0) + c1 * c2
-        return HalfLaurent(d)
+        return HalfLaurent._of(d)
 
     __rmul__ = __mul__
 
@@ -164,17 +171,15 @@ class HalfLaurent:
                 for j, dj in enumerate(div):
                     num[i + j] -= c * dj
         if any(num):
-            rem = HalfLaurent.from_pairs(
-                (nlo + i, int(c)) for i, c in enumerate(num)
-                if c and c.denominator == 1)
+            rem = HalfLaurent._of({nlo + i: int(c) for i, c in enumerate(num)
+                                   if c.denominator == 1})
             # a fractional remainder still means "not divisible"; report the
             # integer part of what is left for diagnostics
             raise NotDivisible("division leaves a remainder", remainder=rem)
         if any(c.denominator != 1 for c in quot):
             raise NotDivisible("quotient is not integral", remainder=HalfLaurent(0))
         shift = nlo - dlo
-        return HalfLaurent.from_pairs(
-            (shift + i, int(c)) for i, c in enumerate(quot))
+        return HalfLaurent._of({shift + i: int(c) for i, c in enumerate(quot)})
 
     def eval_q1(self) -> int:
         """Value at q = 1 (the classical specialization): sum of coefficients."""
@@ -235,7 +240,7 @@ class HalfLaurent:
 
     @classmethod
     def from_json_pairs(cls, pairs) -> "HalfLaurent":
-        return cls.from_pairs((int(k), int(c)) for k, c in pairs)
+        return cls.from_pairs((k, c) for k, c in pairs)
 
 
 def q_analog(a: int) -> HalfLaurent:

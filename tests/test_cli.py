@@ -310,6 +310,26 @@ def test_error_malformed_degree(capsys):
                "ValueError")
 
 
+@pytest.mark.parametrize("argv, named", [
+    ([f"--degree={TRIANGLE}", "--moments=1/0"], "'1/0'"),
+    (["--degree=[[1.5,0],[-1.5,0],[0,1],[0,-1]]"], "[1.5, 0]"),
+    (['--degree={"entries": 5}'], "{'entries': 5}"),
+    (['--degree={"x": 1}'], "{'x': 1}"),
+    (["--degree=[1,2]"], "got 1")],
+    ids=["zero-denominator", "float-entry", "entries-not-a-list",
+         "no-entries", "entry-not-a-pair"])
+def test_malformed_input_is_one_error_line(capsys, argv, named):
+    code = main(["enumerate", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    jsonschema.validate(payload, schema("error"))
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "ValueError"
+    assert named in payload["message"]
+
+
 def test_console_script_runs():
     # the tropical-refine script calls cli:main; run that target through
     # `python -m`, which needs no installed script on PATH

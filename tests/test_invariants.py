@@ -203,6 +203,53 @@ def test_r_from_n_conic_merged(conic_merged):
     assert r == W_MINUS ** 2
 
 
+@pytest.fixture
+def count_divisions(monkeypatch):
+    calls = []
+    real = HalfLaurent.exact_div
+
+    def counted(self, den):
+        calls.append(den)
+        return real(self, den)
+
+    monkeypatch.setattr(HalfLaurent, "exact_div", counted)
+    return calls
+
+
+def test_r_from_n_divides_once(count_divisions):
+    assert r_from_n(W_PLUS, 6, 1) == W_MINUS ** 2
+    assert len(count_divisions) == 1
+    count_divisions.clear()
+    assert r_from_n(q_analog(3), 5, 0) == W_MINUS ** 3 * q_analog(3)
+    assert len(count_divisions) == 1
+
+
+def test_audit_divides_at_most_twice(conic_merged, count_divisions):
+    report = invariance_audit(conic_merged, trials=1, seed=5)
+    assert report.broccoli == HalfLaurent({2: 1, -2: 1})
+    assert len(count_divisions) <= 2
+
+
+def divide(n, num_base, num_exp, den):
+    """n * num_base^num_exp / den, a negative exponent joining the divisor."""
+    if num_exp >= 0:
+        return (n * num_base ** num_exp).exact_div(den)
+    return n.exact_div(den * num_base ** -num_exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
+                       max_size=5).map(HalfLaurent),
+       st.integers(0, 2), st.integers(0, 5))
+def test_r_from_n_equals_both_divided_forms(x, s, extra):
+    m = 2 * s + extra          # m - 2 - 2s runs over -2..3
+    n = x * W_PLUS ** s * W_MINUS ** max(0, 2 * s + 2 - m)
+    q_minus = w_pow_minus_inverse(2)
+    form_a = divide(n, W_MINUS, m - 2 - s, q_minus ** s)
+    form_b = divide(n, W_MINUS, m - 2 - 2 * s, W_PLUS ** s)
+    assert r_from_n(n, m, s) == form_a == form_b
+
+
 def test_r_from_n_not_divisible_is_fatal():
     with pytest.raises(NotDivisible):
         r_from_n(HalfLaurent(1), 3, 1)
@@ -493,13 +540,15 @@ def test_counting_never_walks_the_tree(conic_merged, monkeypatch):
 
 @pytest.mark.parametrize("delta_s", [
     delta_d(3), build_delta_s(delta_d(3), Vec(-1, 0), 1),
-    delta_d(4), build_delta_s(delta_d(4), Vec(-1, 0), 1)],
-    ids=["delta_3", "delta_3_s1", "delta_4", "delta_4_s1"])
+    delta_d(4), build_delta_s(delta_d(4), Vec(-1, 0), 1),
+    build_delta_s(delta_d(5), Vec(-1, 0), 2)],
+    ids=["delta_3", "delta_3_s1", "delta_4", "delta_4_s1", "delta_5_s2"])
 def test_audit_properties_beyond_brute_force(delta_s):
     # the audit itself insists that N agrees across its three seeds and that
     # r_from_n divides exactly; it raises otherwise
     report = invariance_audit(delta_s, trials=3, seed=7)
     m, s = report.m, report.s
+    assert report.broccoli == broccoli_from_r(report.r_inv, m, s)
     assert report.n_trop.is_symmetric()
     assert report.r_inv == HalfLaurent.from_json_pairs(
         [[-k, c * (-1) ** m] for k, c in report.r_inv.to_json_pairs()])

@@ -23,6 +23,26 @@ def test_construction_drops_zeros():
     assert HalfLaurent(5).coeff(0) == 5
 
 
+@pytest.mark.parametrize("coeffs", [
+    {0.5: 1}, {Fraction(1, 2): 1}, {"1": 1},
+    {1: 1.0}, {1: Fraction(1)}, {1: "1"}, 1.0, Fraction(1)],
+    ids=["float-exp", "fraction-exp", "str-exp",
+         "float-coeff", "fraction-coeff", "str-coeff",
+         "float-scalar", "fraction-scalar"])
+def test_public_constructor_rejects_non_integers(coeffs):
+    with pytest.raises(TypeError):
+        HalfLaurent(coeffs)
+
+
+@pytest.mark.parametrize("pairs", [[[1.5, 1]], [[1, 2.0]], [["1", 1]],
+                                   [[1, Fraction(1)]]])
+def test_json_pairs_reject_non_integers(pairs):
+    with pytest.raises(TypeError):
+        HalfLaurent.from_json_pairs(pairs)
+    with pytest.raises(TypeError):
+        HalfLaurent.from_pairs(pairs)
+
+
 def test_scalar_and_monomial_constructors():
     assert HalfLaurent(3) == HalfLaurent({0: 3})
     assert HalfLaurent.monomial(1) == HalfLaurent({1: 1})
