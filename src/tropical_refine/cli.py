@@ -321,11 +321,11 @@ def main(argv=None) -> int:
                 text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
             else:
                 text = rendered
+        _write(text, args.out)
     except (TropicalError, ValueError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")
         return 1
-    _write(text, args.out)
     return 0
 
 

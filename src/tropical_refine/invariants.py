@@ -9,14 +9,12 @@ primitive ends of an m-end primitive degree, the real refined invariant is
     R = (q^(1/2) - q^(-1/2))^(m-2-s)  / (q - q^(-1))^s        * N
       = (q^(1/2) - q^(-1/2))^(m-2-2s) / (q^(1/2) + q^(-1/2))^s * N
 
-and both divisions are exact. The two forms differ by the factorization
-q - 1/q = (w - 1/w)(w + 1/w) in w = q^(1/2). Only the second form is divided
-out; the first is checked by multiplying back, R * (q - 1/q)^s ==
-N * (w - 1/w)^(m-2-s). That check is as strong as a second division:
-Z[w, 1/w] has no zero divisors, so an exact quotient is unique, and the
-product holds exactly when the first division would be exact and equal the
-second. A failed check or a nonzero remainder can only mean an
-implementation bug.
+and both divisions are exact. With w = q^(1/2), q - 1/q = (w - 1/w)(w + 1/w),
+so R and the Broccoli normalization BG are multiples of the one quotient
+T = N / (w + 1/w)^s, the only division made: R = T * (w - 1/w)^(m-2-2s) and
+BG = T * (q + 1/q)^s. Z[w, 1/w] is a UFD in which w + 1/w is coprime to
+w - 1/w, so either form of R is exact exactly when T is, and then they
+agree. A nonzero remainder can only mean an implementation bug.
 
 Generic constraints are drawn from a fixed portable generator (SplitMix64)
 so that every run of a given seed is reproducible down to the byte.
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegenerateType, ExhaustedRetries, InvarianceViolation,
-                     NonGenericMoments, TropicalError)
+                     NonGenericMoments)
 from .lattice import Degree, MomentVector, frac_str, split_even_ends
 from .laurent import HalfLaurent, w_pow_minus_inverse
 from .solver import TropicalSolution, solve, solve_all
@@ -38,7 +36,6 @@ from .trees import enumerate_types
 _MASK64 = (1 << 64) - 1
 W_MINUS = w_pow_minus_inverse(1)            # q^(1/2) - q^(-1/2)
 W_PLUS = HalfLaurent({1: 1, -1: 1})         # q^(1/2) + q^(-1/2)
-Q_MINUS = w_pow_minus_inverse(2)            # q - q^(-1)
 Q_PLUS = HalfLaurent({2: 1, -2: 1})         # q + q^(-1)
 
 
@@ -148,67 +145,47 @@ def random_generic_moments(delta_s: Degree, seed: int,
 
 @functools.cache
 def _power(base: HalfLaurent, exp: int) -> HalfLaurent:
-    """base ** exp for the four theorem factors, each built once."""
+    """base ** exp for the three theorem factors, each built once."""
     return base ** exp
 
 
-def _fraction(value: HalfLaurent, num_base: HalfLaurent, num_exp: int,
-              den_base: HalfLaurent,
-              den_exp: int) -> tuple[HalfLaurent, HalfLaurent]:
-    """Numerator and denominator of value * num_base^num_exp /
-    den_base^den_exp; a negative num_exp moves that factor to the
-    denominator."""
-    den = _power(den_base, den_exp)
-    if num_exp >= 0:
-        return value * _power(num_base, num_exp), den
-    return value, den * _power(num_base, -num_exp)
+def _theorem(n_trop: HalfLaurent, m: int,
+             s: int) -> tuple[HalfLaurent, HalfLaurent]:
+    """(R, BG) from N by one exact division.
 
-
-def _ratio(value: HalfLaurent, num_base: HalfLaurent, num_exp: int,
-           den_base: HalfLaurent, den_exp: int) -> HalfLaurent:
-    """value * num_base^num_exp / den_base^den_exp with exact division."""
-    num, den = _fraction(value, num_base, num_exp, den_base, den_exp)
-    return num.exact_div(den)
-
-
-def _is_ratio(quot: HalfLaurent, value: HalfLaurent, num_base: HalfLaurent,
-              num_exp: int, den_base: HalfLaurent, den_exp: int) -> bool:
-    """Whether quot == _ratio(value, ...), checked by multiplying back.
-
-    Z[q^(1/2), q^(-1/2)] has no zero divisors, so quot * den == num holds
-    exactly when the division is exact and its quotient is quot.
+    The divisor is (w + 1/w)^s, times (w - 1/w)^(2s+2-m) when m-2-2s < 0;
+    R and BG are then multiples of the quotient.
     """
-    num, den = _fraction(value, num_base, num_exp, den_base, den_exp)
-    return quot * den == num
+    k = m - 2 - 2 * s
+    quot = n_trop.exact_div(_power(W_PLUS, s) * _power(W_MINUS, max(0, -k)))
+    return (quot * _power(W_MINUS, max(0, k)),
+            quot * _power(W_MINUS, max(0, -k)) * _power(Q_PLUS, s))
 
 
 def r_from_n(n_trop: HalfLaurent, m: int, s: int) -> HalfLaurent:
-    """Real refined invariant from the refined count, via both theorem forms.
+    """Real refined invariant from the refined count, by one exact division.
 
     m is the number of ends of the primitive parent degree, s the number of
-    weight-2 ends. The second form, N * (w - 1/w)^(m-2-2s) / (w + 1/w)^s,
-    is the one divided out; the first is checked by multiplying back,
-    R * (q - 1/q)^s == N * (w - 1/w)^(m-2-s). Only when that check fails is
-    the first form divided, to report which way the theorem broke.
-    NotDivisible here is fatal: it falsifies the theorem for the computed N,
-    i.e. reveals a bug upstream.
+    weight-2 ends. Both theorem forms give this R (see the module
+    docstring). NotDivisible here is fatal: it falsifies the theorem for the
+    computed N, i.e. reveals a bug upstream.
     """
-    form_b = _ratio(n_trop, W_MINUS, m - 2 - 2 * s, W_PLUS, s)
-    if not _is_ratio(form_b, n_trop, W_MINUS, m - 2 - s, Q_MINUS, s):
-        form_a = _ratio(n_trop, W_MINUS, m - 2 - s, Q_MINUS, s)
-        raise TropicalError(
-            f"theorem forms disagree: {form_a} vs {form_b} (m={m}, s={s})")
-    return form_b
+    return _theorem(n_trop, m, s)[0]
 
 
 def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
     """Broccoli-normalized invariant: R = BG * (w - 1/w)^(m-2-2s) / (q + 1/q)^s.
 
     For s = 0 this is the refined count itself. BG is R * (q + 1/q)^s
-    divided by (w - 1/w)^(m-2-2s). The invariance audit derives the same BG
-    from N instead and checks this definition by multiplying back.
+    divided by (w - 1/w)^(m-2-2s), or multiplied by (w - 1/w)^(2s+2-m) when
+    that exponent is negative. Equal to the BG of invariance_audit, which
+    takes it from the same quotient as R instead.
     """
-    return _ratio(r, Q_PLUS, s, W_MINUS, m - 2 - 2 * s)
+    k = m - 2 - 2 * s
+    bg = r * _power(Q_PLUS, s)
+    if k < 0:
+        return bg * _power(W_MINUS, -k)
+    return bg.exact_div(_power(W_MINUS, k))
 
 
 @dataclass(frozen=True)
@@ -286,11 +263,9 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
     counted once while it is sampled, and insist the refined counts agree;
     derive R and the Broccoli normalization once.
 
-    R comes from r_from_n. BG is divided out of N directly, as
-    N * (q + 1/q)^s / (w + 1/w)^s, whose divisor has only s + 1 terms;
-    its definition in terms of R, R * (q + 1/q)^s == BG * (w - 1/w)^(m-2-2s),
-    is then checked by multiplying back, which is exact for the reason
-    given in r_from_n. Each audit divides twice: once for R, once for BG.
+    R and BG are multiples of the one quotient N / (w + 1/w)^s (see the
+    module docstring), so each audit divides once, whatever the number of
+    trials.
 
     Raises InvarianceViolation (a bug detector, not an input error) when two
     trials disagree.
@@ -308,8 +283,5 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
                 trials=(records[0], rec))
     delta, s = split_even_ends(delta_s)
     m = len(delta)
-    r = r_from_n(first, m, s)
-    bg = _ratio(first, Q_PLUS, s, W_PLUS, s)
-    if not _is_ratio(r, bg, W_MINUS, m - 2 - 2 * s, Q_PLUS, s):
-        raise TropicalError("Broccoli consistency identity failed")
+    r, bg = _theorem(first, m, s)
     return InvariantReport(delta, delta_s, s, m, tuple(records), first, r, bg)

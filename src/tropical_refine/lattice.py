@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import DegenerateDegree, InsufficientMultiplicity, LengthMismatch
+from .errors import (DegenerateDegree, InsufficientMultiplicity, LengthMismatch,
+                     MultipleDivisors)
 
 
 class Vec(tuple):
@@ -146,8 +147,9 @@ class Degree:
 
     @classmethod
     def from_json(cls, data: dict) -> "Degree":
-        """The inverse of to_json. Every coordinate must be an integer;
-        anything else raises ValueError naming the bad value."""
+        """The inverse of to_json. Every coordinate must be an integer and
+        a name, if given, a string; anything else raises ValueError naming
+        the bad value."""
         entries = data.get("entries") if isinstance(data, dict) else None
         if not isinstance(entries, (list, tuple)):
             raise ValueError(
@@ -159,7 +161,10 @@ class Degree:
                 raise ValueError(
                     f"a degree entry is a pair of integers, got {entry!r}")
             vecs.append(Vec(*entry))
-        return cls(tuple(vecs), name=data.get("name"))
+        name = data.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"a degree name is a string, got {name!r}")
+        return cls(tuple(vecs), name=name)
 
 
 def delta_d(d: int) -> Degree:
@@ -206,9 +211,12 @@ def split_even_ends(delta_s: Degree) -> tuple[Degree, int]:
     """Undo weight-2 surgery: return the primitive parent degree and s.
 
     Each weight-2 entry 2*n becomes two consecutive copies of n; weight-1
-    entries pass through. Entries of weight > 2 are rejected.
+    entries pass through. Entries of weight > 2 are rejected, and so are
+    weight-2 ends of more than one direction (MultipleDivisors): the theorem
+    covers pairs on one toric divisor, the image of build_delta_s.
     """
     out: list[Vec] = []
+    evens: set[Vec] = set()
     s = 0
     for e in delta_s.entries:
         w = lattice_length(e)
@@ -217,9 +225,13 @@ def split_even_ends(delta_s: Degree) -> tuple[Degree, int]:
         elif w == 2:
             p = primitive(e)
             out.extend((p, p))
+            evens.add(p)
             s += 1
         else:
             raise ValueError(f"end of weight {w} not supported, only 1 and 2")
+    if len(evens) > 1:
+        raise MultipleDivisors(
+            f"even ends span {len(evens)} directions, need exactly one")
     return Degree(tuple(out), name=delta_s.name), s
 
 

@@ -303,6 +303,19 @@ def test_error_invariant_has_no_svg(capsys):
                "TropicalError")
 
 
+@pytest.mark.parametrize("command", ["invariant", "realize"])
+def test_error_weight_two_ends_on_several_divisors(capsys, command):
+    # outside the theorem's scope: pairs must lie on one toric divisor
+    for degree in ("2,0;0,2;-1,-1;-1,-1", "2,0;0,2;-2,-2"):
+        error_case(capsys, [command, f"--degree={degree}"], "MultipleDivisors")
+
+
+def test_error_unwritable_out(capsys, tmp_path):
+    error_case(capsys, ["enumerate", f"--degree={TRIANGLE}", "--moments",
+                        "3,2", "--out", str(tmp_path / "no" / "run.json")],
+               "FileNotFoundError")
+
+
 def test_error_malformed_degree(capsys):
     error_case(capsys, ["enumerate", "--degree", '{"entries": oops}'],
                "JSONDecodeError")
@@ -315,9 +328,10 @@ def test_error_malformed_degree(capsys):
     (["--degree=[[1.5,0],[-1.5,0],[0,1],[0,-1]]"], "[1.5, 0]"),
     (['--degree={"entries": 5}'], "{'entries': 5}"),
     (['--degree={"x": 1}'], "{'x': 1}"),
-    (["--degree=[1,2]"], "got 1")],
+    (["--degree=[1,2]"], "got 1"),
+    (['--degree={"entries": [[-1,0],[0,-1],[1,1]], "name": 5}'], "got 5")],
     ids=["zero-denominator", "float-entry", "entries-not-a-list",
-         "no-entries", "entry-not-a-pair"])
+         "no-entries", "entry-not-a-pair", "name-not-a-string"])
 def test_malformed_input_is_one_error_line(capsys, argv, named):
     code = main(["enumerate", *argv])
     captured = capsys.readouterr()

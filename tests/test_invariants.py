@@ -222,12 +222,23 @@ def test_r_from_n_divides_once(count_divisions):
     count_divisions.clear()
     assert r_from_n(q_analog(3), 5, 0) == W_MINUS ** 3 * q_analog(3)
     assert len(count_divisions) == 1
+    count_divisions.clear()
+    # m - 2 - 2s = -2: (w - 1/w)^2 joins the divisor
+    assert r_from_n(W_PLUS ** 2 * W_MINUS ** 2, 4, 2) == HalfLaurent(1)
+    assert len(count_divisions) == 1
 
 
-def test_audit_divides_at_most_twice(conic_merged, count_divisions):
+def test_audit_divides_once(conic_merged, count_divisions):
     report = invariance_audit(conic_merged, trials=1, seed=5)
     assert report.broccoli == HalfLaurent({2: 1, -2: 1})
-    assert len(count_divisions) <= 2
+    assert len(count_divisions) == 1
+
+
+def test_theorem_factors_are_their_definitions():
+    w = HalfLaurent.monomial
+    assert invariants.W_MINUS == w(1) + w(-1, -1)
+    assert invariants.W_PLUS == w(1) + w(-1)
+    assert invariants.Q_PLUS == HalfLaurent.q_power(1) + HalfLaurent.q_power(-1)
 
 
 def divide(n, num_base, num_exp, den):
@@ -247,7 +258,29 @@ def test_r_from_n_equals_both_divided_forms(x, s, extra):
     q_minus = w_pow_minus_inverse(2)
     form_a = divide(n, W_MINUS, m - 2 - s, q_minus ** s)
     form_b = divide(n, W_MINUS, m - 2 - 2 * s, W_PLUS ** s)
-    assert r_from_n(n, m, s) == form_a == form_b
+    r = r_from_n(n, m, s)
+    assert r == form_a == form_b
+    q_plus = HalfLaurent.q_power(1) + HalfLaurent.q_power(-1)
+    assert broccoli_from_r(r, m, s) == divide(n, q_plus, s, W_PLUS ** s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
+                       max_size=5).map(HalfLaurent),
+       st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 5))
+def test_r_from_n_not_divisible_exactly_when_form_b_is_not(x, plus, minus, s,
+                                                           extra):
+    # factors of w + 1/w and w - 1/w make both outcomes common
+    n = x * W_PLUS ** plus * W_MINUS ** minus
+    m = 2 * s + extra
+    try:
+        expected = divide(n, W_MINUS, m - 2 - 2 * s, W_PLUS ** s)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            r_from_n(n, m, s)
+    else:
+        assert r_from_n(n, m, s) == expected
 
 
 def test_r_from_n_not_divisible_is_fatal():
@@ -550,6 +583,7 @@ def test_audit_properties_beyond_brute_force(delta_s):
     m, s = report.m, report.s
     assert report.broccoli == broccoli_from_r(report.r_inv, m, s)
     assert report.n_trop.is_symmetric()
+    assert report.broccoli.is_symmetric()
     assert report.r_inv == HalfLaurent.from_json_pairs(
         [[-k, c * (-1) ** m] for k, c in report.r_inv.to_json_pairs()])
     for record in report.trial_records:

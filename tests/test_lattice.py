@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropical_refine import (Degree, DegenerateDegree, InsufficientMultiplicity,
-                             LengthMismatch, MomentVector, Vec, build_delta_s,
+                             LengthMismatch, MomentVector, MultipleDivisors,
+                             Vec, build_delta_s,
                              delta_d, frac_str, lattice_length, menelaus_sum,
                              normals_of, polygon_of, primitive, rot90,
                              split_even_ends, wedge)
@@ -134,6 +135,16 @@ def test_split_even_ends_round_trip(d, s):
     parent, got_s = split_even_ends(merged)
     assert got_s == s
     assert sorted(parent.entries) == sorted(delta.entries)
+
+
+def test_split_even_ends_needs_one_divisor():
+    # build_delta_s doubles ends of one direction only; (1,0) and (-1,0)
+    # are two directions, as for realsplit.maximal_split
+    for entries in (((2, 0), (0, 2), (-1, -1), (-1, -1)),
+                    ((2, 0), (0, 2), (-2, -2)),
+                    ((2, 0), (-2, 0), (0, 1), (0, -1))):
+        with pytest.raises(MultipleDivisors, match="span"):
+            split_even_ends(Degree(entries))
 
 
 def test_polygon_of_triangle():

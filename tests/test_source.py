@@ -42,3 +42,68 @@ def test_every_export_exists_once():
     names = tropical_refine.__all__
     assert [n for n in names if not hasattr(tropical_refine, n)] == []
     assert len(set(names)) == len(names)
+
+
+def _loaded(tree) -> set[str]:
+    """Every name the module reads: plain names, attribute names, names in
+    quoted annotations, and the strings of __all__."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                names |= _loaded(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _unused_names(code: str) -> list[str]:
+    """Imported names a module never reads, and private names or ALL-CAPS
+    constants it defines at module or class level and never reads."""
+    tree = ast.parse(code)
+    checked = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            checked += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            checked += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, (ast.Module, ast.ClassDef)):
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) and _private(stmt.name):
+                    checked.append(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                               else [stmt.target])
+                    checked += [t.id for t in targets
+                                if isinstance(t, ast.Name)
+                                and (_private(t.id) or t.id.isupper())]
+    loaded = _loaded(tree)
+    return sorted(name for name in checked if name not in loaded)
+
+
+def test_no_unused_imports_or_private_names_in_src():
+    # a deleted helper must take its imports and constants with it
+    found = [f"{path.relative_to(SRC)}: {name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for name in _unused_names(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_the_unused_name_rule_sees_each_kind():
+    code = ("from __future__ import annotations\n"
+            "import os, json\nfrom m import a, b as c\n"
+            "_SEEN = 1\n_UNSEEN = 2\nTOLD = 3\nPUBLIC = 4\n"
+            "def _helper(): return json.dumps(_SEEN)\n"
+            "def public(x: 'a') -> None: return TOLD\n"
+            "class K:\n    _slot = 1\n    def _m(self): return self._slot\n")
+    assert _unused_names(code) == ["PUBLIC", "_UNSEEN", "_helper", "_m", "c",
+                                   "os"]
