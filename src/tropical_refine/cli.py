@@ -20,6 +20,11 @@ either n-1 values (the first end's moment is implied) or all n (checked to
 sum to zero). All JSON and SVG output is deterministic byte for byte:
 identical invocations produce identical files. Fatal mathematical conditions
 print a one-line error JSON to stdout and exit 1.
+
+Each command imports only the modules it runs: `invariants` loads inside
+the commands that count curves and `realsplit` inside `realize` and
+`quantum`, so a cold `enumerate` or `plot` never compiles the real side and
+a cold `quantum` never compiles the invariant audit.
 """
 
 from __future__ import annotations
@@ -31,13 +36,9 @@ import sys
 from fractions import Fraction
 
 from .errors import MenelausViolation, TropicalError
-from .invariants import invariance_audit, r_from_n, refined_count, sample_trial
 from .lattice import (Degree, MomentVector, Vec, build_delta_s, frac_str,
                       polygon_of, primitive, split_even_ends)
 from .laurent import HalfLaurent
-from .realsplit import (WeightedPlaneParam, c_k_values, coamoeba_area,
-                        m_prime, maximal_split, oriented_solution_count,
-                        quad_indices, quad_refined_sum)
 from .solver import TropicalSolution
 from .svgplot import render_svg
 
@@ -111,6 +112,8 @@ def parse_moments(text: str, delta_s: Degree) -> MomentVector:
 def count_curves(args: argparse.Namespace, delta_s: Degree):
     """(moments, N, curves) for --moments, or for the seeded draw, whose
     count is the one sampling accepted it with."""
+    from .invariants import refined_count, sample_trial
+
     if args.moments is None:
         trial = sample_trial(delta_s, args.seed)
         return trial.moments, trial.n_trop, trial.solutions
@@ -168,6 +171,8 @@ def run_enumerate(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def run_invariant(args: argparse.Namespace) -> tuple[dict, str]:
+    from .invariants import invariance_audit
+
     delta_s = resolve_degree(args)
     report = invariance_audit(delta_s, trials=args.trials, seed=args.seed)
     payload = {"command": "invariant", **report.to_json()}
@@ -180,6 +185,9 @@ def run_invariant(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def run_quantum(args: argparse.Namespace) -> tuple[dict, str]:
+    from .realsplit import (c_k_values, coamoeba_area, quad_indices,
+                            quad_refined_sum)
+
     if args.m1 is None:
         raise TropicalError("quantum needs --m1 (and optionally --delta)")
     m1, delta = args.m1, args.delta
@@ -212,6 +220,10 @@ def run_quantum(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def run_realize(args: argparse.Namespace) -> tuple[dict, str]:
+    from .invariants import r_from_n
+    from .realsplit import (WeightedPlaneParam, m_prime, maximal_split,
+                            oriented_solution_count)
+
     delta_s = resolve_degree(args)
     mu, n_trop, sols = count_curves(args, delta_s)
     delta, s = split_even_ends(delta_s)

@@ -5,8 +5,9 @@ position of the root vertex (the one adjacent to end 1) and the lengths of
 the n-3 bounded edges. Each end moment is an affine function of these n-1
 unknowns, so prescribing the moments of ends 2..n gives a square integer
 linear system. Its determinant factors as the product of the vertex
-multiplicities. `solve` handles one type this way, by Gaussian elimination
-over Fraction; it is the reference the fast path is tested against.
+multiplicities. `solve` handles one type this way, by fraction-free
+elimination over the integers; it is the reference the fast path is tested
+against.
 
 `solve_all` finds the curves of every type at once. Hang the tree from end
 1; the vertex above an end set S with children A and B sits where the lines
@@ -80,34 +81,41 @@ def evaluation_matrix(ctype: CombinatorialType) -> list[list[int]]:
 
 
 def _solve_exact(matrix: list[list[int]], rhs: list[Fraction]):
-    """Gaussian elimination over Fraction with exact pivoting.
+    """Fraction-free (Bareiss) elimination of an integer system.
 
-    Returns (det, solution); solution is None when det == 0. The determinant
-    is the signed product of pivots, so it is exact as well.
+    The right-hand side is scaled by the lcm of its denominators, so every
+    entry stays an integer and each step divides exactly by the previous
+    pivot. The last pivot is then the determinant of the row-swapped
+    matrix, and back substitution of the solution times it stays integral
+    by Cramer's rule. Returns (det, solution) with det an int; solution is
+    None when det == 0.
     """
-    m = [[Fraction(x) for x in row] + [rhs[i]] for i, row in enumerate(matrix)]
+    denom = lcm(*(v.denominator for v in rhs))
+    m = [row + [v.numerator * (denom // v.denominator)]
+         for row, v in zip(matrix, rhs)]
     size = len(m)
-    det = Fraction(1)
+    sign, prev = 1, 1
     for c in range(size):
         pivot_row = next((r for r in range(c, size) if m[r][c] != 0), None)
         if pivot_row is None:
-            return Fraction(0), None
+            return 0, None
         if pivot_row != c:
             m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        pv = m[c][c]
-        det *= pv
-        for r in range(c + 1, size):
-            if m[r][c] != 0:
-                factor = m[r][c] / pv
-                for k in range(c, size + 1):
-                    m[r][k] -= factor * m[c][k]
-    x = [Fraction(0)] * size
+            sign = -sign
+        top = m[c]
+        pv = top[c]
+        for row in m[c + 1:]:
+            lead = row[c]
+            for k in range(c + 1, size + 1):
+                row[k] = (row[k] * pv - lead * top[k]) // prev
+        prev = pv
+    # y = prev * x solves the triangular system in integers
+    y = [0] * size
     for r in range(size - 1, -1, -1):
-        acc = m[r][size] - sum((m[r][k] * x[k] for k in range(r + 1, size)),
-                               Fraction(0))
-        x[r] = acc / m[r][r]
-    return det, x
+        row = m[r]
+        acc = prev * row[size] - sum(row[k] * y[k] for k in range(r + 1, size))
+        y[r] = acc // row[r]
+    return sign * prev, [Fraction(v, prev * denom) for v in y]
 
 
 @dataclass(frozen=True)
@@ -231,8 +239,7 @@ def solve(ctype: CombinatorialType, mu: MomentVector) -> TropicalSolution | None
     if det == 0:
         raise DegenerateType("singular evaluation map (flat vertex)")
     mults = ctype.multiplicities()
-    det_int = int(det)
-    if det != det_int or abs(det_int) != prod(mults.values()):
+    if abs(det) != prod(mults.values()):
         raise TropicalError(
             f"determinant {det} is not the product of the vertex "
             f"multiplicities {mults}")

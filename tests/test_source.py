@@ -1,7 +1,12 @@
 """Rules on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import tropical_refine
 
@@ -40,8 +45,54 @@ def test_the_source_rule_sees_hand_raised_assertion_errors():
 def test_every_export_exists_once():
     # a deleted name left in __all__ breaks `from tropical_refine import *`
     names = tropical_refine.__all__
-    assert [n for n in names if not hasattr(tropical_refine, n)] == []
     assert len(set(names)) == len(names)
+    star = {}
+    exec("from tropical_refine import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(names)
+    # each export is the very object its defining module holds
+    assert [n for n in names if star[n] is not getattr(
+        sys.modules[star[n].__module__], n)] == []
+    assert set(names) <= set(dir(tropical_refine))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tropical_refine.no_such_name
+
+
+def _fresh_load(code: str) -> set[str]:
+    """The package modules a fresh interpreter holds after running code."""
+    probe = (code + "\nimport sys\nprint(*sorted(m for m in sys.modules "
+             "if m.startswith('tropical_refine.')))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _cli_main(*argv: str) -> str:
+    return ("import contextlib, io\nfrom tropical_refine.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = main({list(argv)!r})\n"
+            "if status:\n    raise SystemExit(status)")
+
+
+MODULES = {path.stem for path in (SRC / "tropical_refine").glob("*.py")
+           if path.stem != "__init__"}
+
+
+@pytest.mark.parametrize("code, loaded, unloaded", [
+    ("import tropical_refine", set(), MODULES),
+    ("import tropical_refine\ntropical_refine.realsplit",
+     {"realsplit"}, {"invariants", "svgplot", "cli"}),
+    ("import tropical_refine.cli", {"cli"}, {"realsplit", "invariants"}),
+    (_cli_main("quantum", "--m1", "3"), {"realsplit"}, {"invariants"}),
+    (_cli_main("enumerate", "--degree=-1,0;0,-1;1,1", "--moments=3,2"),
+     {"invariants"}, {"realsplit"}),
+], ids=["package", "package-realsplit", "cli", "cli-quantum", "cli-enumerate"])
+def test_fresh_interpreter_loads_only_what_it_uses(code, loaded, unloaded):
+    modules = {m.removeprefix("tropical_refine.") for m in _fresh_load(code)}
+    assert loaded <= modules
+    assert modules.isdisjoint(unloaded)
 
 
 def _loaded(tree) -> set[str]:
