@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .errors import MenelausViolation, TropicalError
 from .lattice import (Degree, MomentVector, Vec, build_delta_s, frac_str,
-                      polygon_of, primitive, split_even_ends)
+                      menelaus_sum, polygon_of, primitive, split_even_ends)
 from .laurent import HalfLaurent
 from .solver import TropicalSolution
 from .svgplot import render_svg
@@ -98,7 +98,7 @@ def parse_moments(text: str, delta_s: Degree) -> MomentVector:
     values = [parse_moment(chunk) for chunk in text.split(",") if chunk]
     n = len(delta_s)
     if len(values) == n:
-        total = sum(values, Fraction(0))
+        total = menelaus_sum(values, delta_s)
         if total != 0:
             raise MenelausViolation(
                 f"{n} moments must sum to zero, got {frac_str(total)}")

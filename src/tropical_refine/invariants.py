@@ -23,8 +23,8 @@ so that every run of a given seed is reproducible down to the byte.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (DegenerateType, ExhaustedRetries, InvarianceViolation,
                      NonGenericMoments)
@@ -188,8 +188,7 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
     return bg.exact_div(_power(W_MINUS, k))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One audited constraint: its seed, the drawn moments, and everything
     the solver produced for them. Kept whole so a hypothetical invariance
     failure can be diffed curve by curve."""
@@ -208,8 +207,7 @@ class TrialRecord:
         }
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Outcome of an invariance audit over several seeded constraints."""
 
     delta: Degree

@@ -12,15 +12,20 @@ Conventions used throughout the package:
   wedge(n, p); the moments of all ends of a curve sum to zero (the tropical
   Menelaus relation), so a constraint vector only ever stores the moments of
   ends 2..n and end 1 is implied.
+
+Records are `NamedTuple`s (`LatticePolygon`) or small immutable classes
+with their own `__eq__` and `__hash__` (`Degree`, `MomentVector`), because
+every CLI command starts a fresh process: the standard library's record
+decorator imports `inspect`, `ast` and `dis` and compiles methods for each
+class it decorates, close to 20 ms of a cold command.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (DegenerateDegree, InsufficientMultiplicity, LengthMismatch,
                      MultipleDivisors)
@@ -106,22 +111,38 @@ def angle_cmp(u, v) -> int:
     return 0
 
 
-@dataclass(frozen=True)
 class Degree:
-    """Ordered multiset of end directions; the label of an end is its index."""
+    """Ordered multiset of end directions; the label of an end is its index.
 
-    entries: tuple[Vec, ...]
-    name: str | None = None
+    Immutable, and equal and hashed by (entries, name), so equal degrees
+    share one split table in the solver.
+    """
 
-    def __post_init__(self):
-        ents = tuple(Vec(e[0], e[1]) for e in self.entries)
-        object.__setattr__(self, "entries", ents)
+    def __init__(self, entries: Iterable[Sequence[int]],
+                 name: str | None = None):
+        ents = tuple(Vec(e[0], e[1]) for e in entries)
         if any(e == ZERO for e in ents):
             raise DegenerateDegree("degree entries must be nonzero")
         total = functools.reduce(Vec.__add__, ents, ZERO)
         if total != ZERO:
             raise DegenerateDegree(
                 f"degree entries must sum to zero, got {tuple(total)}")
+        object.__setattr__(self, "entries", ents)
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Degree is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries and self.name == other.name
+
+    def __hash__(self):
+        return hash((self.entries, self.name))
+
+    def __repr__(self):
+        return f"Degree({self.entries!r}, name={self.name!r})"
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -235,8 +256,7 @@ def split_even_ends(delta_s: Degree) -> tuple[Degree, int]:
     return Degree(tuple(out), name=delta_s.name), s
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(NamedTuple):
     """Convex lattice polygon, vertices counterclockwise, anchored so the
     lexicographically smallest vertex sits at the origin and comes first."""
 
@@ -294,15 +314,29 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
 class MomentVector:
-    """Moments of ends 2..n; the moment of end 1 is forced by Menelaus."""
+    """Moments of ends 2..n; the moment of end 1 is forced by Menelaus.
 
-    values: tuple[Fraction, ...]
+    Immutable, and equal and hashed by its values.
+    """
 
-    def __post_init__(self):
+    def __init__(self, values: Iterable):
         object.__setattr__(self, "values",
-                           tuple(as_fraction(v) for v in self.values))
+                           tuple(as_fraction(v) for v in values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MomentVector is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        return f"MomentVector({self.values!r})"
 
     @property
     def implied_first(self) -> Fraction:

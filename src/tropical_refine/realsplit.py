@@ -22,19 +22,24 @@ vertex (which makes that vertex quadrivalent) are genuinely different. The
 split with every weight-2 end cut at its adjacent vertex is the maximal one;
 it is the only splitting without flat vertices, and its quadrivalent
 vertices are where the quantum-index arithmetic below happens.
+
+`SplitEdge` is a `NamedTuple`; `WeightedPlaneParam` and `RealSplit` are
+small immutable classes, because they cache derived structure on the
+instance. Neither kind needs the standard library's record decorator, whose
+import (`inspect`, `ast`, `dis`) and per-class code generation would add
+close to 20 ms to every cold `realize` command.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (FlatVertex, InadmissibleSet, MultipleDivisors,
                      OddQuadMultiplicity, OutOfRange, TropicalError)
-from .lattice import Vec, lattice_length, primitive, wedge
+from .lattice import Vec, as_fraction, lattice_length, primitive, wedge
 from .laurent import HalfLaurent, w_pow_minus_inverse
 from .solver import TropicalSolution
 from .trees import CombinatorialType
@@ -51,34 +56,39 @@ def _is_even(v: Vec) -> bool:
     return v.x % 2 == 0 and v.y % 2 == 0
 
 
-@dataclass(frozen=True, eq=False)
 class WeightedPlaneParam:
     """A parametrized plane curve with end weights 1 or 2.
 
     Wraps a combinatorial type (whose leaf directions may be non-primitive)
     together with optional exact bounded-edge lengths. Purely combinatorial
     instances (lengths None) support every splitting operation; metric data,
-    when present, is carried through splits and quotients.
+    when present, is carried through splits and quotients. Lengths are exact
+    rationals: a float raises TypeError.
     """
 
-    tree: CombinatorialType
-    lengths: Mapping[EdgeKey, Fraction] | None = None
-
-    def __post_init__(self):
-        weights = [lattice_length(d) for d in self.tree.leaf_dirs]
+    def __init__(self, tree: CombinatorialType,
+                 lengths: Mapping[EdgeKey, Fraction] | None = None):
+        weights = [lattice_length(d) for d in tree.leaf_dirs]
         if any(w > 2 for w in weights):
             raise ValueError("end weights above 2 are out of scope")
         if all(w == 2 for w in weights):
             raise ValueError("need at least one odd (weight-1) end")
-        if self.lengths is not None:
-            want = set(self.tree.bounded_edges)
-            have = {_key(e) for e in self.lengths}
+        if lengths is not None:
+            want = set(tree.bounded_edges)
+            have = {_key(e) for e in lengths}
             if want != have:
                 raise ValueError("lengths must cover exactly the bounded edges")
-            norm = {_key(e): Fraction(v) for e, v in self.lengths.items()}
-            if any(v <= 0 for v in norm.values()):
+            lengths = {_key(e): as_fraction(v) for e, v in lengths.items()}
+            if any(v <= 0 for v in lengths.values()):
                 raise ValueError("edge lengths must be positive")
-            object.__setattr__(self, "lengths", norm)
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "lengths", lengths)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeightedPlaneParam is immutable")
+
+    def __repr__(self):
+        return f"WeightedPlaneParam({self.tree!r}, {self.lengths!r})"
 
     @classmethod
     def from_solution(cls, sol: TropicalSolution) -> "WeightedPlaneParam":
@@ -205,8 +215,7 @@ def admissible_sets(base: WeightedPlaneParam,
     return iter(cuts(root_edge))
 
 
-@dataclass(frozen=True)
-class SplitEdge:
+class SplitEdge(NamedTuple):
     """One edge of a split curve; slope is directed a -> b."""
 
     a: tuple
@@ -216,18 +225,46 @@ class SplitEdge:
     image: EdgeKey
 
 
-@dataclass(frozen=True)
 class RealSplit:
     """A symmetric model of a weighted curve: two copies glued along the
-    part fixed by the involution sigma."""
+    part fixed by the involution sigma.
 
-    base: WeightedPlaneParam
-    vertex_points: tuple[int, ...]
-    edge_points: tuple[tuple[EdgeKey, Fraction], ...]
-    nodes: tuple
-    edges: tuple[SplitEdge, ...]
-    quad_vertices: tuple[tuple[int, int], ...]   # (base vertex, multiplicity)
-    flat_nodes: tuple
+    Immutable, and equal and hashed by its seven fields; quad_vertices holds
+    (base vertex, multiplicity) pairs.
+    """
+
+    def __init__(self, base: WeightedPlaneParam,
+                 vertex_points: tuple[int, ...],
+                 edge_points: tuple[tuple[EdgeKey, Fraction], ...],
+                 nodes: tuple, edges: tuple[SplitEdge, ...],
+                 quad_vertices: tuple[tuple[int, int], ...],
+                 flat_nodes: tuple):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "vertex_points", vertex_points)
+        object.__setattr__(self, "edge_points", edge_points)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "quad_vertices", quad_vertices)
+        object.__setattr__(self, "flat_nodes", flat_nodes)
+
+    def _state(self) -> tuple:
+        return (self.base, self.vertex_points, self.edge_points, self.nodes,
+                self.edges, self.quad_vertices, self.flat_nodes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RealSplit is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._state() == other._state()
+
+    def __hash__(self):
+        return hash(self._state())
+
+    def __repr__(self):
+        return (f"RealSplit(quad_vertices={self.quad_vertices!r}, "
+                f"flat_nodes={self.flat_nodes!r}, base={self.base!r})")
 
     def sigma(self, node):
         tag, x = node
@@ -364,15 +401,10 @@ def build_split(base: WeightedPlaneParam,
                     SplitEdge(("f", a), ("f", b), slope, length, e))
 
     nodes = {nd for se in split_edges for nd in (se.a, se.b)}
-    split = RealSplit(
-        base=base,
-        vertex_points=tuple(sorted(vertex_points)),
-        edge_points=tuple(sorted(edge_points.items())),
-        nodes=tuple(sorted(nodes, key=repr)),
-        edges=tuple(split_edges),
-        quad_vertices=(),
-        flat_nodes=(),
-    )
+    shape = (base, tuple(sorted(vertex_points)),
+             tuple(sorted(edge_points.items())),
+             tuple(sorted(nodes, key=repr)), tuple(split_edges))
+    split = RealSplit(*shape, quad_vertices=(), flat_nodes=())
 
     # classify the special finite vertices on the split curve itself
     base_mults = tree.multiplicities()
@@ -385,8 +417,8 @@ def build_split(base: WeightedPlaneParam,
         if valence >= 3 and all(
                 wedge(sl[0], s) == 0 and wedge(sl[1], s) == 0 for s in sl):
             flats.append(nd)
-    return replace(split, quad_vertices=tuple(sorted(quads)),
-                   flat_nodes=tuple(flats))
+    return RealSplit(*shape, quad_vertices=tuple(sorted(quads)),
+                     flat_nodes=tuple(flats))
 
 
 def quotient_curve(split: RealSplit) -> WeightedPlaneParam:

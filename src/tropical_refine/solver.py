@@ -37,13 +37,16 @@ holds 57 933 splits of 1838 end sets, about 14 MiB.
 All arithmetic is exact; a curve is accepted only when every edge length is
 strictly positive. A length of exactly zero means the constraint sits on a
 wall of the moment cone and callers must resample.
+
+A curve is a `NamedTuple`, like the package's other plain records, which
+keeps the cold start of every CLI command free of the standard library's
+record decorator and the `inspect`, `ast` and `dis` imports it brings.
 """
 
 from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, prod
@@ -118,8 +121,7 @@ def _solve_exact(matrix: list[list[int]], rhs: list[Fraction]):
     return sign * prev, [Fraction(v, prev * denom) for v in y]
 
 
-@dataclass(frozen=True)
-class TropicalSolution:
+class TropicalSolution(NamedTuple):
     """A parametrized curve of a fixed type through the given moments.
 
     Internal vertex ctype.n + i has multiplicity mults[i] and lies at

@@ -16,19 +16,37 @@ slope of an edge is the sum of the leaf directions on the v side.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import TooFewEnds, TropicalError
 from .lattice import Degree, Vec, ZERO, wedge
 
 
-@dataclass(frozen=True)
 class CombinatorialType:
-    """A trivalent tree with labeled leaves carrying end directions."""
+    """A trivalent tree with labeled leaves carrying end directions.
 
-    leaf_dirs: tuple[Vec, ...]
-    edges: tuple[tuple[int, int], ...]
+    Immutable, and equal and hashed by (leaf_dirs, edges); the derived
+    structure below is computed once per tree and cached on it.
+    """
+
+    def __init__(self, leaf_dirs: tuple[Vec, ...],
+                 edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "leaf_dirs", leaf_dirs)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CombinatorialType is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.leaf_dirs == other.leaf_dirs and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.leaf_dirs, self.edges))
+
+    def __repr__(self):
+        return f"CombinatorialType({self.leaf_dirs!r}, {self.edges!r})"
 
     @property
     def n(self) -> int:

@@ -1,6 +1,5 @@
 """Refined counts, the invariance audit, and the theorem conversions."""
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -537,9 +536,9 @@ def test_position_signature_is_the_point_set(conic_merged):
     # the Fraction point sets are equal, whatever the vertex ids
     sols = [sol for delta in (conic_merged, delta_d(3)) for seed in range(3)
             for sol in sample_trial(delta, seed).solutions]
-    sols += [dataclasses.replace(sol, points=sol.points[::-1])
+    sols += [sol._replace(points=sol.points[::-1])
              for sol in sols[::4]]
-    sols.append(dataclasses.replace(sols[0], scale=2 * sols[0].scale))
+    sols.append(sols[0]._replace(scale=2 * sols[0].scale))
     point_sets = [sorted(sol.positions().values()) for sol in sols]
     signatures = [invariants._position_signature(sol) for sol in sols]
     for i, j in itertools.combinations(range(len(sols)), 2):

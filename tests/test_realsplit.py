@@ -1,7 +1,6 @@
 """Real splittings: even subgraphs, admissible cuts, symmetric models, and
 the quantum-index arithmetic at quadrivalent vertices."""
 
-import dataclasses
 import functools
 import itertools
 from fractions import Fraction
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from tropical_refine import (CombinatorialType, Degree, FlatVertex,
                              HalfLaurent, InadmissibleSet, MomentVector,
                              MultipleDivisors, OddQuadMultiplicity, OutOfRange,
-                             TropicalError, Vec, WeightedPlaneParam,
+                             RealSplit, TropicalError, Vec, WeightedPlaneParam,
                              admissible_sets, build_delta_s, build_split,
                              c_k_values, coamoeba_area, delta_d,
                              enumerate_types, even_components, gamma_even,
@@ -26,6 +25,12 @@ from tropical_refine import (CombinatorialType, Degree, FlatVertex,
                              w_pow_minus_inverse, wedge)
 
 W_MINUS = w_pow_minus_inverse(1)   # q^(1/2) - q^(-1/2)
+
+
+def with_quads(split: RealSplit, quads) -> RealSplit:
+    """The same split with its quadrivalent vertices replaced."""
+    return RealSplit(split.base, split.vertex_points, split.edge_points,
+                     split.nodes, split.edges, quads, split.flat_nodes)
 
 
 def closure_tree() -> CombinatorialType:
@@ -125,6 +130,9 @@ def test_weighted_param_length_validation():
         WeightedPlaneParam(tree, {(4, 5): Fraction(1), (0, 4): Fraction(1)})
     with pytest.raises(ValueError):
         WeightedPlaneParam(tree, {(4, 5): Fraction(0)})
+    # lengths are exact: Fraction(0.1) would be 3602879701896397/2**55
+    with pytest.raises(TypeError):
+        WeightedPlaneParam(tree, {(4, 5): 0.1})
     assert WeightedPlaneParam(tree, {(5, 4): 2}).edge_length((4, 5)) == 2
 
 
@@ -361,7 +369,7 @@ def test_maximal_split_checks_its_quad_vertices(doubled_quad, doubled_quad_mu,
     real = realsplit.build_split
 
     def without_quads(base, points):
-        return dataclasses.replace(real(base, points), quad_vertices=())
+        return with_quads(real(base, points), ())
 
     monkeypatch.setattr(realsplit, "build_split", without_quads)
     _, sols = refined_count(doubled_quad, doubled_quad_mu)
@@ -558,7 +566,7 @@ def test_m_prime_accepts_all_multiplicity_forms():
 def test_m_prime_rejects_odd_quad_multiplicity():
     base = WeightedPlaneParam(caterpillar_tree())
     split = maximal_split(base)
-    odd = dataclasses.replace(split, quad_vertices=((6, 3),))
+    odd = with_quads(split, ((6, 3),))
     with pytest.raises(OddQuadMultiplicity):
         m_prime(odd, {6: 3, 7: 2, 8: 2, 9: 2})
 

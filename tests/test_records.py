@@ -1,0 +1,66 @@
+"""The contract every record type keeps: immutable fields, value equality,
+and a hash wherever all the fields are hashable."""
+
+import pytest
+
+from tropical_refine import (Degree, MomentVector, Vec, WeightedPlaneParam,
+                             build_delta_s, delta_d, enumerate_types,
+                             invariance_audit, maximal_split, polygon_of,
+                             sample_trial, solver)
+
+CONIC_MERGED = build_delta_s(delta_d(2), Vec(-1, 0), 1)
+
+
+def _merged_conic_curve():
+    return sample_trial(CONIC_MERGED, 0).solutions[0]
+
+
+def _split():
+    return maximal_split(WeightedPlaneParam.from_solution(
+        _merged_conic_curve()))
+
+
+# (record type, a fresh instance, a field, hashable)
+RECORDS = [
+    ("Degree", lambda: delta_d(2), "entries", True),
+    ("LatticePolygon", lambda: polygon_of(delta_d(2)), "vertices", True),
+    ("MomentVector", lambda: MomentVector((1, "-3/2")), "values", True),
+    ("CombinatorialType", lambda: next(enumerate_types(delta_d(2))), "edges",
+     True),
+    ("TropicalSolution", _merged_conic_curve, "scale", False),
+    ("TrialRecord", lambda: sample_trial(CONIC_MERGED, 0), "n_trop", False),
+    ("InvariantReport", lambda: invariance_audit(CONIC_MERGED, trials=1),
+     "r_inv", False),
+    ("WeightedPlaneParam",
+     lambda: WeightedPlaneParam.from_solution(_merged_conic_curve()),
+     "lengths", True),
+    ("SplitEdge", lambda: _split().edges[0], "slope", True),
+    ("RealSplit", _split, "quad_vertices", True),
+]
+
+
+@pytest.mark.parametrize("name, make, field, hashable", RECORDS,
+                         ids=[r[0] for r in RECORDS])
+def test_records_are_immutable_values(name, make, field, hashable):
+    record, twin = make(), make()
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert record == twin and record is not twin
+    if hashable:
+        assert hash(record) == hash(twin)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_equal_degrees_share_one_split_table():
+    # the solver keys its per-degree tables by value, weakly
+    delta = delta_d(2)
+    table = solver._split_table(delta)
+    assert solver._split_table(Degree(delta.entries, delta.name)) is table
+    renamed = Degree(delta.entries, name="renamed")
+    assert renamed != delta
+    assert solver._split_table(renamed) is not table

@@ -1,6 +1,5 @@
 """The moment evaluation map: exact solves, multiplicities, walls."""
 
-import dataclasses
 import functools
 import gc
 import weakref
@@ -184,17 +183,17 @@ def test_verify_raises_domain_errors_on_drift(conic_merged):
     *rest, (x, y) = sol.points
     mu = sol.moments
     drifts = [
-        ("multiplicities", dataclasses.replace(
-            sol, mults=(sol.mults[0] + 1,) + sol.mults[1:])),
-        ("is not the least", dataclasses.replace(
-            sol, points=tuple((2 * px, 2 * py) for px, py in sol.points),
+        ("multiplicities", sol._replace(
+            mults=(sol.mults[0] + 1,) + sol.mults[1:])),
+        ("is not the least", sol._replace(
+            points=tuple((2 * px, 2 * py) for px, py in sol.points),
             scale=2 * sol.scale)),
-        ("edge lengths walked", dataclasses.replace(
-            sol, points=(*rest, (x + sol.scale, y)))),
-        ("edge lengths walked", dataclasses.replace(
-            sol, lengths={e: 2 * ln for e, ln in sol.lengths.items()})),
-        ("moment mismatch", dataclasses.replace(
-            sol, moments=MomentVector((mu.values[0] + 1,) + mu.values[1:]))),
+        ("edge lengths walked", sol._replace(
+            points=(*rest, (x + sol.scale, y)))),
+        ("edge lengths walked", sol._replace(
+            lengths={e: 2 * ln for e, ln in sol.lengths.items()})),
+        ("moment mismatch", sol._replace(
+            moments=MomentVector((mu.values[0] + 1,) + mu.values[1:]))),
     ]
     for what, bad in drifts:
         with pytest.raises(TropicalError, match=what):

@@ -58,9 +58,10 @@ def test_every_export_exists_once():
 
 
 def _fresh_load(code: str) -> set[str]:
-    """The package modules a fresh interpreter holds after running code."""
-    probe = (code + "\nimport sys\nprint(*sorted(m for m in sys.modules "
-             "if m.startswith('tropical_refine.')))\n")
+    """The modules a fresh interpreter loads to run code; those it held
+    before (the ones `site` imports) do not count."""
+    probe = ("import sys\n_before = set(sys.modules)\n" + code
+             + "\nprint(*sorted(set(sys.modules) - _before))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -88,11 +89,19 @@ MODULES = {path.stem for path in (SRC / "tropical_refine").glob("*.py")
     (_cli_main("quantum", "--m1", "3"), {"realsplit"}, {"invariants"}),
     (_cli_main("enumerate", "--degree=-1,0;0,-1;1,1", "--moments=3,2"),
      {"invariants"}, {"realsplit"}),
-], ids=["package", "package-realsplit", "cli", "cli-quantum", "cli-enumerate"])
+    (_cli_main("realize", "--degree=-1,0;-1,0;0,-1;0,-1;1,1;1,1", "--s=1"),
+     MODULES - {"__main__"}, {"__main__"}),
+], ids=["package", "package-realsplit", "cli", "cli-quantum", "cli-enumerate",
+        "cli-realize"])
 def test_fresh_interpreter_loads_only_what_it_uses(code, loaded, unloaded):
-    modules = {m.removeprefix("tropical_refine.") for m in _fresh_load(code)}
+    new = _fresh_load(code)
+    modules = {m.removeprefix("tropical_refine.") for m in new
+               if m.startswith("tropical_refine.")}
     assert loaded <= modules
     assert modules.isdisjoint(unloaded)
+    # records are NamedTuples or small classes, so that no cold command
+    # pays for importing dataclasses and the inspect module it pulls in
+    assert new.isdisjoint({"dataclasses", "inspect"})
 
 
 def _loaded(tree) -> set[str]:
