@@ -8,12 +8,15 @@ the pieces beyond the cuts are doubled. The resulting graph carries an
 involution whose quotient recovers the original curve; edge lengths double
 and slopes halve on the doubled part.
 
-Each component of the even part hangs from its stem, the one vertex where
-it meets the rest of the curve. By the closure rule every other vertex of a
-component has all its edges even, so below the stem a component only ends
-in even ends; the doubled part is everything past the cut points, as seen
-walking down from the stems. Each WeightedPlaneParam builds its even
-subgraph and this stem tree once, and every split of it reads them.
+By induction on the closure rule, an edge is in the even part exactly when
+every end on one of its sides is even, one test per clade of the curve hung
+from end 1. Each component of the even part hangs from its stem, the one
+vertex where it meets the rest of the curve. By the closure rule every
+other vertex of a component has all its edges even, so below the stem a
+component only ends in even ends; the doubled part is everything past the
+cut points, as seen walking down from the stems. Each WeightedPlaneParam
+builds its even subgraph and this stem tree once, and every split of it
+reads them.
 
 Cut positions are discretized: on a bounded edge only the interior class
 matters, while on an unbounded end the interior position (which creates a
@@ -96,18 +99,11 @@ class WeightedPlaneParam:
 
     @functools.cached_property
     def _gamma_even(self) -> frozenset[EdgeKey]:
-        tree = self.tree
-        even = {_key(tree.end_edge(l)) for l in self.even_leaves()}
-        changed = True
-        while changed:
-            changed = False
-            for v in tree.internal_vertices:
-                incident = [_key((v, w)) for w in tree.adjacency[v]]
-                missing = [e for e in incident if e not in even]
-                if len(missing) == 1:
-                    even.add(missing[0])
-                    changed = True
-        return frozenset(even)
+        _, parent, clade = self.tree.clades
+        odd = sum(1 << l for l, d in enumerate(self.tree.leaf_dirs)
+                  if not _is_even(d))
+        return frozenset(_key((u, v)) for v, u in parent.items()
+                         if not clade[v][0] & odd or not odd & ~clade[v][0])
 
     @functools.cached_property
     def _stem_tree(self):
@@ -163,9 +159,9 @@ class WeightedPlaneParam:
 
 
 def gamma_even(base: WeightedPlaneParam) -> frozenset[EdgeKey]:
-    """Minimal even subgraph: all weight-2 end edges, closed under the
-    extendable-vertex rule. Each WeightedPlaneParam builds it, and the stem
-    tree hung from it, once."""
+    """Minimal even subgraph: the weight-2 end edges closed under the
+    extendable-vertex rule, i.e. the edges with only even ends on one side.
+    Each WeightedPlaneParam builds it, and the stem tree hung from it, once."""
     return base._gamma_even
 
 
@@ -320,7 +316,7 @@ def _normalize_points(base, orient, points):
         e = _key(edge)
         if e not in orient:
             raise InadmissibleSet(f"point on {e} is not on the even subgraph")
-        offset = Fraction(offset)
+        offset = as_fraction(offset)
         if offset < 0:
             raise InadmissibleSet("negative offset")
         if offset == 0:

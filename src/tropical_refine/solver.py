@@ -54,7 +54,7 @@ from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .errors import DegenerateType, NonGenericMoments, TooFewEnds, TropicalError
-from .lattice import Degree, MomentVector, Vec, wedge
+from .lattice import Degree, MomentVector, Vec
 from .laurent import HalfLaurent, q_analog
 from .trees import CombinatorialType, type_from_clades
 
@@ -64,22 +64,16 @@ def evaluation_matrix(ctype: CombinatorialType) -> list[list[int]]:
 
     Row j-1 (for end j in 2..n) gives the moment of end j; columns are the
     root position (x, y) followed by the bounded edge lengths in the order of
-    ctype.bounded_edges.
+    ctype.bounded_edges. The entry of end j and edge e is x_j*y_e - y_j*x_e
+    when the clade (x_e, y_e) below e holds j, and 0 otherwise.
     """
-    n = ctype.n
-    bounded = ctype.bounded_edges
-    col = {e: 2 + i for i, e in enumerate(bounded)}
-    paths = ctype.paths_from_root()
-    slopes = ctype.slopes
-    rows = []
-    for leaf in range(1, n):
-        nj = ctype.leaf_dirs[leaf]
-        row = [0] * (len(bounded) + 2)
-        row[0] = -nj.y
-        row[1] = nj.x
-        for u, v in paths[ctype.leaf_vertex(leaf)]:
-            row[col[tuple(sorted((u, v)))]] += wedge(nj, slopes[(u, v)])
-        rows.append(row)
+    dirs = ctype.leaf_dirs
+    _, parent, clade = ctype.clades
+    rows = [[-d.y, d.x] for d in dirs[1:]]
+    for u, v in ctype.bounded_edges:
+        mask, x, y = clade[v if parent[v] == u else u]
+        for j, row in enumerate(rows, 1):
+            row.append(dirs[j].x * y - dirs[j].y * x if mask >> j & 1 else 0)
     return rows
 
 
@@ -206,18 +200,17 @@ def _q_product(mults: tuple[int, ...]) -> HalfLaurent:
 def _walk(ctype: CombinatorialType, root: tuple[Fraction, Fraction],
           lengths: dict[tuple[int, int], Fraction]
           ) -> dict[int, tuple[Fraction, Fraction]]:
-    """Position of every internal vertex, each one placed from its parent
-    along the last edge of its path from the root."""
-    slopes = ctype.slopes
-    pos = {}
-    for v, path in ctype.paths_from_root().items():
-        if not path:
-            pos[v] = root
-            continue
-        a, b = path[-1]
-        ln, s = lengths[tuple(sorted((a, b)))], slopes[(a, b)]
-        x, y = pos[a]
-        pos[v] = (x + ln * s.x, y + ln * s.y)
+    """Position of every internal vertex. The root vertex sits at `root`;
+    each other one, parents first, lies beyond its parent by its edge's
+    length times its clade's direction sum."""
+    order, parent, clade = ctype.clades
+    pos = {order[0]: root}
+    for v in order[1:]:
+        u = parent[v]
+        _, sx, sy = clade[v]
+        ln = lengths[(u, v) if u < v else (v, u)]
+        x, y = pos[u]
+        pos[v] = (x + ln * sx, y + ln * sy)
     return pos
 
 

@@ -23,10 +23,10 @@ def dual_subdivision(ctype) -> list[tuple[Vec, Vec, Vec]]:
     """Lattice triangles dual to the vertices of a trivalent type.
 
     Each internal vertex contributes the triangle whose sides are the quarter
-    turns of its outgoing slopes (taken counterclockwise); triangles of
-    adjacent vertices share the side dual to the connecting edge. The union
-    tiles the degree polygon; everything is anchored so the lexicographically
-    smallest corner is the origin.
+    turns of its outgoing slopes (taken counterclockwise); parents first,
+    each triangle is placed to share the side dual to the edge up to its
+    parent. The union tiles the degree polygon; everything is anchored so the
+    lexicographically smallest corner is the origin.
     """
     order = functools.cmp_to_key(angle_cmp)
     local: dict[int, tuple[list[Vec], dict[int, tuple[Vec, Vec]]]] = {}
@@ -42,21 +42,15 @@ def dual_subdivision(ctype) -> list[tuple[Vec, Vec, Vec]]:
             p = p + rot90(slope)
         local[v] = (verts, sides)
 
-    offset: dict[int, Vec] = {ctype.root_vertex: Vec(0, 0)}
-    stack = [ctype.root_vertex]
-    while stack:
-        v = stack.pop()
-        _, sides_v = local[v]
-        for w in ctype.adjacency[v]:
-            if w < ctype.n or w in offset:
-                continue
-            start, vec = sides_v[w]
-            start_w, _ = local[w][1][v]
-            offset[w] = offset[v] + start + vec - start_w
-            stack.append(w)
+    order, parent, _ = ctype.clades
+    offset = {order[0]: Vec(0, 0)}
+    for w in order[1:]:
+        v = parent[w]
+        start, vec = local[v][1][w]
+        offset[w] = offset[v] + start + vec - local[w][1][v][0]
 
     tris = [tuple(p + offset[v] for p in local[v][0])
-            for v in sorted(offset)]
+            for v in ctype.internal_vertices]
     lo = min(p for tri in tris for p in tri)
     return [tuple(p - lo for p in tri) for tri in tris]
 

@@ -9,8 +9,11 @@ leaf inverts the construction.
 
 Node convention: leaves are 0..n-1, internal vertices are n..2n-3 (vertex n
 is the initial star center, vertex n+k-2 is created when leaf k is inserted).
-Edge slopes are forced by the balancing condition: oriented from u to v, the
-slope of an edge is the sum of the leaf directions on the v side.
+Hung from leaf 0, every edge cuts off a clade: the leaves below it. The
+balancing condition forces the edge's slope, oriented downwards, to be the
+sum of the clade's leaf directions; one walk (`CombinatorialType.clades`)
+finds every clade, and the slopes, the vertex multiplicities and everything
+else derived from the tree are read off them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import functools
 from typing import Iterator
 
 from .errors import TooFewEnds, TropicalError
-from .lattice import Degree, Vec, ZERO, wedge
+from .lattice import Degree, Vec
 
 
 class CombinatorialType:
@@ -84,40 +87,48 @@ class CombinatorialType:
         return self.leaf_vertex(0)
 
     @functools.cached_property
+    def clades(self) -> tuple[list[int], dict[int, int], dict[int, tuple]]:
+        """The tree hung from leaf 0 (end 1), in one walk.
+
+        Returns (order, parent, clade): the internal vertices with each
+        parent before its children, the parent of every vertex but leaf 0,
+        and for each of those vertices its clade (mask, x, y), the bitmask
+        of the leaves below it and the sum (x, y) of their directions, which
+        is the slope of the edge down from its parent.
+        """
+        n, adj, root = self.n, self.adjacency, self.root_vertex
+        order, parent = [root], {root: 0}
+        for v in order:
+            for w in adj[v]:
+                if w not in parent and w != 0:
+                    parent[w] = v
+                    if w >= n:
+                        order.append(w)
+        clade = {leaf: (1 << leaf, d.x, d.y)
+                 for leaf, d in enumerate(self.leaf_dirs) if leaf}
+        for v in reversed(order):
+            below = [clade[w] for w in adj[v] if w != parent[v]]
+            # disjoint clades: their masks add up to their union
+            clade[v] = tuple(map(sum, zip((0, 0, 0), *below)))
+        return order, parent, clade
+
+    @functools.cached_property
     def slopes(self) -> dict[tuple[int, int], Vec]:
         """Directed slope map: slopes[(u, v)] is the displacement direction
         when walking from u to v, i.e. the sum of leaf directions behind v."""
-        n = self.n
-        adj = self.adjacency
-        subtree: dict[tuple[int, int], Vec] = {}
-
-        def far_sum(u: int, v: int) -> Vec:
-            # sum of leaf directions in the component of v after cutting (u,v)
-            key = (u, v)
-            if key in subtree:
-                return subtree[key]
-            if v < n:
-                total = self.leaf_dirs[v]
-            else:
-                total = ZERO
-                for w in adj[v]:
-                    if w != u:
-                        total = total + far_sum(v, w)
-            subtree[key] = total
-            return total
-
-        out: dict[tuple[int, int], Vec] = {}
-        for u, v in self.edges:
-            out[(u, v)] = far_sum(u, v)
-            out[(v, u)] = -out[(u, v)]
+        _, parent, clade = self.clades
+        out = {}
+        for v, u in parent.items():
+            _, x, y = clade[v]
+            out[u, v], out[v, u] = Vec(x, y), Vec(-x, -y)
         return out
 
     @functools.cached_property
     def _multiplicities(self) -> dict[int, int]:
-        """Multiplicity |wedge| of two outgoing slopes at every internal
-        vertex, in vertex order; built once per tree. Raises TropicalError,
-        naming the first offending vertex, unless every leaf has one edge
-        and every internal vertex three."""
+        """Multiplicity |x_a y_b - y_a x_b| of the two child clades a, b at
+        every internal vertex, in vertex order; built once per tree. Raises
+        TropicalError, naming the first offending vertex, unless every leaf
+        has one edge, every internal vertex three, and all hang from leaf 0."""
         for v, nbrs in self.adjacency.items():
             want = 1 if v < self.n else 3
             if len(nbrs) != want:
@@ -125,10 +136,14 @@ class CombinatorialType:
                 raise TropicalError(
                     f"{kind} {v} has valence {len(nbrs)}; a trivalent tree "
                     f"needs {want}")
+        _, parent, clade = self.clades
+        if len(parent) != 2 * self.n - 3:
+            raise TropicalError("the edges do not join every vertex to leaf 0")
         out = {}
         for v in self.internal_vertices:
-            a, b, _ = self.adjacency[v]
-            out[v] = abs(wedge(self.slopes[(v, a)], self.slopes[(v, b)]))
+            (_, xa, ya), (_, xb, yb) = (clade[w] for w in self.adjacency[v]
+                                        if w != parent[v])
+            out[v] = abs(xa * yb - ya * xb)
         return out
 
     def multiplicities(self) -> dict[int, int]:
@@ -137,36 +152,17 @@ class CombinatorialType:
     def has_flat_vertex(self) -> bool:
         return 0 in self._multiplicities.values()
 
-    def paths_from_root(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """For every internal vertex, the directed edge path from the root
-        vertex to it."""
-        adj = self.adjacency
-        n = self.n
-        paths = {self.root_vertex: ()}
-        stack = [self.root_vertex]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v >= n and v not in paths:
-                    paths[v] = paths[u] + ((u, v),)
-                    stack.append(v)
-        return paths
-
     def canonical_key(self):
         """Label-respecting canonical form hung off the vertex adjacent to
         leaf 0. Leaves become (0, label), internal nodes (1, child, child)
         with children sorted, so keys are totally ordered and equal keys mean
         isomorphic labeled trees."""
-
-        def sub(parent: int, v: int):
-            if v < self.n:
-                return (0, v)
-            kids = sorted(sub(v, w) for w in self.adjacency[v] if w != parent)
-            return (1, *kids)
-
-        r = self.root_vertex
-        kids = sorted(sub(r, w) for w in self.adjacency[r] if w != 0)
-        return ((0, 0), *kids)
+        order, parent, _ = self.clades
+        key = {leaf: (0, leaf) for leaf in range(self.n)}
+        for v in reversed(order):
+            key[v] = (1, *sorted(key[w] for w in self.adjacency[v]
+                                 if w != parent[v]))
+        return ((0, 0), *key[order[0]][1:])
 
     def serialize(self) -> str:
         """Nested-parenthesis form of canonical_key, leaves by label."""

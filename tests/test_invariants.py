@@ -12,11 +12,12 @@ from tropical_refine import (Degree, ExhaustedRetries, HalfLaurent,
                              NonGenericMoments, NotDivisible, SplitMix64,
                              TooFewEnds, TrialRecord, TropicalError, Vec,
                              WeightedPlaneParam, broccoli_from_r,
-                             build_delta_s, delta_d, invariance_audit,
+                             build_delta_s, delta_d, enumerate_types,
+                             evaluation_matrix, invariance_audit,
                              invariants, lattice_length, m_prime,
                              maximal_split, q_analog, r_from_n,
                              random_generic_moments, refined_count,
-                             sample_trial, w_pow_minus_inverse)
+                             sample_trial, w_pow_minus_inverse, wedge)
 from tropical_refine.invariants import moment_from_draw, refined_count_brute
 
 W_MINUS = w_pow_minus_inverse(1)   # q^(1/2) - q^(-1/2)
@@ -402,10 +403,31 @@ FIXTURE_DEGREES = ("triangle", "square", "conic", "conic_merged",
                    "doubled_quad")
 
 
+def leibniz_det(matrix) -> int:
+    """Determinant as the signed sum over permutations, by definition."""
+    size = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(size)):
+        flips = sum(perm[i] > perm[j]
+                    for i, j in itertools.combinations(range(size), 2))
+        term = (-1) ** flips
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
+
+
 @pytest.mark.parametrize("name", FIXTURE_DEGREES)
 def test_dp_matches_brute_on_fixture_degrees(name, request):
     delta = request.getfixturevalue(name)
     n = len(delta)
+    # the oracle's matrix: |det| is the product of the multiplicities on
+    # every type, flat ones included
+    for ctype in enumerate_types(delta):
+        want = 1
+        for m in ctype.multiplicities().values():
+            want *= m
+        assert abs(leibniz_det(evaluation_matrix(ctype))) == want
     for seed in range(4):
         assert_matches_brute(delta, random_generic_moments(delta, seed))
         assert_matches_brute(delta, raw_moments(n, seed))
@@ -493,21 +515,35 @@ def test_reused_and_fresh_tables_match_brute(delta, data):
 
 def assert_carries_the_tree_data(sols):
     """Multiplicities, positions and refined weight taken from the splits
-    equal what the tree gives: its vertex data and the walk from the root
-    along the edge lengths."""
+    equal what the tree gives: the wedge of two outgoing slopes at each
+    vertex, and the walk from the root along the edge lengths, both found
+    here by walking the adjacency."""
     for sol in sols:
         ctype = sol.ctype
-        mults = ctype.multiplicities()
+        adj = ctype.adjacency
+
+        def far_sum(u, v):
+            # direction sum of the leaves past v, seen from u
+            if v < ctype.n:
+                return ctype.leaf_dirs[v]
+            a, b = (far_sum(v, w) for w in adj[v] if w != u)
+            return a + b
+
+        mults = {v: abs(wedge(far_sum(v, adj[v][0]), far_sum(v, adj[v][1])))
+                 for v in ctype.internal_vertices}
+        assert ctype.multiplicities() == mults
         assert sol.mults == tuple(mults.values())
-        walked = {}
-        for v, path in ctype.paths_from_root().items():
-            if not path:
-                walked[v] = sol.root
-                continue
-            a, b = path[-1]
-            ln, slope = sol.lengths[tuple(sorted(path[-1]))], ctype.slopes[a, b]
-            walked[v] = (walked[a][0] + ln * slope.x,
-                         walked[a][1] + ln * slope.y)
+        walked = {ctype.root_vertex: sol.root}
+        stack = [ctype.root_vertex]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if v >= ctype.n and v not in walked:
+                    ln = sol.lengths[tuple(sorted((u, v)))]
+                    slope = far_sum(u, v)
+                    walked[v] = (walked[u][0] + ln * slope.x,
+                                 walked[u][1] + ln * slope.y)
+                    stack.append(v)
         assert sol.positions() == walked
         want = HalfLaurent(1)
         for m in mults.values():
@@ -553,9 +589,8 @@ def test_counting_never_walks_the_tree(conic_merged, monkeypatch):
     def walked(*_):
         raise TropicalError("the counting path walked the tree")
 
-    monkeypatch.setattr(CombinatorialType, "slopes", property(walked))
-    monkeypatch.setattr(CombinatorialType, "_multiplicities", property(walked))
-    monkeypatch.setattr(CombinatorialType, "paths_from_root", walked)
+    for name in ("clades", "slopes", "_multiplicities"):
+        monkeypatch.setattr(CombinatorialType, name, property(walked))
     delta = Degree(conic_merged.entries, name="counted without the tree")
     record = sample_trial(delta, 4)
     assert record.n_trop == W_PLUS

@@ -173,6 +173,46 @@ def test_gamma_even_closure_pulls_in_bounded_edge():
     assert sets == [frozenset({(4, 5)}), frozenset({(2, 5), (3, 5)})]
 
 
+def closure_rule(tree: CombinatorialType) -> frozenset:
+    """The even part as the module docstring defines it: the weight-2 end
+    edges, closed by a fixpoint under the rule that a vertex with all but
+    one incident edge even pulls in the last one."""
+    def key(u, v):
+        return (u, v) if u < v else (v, u)
+
+    even = {tree.end_edge(leaf) for leaf, d in enumerate(tree.leaf_dirs)
+            if d.x % 2 == 0 and d.y % 2 == 0}
+    changed = True
+    while changed:
+        changed = False
+        for v in tree.internal_vertices:
+            missing = [key(v, w) for w in tree.adjacency[v]
+                       if key(v, w) not in even]
+            if len(missing) == 1:
+                even.add(missing[0])
+                changed = True
+    return frozenset(even)
+
+
+@pytest.mark.parametrize("entries, types, pulled", [
+    (((0, -1), (0, -1), (1, 1), (1, 1), (-2, 0)), 15, 0),
+    (((1, 1), (1, 1), (1, -1), (1, -1), (-2, 0), (-2, 0)), 105, 15),
+    # end 0 even: the end edge's all-even side is the one without a clade
+    (((-2, 0), (0, -1), (0, -1), (1, 1), (1, 1), (1, 0), (-1, 0)), 945, 0),
+    (((0, -2), (-2, 0), (1, 1), (1, 1), (1, -1), (-1, 1)), 105, 15),
+], ids=["conic_merged", "six_ends_s2", "end_0_even", "ends_0_1_even"])
+def test_gamma_even_is_the_closure_rule(entries, types, pulled):
+    # pulled counts the types whose even part reaches past the even ends
+    seen = grown = 0
+    for tree in enumerate_types(Degree(entries)):
+        base = WeightedPlaneParam(tree)
+        even = gamma_even(base)
+        assert even == closure_rule(tree)
+        seen += 1
+        grown += len(even) > len(base.even_leaves())
+    assert (seen, grown) == (types, pulled)
+
+
 def test_gamma_even_two_components():
     base = WeightedPlaneParam(caterpillar_tree())
     assert gamma_even(base) == frozenset({(4, 6), (5, 9)})
@@ -260,6 +300,9 @@ def test_inadmissible_cut_sets():
     metric = WeightedPlaneParam(tree, {(4, 5): Fraction(7, 2)})
     with pytest.raises(InadmissibleSet):
         build_split(metric, [((4, 5), Fraction(7, 2))])
+    # offsets are exact: a float is refused rather than expanded
+    with pytest.raises(TypeError):
+        build_split(metric, [((4, 5), 0.1)])
 
 
 def test_inadmissible_sets_name_the_first_failing_end():

@@ -192,12 +192,21 @@ def test_serialize_is_readable():
     assert t.serialize() == "(0,1,2)"
 
 
-def test_paths_from_root():
+def test_clades():
+    # leaves (1, 0), (1, 1), (1, 2), (-3, -3); 4 holds 1 and 5, 5 holds 2, 3
     dirs = generic_degree(4).entries
     t = CombinatorialType(dirs, ((4, 0), (4, 1), (4, 5), (5, 2), (5, 3)))
-    paths = t.paths_from_root()
-    assert paths[4] == ()
-    assert paths[5] == ((4, 5),)
+    order, parent, clade = t.clades
+    assert order == [4, 5]
+    assert parent == {4: 0, 1: 4, 5: 4, 2: 5, 3: 5}
+    assert clade == {1: (0b0010, 1, 1), 2: (0b0100, 1, 2),
+                     3: (0b1000, -3, -3), 5: (0b1100, -2, -1),
+                     4: (0b1110, -1, 0)}
+    want = {}
+    for v, u in parent.items():
+        _, x, y = clade[v]
+        want[u, v], want[v, u] = Vec(x, y), Vec(-x, -y)
+    assert t.slopes == want
 
 
 def test_multiplicity_is_wedge_of_outgoing_slopes():
@@ -230,3 +239,13 @@ def test_leaf_of_valence_two_is_rejected():
         tree.multiplicities()
     with pytest.raises(TropicalError, match=message):
         tree.has_flat_vertex()
+
+
+def test_tree_with_a_detached_cycle_is_rejected():
+    # every valence is right, but ends 3, 4, 5 hang from a triangle of
+    # internal vertices that no path joins to leaf 0
+    dirs = generic_degree(6).entries
+    tree = CombinatorialType(dirs, ((0, 6), (1, 6), (2, 6), (7, 8), (8, 9),
+                                    (9, 7), (3, 7), (4, 8), (5, 9)))
+    with pytest.raises(TropicalError, match="do not join every vertex"):
+        tree.multiplicities()
