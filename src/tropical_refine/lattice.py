@@ -111,6 +111,12 @@ def angle_cmp(u, v) -> int:
     return 0
 
 
+def _entry(e: Sequence[int]) -> Vec:
+    if len(e) != 2:
+        raise ValueError(f"a degree entry is a pair of integers, got {e!r}")
+    return Vec(e[0], e[1])
+
+
 class Degree:
     """Ordered multiset of end directions; the label of an end is its index.
 
@@ -120,7 +126,7 @@ class Degree:
 
     def __init__(self, entries: Iterable[Sequence[int]],
                  name: str | None = None):
-        ents = tuple(Vec(e[0], e[1]) for e in entries)
+        ents = tuple(map(_entry, entries))
         if any(e == ZERO for e in ents):
             raise DegenerateDegree("degree entries must be nonzero")
         total = functools.reduce(Vec.__add__, ents, ZERO)
@@ -308,9 +314,13 @@ def normals_of(poly: LatticePolygon) -> Degree:
 
 
 def as_fraction(value) -> Fraction:
-    """Accept Fraction, int, or a 'p/q' string."""
+    """Accept Fraction, int, or a 'p/q' string; a zero denominator raises
+    ValueError."""
     if isinstance(value, (Fraction, int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -86,6 +86,9 @@ class HalfLaurent:
         return self._c == other._c
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     # -- ring operations ---------------------------------------------------
@@ -113,6 +116,8 @@ class HalfLaurent:
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return HalfLaurent(other) - self
 
     def __mul__(self, other):

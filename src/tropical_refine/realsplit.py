@@ -95,7 +95,7 @@ class WeightedPlaneParam:
 
     @classmethod
     def from_solution(cls, sol: TropicalSolution) -> "WeightedPlaneParam":
-        return cls(sol.ctype, dict(sol.lengths))
+        return cls(sol.ctype, sol.lengths)
 
     @functools.cached_property
     def _gamma_even(self) -> frozenset[EdgeKey]:

@@ -19,11 +19,11 @@ their position along n_S and suffix sums of curve counts, therefore counts
 all curves with one bisection per child and no linear algebra, and
 backtracking through the states that contribute rebuilds the curves
 themselves as the same objects, in the same order, that solving every
-enumerated type would give. A rebuilt curve takes its vertex
-multiplicities (each split's |d|) and its vertex positions (where L_A and
-L_B meet, as integers over the count's common scale, then reduced to the
-least one) from the splits, and needs its tree only for the vertex ids, so
-weighing curves and comparing them as point sets never walks the tree.
+enumerated type would give. A rebuilt curve stores its vertex
+multiplicities (each split's |d|) and vertex positions (where L_A and L_B
+meet, as integers over the count's common scale, reduced to the least one)
+and reads its edge lengths off those points, so weighing curves and
+comparing them as point sets never walks the tree.
 
 Everything that depends on the degree alone (the direction sums of the end
 sets, their splits with d = wedge(n_A, n_B) != 0, the common scale lcm|d|
@@ -32,7 +32,7 @@ into the vertex's positions along n_A and n_B) is a `_SplitTable`. It is
 built the first time a degree is counted and dropped with the `Degree`
 object it was built for, so the draws of one degree share it and each
 count does only the work that depends on the moments. For delta_d(4) it
-holds 57 933 splits of 1838 end sets, about 14 MiB.
+holds 57 933 splits of 1838 end sets, about 13 MiB.
 
 All arithmetic is exact; a curve is accepted only when every edge length is
 strictly positive. A length of exactly zero means the constraint sits on a
@@ -123,12 +123,12 @@ class TropicalSolution(NamedTuple):
     every coordinate whole. That form is unique, so a curve has the same
     fields whichever of the two constructors, `solve` or `solve_all`, built
     it, and two curves have equal point sets exactly when their scales and
-    sorted points are equal.
+    sorted points are equal. The tree and the points fix the curve, so
+    `lengths` reads the edge lengths off the points.
     """
 
     ctype: CombinatorialType
     moments: MomentVector
-    lengths: dict[tuple[int, int], Fraction]
     mults: tuple[int, ...]
     points: tuple[tuple[int, int], ...]
     scale: int
@@ -138,6 +138,22 @@ class TropicalSolution(NamedTuple):
         """Position of the vertex adjacent to end 1."""
         x, y = self.points[self.ctype.root_vertex - self.ctype.n]
         return Fraction(x, self.scale), Fraction(y, self.scale)
+
+    @property
+    def lengths(self) -> dict[tuple[int, int], Fraction]:
+        """Length of every bounded edge, keyed and ordered as bounded_edges:
+        the edge from parent u down to v runs along v's clade sum (x, y),
+        so its length is (p_v - p_u).(x, y) / (scale * (x^2 + y^2))."""
+        n, points, scale = self.ctype.n, self.points, self.scale
+        _, parent, clade = self.ctype.clades
+        out = {}
+        for e in self.ctype.bounded_edges:
+            u, v = e if parent[e[1]] == e[0] else e[::-1]
+            _, x, y = clade[v]
+            (ux, uy), (vx, vy) = points[u - n], points[v - n]
+            out[e] = Fraction((vx - ux) * x + (vy - uy) * y,
+                              scale * (x * x + y * y))
+        return out
 
     @property
     def det_abs(self) -> int:
@@ -170,7 +186,10 @@ class TropicalSolution(NamedTuple):
         if gcd(self.scale, *(c for p in self.points for c in p)) != 1:
             raise TropicalError(f"scale {self.scale} of the vertex positions "
                                 f"is not the least one")
-        if self.positions() != _walk(self.ctype, self.root, self.lengths):
+        lengths = self.lengths
+        if any(ln <= 0 for ln in lengths.values()):
+            raise TropicalError(f"edge lengths {lengths} are not all positive")
+        if self.positions() != _walk(self.ctype, self.root, lengths):
             raise TropicalError("vertex positions disagree with the edge "
                                 "lengths walked from the root")
         # the wanted moments sum to 0 (Menelaus), so equal ones do as well
@@ -249,24 +268,7 @@ def solve(ctype: CombinatorialType, mu: MomentVector) -> TropicalSolution | None
     points = tuple((px.numerator * (scale // px.denominator),
                     py.numerator * (scale // py.denominator))
                    for px, py in coords)
-    return TropicalSolution(ctype, mu, lengths, tuple(mults.values()), points,
-                            scale)
-
-
-class _Split(NamedTuple):
-    """A vertex of a rebuilt curve, above end set S = A | B.
-
-    Positions along a direction are integers: dot(p, n) times one scale
-    common to the whole count, so that splits compare exactly. `key` is the
-    vertex's position along n_S; `along_a` and `along_b`, along n_A and n_B,
-    are the positions the child vertices must lie beyond.
-    """
-
-    key: int
-    a: int
-    b: int
-    along_a: int
-    along_b: int
+    return TropicalSolution(ctype, mu, tuple(mults.values()), points, scale)
 
 
 class _SplitTable:
@@ -276,11 +278,11 @@ class _SplitTable:
     1..n-1; end 0 is in none). `splits` pairs each end set S, in increasing
     order so that every set comes after the sets inside it, with its splits
     S = A | B, where A holds the lowest end of S and d = wedge(n_A, n_B) is
-    not 0, as tuples (A, B, c, f_a, f_b, A is one end, B is one end). With
-    f = scale / d and M_X the moment sum of X, the vertex of the split lies
-    at M_A * c - M_B * f_a along n_A and at M_A * f_b - M_B * c along n_B:
-    c is f * dot(n_A, n_B), f_a is f * |n_A|^2 and f_b is f * |n_B|^2.
-    `scale` is the lcm of every |d|.
+    not 0, as tuples (A, B, c, f_a, f_b). With f = scale / d and M_X the
+    moment sum of X, the vertex of the split lies at M_A * c - M_B * f_a
+    along n_A and at M_A * f_b - M_B * c along n_B: c is f * dot(n_A, n_B),
+    f_a is f * |n_A|^2 and f_b is f * |n_B|^2. `scale` is the lcm of every
+    |d|. A side X is a single end exactly when X & (X - 1) is 0.
     """
 
     def __init__(self, dirs: tuple[Vec, ...]):
@@ -310,8 +312,7 @@ class _SplitTable:
                 f = scale // d
                 xa, ya, xb, yb = sx[a], sy[a], sx[b], sy[b]
                 out.append((a, b, f * (xa * xb + ya * yb),
-                            f * (xa * xa + ya * ya), f * (xb * xb + yb * yb),
-                            a & (a - 1) == 0, b & (b - 1) == 0))
+                            f * (xa * xa + ya * ya), f * (xb * xb + yb * yb)))
             self.splits.append((mask, out))
 
 
@@ -369,19 +370,19 @@ def solve_all(delta: Degree, mu: MomentVector) -> list[TropicalSolution]:
     strict_from, weak_from = [(0,)] * (1 << n), [(0,)] * (1 << n)
     for mask, rows in table.splits:
         placed = []
-        for a, b, c, fa, fb, a_end, b_end in rows:
+        for a, b, c, fa, fb in rows:
             ma, mb = moment[a], moment[b]
             along_a = ma * c - mb * fa
-            if a_end:
-                strict = weak = 1
-            else:
+            if a & (a - 1):
                 ks = keys[a]
                 weak = weak_from[a][bisect_left(ks, along_a)]
                 if not weak:
                     continue
                 strict = strict_from[a][bisect_right(ks, along_a)]
+            else:
+                strict = weak = 1
             along_b = ma * fb - mb * c
-            if not b_end:
+            if b & (b - 1):
                 ks = keys[b]
                 weak_b = weak_from[b][bisect_left(ks, along_b)]
                 if not weak_b:
@@ -400,7 +401,7 @@ def solve_all(delta: Degree, mu: MomentVector) -> list[TropicalSolution]:
     if strict_from[full][0] != weak_from[full][0]:
         raise NonGenericMoments("an edge length vanishes; resample moments")
 
-    def subtrees(mask: int, start: int) -> list[dict[int, _Split]]:
+    def subtrees(mask: int, start: int) -> list[dict[int, tuple[int, int]]]:
         if mask & (mask - 1) == 0:
             return [{}]
         strict = strict_from[mask]
@@ -408,9 +409,8 @@ def solve_all(delta: Degree, mu: MomentVector) -> list[TropicalSolution]:
         for j in range(start, len(placed_at[mask])):
             if strict[j] == strict[j + 1]:
                 continue
-            key, a, b, along_a, along_b, _, _ = placed_at[mask][j]
-            s = _Split(key, a, b, along_a, along_b)
-            out.extend({mask: s, **left, **right}
+            _, a, b, along_a, along_b, _, _ = placed_at[mask][j]
+            out.extend({mask: (a, b), **left, **right}
                        for left in subtrees(a, bisect_right(keys[a], along_a))
                        for right in subtrees(b, bisect_right(keys[b], along_b)))
         return out
@@ -421,24 +421,22 @@ def solve_all(delta: Degree, mu: MomentVector) -> list[TropicalSolution]:
     return [sol for _, sol in found]
 
 
-def _curve(delta: Degree, mu: MomentVector, chosen: dict[int, _Split],
+def _curve(delta: Degree, mu: MomentVector, chosen: dict[int, tuple],
            table: _SplitTable, moment: list[int],
            scale_mu: int) -> tuple[tuple[int, ...], TropicalSolution]:
-    """The solution whose vertices are the chosen splits, keyed by its
-    position in enumerate_types order. Each vertex's multiplicity is its
-    split's |d| and its position is where L_A and L_B meet, so the tree is
-    needed only for its vertex ids."""
+    """The solution whose vertices are the chosen splits S -> (A, B), keyed
+    by its position in enumerate_types order. Each vertex's multiplicity is
+    its split's |d| and its position is where L_A and L_B meet, so the tree
+    is needed only for its vertex ids."""
     sx, sy = table.sx, table.sy
     common = scale_mu * table.scale
     parent = {}
-    for mask, s in chosen.items():
-        parent[s.a] = parent[s.b] = mask
+    for mask, (a, b) in chosen.items():
+        parent[a] = parent[b] = mask
     order, ctype, top = type_from_clades(delta.entries, parent)
     n = ctype.n
     mults, points = [0] * (n - 2), [(0, 0)] * (n - 2)
-    lengths = {}
-    for mask, s in chosen.items():
-        a, b = s.a, s.b
+    for mask, (a, b) in chosen.items():
         d = sx[a] * sy[b] - sy[a] * sx[b]
         f = table.scale // d
         ma, mb = moment[a], moment[b]
@@ -446,13 +444,7 @@ def _curve(delta: Degree, mu: MomentVector, chosen: dict[int, _Split],
         mults[i] = abs(d)
         points[i] = ((ma * sx[b] - sx[a] * mb) * f,
                      (ma * sy[b] - sy[a] * mb) * f)
-        if mask in parent:
-            up = chosen[parent[mask]]
-            start = up.along_a if up.a == mask else up.along_b
-            edge = tuple(sorted((top[mask], top[parent[mask]])))
-            lengths[edge] = Fraction(s.key - start,
-                                     common * (sx[mask] ** 2 + sy[mask] ** 2))
     g = gcd(common, *(c for p in points for c in p))
     return order, TropicalSolution(
-        ctype, mu, {e: lengths[e] for e in ctype.bounded_edges}, tuple(mults),
-        tuple((x // g, y // g) for x, y in points), common // g)
+        ctype, mu, tuple(mults), tuple((x // g, y // g) for x, y in points),
+        common // g)

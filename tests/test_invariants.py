@@ -517,7 +517,8 @@ def assert_carries_the_tree_data(sols):
     """Multiplicities, positions and refined weight taken from the splits
     equal what the tree gives: the wedge of two outgoing slopes at each
     vertex, and the walk from the root along the edge lengths, both found
-    here by walking the adjacency."""
+    here by walking the adjacency. The lengths read off the points, with the
+    root, solve the evaluation map's system."""
     for sol in sols:
         ctype = sol.ctype
         adj = ctype.adjacency
@@ -545,6 +546,10 @@ def assert_carries_the_tree_data(sols):
                                  walked[u][1] + ln * slope.y)
                     stack.append(v)
         assert sol.positions() == walked
+        unknowns = [*sol.root, *sol.lengths.values()]
+        assert list(sol.lengths) == list(ctype.bounded_edges)
+        assert [sum(a * x for a, x in zip(row, unknowns))
+                for row in evaluation_matrix(ctype)] == list(sol.moments.values)
         want = HalfLaurent(1)
         for m in mults.values():
             want = want * q_analog(m)

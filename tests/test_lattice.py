@@ -69,6 +69,9 @@ def test_degree_validation():
         Degree(((0, 0), (1, 0), (-1, 0)))
     with pytest.raises(DegenerateDegree):
         Degree(((1, 0), (0, 1), (1, 1)))
+    for bad in ((1, 0, 9), (1,)):
+        with pytest.raises(ValueError, match="pair of integers"):
+            Degree((bad, (-1, 0), (0, 1), (0, -1)))
     d = Degree(((-1, 0), (0, -1), (1, 1)))
     assert len(d) == 3
     assert d.weights() == (1, 1, 1)
@@ -196,6 +199,12 @@ def test_moment_vector_implied_first():
     assert mu.implied_first == Fraction(-5)
     assert mu.full() == (Fraction(-5), Fraction(3), Fraction(2))
     assert len(mu) == 3
+
+
+def test_zero_denominators_are_value_errors():
+    with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+        MomentVector(("1/0", 2))
+    assert MomentVector(("3/6", 2)).values == (Fraction(1, 2), Fraction(2))
 
 
 def test_menelaus_sum():

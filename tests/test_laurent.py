@@ -50,6 +50,21 @@ def test_scalar_and_monomial_constructors():
     assert HalfLaurent.from_pairs([(2, 1), (-2, 1)]) == HalfLaurent({2: 1, -2: 1})
 
 
+@given(st.integers(-50, 50))
+def test_constants_equal_and_hash_as_their_int(c):
+    assert HalfLaurent(c) == c and hash(HalfLaurent(c)) == hash(c)
+    assert c in {HalfLaurent(c)} and HalfLaurent(c) in {c}
+
+
+def test_only_ints_mix_with_polynomials():
+    assert 5 - HalfLaurent(2) == HalfLaurent(3)
+    for other in ({}, {0: 2}, 1.0, "2"):
+        for op in (lambda p: p + other, lambda p: other + p,
+                   lambda p: p - other, lambda p: other - p):
+            with pytest.raises(TypeError):
+                op(HalfLaurent(2))
+
+
 def test_arithmetic_oracles():
     w = HalfLaurent.monomial(1)
     w_inv = HalfLaurent.monomial(-1)

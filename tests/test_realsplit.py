@@ -133,6 +133,8 @@ def test_weighted_param_length_validation():
     # lengths are exact: Fraction(0.1) would be 3602879701896397/2**55
     with pytest.raises(TypeError):
         WeightedPlaneParam(tree, {(4, 5): 0.1})
+    with pytest.raises(ValueError, match="zero denominator"):
+        WeightedPlaneParam(tree, {(4, 5): "1/0"})
     assert WeightedPlaneParam(tree, {(5, 4): 2}).edge_length((4, 5)) == 2
 
 

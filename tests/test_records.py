@@ -27,10 +27,10 @@ RECORDS = [
     ("MomentVector", lambda: MomentVector((1, "-3/2")), "values", True),
     ("CombinatorialType", lambda: next(enumerate_types(delta_d(2))), "edges",
      True),
-    ("TropicalSolution", _merged_conic_curve, "scale", False),
-    ("TrialRecord", lambda: sample_trial(CONIC_MERGED, 0), "n_trop", False),
+    ("TropicalSolution", _merged_conic_curve, "scale", True),
+    ("TrialRecord", lambda: sample_trial(CONIC_MERGED, 0), "n_trop", True),
     ("InvariantReport", lambda: invariance_audit(CONIC_MERGED, trials=1),
-     "r_inv", False),
+     "r_inv", True),
     ("WeightedPlaneParam",
      lambda: WeightedPlaneParam.from_solution(_merged_conic_curve()),
      "lengths", True),

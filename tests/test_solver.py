@@ -182,6 +182,15 @@ def test_verify_raises_domain_errors_on_drift(conic_merged):
     sol.verify()
     *rest, (x, y) = sol.points
     mu = sol.moments
+    # a cherry (both children leaves) reflected through its parent moves
+    # parallel to its edge, by a negative length
+    order, parent, _ = sol.ctype.clades
+    n = sol.ctype.n
+    cherry = next(v for v in order[1:]
+                  if all(w < n for w in sol.ctype.adjacency[v] if w != parent[v]))
+    (ux, uy), (vx, vy) = sol.points[parent[cherry] - n], sol.points[cherry - n]
+    reflected = list(sol.points)
+    reflected[cherry - n] = (2 * ux - vx, 2 * uy - vy)
     drifts = [
         ("multiplicities", sol._replace(
             mults=(sol.mults[0] + 1,) + sol.mults[1:])),
@@ -190,8 +199,7 @@ def test_verify_raises_domain_errors_on_drift(conic_merged):
             scale=2 * sol.scale)),
         ("edge lengths walked", sol._replace(
             points=(*rest, (x + sol.scale, y)))),
-        ("edge lengths walked", sol._replace(
-            lengths={e: 2 * ln for e, ln in sol.lengths.items()})),
+        ("not all positive", sol._replace(points=tuple(reflected))),
         ("moment mismatch", sol._replace(
             moments=MomentVector((mu.values[0] + 1,) + mu.values[1:]))),
     ]
