@@ -41,7 +41,8 @@ class Vec(tuple):
     __slots__ = ()
 
     def __new__(cls, x, y):
-        if not isinstance(x, int) or not isinstance(y, int):
+        # type(...) is int: a bool is an int to isinstance, not to JSON
+        if type(x) is not int or type(y) is not int:
             raise TypeError("lattice vectors need integer coordinates")
         return tuple.__new__(cls, (x, y))
 
@@ -112,7 +113,9 @@ def angle_cmp(u, v) -> int:
 
 
 def _entry(e: Sequence[int]) -> Vec:
-    if len(e) != 2:
+    """The one check of a degree entry: a list or tuple of two ints."""
+    if not (isinstance(e, (list, tuple)) and len(e) == 2
+            and type(e[0]) is int and type(e[1]) is int):
         raise ValueError(f"a degree entry is a pair of integers, got {e!r}")
     return Vec(e[0], e[1])
 
@@ -162,10 +165,6 @@ class Degree:
     def is_primitive(self) -> bool:
         return all(w == 1 for w in self.weights())
 
-    def canonical(self) -> "Degree":
-        """Entries sorted lexicographically by direction (stable in labels)."""
-        return Degree(tuple(sorted(self.entries)), name=self.name)
-
     def to_json(self) -> dict:
         d: dict = {"entries": [[e.x, e.y] for e in self.entries]}
         if self.name is not None:
@@ -181,17 +180,11 @@ class Degree:
         if not isinstance(entries, (list, tuple)):
             raise ValueError(
                 f'a degree is {{"entries": [[x, y], ...]}}, got {data!r}')
-        vecs = []
-        for entry in entries:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-                    and all(type(c) is int for c in entry)):
-                raise ValueError(
-                    f"a degree entry is a pair of integers, got {entry!r}")
-            vecs.append(Vec(*entry))
+        vecs = tuple(map(_entry, entries))
         name = data.get("name")
         if name is not None and not isinstance(name, str):
             raise ValueError(f"a degree name is a string, got {name!r}")
-        return cls(tuple(vecs), name=name)
+        return cls(vecs, name=name)
 
 
 def delta_d(d: int) -> Degree:

@@ -2,21 +2,25 @@
 
 A parametrized curve whose ends have weight 1 or 2 can be presented as the
 quotient of a symmetric curve: the even part (the minimal subgraph containing
-every weight-2 end, closed under the rule that a vertex with all but one
-incident edge even pulls in the last one) is cut at a set of points R, and
+every weight-2 end, closed under the rule that a vertex with all its edges
+but one even pulls in the last one) is cut at a set of points R, and
 the pieces beyond the cuts are doubled. The resulting graph carries an
 involution whose quotient recovers the original curve; edge lengths double
 and slopes halve on the doubled part.
 
 By induction on the closure rule, an edge is in the even part exactly when
-every end on one of its sides is even, one test per clade of the curve hung
-from end 1. Each component of the even part hangs from its stem, the one
-vertex where it meets the rest of the curve. By the closure rule every
-other vertex of a component has all its edges even, so below the stem a
-component only ends in even ends; the doubled part is everything past the
-cut points, as seen walking down from the stems. Each WeightedPlaneParam
-builds its even subgraph and this stem tree once, and every split of it
-reads them.
+every end on one of its sides is even. Hung from end 1, the edge above a
+vertex v cuts off v's clade, so the clades orient every even edge from its
+stem side to its all-even far side: the edge points down, away from end 1,
+when clade[v] holds no odd end, and up when clade[v] holds every odd end
+(never both, as a curve has an odd end). Each component of the even part
+hangs from its stem, the one vertex where it meets the rest of the curve:
+the stem side of an even edge that is the far side of none. By the closure
+rule every other vertex of a component has all its edges even, so below the
+stem a component only ends in even ends; the doubled part is everything
+past the cut points, as seen walking down from the stems. Each
+WeightedPlaneParam orients its even edges and groups them by stem side once,
+and every split of it reads that.
 
 Cut positions are discretized: on a bounded edge only the interior class
 matters, while on an unbounded end the interior position (which creates a
@@ -25,6 +29,10 @@ vertex (which makes that vertex quadrivalent) are genuinely different. The
 split with every weight-2 end cut at its adjacent vertex is the maximal one;
 it is the only splitting without flat vertices, and its quadrivalent
 vertices are where the quantum-index arithmetic below happens.
+
+A RealSplit stores only what defines it: the base curve, the cut points at
+vertices and inside edges, and the split edges. Its nodes, quadrivalent
+vertices and flat nodes are read off the edges on first use.
 
 `SplitEdge` is a `NamedTuple`; `WeightedPlaneParam` and `RealSplit` are
 small immutable classes, because they cache derived structure on the
@@ -98,42 +106,42 @@ class WeightedPlaneParam:
         return cls(sol.ctype, sol.lengths)
 
     @functools.cached_property
-    def _gamma_even(self) -> frozenset[EdgeKey]:
+    def _gamma_even(self) -> dict[EdgeKey, tuple[int, int]]:
+        """Every even edge, keyed by its sorted pair, as (stem side, far
+        side), read off the clades."""
         _, parent, clade = self.tree.clades
         odd = sum(1 << l for l, d in enumerate(self.tree.leaf_dirs)
                   if not _is_even(d))
-        return frozenset(_key((u, v)) for v, u in parent.items()
-                         if not clade[v][0] & odd or not odd & ~clade[v][0])
+        out = {}
+        for v, u in parent.items():
+            if not clade[v][0] & odd:
+                out[_key((u, v))] = (u, v)
+            elif not odd & ~clade[v][0]:
+                out[_key((u, v))] = (v, u)
+        return out
 
     @functools.cached_property
     def _stem_tree(self):
         """Every even component hung from its stem, built once per curve.
 
-        Returns (roots, orient, children): roots maps each stem to the edge
-        at it, orient maps each even edge to (stem side, far side) and
-        children maps it to the sorted even edges hanging below its far side.
+        Returns (children, stems): children maps each vertex to the sorted
+        even edges whose stem side it is, and stems maps each component, in
+        the order of the stems, to its stem.
         """
-        n = self.tree.n
-        even = self._gamma_even
-        incident: dict[int, list[EdgeKey]] = {}
-        for e in even:
-            for v in e:
-                if v >= n:
-                    incident.setdefault(v, []).append(e)
-        roots = {v: es[0] for v, es in sorted(incident.items())
-                 if len(es) < len(self.tree.adjacency[v])}
-        orient: dict[EdgeKey, tuple[int, int]] = {}
-        children: dict[EdgeKey, list[EdgeKey]] = {}
-        walk = list(roots.items())
-        for near, e in walk:
-            far = e[0] if e[1] == near else e[1]
-            orient[e] = (near, far)
-            children[e] = sorted(f for f in incident.get(far, ()) if f != e)
-            walk.extend((far, f) for f in children[e])
-        # a component with two stems is walked twice; one without, not at all
-        if len(walk) != len(orient) or len(orient) != len(even):
-            raise TropicalError("even component has no unique stem vertex")
-        return roots, orient, children
+        orient = self._gamma_even
+        children: dict[int, list[EdgeKey]] = {}
+        for e, (near, _) in sorted(orient.items()):
+            children.setdefault(near, []).append(e)
+        stems = {}
+        for stem in sorted(children.keys() - {f for _, f in orient.values()}):
+            comp = list(children[stem])
+            # a stem is an internal vertex with one even edge and two odd
+            if stem < self.tree.n or len(comp) != 1:
+                raise TropicalError("even component has no unique stem vertex")
+            for e in comp:
+                comp.extend(children.get(orient[e][1], ()))
+            stems[frozenset(comp)] = stem
+        return children, stems
 
     def even_leaves(self) -> tuple[int, ...]:
         return tuple(l for l, d in enumerate(self.tree.leaf_dirs)
@@ -162,32 +170,19 @@ def gamma_even(base: WeightedPlaneParam) -> frozenset[EdgeKey]:
     """Minimal even subgraph: the weight-2 end edges closed under the
     extendable-vertex rule, i.e. the edges with only even ends on one side.
     Each WeightedPlaneParam builds it, and the stem tree hung from it, once."""
-    return base._gamma_even
-
-
-def _below(children, e: EdgeKey) -> frozenset[EdgeKey]:
-    out = [e]
-    for f in out:
-        out.extend(children[f])
-    return frozenset(out)
+    return frozenset(base._gamma_even)
 
 
 def even_components(base: WeightedPlaneParam) -> list[frozenset[EdgeKey]]:
     """Connected components of the even subgraph, as edge sets."""
-    roots, _, children = base._stem_tree
-    return [_below(children, e) for e in roots.values()]
-
-
-def _component_root(base: WeightedPlaneParam, comp: frozenset[EdgeKey]):
-    roots, _, children = base._stem_tree
-    for stem, e in roots.items():
-        if e in comp and _below(children, e) == comp:
-            return stem, e, children
-    raise TropicalError(f"{sorted(comp)} is not an even component")
+    return list(base._stem_tree[1])
 
 
 def stem_of(base: WeightedPlaneParam, comp: frozenset[EdgeKey]) -> int:
-    return _component_root(base, comp)[0]
+    stem = base._stem_tree[1].get(frozenset(comp))
+    if stem is None:
+        raise TropicalError(f"{sorted(comp)} is not an even component")
+    return stem
 
 
 def admissible_sets(base: WeightedPlaneParam,
@@ -198,17 +193,18 @@ def admissible_sets(base: WeightedPlaneParam,
     from the stem to an even end exactly once; a cut point sits in the
     interior of each listed edge.
     """
-    _, root_edge, children = _component_root(base, comp)
+    children = base._stem_tree[0]
+    orient = base._gamma_even
 
     def cuts(e: EdgeKey) -> list[frozenset[EdgeKey]]:
         out = [frozenset({e})]
-        kids = children[e]
+        kids = children.get(orient[e][1])
         if kids:
             for combo in itertools.product(*(cuts(k) for k in kids)):
                 out.append(frozenset().union(*combo))
         return out
 
-    return iter(cuts(root_edge))
+    return iter(cuts(children[stem_of(base, comp)][0]))
 
 
 class SplitEdge(NamedTuple):
@@ -225,27 +221,21 @@ class RealSplit:
     """A symmetric model of a weighted curve: two copies glued along the
     part fixed by the involution sigma.
 
-    Immutable, and equal and hashed by its seven fields; quad_vertices holds
-    (base vertex, multiplicity) pairs.
+    Immutable, and equal and hashed by its four fields; the nodes and the
+    special vertices are read off the edges once.
     """
 
     def __init__(self, base: WeightedPlaneParam,
                  vertex_points: tuple[int, ...],
                  edge_points: tuple[tuple[EdgeKey, Fraction], ...],
-                 nodes: tuple, edges: tuple[SplitEdge, ...],
-                 quad_vertices: tuple[tuple[int, int], ...],
-                 flat_nodes: tuple):
+                 edges: tuple[SplitEdge, ...]):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "vertex_points", vertex_points)
         object.__setattr__(self, "edge_points", edge_points)
-        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "quad_vertices", quad_vertices)
-        object.__setattr__(self, "flat_nodes", flat_nodes)
 
     def _state(self) -> tuple:
-        return (self.base, self.vertex_points, self.edge_points, self.nodes,
-                self.edges, self.quad_vertices, self.flat_nodes)
+        return (self.base, self.vertex_points, self.edge_points, self.edges)
 
     def __setattr__(self, name, value):
         raise AttributeError("RealSplit is immutable")
@@ -272,6 +262,30 @@ class RealSplit:
     def pi(node):
         """Image of a split node downstairs: a base node id or a cut marker."""
         return node[1]
+
+    @functools.cached_property
+    def nodes(self) -> tuple:
+        return tuple(sorted({nd for e in self.edges for nd in (e.a, e.b)},
+                            key=repr))
+
+    @functools.cached_property
+    def quad_vertices(self) -> tuple[tuple[int, int], ...]:
+        """(base vertex, multiplicity) of every quadrivalent base vertex."""
+        mults = self.base.tree.multiplicities()
+        return tuple(sorted((nd[1], mults[nd[1]])
+                            for nd, valence in self.valences().items()
+                            if valence == 4 and isinstance(nd[1], int)))
+
+    @functools.cached_property
+    def flat_nodes(self) -> tuple:
+        """Finite nodes of valence 3 or more whose slopes are all parallel."""
+        out = []
+        for nd, valence in self.valences().items():
+            sl = self.outgoing_slopes(nd)
+            if valence >= 3 and all(
+                    wedge(sl[0], s) == 0 and wedge(sl[1], s) == 0 for s in sl):
+                out.append(nd)
+        return tuple(out)
 
     @property
     def fixed_nodes(self) -> frozenset:
@@ -345,14 +359,16 @@ def build_split(base: WeightedPlaneParam,
     """
     tree = base.tree
     n = tree.n
-    roots, orient, children = base._stem_tree
+    children, stems = base._stem_tree
+    orient = base._gamma_even
     vertex_points, edge_points = _normalize_points(base, orient, points)
 
     # one walk down from the stems: count the cut points above every node
     # and double every node past one
     hits: dict[int, int] = {}
     doubled: set[int] = set()
-    walk = [(e, int(stem in vertex_points)) for stem, e in roots.items()]
+    walk = [(children[stem][0], int(stem in vertex_points))
+            for stem in stems.values()]
     for e, seen in walk:
         far = orient[e][1]
         seen += e in edge_points
@@ -360,7 +376,7 @@ def build_split(base: WeightedPlaneParam,
             doubled.add(far)
         seen += far in vertex_points
         hits[far] = seen
-        walk.extend((f, seen) for f in children[e])
+        walk.extend((f, seen) for f in children.get(far, ()))
     for leaf in base.even_leaves():
         if hits[leaf] != 1:
             raise InadmissibleSet(f"path from the stem to end {leaf} "
@@ -396,86 +412,49 @@ def build_split(base: WeightedPlaneParam,
                 split_edges.append(
                     SplitEdge(("f", a), ("f", b), slope, length, e))
 
-    nodes = {nd for se in split_edges for nd in (se.a, se.b)}
-    shape = (base, tuple(sorted(vertex_points)),
-             tuple(sorted(edge_points.items())),
-             tuple(sorted(nodes, key=repr)), tuple(split_edges))
-    split = RealSplit(*shape, quad_vertices=(), flat_nodes=())
-
-    # classify the special finite vertices on the split curve itself
-    base_mults = tree.multiplicities()
-    quads = []
-    flats = []
-    for nd, valence in split.valences().items():
-        if valence == 4 and isinstance(nd[1], int):
-            quads.append((nd[1], base_mults[nd[1]]))
-        sl = split.outgoing_slopes(nd)
-        if valence >= 3 and all(
-                wedge(sl[0], s) == 0 and wedge(sl[1], s) == 0 for s in sl):
-            flats.append(nd)
-    return RealSplit(*shape, quad_vertices=tuple(sorted(quads)),
-                     flat_nodes=tuple(flats))
+    return RealSplit(base, tuple(sorted(vertex_points)),
+                     tuple(sorted(edge_points.items())), tuple(split_edges))
 
 
 def quotient_curve(split: RealSplit) -> WeightedPlaneParam:
     """Quotient by the involution; inverse of build_split.
 
-    Doubled pieces get their lengths halved and slopes doubled, then the
-    subdivision points are smoothed away. The result reuses the base node
-    ids, so equality with the original is literal.
+    The pieces of each base edge, without their "-" copies, must chain from
+    one end of it to the other; doubled pieces get their lengths halved and
+    slopes doubled, and the subdivision points are smoothed away. The result
+    reuses the base node ids, so equality with the original is literal.
     """
-    n = split.base.tree.n
-    by_pair: dict[tuple, tuple[Vec, Fraction | None, EdgeKey]] = {}
+    pieces: dict[EdgeKey, list] = {}
     for e in split.edges:
-        if e.a[0] == "-" or e.b[0] == "-":
+        tags = (e.a[0], e.b[0])
+        if "-" in tags:
             continue
-        doubled = e.a[0] == "+" or e.b[0] == "+"
-        a, b = e.a[1], e.b[1]
-        if doubled:
-            slope = Vec(2 * e.slope.x, 2 * e.slope.y)
+        if "+" in tags:
+            slope = e.slope.scale(2)
             length = None if e.length is None else e.length / 2
         else:
             slope, length = e.slope, e.length
-        if (b, a) in by_pair:
-            prev_slope, _, _ = by_pair[(b, a)]
-            if prev_slope != -slope:
-                raise TropicalError("inconsistent piece slopes in quotient")
-            continue
-        by_pair[(a, b)] = (slope, length, e.image)
+        pieces.setdefault(e.image, []).append((e.a[1], e.b[1], slope, length))
 
-    # smooth the valence-2 cut nodes back into single edges
-    merged: dict[EdgeKey, tuple[int, int, Vec, Fraction | None]] = {}
-    partial: dict = {}
-    for (a, b), (slope, length, image) in by_pair.items():
-        partial.setdefault(image, []).append((a, b, slope, length))
-    for image, parts in partial.items():
-        if len(parts) == 1:
-            a, b, slope, length = parts[0]
-            merged[image] = (a, b, slope, length)
-            continue
-        if len(parts) != 2:
-            raise TropicalError(f"edge {image} split into {len(parts)} pieces")
-        (a1, b1, s1, l1), (a2, b2, s2, l2) = parts
-        if not isinstance(b1, tuple):
-            (a1, b1, s1, l1), (a2, b2, s2, l2) = (a2, b2, s2, l2), (a1, b1, s1, l1)
-        if b1 != a2 or s1 != s2:
-            raise TropicalError(f"pieces of {image} do not chain")
-        total = None if (l1 is None or l2 is None) else l1 + l2
-        merged[image] = (a1, b2, s1, total)
-
+    n = split.base.tree.n
+    metric = split.base.lengths is not None
     edges = []
     leaf_dirs: list[Vec | None] = [None] * n
     lengths: dict[EdgeKey, Fraction] = {}
-    metric = split.base.lengths is not None
-    for image in sorted(merged):
-        a, b, slope, length = merged[image]
+    for image in sorted(pieces):
+        chain = pieces[image]
+        a, b, slope = chain[0][0], chain[-1][1], chain[0][2]
+        if ((a, b) not in (image, image[::-1])
+                or any(p[1] != q[0] for p, q in zip(chain, chain[1:]))
+                or any(p[2] != slope for p in chain)):
+            raise TropicalError(f"pieces of {image} do not chain")
         edges.append((a, b))
-        if isinstance(a, int) and a < n:
+        if a < n:
             leaf_dirs[a] = -slope
-        elif isinstance(b, int) and b < n:
+        elif b < n:
             leaf_dirs[b] = slope
         elif metric:
-            lengths[_key((a, b))] = length
+            lengths[image] = sum(p[3] for p in chain)
     tree = CombinatorialType(tuple(leaf_dirs), tuple(edges))
     return WeightedPlaneParam(tree, lengths if metric else None)
 
@@ -512,18 +491,22 @@ def m_prime(split: RealSplit, mults: Mapping[int, int]) -> HalfLaurent:
     4 * prod over quadrivalent W of (q^(m_W/2) - q^(-m_W/2)) / (q - 1/q)
       * prod over the other vertices of (q^(m_V/2) - q^(-m_V/2)).
 
-    mults maps each base vertex to its multiplicity, as
-    `CombinatorialType.multiplicities()` gives it.
+    mults maps each internal base vertex, and nothing else, to its
+    multiplicity, as `CombinatorialType.multiplicities()` gives it.
     """
+    internal = split.base.tree.internal_vertices
+    if mults.keys() != set(internal):
+        raise TropicalError(f"multiplicities given at vertices {sorted(mults)}, "
+                            f"need exactly {list(internal)}")
     quads = dict(split.quad_vertices)
     for v, m in quads.items():
-        if mults.get(v, m) != m:
+        if mults[v] != m:
             raise TropicalError(
                 f"vertex {v}: split says multiplicity {m}, caller {mults[v]}")
         if m % 2:
             raise OddQuadMultiplicity(f"vertex {v} has odd multiplicity {m}")
     num = HalfLaurent(4)
-    for v in sorted(mults):
+    for v in internal:
         num = num * w_pow_minus_inverse(mults[v])
     den = w_pow_minus_inverse(2) ** len(quads)
     return num.exact_div(den)

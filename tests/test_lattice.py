@@ -1,9 +1,11 @@
 """Lattice vectors, degrees, polygons and moment bookkeeping."""
 
+import json
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tropical_refine import (Degree, DegenerateDegree, InsufficientMultiplicity,
@@ -86,6 +88,36 @@ def test_degree_json_round_trip():
     plain = Degree(((-1, 0), (0, -1), (1, 1)))
     assert "name" not in plain.to_json()
     assert Degree.from_json({"entries": [[-1, 0], [0, -1], [1, 1]]}) == plain
+
+
+@pytest.mark.parametrize("bad", [(True, False), [True, 0], (1.0, 0), [0, 0.5]],
+                         ids=["bool-tuple", "bool-list", "float-tuple",
+                              "float-list"])
+def test_degree_entries_reject_bools_and_floats(bad):
+    # with the other three entries, each bad one sums to zero as a number
+    others = [(-1, 0), (0, 1), (0, -1)]
+    message = re.escape(f"a degree entry is a pair of integers, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        Degree((bad, *others))
+    with pytest.raises(ValueError, match=message):
+        Degree.from_json({"entries": [bad, *others]})
+    with pytest.raises(TypeError, match="integer coordinates"):
+        Vec(*bad)
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=2, max_size=8),
+       st.none() | st.text(max_size=4), st.booleans())
+def test_degree_json_round_trips_whatever_the_constructor_accepts(
+        pairs, name, as_lists):
+    closing = (-sum(x for x, _ in pairs), -sum(y for _, y in pairs))
+    entries = [*pairs, closing]
+    if as_lists:
+        entries = [list(e) for e in entries]
+    assume((0, 0) not in [tuple(e) for e in entries])
+    d = Degree(entries, name=name)
+    assert Degree.from_json(d.to_json()) == d
+    assert Degree.from_json(json.loads(json.dumps(d.to_json()))) == d
 
 
 def test_delta_d():

@@ -19,18 +19,17 @@ from tropical_refine import (CombinatorialType, Degree, FlatVertex,
                              m_prime,
                              maximal_split, oriented_solution_count,
                              quad_indices, quad_refined_sum, quotient_curve,
-                             r_from_n, random_generic_moments, realsplit,
-                             refined_count,
+                             r_from_n, random_generic_moments,
+                             refined_count, sample_trial,
                              stem_of, trivalent_quantum_index,
                              w_pow_minus_inverse, wedge)
 
 W_MINUS = w_pow_minus_inverse(1)   # q^(1/2) - q^(-1/2)
 
 
-def with_quads(split: RealSplit, quads) -> RealSplit:
-    """The same split with its quadrivalent vertices replaced."""
-    return RealSplit(split.base, split.vertex_points, split.edge_points,
-                     split.nodes, split.edges, quads, split.flat_nodes)
+def fake_quads(monkeypatch, quads):
+    """Every RealSplit from here on reports these quadrivalent vertices."""
+    monkeypatch.setattr(RealSplit, "quad_vertices", property(lambda _: quads))
 
 
 def closure_tree() -> CombinatorialType:
@@ -411,12 +410,7 @@ def test_maximal_split_rejects_joined_even_ends():
 
 def test_maximal_split_checks_its_quad_vertices(doubled_quad, doubled_quad_mu,
                                                 monkeypatch):
-    real = realsplit.build_split
-
-    def without_quads(base, points):
-        return with_quads(real(base, points), ())
-
-    monkeypatch.setattr(realsplit, "build_split", without_quads)
+    fake_quads(monkeypatch, ())
     _, sols = refined_count(doubled_quad, doubled_quad_mu)
     with pytest.raises(TropicalError, match="has 0 quadrivalent and 0 flat "
                                             "vertices for 1 even ends"):
@@ -608,19 +602,44 @@ def test_m_prime_accepts_all_multiplicity_forms():
     assert str(as_map) == "4*q^2 - 8 + 4*q^-2"
 
 
-def test_m_prime_rejects_odd_quad_multiplicity():
+def test_m_prime_rejects_odd_quad_multiplicity(monkeypatch):
     base = WeightedPlaneParam(caterpillar_tree())
     split = maximal_split(base)
-    odd = with_quads(split, ((6, 3),))
+    fake_quads(monkeypatch, ((6, 3),))
     with pytest.raises(OddQuadMultiplicity):
-        m_prime(odd, {6: 3, 7: 2, 8: 2, 9: 2})
+        m_prime(split, {6: 3, 7: 2, 8: 2, 9: 2})
 
 
 def test_m_prime_rejects_mismatched_multiplicity():
     base = WeightedPlaneParam(caterpillar_tree())
     split = maximal_split(base)
-    with pytest.raises(TropicalError):
+    with pytest.raises(TropicalError, match="split says multiplicity 2"):
         m_prime(split, {6: 4, 7: 2, 8: 2, 9: 2})
+    # the map must name exactly the internal vertices 6..9
+    for mults in ({6: 2, 9: 2}, {6: 2, 7: 2, 8: 2, 9: 2, 10: 5}, {}):
+        with pytest.raises(TropicalError, match=r"need exactly \[6, 7, 8, 9\]"):
+            m_prime(split, mults)
+
+
+def test_quotient_rejects_pieces_that_do_not_chain():
+    base = WeightedPlaneParam(closure_tree(), {(4, 5): Fraction(7, 2)})
+    split = build_split(base, [((4, 5), Fraction(3, 2))])
+    assert quotient_curve(split) == base
+    near, *rest = [e for e in split.edges if e.image == (4, 5)]
+    others = [e for e in split.edges if e.image != (4, 5)]
+    assert near.b == ("f", ("cut", (4, 5)))
+    broken = [
+        [*rest, near],                                  # out of order
+        [near],                                         # stops at the cut
+        [near, *(e._replace(a=("f", 4)) for e in rest)],    # a gap
+        [near._replace(slope=Vec(-4, 2)), *rest],       # turns at the cut
+    ]
+    for pieces in broken:
+        hand_built = RealSplit(base, split.vertex_points, split.edge_points,
+                               tuple(others + pieces))
+        with pytest.raises(TropicalError, match=r"pieces of \(4, 5\) do not "
+                                                "chain"):
+            quotient_curve(hand_built)
 
 
 def test_trivalent_quantum_index():
@@ -698,3 +717,31 @@ def test_c_k_values():
             assert coamoeba_area(m1, k) == 2 * c - 1
     with pytest.raises(OutOfRange):
         c_k_values(0)
+
+
+@pytest.mark.parametrize("n1", [Vec(-1, 0), Vec(0, -1), Vec(1, 1)],
+                         ids=["n1_-1_0", "n1_0_-1", "n1_1_1"])
+@pytest.mark.parametrize("even_first", [False, True],
+                         ids=["even_last", "even_first"])
+def test_sum_m_prime_with_an_upward_even_end(n1, even_first):
+    # with the weight-2 end as end 1, its edge is even because its clade
+    # holds every odd end, and the split hangs it upwards from its stem
+    merged = build_delta_s(delta_d(3), n1, 1)
+    entries = merged.entries
+    even = len(entries) - 1
+    if even_first:
+        entries, even = entries[-1:] + entries[:-1], 0
+    delta = Degree(entries)
+    for seed in (1, 2, 3):
+        trial = sample_trial(delta, seed)
+        total = HalfLaurent(0)
+        for sol in trial.solutions:
+            base = WeightedPlaneParam.from_solution(sol)
+            (comp,) = even_components(base)
+            assert stem_of(base, comp) == sol.ctype.leaf_vertex(even)
+            split = maximal_split(base)
+            total = total + m_prime(split, sol.ctype.multiplicities())
+        r_inv = r_from_n(trial.n_trop, 9, 1)
+        assert total.exact_div(HalfLaurent(4)) == r_inv
+        assert str(r_inv) == ("q^7/2 - 14*q^3/2 + 35*q^1/2 - 35*q^-1/2 "
+                              "+ 14*q^-3/2 - q^-7/2")
