@@ -21,10 +21,13 @@ sum to zero). All JSON and SVG output is deterministic byte for byte:
 identical invocations produce identical files. Fatal mathematical conditions
 print a one-line error JSON to stdout and exit 1.
 
-Each command imports only the modules it runs: `invariants` loads inside
-the commands that count curves and `realsplit` inside `realize` and
-`quantum`, so a cold `enumerate` or `plot` never compiles the real side and
-a cold `quantum` never compiles the invariant audit.
+Each command imports only the modules it runs. Loading this module loads
+`errors`, `lattice` and `laurent`; `quantum` adds `realsplit`; `enumerate`
+and `invariant` add the counting set `invariants`, `solver` and `trees`;
+`realize` adds the counting set and `realsplit`, and `plot` the counting set
+and `svgplot`, which `render_svg` imports on the first picture. No module
+imports another at load time only for an annotation: such names are
+imported under `TYPE_CHECKING`.
 """
 
 from __future__ import annotations
@@ -34,13 +37,15 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import MenelausViolation, TropicalError
 from .lattice import (Degree, MomentVector, Vec, build_delta_s, frac_str,
                       menelaus_sum, polygon_of, primitive, split_even_ends)
 from .laurent import HalfLaurent
-from .solver import TropicalSolution
-from .svgplot import render_svg
+
+if TYPE_CHECKING:
+    from .solver import TropicalSolution
 
 FORMATS = ("json", "text", "svg")
 
@@ -273,6 +278,14 @@ _RUNNERS = {
     "realize": run_realize,
     "plot": run_enumerate,          # with an SVG default
 }
+
+
+def render_svg(solutions, polygon) -> str:
+    """`svgplot.render_svg`, imported on the first picture; a module global,
+    so that callers can replace it."""
+    from .svgplot import render_svg as draw
+
+    return draw(solutions, polygon)
 
 
 def render_solutions_svg(args: argparse.Namespace) -> str:

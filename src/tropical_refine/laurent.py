@@ -24,12 +24,13 @@ class HalfLaurent:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, int] | int = 0):
-        if isinstance(coeffs, int):
+        # type(...) is int: a bool is an int to isinstance, not to JSON
+        if type(coeffs) is int:
             coeffs = {0: coeffs}
         elif not isinstance(coeffs, Mapping):
             raise TypeError("a HalfLaurent is built from an int or a mapping")
         for k, c in coeffs.items():
-            if not isinstance(k, int) or not isinstance(c, int):
+            if type(k) is not int or type(c) is not int:
                 raise TypeError("exponents and coefficients must be integers")
         object.__setattr__(self, "_c", {k: c for k, c in coeffs.items() if c})
 
@@ -60,6 +61,8 @@ class HalfLaurent:
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "HalfLaurent":
         d: dict[int, int] = {}
         for k, c in pairs:
+            if type(c) is not int:
+                raise TypeError("exponents and coefficients must be integers")
             d[k] = d.get(k, 0) + c
         return cls(d)
 
@@ -79,7 +82,7 @@ class HalfLaurent:
         return bool(self._c)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = HalfLaurent(other)
         if not isinstance(other, HalfLaurent):
             return NotImplemented
@@ -94,7 +97,7 @@ class HalfLaurent:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = HalfLaurent(other)
         if not isinstance(other, HalfLaurent):
             return NotImplemented
@@ -109,19 +112,19 @@ class HalfLaurent:
         return HalfLaurent._of({k: -c for k, c in self._c.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = HalfLaurent(other)
         if not isinstance(other, HalfLaurent):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        if not isinstance(other, int):
+        if type(other) is not int:
             return NotImplemented
         return HalfLaurent(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return HalfLaurent._of({k: c * other for k, c in self._c.items()})
         if not isinstance(other, HalfLaurent):
             return NotImplemented
@@ -154,7 +157,7 @@ class HalfLaurent:
         Raises NotDivisible (carrying the remainder) if den does not divide
         self over the integers.
         """
-        if isinstance(den, int):
+        if type(den) is int:
             den = HalfLaurent(den)
         if not den:
             raise ZeroDivisionError("division by the zero polynomial")

@@ -46,14 +46,16 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (FlatVertex, InadmissibleSet, MultipleDivisors,
                      OddQuadMultiplicity, OutOfRange, TropicalError)
 from .lattice import Vec, as_fraction, lattice_length, primitive, wedge
 from .laurent import HalfLaurent, w_pow_minus_inverse
-from .solver import TropicalSolution
-from .trees import CombinatorialType
+
+if TYPE_CHECKING:
+    from .solver import TropicalSolution
+    from .trees import CombinatorialType
 
 EdgeKey = tuple[int, int]
 
@@ -424,6 +426,8 @@ def quotient_curve(split: RealSplit) -> WeightedPlaneParam:
     slopes doubled, and the subdivision points are smoothed away. The result
     reuses the base node ids, so equality with the original is literal.
     """
+    from .trees import CombinatorialType
+
     pieces: dict[EdgeKey, list] = {}
     for e in split.edges:
         tags = (e.a[0], e.b[0])
@@ -436,7 +440,11 @@ def quotient_curve(split: RealSplit) -> WeightedPlaneParam:
             slope, length = e.slope, e.length
         pieces.setdefault(e.image, []).append((e.a[1], e.b[1], slope, length))
 
-    n = split.base.tree.n
+    base_tree = split.base.tree
+    missing = sorted({_key(e) for e in base_tree.edges} - pieces.keys())
+    if missing:
+        raise TropicalError(f"no pieces for base edges {missing}")
+    n = base_tree.n
     metric = split.base.lengths is not None
     edges = []
     leaf_dirs: list[Vec | None] = [None] * n

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .lattice import LatticePolygon, Vec, angle_cmp, lattice_length, rot90
-from .solver import TropicalSolution
+
+if TYPE_CHECKING:
+    from .solver import TropicalSolution
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 

@@ -1,5 +1,6 @@
 """The tropical-refine command line: grammar, formats, schemas, determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,10 +14,13 @@ import pytest
 
 import tropical_refine
 from tropical_refine import (Degree, MenelausViolation, TropicalError, Vec,
-                             random_generic_moments)
+                             polygon_of, random_generic_moments,
+                             refined_count)
 from tropical_refine.cli import (default_n1, load_degree, main, parse_moments,
                                  parse_vec)
 from tropical_refine.lattice import frac_str
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 TRIANGLE = "-1,0;0,-1;1,1"
 CONIC = "-1,0;-1,0;0,-1;0,-1;1,1;1,1"
@@ -256,6 +260,49 @@ def test_enumerate_svg_matches_plot(capsys):
                            "--moments", "3,2", "--format", "svg"])
     plot = run_cli(capsys, ["plot", f"--degree={TRIANGLE}", "--moments", "3,2"])
     assert svg == plot
+
+
+def _bench_spans():
+    """The benchmark's span tracer, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_spans",
+                                                  BENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_bench_patch_points_are_module_globals():
+    # the traced benchmark replaces these names where callers look them up,
+    # so each must stay a global of its module, not an import inside a body
+    from tropical_refine import cli, invariants, realsplit
+
+    spans = _bench_spans()
+    patched = {
+        cli: {"render_svg", "json", "_RUNNERS"},
+        invariants: {"enumerate_types", "solve", *spans.INVARIANT_FUNCS},
+        realsplit: set(spans.REALSPLIT_FUNCS),
+    }
+    assert "random_generic_moments" in patched[invariants]
+    assert {"maximal_split", "quad_indices"} <= patched[realsplit]
+    for module, names in patched.items():
+        assert sorted(names - vars(module).keys()) == [], module.__name__
+
+
+def test_cli_render_svg_draws_what_svgplot_draws(capsys, conic):
+    from tropical_refine import cli, svgplot
+
+    mu = random_generic_moments(conic, seed=1)
+    _, sols = refined_count(conic, mu)
+    polygon = polygon_of(conic)
+    assert cli.render_svg(sols, polygon) == svgplot.render_svg(sols, polygon)
+    # a traced plot times the picture through the patched global
+    spans, draw = _bench_spans(), cli.render_svg
+    argv = ["plot", f"--degree={TRIANGLE}", "--moments", "3,2"]
+    with spans.install(spans.Tracer(), tropical_refine) as tracer:
+        traced = run_cli(capsys, argv)
+    assert [s[0] for s in tracer.spans].count("svgplot.render_svg") == 1
+    assert cli.render_svg is draw
+    assert traced == run_cli(capsys, argv)
 
 
 def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):

@@ -25,17 +25,30 @@ def test_construction_drops_zeros():
 
 @pytest.mark.parametrize("coeffs", [
     {0.5: 1}, {Fraction(1, 2): 1}, {"1": 1},
-    {1: 1.0}, {1: Fraction(1)}, {1: "1"}, 1.0, Fraction(1)],
+    {1: 1.0}, {1: Fraction(1)}, {1: "1"}, 1.0, Fraction(1),
+    {True: 1}, {1: True}, {0: False}, True],
     ids=["float-exp", "fraction-exp", "str-exp",
          "float-coeff", "fraction-coeff", "str-coeff",
-         "float-scalar", "fraction-scalar"])
+         "float-scalar", "fraction-scalar",
+         "bool-exp", "bool-coeff", "false-coeff", "bool-scalar"])
 def test_public_constructor_rejects_non_integers(coeffs):
+    # a bool is not an integer here, as in Vec: HalfLaurent({True: True})
+    # would print q^True/2 and serialise to [[true, true]]
     with pytest.raises(TypeError):
         HalfLaurent(coeffs)
 
 
+def test_bools_do_not_mix_with_polynomials():
+    for op in (lambda p: p + True, lambda p: False - p, lambda p: p * True):
+        with pytest.raises(TypeError):
+            op(HalfLaurent(2))
+    assert HalfLaurent(1) != True  # noqa: E712
+    assert HalfLaurent(1) == 1
+
+
 @pytest.mark.parametrize("pairs", [[[1.5, 1]], [[1, 2.0]], [["1", 1]],
-                                   [[1, Fraction(1)]]])
+                                   [[1, Fraction(1)]], [[True, 1]],
+                                   [[1, True]]])
 def test_json_pairs_reject_non_integers(pairs):
     with pytest.raises(TypeError):
         HalfLaurent.from_json_pairs(pairs)

@@ -642,6 +642,17 @@ def test_quotient_rejects_pieces_that_do_not_chain():
             quotient_curve(hand_built)
 
 
+def test_quotient_names_base_edges_without_pieces():
+    base = WeightedPlaneParam(closure_tree(), {(4, 5): Fraction(7, 2)})
+    split = build_split(base, [((4, 5), Fraction(1))])
+    kept = tuple(e for e in split.edges if e.image != (0, 4))
+    assert len(kept) < len(split.edges)
+    hand_built = RealSplit(base, split.vertex_points, split.edge_points, kept)
+    with pytest.raises(TropicalError,
+                       match=r"no pieces for base edges \[\(0, 4\)\]"):
+        quotient_curve(hand_built)
+
+
 def test_trivalent_quantum_index():
     assert trivalent_quantum_index(Vec(1, 0), Vec(0, 1)) == (
         Fraction(1, 2), Fraction(-1, 2))

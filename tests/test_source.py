@@ -77,28 +77,32 @@ def _cli_main(*argv: str) -> str:
             "if status:\n    raise SystemExit(status)")
 
 
-MODULES = {path.stem for path in (SRC / "tropical_refine").glob("*.py")
-           if path.stem != "__init__"}
+BASE = {"errors", "lattice", "laurent"}
+CLI = BASE | {"cli"}
+COUNTING = CLI | {"invariants", "solver", "trees"}
+TRIANGLE = "--degree=-1,0;0,-1;1,1"
 
 
-@pytest.mark.parametrize("code, loaded, unloaded", [
-    ("import tropical_refine", set(), MODULES),
-    ("import tropical_refine\ntropical_refine.realsplit",
-     {"realsplit"}, {"invariants", "svgplot", "cli"}),
-    ("import tropical_refine.cli", {"cli"}, {"realsplit", "invariants"}),
-    (_cli_main("quantum", "--m1", "3"), {"realsplit"}, {"invariants"}),
-    (_cli_main("enumerate", "--degree=-1,0;0,-1;1,1", "--moments=3,2"),
-     {"invariants"}, {"realsplit"}),
+@pytest.mark.parametrize("code, loaded", [
+    ("import tropical_refine", set()),
+    ("import tropical_refine\ntropical_refine.realsplit", BASE | {"realsplit"}),
+    ("import tropical_refine.svgplot", {"errors", "lattice", "svgplot"}),
+    ("import tropical_refine.cli", CLI),
+    (_cli_main("quantum", "--m1", "3"), CLI | {"realsplit"}),
+    (_cli_main("enumerate", TRIANGLE, "--moments=3,2"), COUNTING),
+    (_cli_main("invariant", TRIANGLE, "--trials=2"), COUNTING),
     (_cli_main("realize", "--degree=-1,0;-1,0;0,-1;0,-1;1,1;1,1", "--s=1"),
-     MODULES - {"__main__"}, {"__main__"}),
-], ids=["package", "package-realsplit", "cli", "cli-quantum", "cli-enumerate",
-        "cli-realize"])
-def test_fresh_interpreter_loads_only_what_it_uses(code, loaded, unloaded):
+     COUNTING | {"realsplit"}),
+    (_cli_main("plot", TRIANGLE, "--moments=3,2"), COUNTING | {"svgplot"}),
+], ids=["package", "package-realsplit", "svgplot", "cli", "cli-quantum",
+        "cli-enumerate", "cli-invariant", "cli-realize", "cli-plot"])
+def test_fresh_interpreter_loads_only_what_it_uses(code, loaded):
+    # exactly these modules: none is imported at load time only for an
+    # annotation or for a command that does not run
     new = _fresh_load(code)
     modules = {m.removeprefix("tropical_refine.") for m in new
                if m.startswith("tropical_refine.")}
-    assert loaded <= modules
-    assert modules.isdisjoint(unloaded)
+    assert modules == loaded
     # records are NamedTuples or small classes, so that no cold command
     # pays for importing dataclasses and the inspect module it pulls in
     assert new.isdisjoint({"dataclasses", "inspect"})
