@@ -13,8 +13,8 @@ Conventions used throughout the package:
   Menelaus relation), so a constraint vector only ever stores the moments of
   ends 2..n and end 1 is implied.
 
-Records are `NamedTuple`s (`LatticePolygon`) or small immutable classes
-with their own `__eq__` and `__hash__` (`Degree`, `MomentVector`), because
+Records are `NamedTuple`s (`LatticePolygon`) or `Record`s (`Degree`,
+`MomentVector` and the package's other small immutable classes), because
 every CLI command starts a fresh process: the standard library's record
 decorator imports `inspect`, `ast` and `dis` and compiles methods for each
 class it decorates, close to 20 ms of a cold command.
@@ -120,11 +120,40 @@ def _entry(e: Sequence[int]) -> Vec:
     return Vec(e[0], e[1])
 
 
-class Degree:
+class Record:
+    """An immutable record: fields set once by `_set`, then neither set nor
+    deleted; equal, hashed and shown by its class and `identity()` tuple."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.identity() == other.identity()
+
+    def __hash__(self):
+        return hash(self.identity())
+
+    def __repr__(self):
+        fields = ", ".join(map(repr, self.identity()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Degree(Record):
     """Ordered multiset of end directions; the label of an end is its index.
 
-    Immutable, and equal and hashed by (entries, name), so equal degrees
-    share one split table in the solver.
+    Equal and hashed by (entries, name), so equal degrees share one split
+    table in the solver.
     """
 
     def __init__(self, entries: Iterable[Sequence[int]],
@@ -136,22 +165,10 @@ class Degree:
         if total != ZERO:
             raise DegenerateDegree(
                 f"degree entries must sum to zero, got {tuple(total)}")
-        object.__setattr__(self, "entries", ents)
-        object.__setattr__(self, "name", name)
+        self._set(entries=ents, name=name)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Degree is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries and self.name == other.name
-
-    def __hash__(self):
-        return hash((self.entries, self.name))
-
-    def __repr__(self):
-        return f"Degree({self.entries!r}, name={self.name!r})"
+    def identity(self) -> tuple:
+        return self.entries, self.name
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -317,29 +334,17 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-class MomentVector:
+class MomentVector(Record):
     """Moments of ends 2..n; the moment of end 1 is forced by Menelaus.
 
-    Immutable, and equal and hashed by its values.
+    Equal and hashed by its values.
     """
 
     def __init__(self, values: Iterable):
-        object.__setattr__(self, "values",
-                           tuple(as_fraction(v) for v in values))
+        self._set(values=tuple(as_fraction(v) for v in values))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MomentVector is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"MomentVector({self.values!r})"
+    def identity(self) -> tuple:
+        return (self.values,)
 
     @property
     def implied_first(self) -> Fraction:

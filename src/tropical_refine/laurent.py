@@ -16,10 +16,12 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import NonPositive, NotDivisible
+from .lattice import Record
 
 
-class HalfLaurent:
-    """Immutable sparse Laurent polynomial in w = q^(1/2) over Z."""
+class HalfLaurent(Record):
+    """Immutable sparse Laurent polynomial in w = q^(1/2) over Z. A `Record`
+    for the guards; a constant equals, and hashes as, its int."""
 
     __slots__ = ("_c",)
 
@@ -32,18 +34,15 @@ class HalfLaurent:
         for k, c in coeffs.items():
             if type(k) is not int or type(c) is not int:
                 raise TypeError("exponents and coefficients must be integers")
-        object.__setattr__(self, "_c", {k: c for k, c in coeffs.items() if c})
+        self._set(_c={k: c for k, c in coeffs.items() if c})
 
     @classmethod
     def _of(cls, coeffs: dict[int, int]) -> "HalfLaurent":
         """An arithmetic result, whose keys and coefficients are ints by
         construction: only its zero coefficients are dropped."""
         self = object.__new__(cls)
-        object.__setattr__(self, "_c", {k: c for k, c in coeffs.items() if c})
+        self._set(_c={k: c for k, c in coeffs.items() if c})
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfLaurent is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -159,6 +158,8 @@ class HalfLaurent:
         """
         if type(den) is int:
             den = HalfLaurent(den)
+        elif not isinstance(den, HalfLaurent):
+            raise TypeError(f"cannot divide a HalfLaurent by {den!r}")
         if not den:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:

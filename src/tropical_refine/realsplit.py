@@ -30,15 +30,20 @@ split with every weight-2 end cut at its adjacent vertex is the maximal one;
 it is the only splitting without flat vertices, and its quadrivalent
 vertices are where the quantum-index arithmetic below happens.
 
+m'/4 (see `m_prime`) of a curve with n = m - s ends and k quadrivalent
+vertices is its refined multiplicity times (w - 1/w)^(n-2) / (q - 1/q)^k,
+so sum m'/4 = R is `r_from_n`'s formula once every k is s: it checks that
+condition, not N.
+
 A RealSplit stores only what defines it: the base curve, the cut points at
 vertices and inside edges, and the split edges. Its nodes, quadrivalent
 vertices and flat nodes are read off the edges on first use.
 
 `SplitEdge` is a `NamedTuple`; `WeightedPlaneParam` and `RealSplit` are
-small immutable classes, because they cache derived structure on the
-instance. Neither kind needs the standard library's record decorator, whose
-import (`inspect`, `ast`, `dis`) and per-class code generation would add
-close to 20 ms to every cold `realize` command.
+`lattice.Record`s, because they cache derived structure on the instance.
+Neither kind needs the standard library's record decorator, whose import
+(`inspect`, `ast`, `dis`) and per-class code generation would add close to
+20 ms to every cold `realize` command.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (FlatVertex, InadmissibleSet, MultipleDivisors,
                      OddQuadMultiplicity, OutOfRange, TropicalError)
-from .lattice import Vec, as_fraction, lattice_length, primitive, wedge
+from .lattice import (Record, Vec, as_fraction, lattice_length, primitive,
+                      wedge)
 from .laurent import HalfLaurent, w_pow_minus_inverse
 
 if TYPE_CHECKING:
@@ -69,14 +75,15 @@ def _is_even(v: Vec) -> bool:
     return v.x % 2 == 0 and v.y % 2 == 0
 
 
-class WeightedPlaneParam:
+class WeightedPlaneParam(Record):
     """A parametrized plane curve with end weights 1 or 2.
 
     Wraps a combinatorial type (whose leaf directions may be non-primitive)
     together with optional exact bounded-edge lengths. Purely combinatorial
     instances (lengths None) support every splitting operation; metric data,
     when present, is carried through splits and quotients. Lengths are exact
-    rationals: a float raises TypeError.
+    rationals: a float raises TypeError. Equal and hashed by the edge set,
+    the leaf directions and the lengths, whatever the order of the edges.
     """
 
     def __init__(self, tree: CombinatorialType,
@@ -94,11 +101,12 @@ class WeightedPlaneParam:
             lengths = {_key(e): as_fraction(v) for e, v in lengths.items()}
             if any(v <= 0 for v in lengths.values()):
                 raise ValueError("edge lengths must be positive")
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "lengths", lengths)
+        self._set(tree=tree, lengths=lengths)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedPlaneParam is immutable")
+    def identity(self) -> tuple:
+        return (frozenset(map(_key, self.tree.edges)), self.tree.leaf_dirs,
+                None if self.lengths is None
+                else frozenset(self.lengths.items()))
 
     def __repr__(self):
         return f"WeightedPlaneParam({self.tree!r}, {self.lengths!r})"
@@ -152,21 +160,6 @@ class WeightedPlaneParam:
     def edge_length(self, e: EdgeKey) -> Fraction | None:
         return None if self.lengths is None else self.lengths[_key(e)]
 
-    def normalized(self):
-        """Order-independent content, for equality checks across round trips."""
-        return (frozenset(_key(e) for e in self.tree.edges),
-                self.tree.leaf_dirs,
-                None if self.lengths is None else dict(self.lengths))
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightedPlaneParam):
-            return NotImplemented
-        return self.normalized() == other.normalized()
-
-    def __hash__(self):
-        edges, dirs, lens = self.normalized()
-        return hash((edges, dirs, None if lens is None else frozenset(lens.items())))
-
 
 def gamma_even(base: WeightedPlaneParam) -> frozenset[EdgeKey]:
     """Minimal even subgraph: the weight-2 end edges closed under the
@@ -219,36 +212,23 @@ class SplitEdge(NamedTuple):
     image: EdgeKey
 
 
-class RealSplit:
+class RealSplit(Record):
     """A symmetric model of a weighted curve: two copies glued along the
     part fixed by the involution sigma.
 
-    Immutable, and equal and hashed by its four fields; the nodes and the
-    special vertices are read off the edges once.
+    Equal and hashed by its four fields; the nodes and the special vertices
+    are read off the edges once.
     """
 
     def __init__(self, base: WeightedPlaneParam,
                  vertex_points: tuple[int, ...],
                  edge_points: tuple[tuple[EdgeKey, Fraction], ...],
                  edges: tuple[SplitEdge, ...]):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "vertex_points", vertex_points)
-        object.__setattr__(self, "edge_points", edge_points)
-        object.__setattr__(self, "edges", edges)
+        self._set(base=base, vertex_points=vertex_points,
+                  edge_points=edge_points, edges=edges)
 
-    def _state(self) -> tuple:
-        return (self.base, self.vertex_points, self.edge_points, self.edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealSplit is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._state() == other._state()
-
-    def __hash__(self):
-        return hash(self._state())
+    def identity(self) -> tuple:
+        return self.base, self.vertex_points, self.edge_points, self.edges
 
     def __repr__(self):
         return (f"RealSplit(quad_vertices={self.quad_vertices!r}, "
@@ -421,10 +401,11 @@ def build_split(base: WeightedPlaneParam,
 def quotient_curve(split: RealSplit) -> WeightedPlaneParam:
     """Quotient by the involution; inverse of build_split.
 
-    The pieces of each base edge, without their "-" copies, must chain from
-    one end of it to the other; doubled pieces get their lengths halved and
-    slopes doubled, and the subdivision points are smoothed away. The result
-    reuses the base node ids, so equality with the original is literal.
+    Every piece's image must be a base edge, and the pieces of each base
+    edge, without their "-" copies, must chain from one end of it to the
+    other; doubled pieces get their lengths halved and slopes doubled, and
+    the subdivision points are smoothed away. The result reuses the base
+    node ids, so equality with the original is literal.
     """
     from .trees import CombinatorialType
 
@@ -441,9 +422,13 @@ def quotient_curve(split: RealSplit) -> WeightedPlaneParam:
         pieces.setdefault(e.image, []).append((e.a[1], e.b[1], slope, length))
 
     base_tree = split.base.tree
-    missing = sorted({_key(e) for e in base_tree.edges} - pieces.keys())
+    base_edges = set(map(_key, base_tree.edges))
+    missing = sorted(base_edges - pieces.keys())
     if missing:
         raise TropicalError(f"no pieces for base edges {missing}")
+    foreign = sorted(pieces.keys() - base_edges)
+    if foreign:
+        raise TropicalError(f"pieces of {foreign}, which are not base edges")
     n = base_tree.n
     metric = split.base.lengths is not None
     edges = []

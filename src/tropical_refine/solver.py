@@ -38,9 +38,10 @@ All arithmetic is exact; a curve is accepted only when every edge length is
 strictly positive. A length of exactly zero means the constraint sits on a
 wall of the moment cone and callers must resample.
 
-A curve is a `NamedTuple`, like the package's other plain records, which
-keeps the cold start of every CLI command free of the standard library's
-record decorator and the `inspect`, `ast` and `dis` imports it brings.
+A curve is a `NamedTuple`, like the package's other plain records (those
+that cache derived structure are `lattice.Record`s), which keeps the cold
+start of every CLI command free of the standard library's record decorator
+and the `inspect`, `ast` and `dis` imports it brings.
 """
 
 from __future__ import annotations
@@ -426,21 +427,23 @@ def _curve(delta: Degree, mu: MomentVector, chosen: dict[int, tuple],
            scale_mu: int) -> tuple[tuple[int, ...], TropicalSolution]:
     """The solution whose vertices are the chosen splits S -> (A, B), keyed
     by its position in enumerate_types order. Each vertex's multiplicity is
-    its split's |d| and its position is where L_A and L_B meet, so the tree
-    is needed only for its vertex ids."""
+    its split's |d| and its position is where L_A and L_B meet. Its id is
+    n + low(B) - 2, with low(B) the lowest end of B: enumerate_types made it
+    inserting end low(B) (the star's centre n takes end 2), and every end
+    inserted later is higher."""
     sx, sy = table.sx, table.sy
     common = scale_mu * table.scale
     parent = {}
     for mask, (a, b) in chosen.items():
         parent[a] = parent[b] = mask
-    order, ctype, top = type_from_clades(delta.entries, parent)
+    order, ctype = type_from_clades(delta.entries, parent)
     n = ctype.n
     mults, points = [0] * (n - 2), [(0, 0)] * (n - 2)
-    for mask, (a, b) in chosen.items():
+    for a, b in chosen.values():
         d = sx[a] * sy[b] - sy[a] * sx[b]
         f = table.scale // d
         ma, mb = moment[a], moment[b]
-        i = top[mask] - n
+        i = (b & -b).bit_length() - 3
         mults[i] = abs(d)
         points[i] = ((ma * sx[b] - sx[a] * mb) * f,
                      (ma * sy[b] - sy[a] * mb) * f)

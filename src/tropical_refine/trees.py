@@ -22,34 +22,22 @@ import functools
 from typing import Iterator
 
 from .errors import TooFewEnds, TropicalError
-from .lattice import Degree, Vec
+from .lattice import Degree, Record, Vec
 
 
-class CombinatorialType:
+class CombinatorialType(Record):
     """A trivalent tree with labeled leaves carrying end directions.
 
-    Immutable, and equal and hashed by (leaf_dirs, edges); the derived
-    structure below is computed once per tree and cached on it.
+    Equal and hashed by (leaf_dirs, edges); the derived structure below is
+    computed once per tree and cached on it.
     """
 
     def __init__(self, leaf_dirs: tuple[Vec, ...],
                  edges: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "leaf_dirs", leaf_dirs)
-        object.__setattr__(self, "edges", edges)
+        self._set(leaf_dirs=leaf_dirs, edges=edges)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CombinatorialType is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.leaf_dirs == other.leaf_dirs and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.leaf_dirs, self.edges))
-
-    def __repr__(self):
-        return f"CombinatorialType({self.leaf_dirs!r}, {self.edges!r})"
+    def identity(self) -> tuple:
+        return self.leaf_dirs, self.edges
 
     @property
     def n(self) -> int:
@@ -218,8 +206,8 @@ def enumerate_types(delta: Degree) -> Iterator[CombinatorialType]:
 
 def type_from_clades(
         dirs: tuple[Vec, ...], parent: dict[int, int]
-) -> tuple[tuple[int, ...], CombinatorialType, dict[int, int]]:
-    """The enumerated type of a tree given by its clades, with its vertex ids.
+) -> tuple[tuple[int, ...], CombinatorialType]:
+    """The enumerated type of a tree given by its clades.
 
     Hanging the tree from leaf 0, every edge cuts off a clade: the set of
     leaves on its far side, as a bitmask over leaves 1..n-1. `parent` maps
@@ -230,8 +218,7 @@ def type_from_clades(
     enumerate_types yields for this tree.
 
     Returns the insertion indices (the tree's position in enumeration order
-    is the lexicographic order of these tuples), the CombinatorialType, and
-    the internal vertex at the top of each clade of two or more leaves.
+    is the lexicographic order of these tuples) and the CombinatorialType.
     """
     n = len(dirs)
     edges = [(0, n), (1, n), (2, n)]
@@ -265,5 +252,4 @@ def type_from_clades(
         edges.append((w, leaf))
         far.append(leaf)
         clades.append(bit)
-    top = {c: f for c, f in zip(clades, far) if f >= n}
-    return tuple(inserted_at), CombinatorialType(dirs, tuple(edges)), top
+    return tuple(inserted_at), CombinatorialType(dirs, tuple(edges))

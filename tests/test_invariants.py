@@ -15,9 +15,10 @@ from tropical_refine import (Degree, ExhaustedRetries, HalfLaurent,
                              build_delta_s, delta_d, enumerate_types,
                              evaluation_matrix, invariance_audit,
                              invariants, lattice_length, m_prime,
-                             maximal_split, q_analog, r_from_n,
+                             maximal_split, polygon_of, q_analog, r_from_n,
                              random_generic_moments, refined_count,
-                             sample_trial, w_pow_minus_inverse, wedge)
+                             sample_trial, split_even_ends,
+                             w_pow_minus_inverse, wedge)
 from tropical_refine.invariants import moment_from_draw, refined_count_brute
 
 W_MINUS = w_pow_minus_inverse(1)   # q^(1/2) - q^(-1/2)
@@ -631,3 +632,50 @@ def test_audit_properties_beyond_brute_force(delta_s):
             split = maximal_split(WeightedPlaneParam.from_solution(sol))
             total = total + m_prime(split, sol.ctype.multiplicities())
         assert total.exact_div(HalfLaurent(4)) == r_from_n(record.n_trop, m, s)
+
+
+def crossing_weight(sol) -> int:
+    """Sum of |wedge(u_e, u_f)| over the transversal crossings of two edges
+    e, f of the curve, interior to both, with u the weighted slopes; an end
+    is a ray from its vertex. Exact: positions are Fractions."""
+    ctype, pos = sol.ctype, sol.positions()
+    pieces = []         # (start, displacement, weighted slope, is a ray)
+    for u, v in ctype.edges:
+        if u < ctype.n:
+            u, v = v, u
+        slope = ctype.slopes[(u, v)]
+        (px, py) = start = pos[u]
+        if v < ctype.n:
+            pieces.append((start, slope, slope, True))
+        else:
+            qx, qy = pos[v]
+            pieces.append((start, (qx - px, qy - py), slope, False))
+    total = 0
+    for (p, d, u, ray_e), (q, e, w, ray_f) in itertools.combinations(pieces,
+                                                                     2):
+        det = wedge(d, e)
+        if det:
+            gap = (q[0] - p[0], q[1] - p[1])
+            t, r = wedge(gap, e) / det, wedge(gap, d) / det
+            if 0 < t and (ray_e or t < 1) and 0 < r and (ray_f or r < 1):
+                total += abs(wedge(u, w))
+    return total
+
+
+@pytest.mark.parametrize("delta_s", [
+    delta_d(3), build_delta_s(delta_d(3), Vec(-1, 0), 1),
+    build_delta_s(delta_d(4), Vec(-1, 0), 1), delta_d(4)],
+    ids=["delta_3", "delta_3_s1", "delta_4_s1", "delta_4"])
+def test_every_curve_keeps_the_pick_identity(delta_s):
+    # sum over vertices of (m_v - 1), plus twice the crossing weight, is
+    # 2i + s for every curve, with i the interior points of the polygon
+    # (Pick: 2i = 2 area - b + 2, and the b boundary points are n + s)
+    _, s = split_even_ends(delta_s)
+    two_i = polygon_of(delta_s).area2() - (len(delta_s) + s) + 2
+    for seed in (1, 2):
+        record = sample_trial(delta_s, seed)
+        for sol in record.solutions:
+            assert (sum(m - 1 for m in sol.mults) + 2 * crossing_weight(sol)
+                    == two_i + s), sol
+        # so no curve's refined multiplicity reaches past q^((2i + s)/2)
+        assert max(record.n_trop.support()) <= two_i + s

@@ -71,9 +71,10 @@ def test_constants_equal_and_hash_as_their_int(c):
 
 def test_only_ints_mix_with_polynomials():
     assert 5 - HalfLaurent(2) == HalfLaurent(3)
-    for other in ({}, {0: 2}, 1.0, "2"):
+    for other in ({}, {0: 2}, 1.0, "2", Fraction(2), True):
         for op in (lambda p: p + other, lambda p: other + p,
-                   lambda p: p - other, lambda p: other - p):
+                   lambda p: p - other, lambda p: other - p,
+                   lambda p: p.exact_div(other)):
             with pytest.raises(TypeError):
                 op(HalfLaurent(2))
 

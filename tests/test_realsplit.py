@@ -653,6 +653,18 @@ def test_quotient_names_base_edges_without_pieces():
         quotient_curve(hand_built)
 
 
+def test_quotient_names_pieces_off_the_base_edges():
+    # a piece whose ends match its image, but whose image is no base edge
+    base = WeightedPlaneParam(closure_tree(), {(4, 5): Fraction(7, 2)})
+    split = build_split(base, [((4, 5), Fraction(1))])
+    foreign = split.edges[0]._replace(b=("f", 9), image=(0, 9))
+    hand_built = RealSplit(base, split.vertex_points, split.edge_points,
+                           split.edges + (foreign,))
+    with pytest.raises(TropicalError,
+                       match=r"pieces of \[\(0, 9\)\], which are not base"):
+        quotient_curve(hand_built)
+
+
 def test_trivalent_quantum_index():
     assert trivalent_quantum_index(Vec(1, 0), Vec(0, 1)) == (
         Fraction(1, 2), Fraction(-1, 2))

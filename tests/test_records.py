@@ -1,12 +1,13 @@
-"""The contract every record type keeps: immutable fields, value equality,
-and a hash wherever all the fields are hashable."""
+"""The contract every record type keeps: immutable fields, which can be
+neither set nor deleted, value equality, and a hash wherever all the fields
+are hashable."""
 
 import pytest
 
-from tropical_refine import (Degree, MomentVector, Vec, WeightedPlaneParam,
-                             build_delta_s, delta_d, enumerate_types,
-                             invariance_audit, maximal_split, polygon_of,
-                             sample_trial, solver)
+from tropical_refine import (Degree, HalfLaurent, MomentVector, Vec,
+                             WeightedPlaneParam, build_delta_s, delta_d,
+                             enumerate_types, invariance_audit, maximal_split,
+                             polygon_of, sample_trial, solver)
 
 CONIC_MERGED = build_delta_s(delta_d(2), Vec(-1, 0), 1)
 
@@ -18,6 +19,13 @@ def _merged_conic_curve():
 def _split():
     return maximal_split(WeightedPlaneParam.from_solution(
         _merged_conic_curve()))
+
+
+def _fields(record) -> tuple[str, ...]:
+    """A NamedTuple's fields, or every attribute a record holds itself."""
+    if isinstance(record, tuple):
+        return record._fields
+    return tuple(getattr(record, "__dict__", ())) or type(record).__slots__
 
 
 # (record type, a fresh instance, a field, hashable)
@@ -36,6 +44,7 @@ RECORDS = [
      "lengths", True),
     ("SplitEdge", lambda: _split().edges[0], "slope", True),
     ("RealSplit", _split, "quad_vertices", True),
+    ("HalfLaurent", lambda: HalfLaurent({1: 1, -1: 1}), "_c", True),
 ]
 
 
@@ -46,6 +55,9 @@ def test_records_are_immutable_values(name, make, field, hashable):
     assert type(record).__name__ == name
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
+    for name in {field, *_fields(record)}:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
     with pytest.raises(AttributeError):
         record.extra = None
     assert record == twin and record is not twin

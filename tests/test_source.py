@@ -57,6 +57,32 @@ def test_every_export_exists_once():
         tropical_refine.no_such_name
 
 
+CONTRACT = ("__setattr__", "__delattr__", "__eq__", "__hash__")
+
+
+def test_the_record_contract_is_written_once():
+    # the guards, equality and hash of every record live in lattice.Record;
+    # HalfLaurent alone keeps its own equality, under which a constant
+    # polynomial equals its int
+    found = {name: [] for name in CONTRACT}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                names = ([stmt.name] if isinstance(stmt, ast.FunctionDef)
+                         else [t.id for t in getattr(stmt, "targets", ())
+                               if isinstance(t, ast.Name)])
+                for name in set(names) & found.keys():
+                    found[name].append(f"{path.name}:{cls.name}")
+    assert found == {"__setattr__": ["lattice.py:Record"],
+                     "__delattr__": ["lattice.py:Record"],
+                     "__eq__": ["lattice.py:Record", "laurent.py:HalfLaurent"],
+                     "__hash__": ["lattice.py:Record",
+                                  "laurent.py:HalfLaurent"]}
+
+
 def _fresh_load(code: str) -> set[str]:
     """The modules a fresh interpreter loads to run code; those it held
     before (the ones `site` imports) do not count."""

@@ -127,9 +127,15 @@ def test_type_from_clades_replays_enumeration(n):
     previous = None
     for t in enumerate_types(generic_degree(n)):
         parent, top = clade_parents(t)
-        order, rebuilt, rebuilt_top = type_from_clades(t.leaf_dirs, parent)
+        order, rebuilt = type_from_clades(t.leaf_dirs, parent)
         assert rebuilt == t
-        assert rebuilt_top == top
+        # the vertex of clade S = A | B, A holding S's lowest leaf, is
+        # n + low(B) - 2: the vertex that inserting leaf low(B) made
+        for clade, v in top.items():
+            low = clade & -clade
+            b = next(k for k, p in parent.items()
+                     if p == clade and not k & low)
+            assert v == n + (b & -b).bit_length() - 3
         assert previous is None or order > previous
         previous = order
 
