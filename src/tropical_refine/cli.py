@@ -1,25 +1,25 @@
-"""Command-line front end.
+"""Command-line front end: five subcommands, each with only the flags it reads.
 
-Five subcommands over one shared flag grammar:
-
-    tropical-refine <enumerate|invariant|quantum|realize|plot>
-        --degree <path|inline> [--s N] [--n1 x,y] [--moments a/b,...]
-        [--seed N] [--trials N] [--out PATH] [--format json|text|svg]
+    tropical-refine enumerate|realize|plot --degree D [--s N] [--n1 x,y]
+        [--moments a/b,... | --seed N] [--out PATH] [--format json|text|svg]
+    tropical-refine invariant --degree D [--s N] [--n1 x,y] [--seed N]
+        [--trials N] [--out PATH] [--format json|text]
+    tropical-refine quantum --m1 N [--delta N] [--out PATH] [--format json|text]
 
 `enumerate` counts the curves through one moment constraint and lists each
 with its type, root and multiplicities, `invariant` runs the multi-seed
 invariance audit and reports N, R and the Broccoli normalization, `quantum`
-tabulates quadrivalent quantum-index data (it takes --m1 and --delta instead
-of a curve count), `realize` computes the maximal splitting and first-order
-real multiplicity of every solution, and `plot` is `enumerate` with an SVG
-default.
+tabulates quadrivalent quantum-index data, `realize` computes the maximal
+splitting and first-order real multiplicity of every solution (as json or
+text only), and `plot` is `enumerate` with an SVG default. `--n1` needs
+`--s` >= 1.
 
 Degrees are read from a JSON file ({"entries": [[x, y], ...]}), an inline
 JSON literal, or the compact form "x,y;x,y;...". Moments are exact rationals;
 either n-1 values (the first end's moment is implied) or all n (checked to
 sum to zero). All JSON and SVG output is deterministic byte for byte:
 identical invocations produce identical files. Fatal mathematical conditions
-print a one-line error JSON to stdout and exit 1.
+and usage errors print a one-line error JSON to stdout and exit 1.
 
 Each command imports only the modules it runs. Loading this module loads
 `errors`, `lattice` and `laurent`; `quantum` adds `realsplit`; `enumerate`
@@ -85,6 +85,9 @@ def default_n1(delta: Degree, s: int) -> Vec:
 
 
 def resolve_degree(args: argparse.Namespace) -> Degree:
+    if args.n1 is not None and args.s < 1:
+        raise TropicalError("--n1 picks the direction of the --s pairs; "
+                            "it needs --s >= 1")
     delta = load_degree(args.degree)
     if args.s == 0:
         return delta
@@ -193,8 +196,6 @@ def run_quantum(args: argparse.Namespace) -> tuple[dict, str]:
     from .realsplit import (c_k_values, coamoeba_area, quad_indices,
                             quad_refined_sum)
 
-    if args.m1 is None:
-        raise TropicalError("quantum needs --m1 (and optionally --delta)")
     m1, delta = args.m1, args.delta
     indices = quad_indices(m1, delta)
     refined = quad_refined_sum(m1, delta)
@@ -294,33 +295,43 @@ def render_solutions_svg(args: argparse.Namespace) -> str:
     return render_svg(sols, polygon_of(delta_s))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a usage error is one error line too
+        raise TropicalError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropical-refine",
         description="Refined tropical curve counts and their real forms.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _RUNNERS:
         p = sub.add_parser(name)
-        p.add_argument("--degree", required=(name != "quantum"),
-                       help="degree JSON file, inline JSON, or 'x,y;x,y;...'")
-        p.add_argument("--s", type=int, default=0,
-                       help="number of end pairs to merge into weight-2 ends")
-        p.add_argument("--n1", default=None,
-                       help="direction 'x,y' of the ends merged by --s")
-        p.add_argument("--moments", default=None,
-                       help="comma-separated rationals, n-1 or n of them")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for generated moments")
-        p.add_argument("--trials", type=int, default=5,
-                       help="constraint draws for the invariance audit")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=FORMATS,
-                       default="svg" if name == "plot" else "json")
         if name == "quantum":
-            p.add_argument("--m1", type=int, default=None,
+            p.add_argument("--m1", type=int, required=True,
                            help="first normal-form multiplicity of the vertex")
             p.add_argument("--delta", type=int, default=1,
                            help="index step of the vertex (default 1)")
+        else:
+            p.add_argument("--degree", required=True,
+                           help="degree JSON file, inline JSON, or 'x,y;x,y;...'")
+            p.add_argument("--s", type=int, default=0,
+                           help="number of end pairs to merge into weight-2 ends")
+            p.add_argument("--n1", help="direction 'x,y' of the ends merged by --s")
+            if name == "invariant":
+                p.add_argument("--trials", type=int, default=5,
+                               help="constraint draws for the invariance audit")
+                draw = p
+            else:
+                draw = p.add_mutually_exclusive_group()
+                draw.add_argument("--moments",
+                                  help="comma-separated rationals, n-1 or n of them")
+            draw.add_argument("--seed", type=int, default=0,
+                              help="seed for generated moments")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--format", default="svg" if name == "plot" else "json",
+                       choices=FORMATS if name in ("enumerate", "plot")
+                       else FORMATS[:2])
     return parser
 
 
@@ -333,12 +344,9 @@ def _write(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.format == "svg":
-            if args.command in ("invariant", "quantum"):
-                raise TropicalError(
-                    f"{args.command} has no curve picture; use json or text")
             text = render_solutions_svg(args)
         else:
             payload, rendered = _RUNNERS[args.command](args)

@@ -324,9 +324,9 @@ def normals_of(poly: LatticePolygon) -> Degree:
 
 
 def as_fraction(value) -> Fraction:
-    """Accept Fraction, int, or a 'p/q' string; a zero denominator raises
-    ValueError."""
-    if isinstance(value, (Fraction, int, str)):
+    """Accept Fraction, int (not bool), or a 'p/q' string; a zero
+    denominator raises ValueError."""
+    if isinstance(value, (Fraction, int, str)) and type(value) is not bool:
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -47,14 +47,14 @@ class HalfLaurent(Record):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def monomial(cls, half_exp: int, coeff: int = 1) -> "HalfLaurent":
-        """coeff * q^(half_exp / 2)."""
-        return cls({half_exp: coeff})
+    def monomial(cls, half_exp: int) -> "HalfLaurent":
+        """q^(half_exp / 2)."""
+        return cls({half_exp: 1})
 
     @classmethod
-    def q_power(cls, exp: int, coeff: int = 1) -> "HalfLaurent":
-        """coeff * q^exp for a whole exponent."""
-        return cls({2 * exp: coeff})
+    def q_power(cls, exp: int) -> "HalfLaurent":
+        """q^exp for a whole exponent."""
+        return cls({2 * exp: 1})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "HalfLaurent":
@@ -137,7 +137,7 @@ class HalfLaurent(Record):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("only nonnegative integer powers")
         out = HalfLaurent(1)
         base = self

@@ -1,5 +1,6 @@
 """The tropical-refine command line: grammar, formats, schemas, determinism."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -16,8 +17,8 @@ import tropical_refine
 from tropical_refine import (Degree, MenelausViolation, TropicalError, Vec,
                              polygon_of, random_generic_moments,
                              refined_count)
-from tropical_refine.cli import (default_n1, load_degree, main, parse_moments,
-                                 parse_vec)
+from tropical_refine.cli import (build_parser, default_n1, load_degree, main,
+                                 parse_moments, parse_vec)
 from tropical_refine.lattice import frac_str
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -348,6 +349,66 @@ def test_error_invariant_has_no_svg(capsys):
                         "--format", "svg"], "TropicalError")
     error_case(capsys, ["quantum", "--m1", "2", "--format", "svg"],
                "TropicalError")
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    counted = ("--degree", "--s", "--n1")
+    grammar = {name: ({o for a in p._actions for o in a.option_strings
+                       if o not in ("-h", "--help")},
+                      next(a.choices for a in p._actions
+                           if "--format" in a.option_strings))
+               for name, p in commands.choices.items()}
+    drawn = {*counted, "--moments", "--seed", "--out", "--format"}
+    assert grammar == {
+        "enumerate": (drawn, ("json", "text", "svg")),
+        "realize": (drawn, ("json", "text")),
+        "plot": (drawn, ("json", "text", "svg")),
+        "invariant": ({*counted, "--seed", "--trials", "--out", "--format"},
+                      ("json", "text")),
+        "quantum": ({"--m1", "--delta", "--out", "--format"},
+                    ("json", "text")),
+    }
+    assert sum(len(flags) for flags, _ in grammar.values()) == 32
+    assert sum(len(formats) for _, formats in grammar.values()) == 12
+
+
+QUANTUM = ["quantum", "--m1", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant", f"--degree={TRIANGLE}", "--moments", "3,2"],
+    *([*QUANTUM, flag, value] for flag, value in (
+        ("--degree", TRIANGLE), ("--s", "1"), ("--n1", "1,0"),
+        ("--moments", "3,2"), ("--seed", "4"), ("--trials", "2"))),
+    *([command, f"--degree={TRIANGLE}", "--trials", "2"]
+      for command in ("enumerate", "realize", "plot")),
+    ["enumerate", f"--degree={TRIANGLE}", "--moments", "3,2", "--seed", "9"],
+    ["realize", f"--degree={CONIC}", "--n1=-1,0"],
+    ["realize", f"--degree={CONIC}", "--s", "0", "--n1=-1,0"],
+    ["realize", f"--degree={TRIANGLE}", "--moments", "3,2", "--format", "svg"],
+    ["quantum"],
+    ["invariant", f"--degree={TRIANGLE}", "--format", "svg"],
+    ["enumerate", "--moments", "3,2"],
+    ["enumerate", f"--degree={TRIANGLE}", "--bogus"],
+    ["enumerate", f"--degree={TRIANGLE}", "--seed=x"],
+], ids=["invariant-moments", "quantum-degree", "quantum-s", "quantum-n1",
+        "quantum-moments", "quantum-seed", "quantum-trials",
+        "enumerate-trials", "realize-trials", "plot-trials",
+        "moments-and-seed", "n1-without-s", "n1-with-s0", "realize-svg",
+        "quantum-without-m1", "invariant-svg", "missing-degree",
+        "unknown-flag", "malformed-seed"])
+def test_usage_errors_are_one_error_line(capsys, count_solves, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    (line,) = captured.out.splitlines()
+    payload = json.loads(line)
+    jsonschema.validate(payload, schema("error"))
+    assert payload["error"] == "TropicalError"
+    # refused before any count runs
+    assert (count_solves["solves"], count_solves["draws"]) == (0, 0)
 
 
 @pytest.mark.parametrize("command", ["invariant", "realize"])

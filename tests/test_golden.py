@@ -2,10 +2,11 @@
 
 Every seeded output of `enumerate`, `realize` and `invariant` (json and
 text) and of `plot` (svg and json), at seeds 0-5 on the six benchmark
-degrees, plus `quantum` tables and the error lines of malformed input, is
-hashed to one SHA-256 per (case, command, format) and compared against
-`golden.json`. A change that keeps every output byte the same keeps this
-test green. After a deliberate output change, rebuild the table with
+degrees, plus `quantum` tables and the error lines of malformed input and
+of usage errors, is hashed to one SHA-256 per (case, command, format) and
+compared against `golden.json`. A change that keeps every output byte the
+same keeps this test green. After a deliberate output change, rebuild the
+table with
 
     PYTHONPATH=src python3 tests/test_golden.py > tests/golden.json
 """
@@ -47,6 +48,11 @@ ERRORS = {
     "degree_float": ["realize", "--degree", "[[1.0,0],[0,1],[-1,-1]]"],
     "zero_denominator": ["enumerate", "--degree=-1,0;0,-1;1,1",
                          "--moments=1/0,2"],
+    "flag_not_read": ["quantum", "--m1", "2", "--seed", "4"],
+    "moments_and_seed": ["enumerate", "--degree=-1,0;0,-1;1,1",
+                         "--moments", "3,2", "--seed", "9"],
+    "n1_without_s": ["realize", "--degree=-1,0;-1,0;0,-1;0,-1;1,1;1,1",
+                     "--n1=-1,0"],
 }
 
 

@@ -237,7 +237,7 @@ def test_audit_divides_once(conic_merged, count_divisions):
 
 def test_theorem_factors_are_their_definitions():
     w = HalfLaurent.monomial
-    assert invariants.W_MINUS == w(1) + w(-1, -1)
+    assert invariants.W_MINUS == w(1) - w(-1)
     assert invariants.W_PLUS == w(1) + w(-1)
     assert invariants.Q_PLUS == HalfLaurent.q_power(1) + HalfLaurent.q_power(-1)
 

@@ -14,6 +14,7 @@ from tropical_refine import (Degree, DegenerateDegree, InsufficientMultiplicity,
                              delta_d, frac_str, lattice_length, menelaus_sum,
                              normals_of, polygon_of, primitive, rot90,
                              split_even_ends, wedge)
+from tropical_refine.lattice import as_fraction
 
 vecs = st.builds(Vec, st.integers(-50, 50), st.integers(-50, 50))
 nonzero_vecs = vecs.filter(lambda v: v != (0, 0))
@@ -103,6 +104,16 @@ def test_degree_entries_reject_bools_and_floats(bad):
         Degree.from_json({"entries": [bad, *others]})
     with pytest.raises(TypeError, match="integer coordinates"):
         Vec(*bad)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_moments_reject_bools(flag):
+    # a bool is not a rational here, as it is no coordinate in Vec:
+    # MomentVector([True, 2]) would hold the moments 1 and 2
+    for take in (as_fraction, frac_str, lambda v: MomentVector([v, 2]),
+                 lambda v: menelaus_sum([v, 1, -1], delta_d(1))):
+        with pytest.raises(TypeError, match="exact rational"):
+            take(flag)
 
 
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),

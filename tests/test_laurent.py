@@ -44,6 +44,10 @@ def test_bools_do_not_mix_with_polynomials():
             op(HalfLaurent(2))
     assert HalfLaurent(1) != True  # noqa: E712
     assert HalfLaurent(1) == 1
+    # nor is a bool an exponent: HalfLaurent({2: 1}) ** True would be q
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="nonnegative integer powers"):
+            HalfLaurent({2: 1}) ** flag
 
 
 @pytest.mark.parametrize("pairs", [[[1.5, 1]], [[1, 2.0]], [["1", 1]],

@@ -132,6 +132,8 @@ def test_weighted_param_length_validation():
     # lengths are exact: Fraction(0.1) would be 3602879701896397/2**55
     with pytest.raises(TypeError):
         WeightedPlaneParam(tree, {(4, 5): 0.1})
+    with pytest.raises(TypeError):                  # nor is a bool a length
+        WeightedPlaneParam(tree, {(4, 5): True})
     with pytest.raises(ValueError, match="zero denominator"):
         WeightedPlaneParam(tree, {(4, 5): "1/0"})
     assert WeightedPlaneParam(tree, {(5, 4): 2}).edge_length((4, 5)) == 2
@@ -304,6 +306,8 @@ def test_inadmissible_cut_sets():
     # offsets are exact: a float is refused rather than expanded
     with pytest.raises(TypeError):
         build_split(metric, [((4, 5), 0.1)])
+    with pytest.raises(TypeError):
+        build_split(metric, [((4, 5), True)])
 
 
 def test_inadmissible_sets_name_the_first_failing_end():
