@@ -224,10 +224,6 @@ class InvariantReport(NamedTuple):
         return len(self.trial_records)
 
     @property
-    def seeds(self) -> tuple[int, ...]:
-        return tuple(t.seed for t in self.trial_records)
-
-    @property
     def solutions_per_trial(self) -> tuple[int, ...]:
         return tuple(len(t.solutions) for t in self.trial_records)
 

@@ -14,12 +14,15 @@ against.
 L_A and L_B meet, L_X = {p : wedge(n_X, p) = sum of the moments of X}, so
 its position depends on the split (A, B) alone, and the edge down to A has
 positive length exactly when A's own vertex lies further along n_A. A
-subset dynamic program over end sets, with each set's splits sorted by
-their position along n_S and suffix sums of curve counts, therefore counts
-all curves with one bisection per child and no linear algebra, and
-backtracking through the states that contribute rebuilds the curves
-themselves as the same objects, in the same order, that solving every
-enumerated type would give. A rebuilt curve stores its vertex
+subset dynamic program over end sets keeps one count per end set, of the
+subtrees below it with every length >= 0, and sorts each set's splits by
+their position along n_S, their key, with suffix sums of those counts: it
+counts with one bisection per child and no linear algebra. Backtracking
+takes only child splits strictly past their parent's key, so it finds
+exactly the curves with every length > 0; finding fewer than the count
+means some length is zero, a wall. Each curve found, as the tuple of its
+splits, is rebuilt as the same object, in the same order, that solving
+every enumerated type would give. A rebuilt curve stores its vertex
 multiplicities (each split's |d|) and vertex positions (where L_A and L_B
 meet, as integers over the count's common scale, reduced to the least one)
 and reads its edge lengths off those points, so weighing curves and
@@ -352,7 +355,8 @@ def solve_all(delta: Degree, mu: MomentVector) -> list[TropicalSolution]:
     Equal, solution for solution, to calling `solve` on every type from
     enumerate_types and keeping the accepted ones. Raises NonGenericMoments
     whenever that would (some non-flat type has all lengths >= 0 and one of
-    them zero), seen as a difference between the weak and strict counts.
+    them zero): the backtracking then finds fewer curves than the DP's >= 0
+    count, which is checked before any curve is rebuilt.
     """
     n = len(delta.entries)
     if n < 3:
@@ -364,82 +368,71 @@ def solve_all(delta: Degree, mu: MomentVector) -> list[TropicalSolution]:
     moment = _subset_sums([v.numerator * (scale_mu // v.denominator)
                            for v in full_mu])
     # per end set: its placed splits sorted by key, as tuples (key, A, B,
-    # along_a, along_b, strict, weak), where strict (weak) counts the
-    # subtrees hanging from the split with every length > 0 (>= 0); their
-    # keys; and the suffix sums of both counts
+    # along_a, along_b, count), count being the subtrees hanging from the
+    # split with every length >= 0; their keys; and suffix sums of counts
     placed_at, keys = [()] * (1 << n), [()] * (1 << n)
-    strict_from, weak_from = [(0,)] * (1 << n), [(0,)] * (1 << n)
+    count_from = [(0,)] * (1 << n)
     for mask, rows in table.splits:
         placed = []
         for a, b, c, fa, fb in rows:
             ma, mb = moment[a], moment[b]
             along_a = ma * c - mb * fa
             if a & (a - 1):
-                ks = keys[a]
-                weak = weak_from[a][bisect_left(ks, along_a)]
-                if not weak:
+                count = count_from[a][bisect_left(keys[a], along_a)]
+                if not count:
                     continue
-                strict = strict_from[a][bisect_right(ks, along_a)]
             else:
-                strict = weak = 1
+                count = 1
             along_b = ma * fb - mb * c
             if b & (b - 1):
-                ks = keys[b]
-                weak_b = weak_from[b][bisect_left(ks, along_b)]
-                if not weak_b:
+                count *= count_from[b][bisect_left(keys[b], along_b)]
+                if not count:
                     continue
-                weak *= weak_b
-                strict *= strict_from[b][bisect_right(ks, along_b)]
-            placed.append((along_a + along_b, a, b, along_a, along_b, strict,
-                           weak))
+            placed.append((along_a + along_b, a, b, along_a, along_b, count))
         if placed:
             placed.sort()
             placed_at[mask] = placed
-            keys[mask], _, _, _, _, strict, weak = zip(*placed)
-            strict_from[mask] = _suffix_sums(strict)
-            weak_from[mask] = _suffix_sums(weak)
-    full = (1 << n) - 2
-    if strict_from[full][0] != weak_from[full][0]:
-        raise NonGenericMoments("an edge length vanishes; resample moments")
+            keys[mask], _, _, _, _, count = zip(*placed)
+            count_from[mask] = _suffix_sums(count)
 
-    def subtrees(mask: int, start: int) -> list[dict[int, tuple[int, int]]]:
+    def subtrees(mask: int, start: int) -> list[tuple[tuple[int, int], ...]]:
+        """The split tuples of the subtrees below `mask` whose top split is
+        placed at `start` or later and whose every split lies strictly past
+        its parent's key: the subtrees with every length > 0."""
         if mask & (mask - 1) == 0:
-            return [{}]
-        strict = strict_from[mask]
+            return [()]
         out = []
-        for j in range(start, len(placed_at[mask])):
-            if strict[j] == strict[j + 1]:
-                continue
-            _, a, b, along_a, along_b, _, _ = placed_at[mask][j]
-            out.extend({mask: (a, b), **left, **right}
+        for _, a, b, along_a, along_b, _ in placed_at[mask][start:]:
+            out.extend(((a, b), *left, *right)
                        for left in subtrees(a, bisect_right(keys[a], along_a))
                        for right in subtrees(b, bisect_right(keys[b], along_b)))
         return out
 
-    found = [_curve(delta, mu, chosen, table, moment, scale_mu)
-             for chosen in subtrees(full, 0)]
+    full = (1 << n) - 2
+    chosen = subtrees(full, 0)
+    if len(chosen) != count_from[full][0]:
+        raise NonGenericMoments("an edge length vanishes; resample moments")
+    found = [_curve(delta, mu, splits, table, moment, scale_mu)
+             for splits in chosen]
     found.sort(key=lambda pair: pair[0])
     return [sol for _, sol in found]
 
 
-def _curve(delta: Degree, mu: MomentVector, chosen: dict[int, tuple],
+def _curve(delta: Degree, mu: MomentVector, splits: tuple,
            table: _SplitTable, moment: list[int],
            scale_mu: int) -> tuple[tuple[int, ...], TropicalSolution]:
-    """The solution whose vertices are the chosen splits S -> (A, B), keyed
-    by its position in enumerate_types order. Each vertex's multiplicity is
+    """The solution whose vertices are the chosen splits (A, B), keyed by
+    its position in enumerate_types order. Each vertex's multiplicity is
     its split's |d| and its position is where L_A and L_B meet. Its id is
     n + low(B) - 2, with low(B) the lowest end of B: enumerate_types made it
     inserting end low(B) (the star's centre n takes end 2), and every end
     inserted later is higher."""
     sx, sy = table.sx, table.sy
     common = scale_mu * table.scale
-    parent = {}
-    for mask, (a, b) in chosen.items():
-        parent[a] = parent[b] = mask
-    order, ctype = type_from_clades(delta.entries, parent)
+    order, ctype = type_from_clades(delta.entries, splits)
     n = ctype.n
     mults, points = [0] * (n - 2), [(0, 0)] * (n - 2)
-    for a, b in chosen.values():
+    for a, b in splits:
         d = sx[a] * sy[b] - sy[a] * sx[b]
         f = table.scale // d
         ma, mb = moment[a], moment[b]

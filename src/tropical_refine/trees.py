@@ -19,7 +19,7 @@ else derived from the tree are read off them.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import TooFewEnds, TropicalError
 from .lattice import Degree, Record, Vec
@@ -205,33 +205,31 @@ def enumerate_types(delta: Degree) -> Iterator[CombinatorialType]:
 
 
 def type_from_clades(
-        dirs: tuple[Vec, ...], parent: dict[int, int]
+        dirs: tuple[Vec, ...], splits: Iterable[tuple[int, int]]
 ) -> tuple[tuple[int, ...], CombinatorialType]:
-    """The enumerated type of a tree given by its clades.
+    """The enumerated type of a tree given by its splits.
 
     Hanging the tree from leaf 0, every edge cuts off a clade: the set of
-    leaves on its far side, as a bitmask over leaves 1..n-1. `parent` maps
-    each leaf bit and each internal clade to the smallest clade strictly
-    containing it (the full clade has no entry). Pruning leaves n-1..3 finds
-    the clade each leaf was inserted on; replaying those insertions from the
-    star rebuilds exactly the edge list, and so the vertex ids, that
+    leaves on its far side, as a bitmask over leaves 1..n-1. Each internal
+    vertex splits its clade S into the pair (A, B) of its children's
+    clades, A holding S's lowest leaf; `splits` holds one such pair per
+    vertex. enumerate_types made that vertex inserting leaf k = low(B), on
+    the edge above A's leaves below k, so replaying those insertions from
+    the star rebuilds exactly the edge list, and so the vertex ids, that
     enumerate_types yields for this tree.
 
     Returns the insertion indices (the tree's position in enumeration order
     is the lexicographic order of these tuples) and the CombinatorialType.
     """
     n = len(dirs)
+    inserted_on = {b & -b: a for a, b in splits}
     edges = [(0, n), (1, n), (2, n)]
     clades = [0b110, 0b010, 0b100]
     far = [n, 1, 2]                 # endpoint of each edge away from leaf 0
     inserted_at = []
     for leaf in range(3, n):
         bit = 1 << leaf
-        earlier = bit - 2           # leaves 1..leaf-1
-        above = parent[bit]
-        while not above & earlier:
-            above = parent[above]
-        target = above & earlier
+        target = inserted_on[bit] & (bit - 2)   # A's leaves 1..leaf-1
         i = clades.index(target)
         inserted_at.append(i)
         for j, c in enumerate(clades):

@@ -450,11 +450,41 @@ def test_dp_raises_on_the_same_wall(square):
     assert assert_matches_brute(square, wall)[0] == "wall"
 
 
+@pytest.mark.parametrize("entries, wall", [
+    # no curve lies off this wall
+    (((-1, 0), (1, 0), (0, -1), (0, 1)), (1, 2, -2)),
+    # two curves lie off this wall, so the backtracking finds them
+    (((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1), (-1, -1)), (15, 2, 3, 4, 5)),
+], ids=["square", "hexagon"])
+def test_a_wall_draw_rebuilds_no_curve(entries, wall, monkeypatch):
+    from tropical_refine import solver
+
+    delta, wall = Degree(entries), MomentVector(wall)
+    assert assert_matches_brute(delta, wall)[0] == "wall"
+    generic = random_generic_moments(delta, 0)
+
+    def rebuilt(*_):
+        raise TropicalError("a curve was rebuilt")
+
+    monkeypatch.setattr(solver, "type_from_clades", rebuilt)
+    with pytest.raises(NonGenericMoments):
+        refined_count(delta, wall)
+    # the guard is live: a draw off every wall rebuilds its curves
+    with pytest.raises(TropicalError, match="rebuilt"):
+        refined_count(delta, generic)
+
+
 def test_dp_keeps_input_errors():
     with pytest.raises(TooFewEnds):
         refined_count(Degree(((1, 0), (-1, 0))), MomentVector((Fraction(1),)))
     with pytest.raises(ValueError):
         refined_count(delta_d(1), MomentVector((Fraction(1),)))
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_audit_refuses_fewer_than_one_trial(triangle, trials):
+    with pytest.raises(ValueError, match="need at least one trial"):
+        invariance_audit(triangle, trials=trials)
 
 
 DIRECTIONS = (Vec(1, 0), Vec(0, 1), Vec(1, 1), Vec(1, -1), Vec(2, 1),

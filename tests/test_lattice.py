@@ -157,6 +157,24 @@ def test_build_delta_s_insufficient():
         build_delta_s(delta_d(2), Vec(-1, 0), 2)
 
 
+@pytest.mark.parametrize("refused, message", [
+    (lambda: primitive((0, 0)), "zero vector has no direction"),
+    (lambda: delta_d(0), "d must be positive"),
+    (lambda: build_delta_s(delta_d(2), Vec(-2, 0), 1), "n1 must be primitive"),
+    (lambda: build_delta_s(delta_d(2), Vec(-1, 0), -1),
+     "s must be nonnegative"),
+    (lambda: build_delta_s(Degree(((-2, 0), (0, -1), (1, 1), (1, 0))),
+                           Vec(0, -1), 0), "starts from a primitive degree"),
+    (lambda: split_even_ends(Degree(((-3, 0), (0, -1), (1, 1), (1, 0),
+                                     (1, 0)))),
+     "end of weight 3 not supported"),
+], ids=["primitive-zero", "delta_d-zero", "n1-not-primitive", "s-negative",
+        "degree-not-primitive", "weight-3-end"])
+def test_lattice_refusals(refused, message):
+    with pytest.raises(ValueError, match=message):
+        refused()
+
+
 def test_build_delta_s_zero_is_identity():
     conic = delta_d(2)
     assert build_delta_s(conic, Vec(-1, 0), 0) == conic

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropical_refine import (HalfLaurent, NotDivisible, q_analog,
-                             w_pow_minus_inverse)
+from tropical_refine import (HalfLaurent, NonPositive, NotDivisible,
+                             q_analog, w_pow_minus_inverse)
 
 coeffs = st.integers(-20, 20)
 polys = st.dictionaries(st.integers(-8, 8), coeffs, max_size=6).map(HalfLaurent)
@@ -48,6 +48,12 @@ def test_bools_do_not_mix_with_polynomials():
     for flag in (True, False):
         with pytest.raises(ValueError, match="nonnegative integer powers"):
             HalfLaurent({2: 1}) ** flag
+
+
+@pytest.mark.parametrize("make", [q_analog, w_pow_minus_inverse])
+def test_quantum_integers_refuse_a_non_positive_index(make):
+    with pytest.raises(NonPositive, match="a >= 1, got 0"):
+        make(0)
 
 
 @pytest.mark.parametrize("pairs", [[[1.5, 1]], [[1, 2.0]], [["1", 1]],

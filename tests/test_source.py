@@ -134,18 +134,20 @@ def test_fresh_interpreter_loads_only_what_it_uses(code, loaded):
     assert new.isdisjoint({"dataclasses", "inspect"})
 
 
-def _loaded(tree) -> set[str]:
-    """Every name the module reads: plain names, attribute names, names in
-    quoted annotations, and the strings of __all__."""
+def _loaded(tree, attributes: bool = True) -> set[str]:
+    """Every name the module reads: plain names, names in quoted annotations,
+    the strings of __all__ and, unless `attributes` is False, attribute
+    names."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and attributes:
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
-                names |= _loaded(ast.parse(node.value, mode="eval"))
+                names |= _loaded(ast.parse(node.value, mode="eval"),
+                                 attributes)
             except SyntaxError:
                 pass
     return names
@@ -156,28 +158,34 @@ def _private(name: str) -> bool:
 
 
 def _unused_names(code: str) -> list[str]:
-    """Imported names a module never reads, and private names or ALL-CAPS
-    constants it defines at module or class level and never reads."""
+    """Imported names a module never reads by name, and private names or
+    ALL-CAPS constants it defines at module or class level and never reads.
+
+    An import counts as read only where the module names it, in code or in
+    an annotation; `obj.name` reads an attribute, not the imported `name`.
+    A private name also counts as read as an attribute, as `self._slot`.
+    """
     tree = ast.parse(code)
-    checked = []
+    imported, defined = [], []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            checked += [a.asname or a.name for a in node.names]
+            imported += [a.asname or a.name for a in node.names]
         elif isinstance(node, ast.Import):
-            checked += [(a.asname or a.name).split(".")[0] for a in node.names]
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
         elif isinstance(node, (ast.Module, ast.ClassDef)):
             for stmt in node.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)) and _private(stmt.name):
-                    checked.append(stmt.name)
+                    defined.append(stmt.name)
                 elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                     targets = (stmt.targets if isinstance(stmt, ast.Assign)
                                else [stmt.target])
-                    checked += [t.id for t in targets
+                    defined += [t.id for t in targets
                                 if isinstance(t, ast.Name)
                                 and (_private(t.id) or t.id.isupper())]
-    loaded = _loaded(tree)
-    return sorted(name for name in checked if name not in loaded)
+    named, loaded = _loaded(tree, attributes=False), _loaded(tree)
+    return sorted([name for name in imported if name not in named]
+                  + [name for name in defined if name not in loaded])
 
 
 def test_no_unused_imports_or_private_names_in_src():
@@ -197,3 +205,16 @@ def test_the_unused_name_rule_sees_each_kind():
             "class K:\n    _slot = 1\n    def _m(self): return self._slot\n")
     assert _unused_names(code) == ["PUBLIC", "_UNSEEN", "_helper", "_m", "c",
                                    "os"]
+
+
+def test_the_unused_import_rule_reads_names_not_attributes():
+    # an import read only as some object's attribute is left behind, as
+    # `solve` would be if the module only called `solver.solve`; a
+    # TYPE_CHECKING import is read where an annotation names it
+    code = ("from __future__ import annotations\n"
+            "from typing import TYPE_CHECKING\n"
+            "from . import solver\nfrom .solver import solve\n"
+            "if TYPE_CHECKING:\n    from .trees import Tree, Unread\n"
+            "def count(t: Tree, u: 'Forest') -> int:\n"
+            "    return solver.solve(t).Unread\n")
+    assert _unused_names(code) == ["Unread", "solve"]

@@ -103,38 +103,28 @@ def test_enumeration_matches_brute_force(n):
     assert ours == theirs
 
 
-def clade_parents(t: CombinatorialType) -> tuple[dict[int, int], dict]:
-    """Each clade's smallest strict superclade, hanging t from leaf 0, and
-    the vertex at the top of each internal clade."""
-    parent, top = {}, {}
-
-    def walk(above: int, v: int) -> int:
-        if v < t.n:
-            return 1 << v
-        kids = [walk(v, w) for w in t.adjacency[v] if w != above]
-        clade = sum(kids)
-        for k in kids:
-            parent[k] = clade
-        top[clade] = v
-        return clade
-
-    walk(0, t.root_vertex)
-    return parent, top
+def vertex_splits(t: CombinatorialType) -> dict[int, tuple[int, int]]:
+    """The split (A, B) of each internal vertex's clade into its children's
+    clades, hanging t from leaf 0, with A holding the clade's lowest leaf."""
+    _, parent, clade = t.clades
+    out = {}
+    for v in t.internal_vertices:
+        a, b = sorted((clade[w][0] for w in t.adjacency[v] if w != parent[v]),
+                      key=lambda mask: mask & -mask)
+        out[v] = a, b
+    return out
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_type_from_clades_replays_enumeration(n):
     previous = None
     for t in enumerate_types(generic_degree(n)):
-        parent, top = clade_parents(t)
-        order, rebuilt = type_from_clades(t.leaf_dirs, parent)
+        splits = vertex_splits(t)
+        order, rebuilt = type_from_clades(t.leaf_dirs, splits.values())
         assert rebuilt == t
         # the vertex of clade S = A | B, A holding S's lowest leaf, is
         # n + low(B) - 2: the vertex that inserting leaf low(B) made
-        for clade, v in top.items():
-            low = clade & -clade
-            b = next(k for k, p in parent.items()
-                     if p == clade and not k & low)
+        for v, (_, b) in splits.items():
             assert v == n + (b & -b).bit_length() - 3
         assert previous is None or order > previous
         previous = order
@@ -153,6 +143,8 @@ def test_three_ends_single_star():
 def test_too_few_ends():
     with pytest.raises(TooFewEnds):
         list(enumerate_types(Degree(((1, 0), (-1, 0)))))
+    with pytest.raises(TooFewEnds, match="need at least 3 ends, got 2"):
+        double_factorial_count(2)
 
 
 def test_slopes_forced_by_balancing():
