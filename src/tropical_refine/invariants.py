@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (DegenerateType, ExhaustedRetries, InvarianceViolation,
                      NonGenericMoments)
-from .lattice import Degree, MomentVector, frac_str, split_even_ends
+from .lattice import Degree, MomentVector, Record, frac_str, split_even_ends
 from .laurent import HalfLaurent, w_pow_minus_inverse
-from .solver import TropicalSolution, solve, solve_all
+from .solver import (TropicalSolution, _count, _q_product, _rebuild, solve,
+                     solve_all)
 from .trees import enumerate_types
 
 _MASK64 = (1 << 64) - 1
@@ -47,6 +48,8 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
+        if type(seed) is not int:
+            raise TypeError(f"a seed is an int, got {seed!r}")
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
@@ -63,11 +66,8 @@ def moment_from_draw(draw: int) -> Fraction:
     return Fraction(draw % 2001 - 1000, 1 + draw % 7)
 
 
-def _total(solutions: list[TropicalSolution]) -> HalfLaurent:
-    total = HalfLaurent(0)
-    for sol in solutions:
-        total = total + sol.refined_multiplicity()
-    return total
+def _total(mults: Iterable[tuple[int, ...]]) -> HalfLaurent:
+    return sum((_q_product(tuple(sorted(m))) for m in mults), HalfLaurent(0))
 
 
 def refined_count(delta_s: Degree,
@@ -81,7 +81,7 @@ def refined_count(delta_s: Degree,
     NonGenericMoments exactly when that would, so callers can resample.
     """
     solutions = solve_all(delta_s, mu)
-    return _total(solutions), solutions
+    return _total(sol.mults for sol in solutions), solutions
 
 
 def refined_count_brute(
@@ -99,12 +99,13 @@ def refined_count_brute(
             continue
         if sol is not None:
             solutions.append(sol)
-    return _total(solutions), solutions
+    return _total(sol.mults for sol in solutions), solutions
 
 
-def _position_signature(sol: TropicalSolution):
+def _position_signature(curve: tuple) -> tuple:
     """Equal exactly for curves with the same vertex positions."""
-    return sol.scale, tuple(sorted(sol.points))
+    *_, points, scale = curve
+    return scale, tuple(sorted(points))
 
 
 def sample_trial(delta_s: Degree, seed: int,
@@ -113,23 +114,27 @@ def sample_trial(delta_s: Degree, seed: int,
 
     A candidate is rejected when some type solves onto a wall (zero length)
     or two curves coincide as point sets. Raises ExhaustedRetries, with the
-    reason for every rejection, after max_retries candidates.
+    reason for every rejection, after max_retries candidates. N and the
+    coincidence test read vertex data only: no tree is built here.
     """
     stream = SplitMix64(seed)
+    if type(max_retries) is not int:
+        raise TypeError(f"max_retries is an int, got {max_retries!r}")
     n = len(delta_s)
     reasons = []
     for _ in range(max_retries):
         mu = MomentVector(tuple(moment_from_draw(stream.next_u64())
                                 for _ in range(n - 1)))
         try:
-            n_trop, sols = refined_count(delta_s, mu)
+            curves = tuple(_count(delta_s, mu))
         except NonGenericMoments:
             reasons.append("wall")
             continue
-        if len({_position_signature(s) for s in sols}) != len(sols):
+        if len(set(map(_position_signature, curves))) != len(curves):
             reasons.append("coincident curves")
             continue
-        return TrialRecord(seed, mu, tuple(sols), n_trop)
+        n_trop = _total(mults for _, mults, _, _ in curves)
+        return TrialRecord(seed, mu, n_trop, delta_s, curves)
     tally = ", ".join(f"{reasons.count(r)} {r}" for r in dict.fromkeys(reasons))
     raise ExhaustedRetries(f"no generic moments for seed {seed} in "
                            f"{max_retries} attempts ({tally or 'none made'})",
@@ -188,21 +193,28 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
     return bg.exact_div(_power(W_MINUS, k))
 
 
-class TrialRecord(NamedTuple):
-    """One audited constraint: its seed, the drawn moments, and everything
-    the solver produced for them. Kept whole so a hypothetical invariance
-    failure can be diffed curve by curve."""
+class TrialRecord(Record):
+    """One audited constraint: seed, moments, N, degree and counted curves
+    (`solver._count`), kept whole so a failure can be diffed curve by curve;
+    `solutions`, built when first read, equal solve_all(delta_s, moments)."""
 
-    seed: int
-    moments: MomentVector
-    solutions: tuple[TropicalSolution, ...]
-    n_trop: HalfLaurent
+    def __init__(self, seed: int, moments: MomentVector, n_trop: HalfLaurent,
+                 delta_s: Degree, curves: tuple[tuple, ...]):
+        self._set(seed=seed, moments=moments, n_trop=n_trop, delta_s=delta_s,
+                  curves=curves)
+
+    def identity(self) -> tuple:
+        return self.seed, self.moments, self.n_trop, self.delta_s, self.curves
+
+    @functools.cached_property
+    def solutions(self) -> tuple[TropicalSolution, ...]:
+        return tuple(_rebuild(self.delta_s, self.moments, self.curves))
 
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
             "moments": [frac_str(v) for v in self.moments.values],
-            "solutionCount": len(self.solutions),
+            "solutionCount": len(self.curves),
             "refinedCount": self.n_trop.to_json_pairs(),
         }
 
@@ -225,7 +237,7 @@ class InvariantReport(NamedTuple):
 
     @property
     def solutions_per_trial(self) -> tuple[int, ...]:
-        return tuple(len(t.solutions) for t in self.trial_records)
+        return tuple(len(t.curves) for t in self.trial_records)
 
     def to_json(self) -> dict:
         return {
@@ -264,6 +276,8 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
     Raises InvarianceViolation (a bug detector, not an input error) when two
     trials disagree.
     """
+    if type(trials) is not int:
+        raise TypeError(f"trials is an int, got {trials!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     seed_stream = SplitMix64(seed)

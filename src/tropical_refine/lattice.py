@@ -153,12 +153,14 @@ class Degree(Record):
     """Ordered multiset of end directions; the label of an end is its index.
 
     Equal and hashed by (entries, name), so equal degrees share one split
-    table in the solver.
+    table in the solver. A name, if given, is a string.
     """
 
     def __init__(self, entries: Iterable[Sequence[int]],
                  name: str | None = None):
         ents = tuple(map(_entry, entries))
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"a degree name is a string, got {name!r}")
         if any(e == ZERO for e in ents):
             raise DegenerateDegree("degree entries must be nonzero")
         total = functools.reduce(Vec.__add__, ents, ZERO)
@@ -182,6 +184,29 @@ class Degree(Record):
     def is_primitive(self) -> bool:
         return all(w == 1 for w in self.weights())
 
+    @functools.cached_property
+    def _split_even_ends(self) -> tuple["Degree", int]:
+        """split_even_ends(self), derived once per degree object and kept."""
+        out: list[Vec] = []
+        evens: set[Vec] = set()
+        s = 0
+        for e in self.entries:
+            w = lattice_length(e)
+            if w == 1:
+                out.append(e)
+            elif w == 2:
+                p = primitive(e)
+                out.extend((p, p))
+                evens.add(p)
+                s += 1
+            else:
+                raise ValueError(
+                    f"end of weight {w} not supported, only 1 and 2")
+        if len(evens) > 1:
+            raise MultipleDivisors(
+                f"even ends span {len(evens)} directions, need exactly one")
+        return Degree(tuple(out), name=self.name), s
+
     def to_json(self) -> dict:
         d: dict = {"entries": [[e.x, e.y] for e in self.entries]}
         if self.name is not None:
@@ -197,11 +222,7 @@ class Degree(Record):
         if not isinstance(entries, (list, tuple)):
             raise ValueError(
                 f'a degree is {{"entries": [[x, y], ...]}}, got {data!r}')
-        vecs = tuple(map(_entry, entries))
-        name = data.get("name")
-        if name is not None and not isinstance(name, str):
-            raise ValueError(f"a degree name is a string, got {name!r}")
-        return cls(vecs, name=name)
+        return cls(entries, name=data.get("name"))
 
 
 def delta_d(d: int) -> Degree:
@@ -252,24 +273,7 @@ def split_even_ends(delta_s: Degree) -> tuple[Degree, int]:
     weight-2 ends of more than one direction (MultipleDivisors): the theorem
     covers pairs on one toric divisor, the image of build_delta_s.
     """
-    out: list[Vec] = []
-    evens: set[Vec] = set()
-    s = 0
-    for e in delta_s.entries:
-        w = lattice_length(e)
-        if w == 1:
-            out.append(e)
-        elif w == 2:
-            p = primitive(e)
-            out.extend((p, p))
-            evens.add(p)
-            s += 1
-        else:
-            raise ValueError(f"end of weight {w} not supported, only 1 and 2")
-    if len(evens) > 1:
-        raise MultipleDivisors(
-            f"even ends span {len(evens)} directions, need exactly one")
-    return Degree(tuple(out), name=delta_s.name), s
+    return delta_s._split_even_ends
 
 
 class LatticePolygon(NamedTuple):

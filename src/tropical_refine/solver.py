@@ -20,13 +20,13 @@ their position along n_S, their key, with suffix sums of those counts: it
 counts with one bisection per child and no linear algebra. Backtracking
 takes only child splits strictly past their parent's key, so it finds
 exactly the curves with every length > 0; finding fewer than the count
-means some length is zero, a wall. Each curve found, as the tuple of its
-splits, is rebuilt as the same object, in the same order, that solving
-every enumerated type would give. A rebuilt curve stores its vertex
-multiplicities (each split's |d|) and vertex positions (where L_A and L_B
-meet, as integers over the count's common scale, reduced to the least one)
-and reads its edge lengths off those points, so weighing curves and
-comparing them as point sets never walks the tree.
+means some length is zero, a wall. This count, `_count`, gives each curve
+as its splits with its vertex multiplicities (each split's |d|) and vertex
+positions (where L_A and L_B meet, as integers over the count's common
+scale, reduced to the least one): weighing curves and comparing them as
+point sets needs no tree. The rebuild, `_rebuild`, gives each curve its
+tree, as the same object, in the same order, that solving every enumerated
+type would give; a rebuilt curve reads its edge lengths off its points.
 
 Everything that depends on the degree alone (the direction sums of the end
 sets, their splits with d = wedge(n_A, n_B) != 0, the common scale lcm|d|
@@ -41,10 +41,8 @@ All arithmetic is exact; a curve is accepted only when every edge length is
 strictly positive. A length of exactly zero means the constraint sits on a
 wall of the moment cone and callers must resample.
 
-A curve is a `NamedTuple`, like the package's other plain records (those
-that cache derived structure are `lattice.Record`s), which keeps the cold
-start of every CLI command free of the standard library's record decorator
-and the `inspect`, `ast` and `dis` imports it brings.
+A curve is a `NamedTuple`, like the package's other plain records; the
+`lattice` module says why.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, prod
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 from weakref import WeakKeyDictionary
 
 from .errors import DegenerateType, NonGenericMoments, TooFewEnds, TropicalError
@@ -342,22 +340,23 @@ def _subset_sums(values: list[int]) -> list[int]:
     return out
 
 
-def _suffix_sums(values: tuple[int, ...]) -> list[int]:
-    """out[i] = sum(values[i:]), with a trailing 0."""
-    out = list(accumulate(values[::-1], initial=0))
-    out.reverse()
-    return out
-
-
 def solve_all(delta: Degree, mu: MomentVector) -> list[TropicalSolution]:
     """Every curve of the degree through mu, in enumerate_types order.
 
     Equal, solution for solution, to calling `solve` on every type from
-    enumerate_types and keeping the accepted ones. Raises NonGenericMoments
-    whenever that would (some non-flat type has all lengths >= 0 and one of
-    them zero): the backtracking then finds fewer curves than the DP's >= 0
-    count, which is checked before any curve is rebuilt.
+    enumerate_types and keeping the accepted ones, and raises
+    NonGenericMoments whenever that would: `_count` finds the curves, and
+    this adds only their trees and their order.
     """
+    return _rebuild(delta, mu, _count(delta, mu))
+
+
+def _count(delta: Degree, mu: MomentVector) -> list[tuple]:
+    """Every curve through mu, unordered, as its splits (A, B) and the
+    mults, points and scale of its `TropicalSolution`; the vertex of (A, B)
+    is n + low(B) - 2, as enumerate_types inserts end low(B), the lowest end
+    of B, there (the star's centre n takes end 2). Raises NonGenericMoments
+    on a wall: the backtracking finds fewer curves than the DP counts."""
     n = len(delta.entries)
     if n < 3:
         raise TooFewEnds(f"a curve needs at least 3 ends, got {n}")
@@ -393,7 +392,8 @@ def solve_all(delta: Degree, mu: MomentVector) -> list[TropicalSolution]:
             placed.sort()
             placed_at[mask] = placed
             keys[mask], _, _, _, _, count = zip(*placed)
-            count_from[mask] = _suffix_sums(count)
+            # count_from[mask][i] is sum(count[i:]), with a trailing 0
+            count_from[mask] = list(accumulate(count[::-1], initial=0))[::-1]
 
     def subtrees(mask: int, start: int) -> list[tuple[tuple[int, int], ...]]:
         """The split tuples of the subtrees below `mask` whose top split is
@@ -412,35 +412,27 @@ def solve_all(delta: Degree, mu: MomentVector) -> list[TropicalSolution]:
     chosen = subtrees(full, 0)
     if len(chosen) != count_from[full][0]:
         raise NonGenericMoments("an edge length vanishes; resample moments")
-    found = [_curve(delta, mu, splits, table, moment, scale_mu)
-             for splits in chosen]
-    found.sort(key=lambda pair: pair[0])
-    return [sol for _, sol in found]
+    sx, sy, common = table.sx, table.sy, scale_mu * table.scale
+    curves = []
+    for splits in chosen:
+        mults, points = [0] * (n - 2), [(0, 0)] * (n - 2)
+        for a, b in splits:
+            d = sx[a] * sy[b] - sy[a] * sx[b]
+            f = table.scale // d
+            ma, mb = moment[a], moment[b]
+            i = (b & -b).bit_length() - 3
+            mults[i] = abs(d)
+            points[i] = ((ma * sx[b] - sx[a] * mb) * f,
+                         (ma * sy[b] - sy[a] * mb) * f)
+        g = gcd(common, *(c for p in points for c in p))
+        points = tuple((x // g, y // g) for x, y in points)
+        curves.append((splits, tuple(mults), points, common // g))
+    return curves
 
 
-def _curve(delta: Degree, mu: MomentVector, splits: tuple,
-           table: _SplitTable, moment: list[int],
-           scale_mu: int) -> tuple[tuple[int, ...], TropicalSolution]:
-    """The solution whose vertices are the chosen splits (A, B), keyed by
-    its position in enumerate_types order. Each vertex's multiplicity is
-    its split's |d| and its position is where L_A and L_B meet. Its id is
-    n + low(B) - 2, with low(B) the lowest end of B: enumerate_types made it
-    inserting end low(B) (the star's centre n takes end 2), and every end
-    inserted later is higher."""
-    sx, sy = table.sx, table.sy
-    common = scale_mu * table.scale
-    order, ctype = type_from_clades(delta.entries, splits)
-    n = ctype.n
-    mults, points = [0] * (n - 2), [(0, 0)] * (n - 2)
-    for a, b in splits:
-        d = sx[a] * sy[b] - sy[a] * sx[b]
-        f = table.scale // d
-        ma, mb = moment[a], moment[b]
-        i = (b & -b).bit_length() - 3
-        mults[i] = abs(d)
-        points[i] = ((ma * sx[b] - sx[a] * mb) * f,
-                     (ma * sy[b] - sy[a] * mb) * f)
-    g = gcd(common, *(c for p in points for c in p))
-    return order, TropicalSolution(
-        ctype, mu, tuple(mults), tuple((x // g, y // g) for x, y in points),
-        common // g)
+def _rebuild(delta: Degree, mu: MomentVector,
+             curves: Iterable[tuple]) -> list[TropicalSolution]:
+    """The counted curves as solutions, in enumerate_types order."""
+    found = sorted(((type_from_clades(delta.entries, splits), data)
+                    for splits, *data in curves), key=lambda c: c[0][0])
+    return [TropicalSolution(ctype, mu, *data) for (_, ctype), data in found]

@@ -66,26 +66,28 @@ def doubled_quad_mu() -> MomentVector:
 
 @pytest.fixture
 def count_solves(monkeypatch):
-    """Counters, from here on, of `solve_all` calls ("solves") and of moments
-    drawn by sampling ("draws"; n - 1 per attempt). Calls whose 1-based
-    number is in the set "walls" raise NonGenericMoments instead, as a
-    constraint on a wall would."""
-    from tropical_refine import NonGenericMoments, invariants
+    """Counters, from here on, of counts ("solves": calls of the one count
+    step, `solver._count`, wherever callers look it up) and of moments drawn
+    by sampling ("draws"; n - 1 per attempt). Counts whose 1-based number is
+    in the set "walls" raise NonGenericMoments instead, as a constraint on a
+    wall would."""
+    from tropical_refine import NonGenericMoments, invariants, solver
 
     counts = {"solves": 0, "draws": 0, "walls": set()}
-    real_solve, real_draw = invariants.solve_all, invariants.moment_from_draw
+    real_count, real_draw = solver._count, invariants.moment_from_draw
 
-    def solve_all(delta, mu):
+    def count(delta, mu):
         counts["solves"] += 1
         if counts["solves"] in counts["walls"]:
             raise NonGenericMoments("forced wall")
-        return real_solve(delta, mu)
+        return real_count(delta, mu)
 
     def moment_from_draw(draw):
         counts["draws"] += 1
         return real_draw(draw)
 
-    monkeypatch.setattr(invariants, "solve_all", solve_all)
+    monkeypatch.setattr(solver, "_count", count)
+    monkeypatch.setattr(invariants, "_count", count)
     monkeypatch.setattr(invariants, "moment_from_draw", moment_from_draw)
     return counts
 

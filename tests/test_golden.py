@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from tropical_refine.cli import main
+from tropical_refine import TropicalError, sample_trial
+from tropical_refine.cli import load_degree, main
+from tropical_refine.solver import solve_all
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 SEEDS = range(6)
@@ -105,6 +107,39 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("key", sorted(cases()))
 def test_output_matches_golden(golden, key):
     assert _digest(cases()[key]) == golden[key]
+
+
+def test_invariant_builds_no_tree(golden, monkeypatch):
+    # `invariant` reads N and the curve counts only, so with every tree
+    # rebuild refused its outputs keep their golden bytes
+    from tropical_refine import solver, trees
+
+    def rebuilt(*_):
+        raise TropicalError("a tree was built")
+
+    monkeypatch.setattr(solver, "type_from_clades", rebuilt)
+    monkeypatch.setattr(trees, "type_from_clades", rebuilt)
+    keys = [key for key in cases() if "/invariant/" in key]
+    assert len(keys) == 2 * len(DEGREES)
+    for key in keys:
+        assert _digest(cases()[key]) == golden[key], key
+    # the guard is live: `enumerate` prints every curve's tree
+    assert b"a tree was built" in _run(["enumerate", "--degree="
+                                        + DEGREES["delta_2"]])
+
+
+@pytest.mark.parametrize("label", DEGREES)
+def test_trial_solutions_are_the_counted_curves(label, count_solves):
+    # a record's solutions are those solve_all gives for its moments, and
+    # reading them adds no count
+    delta = load_degree(DEGREES[label])
+    for seed in SEEDS:
+        record = sample_trial(delta, seed)
+        counted = count_solves["solves"]
+        sols = record.solutions
+        assert count_solves["solves"] == counted
+        assert record.solutions is sols
+        assert sols == tuple(solve_all(delta, record.moments))
 
 
 if __name__ == "__main__":

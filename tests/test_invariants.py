@@ -1,6 +1,7 @@
 """Refined counts, the invariance audit, and the theorem conversions."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -98,17 +99,17 @@ def test_exhausted_retries_gives_every_reason(square, monkeypatch):
 
 def test_exhausted_retries_tells_walls_from_coincident_curves(conic,
                                                               monkeypatch):
-    real = invariants.refined_count
+    real = invariants._count
     calls = []
 
     def wall_then_doubled(delta, mu):
         calls.append(mu)
         if len(calls) % 2:
             raise NonGenericMoments("forced wall")
-        n_trop, sols = real(delta, mu)
-        return n_trop, sols + sols      # every curve twice: they coincide
+        curves = real(delta, mu)
+        return curves + curves      # every curve twice: they coincide
 
-    monkeypatch.setattr(invariants, "refined_count", wall_then_doubled)
+    monkeypatch.setattr(invariants, "_count", wall_then_doubled)
     with pytest.raises(ExhaustedRetries) as info:
         sample_trial(conic, 8, max_retries=5)
     assert info.value.reasons == ["wall", "coincident curves", "wall",
@@ -125,7 +126,8 @@ def test_sample_trial_is_the_counted_draw(name, request):
         trial = sample_trial(delta, seed)
         mu = random_generic_moments(delta, seed)
         n_trop, sols = refined_count(delta, mu)
-        assert trial == TrialRecord(seed, mu, tuple(sols), n_trop)
+        assert ((trial.seed, trial.moments, trial.n_trop, trial.solutions)
+                == (seed, mu, n_trop, tuple(sols)))
 
 
 def test_audit_counts_each_attempt_once(conic_merged, count_solves):
@@ -165,15 +167,14 @@ def test_split_table_is_built_once_per_audit(count_solves, count_tables):
 
 
 def test_invariance_violation_carries_both_trials(conic_merged, monkeypatch):
-    real = invariants.refined_count
+    real = invariants._total
     calls = []
 
-    def drifting(delta, mu):
-        calls.append(mu)
-        n_trop, sols = real(delta, mu)
-        return n_trop + len(calls) - 1, sols    # a wrong N from trial 2 on
+    def drifting(mults):
+        calls.append(mults)
+        return real(mults) + len(calls) - 1     # a wrong N from trial 2 on
 
-    monkeypatch.setattr(invariants, "refined_count", drifting)
+    monkeypatch.setattr(invariants, "_total", drifting)
     with pytest.raises(InvarianceViolation) as info:
         invariance_audit(conic_merged, trials=2, seed=5)
     first, second = info.value.trials
@@ -485,6 +486,35 @@ def test_dp_keeps_input_errors():
 def test_audit_refuses_fewer_than_one_trial(triangle, trials):
     with pytest.raises(ValueError, match="need at least one trial"):
         invariance_audit(triangle, trials=trials)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "3", None])
+def test_seeds_trials_and_retries_are_ints(triangle, bad):
+    # a bool is an int to isinstance: sample_trial(delta, True) would be
+    # the seed-1 draw with "seed": true in its JSON
+    for refused in (lambda: SplitMix64(bad),
+                    lambda: sample_trial(triangle, bad),
+                    lambda: sample_trial(triangle, 1, max_retries=bad),
+                    lambda: invariance_audit(triangle, trials=bad),
+                    lambda: invariance_audit(triangle, seed=bad)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            refused()
+
+
+def test_an_audit_builds_no_tree(monkeypatch):
+    from tropical_refine import solver, trees
+
+    def rebuilt(*_):
+        raise TropicalError("a tree was built")
+
+    monkeypatch.setattr(solver, "type_from_clades", rebuilt)
+    monkeypatch.setattr(trees, "type_from_clades", rebuilt)
+    report = invariance_audit(delta_d(3), trials=3)
+    assert report.trials == 3 and report.n_trop.is_symmetric()
+    assert sum(report.solutions_per_trial) > 3
+    # the guard is live: the curves' trees are built when first read
+    with pytest.raises(TropicalError, match="a tree was built"):
+        report.trial_records[0].solutions
 
 
 DIRECTIONS = (Vec(1, 0), Vec(0, 1), Vec(1, 1), Vec(1, -1), Vec(2, 1),

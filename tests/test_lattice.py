@@ -106,6 +106,27 @@ def test_degree_entries_reject_bools_and_floats(bad):
         Vec(*bad)
 
 
+@pytest.mark.parametrize("name", [5, ("a",), True, b"name"])
+def test_degree_names_are_strings(name):
+    # the constructor refuses what from_json would, so every degree it
+    # builds survives its JSON round trip
+    entries = ((1, 0), (0, 1), (-1, -1))
+    message = re.escape(f"a degree name is a string, got {name!r}")
+    with pytest.raises(ValueError, match=message):
+        Degree(entries, name=name)
+    with pytest.raises(ValueError, match=message):
+        Degree.from_json({"entries": entries, "name": name})
+
+
+def test_split_even_ends_is_derived_once_per_degree():
+    merged = build_delta_s(delta_d(3), Vec(-1, 0), 1)
+    parent, s = split_even_ends(merged)
+    assert split_even_ends(merged)[0] is parent and s == 1
+    twin = Degree(merged.entries, name=merged.name)
+    assert split_even_ends(twin) == (parent, 1)
+    assert split_even_ends(twin)[0] is not parent
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_moments_reject_bools(flag):
     # a bool is not a rational here, as it is no coordinate in Vec:
