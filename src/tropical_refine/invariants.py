@@ -120,6 +120,8 @@ def sample_trial(delta_s: Degree, seed: int,
     stream = SplitMix64(seed)
     if type(max_retries) is not int:
         raise TypeError(f"max_retries is an int, got {max_retries!r}")
+    if max_retries < 1:
+        raise ValueError(f"need at least one attempt, got {max_retries}")
     n = len(delta_s)
     reasons = []
     for _ in range(max_retries):
@@ -137,7 +139,7 @@ def sample_trial(delta_s: Degree, seed: int,
         return TrialRecord(seed, mu, n_trop, delta_s, curves)
     tally = ", ".join(f"{reasons.count(r)} {r}" for r in dict.fromkeys(reasons))
     raise ExhaustedRetries(f"no generic moments for seed {seed} in "
-                           f"{max_retries} attempts ({tally or 'none made'})",
+                           f"{max_retries} attempts ({tally})",
                            reasons=reasons)
 
 
@@ -148,23 +150,33 @@ def random_generic_moments(delta_s: Degree, seed: int,
     return sample_trial(delta_s, seed, max_retries).moments
 
 
+def _check_theorem_args(m: int, s: int) -> None:
+    if type(m) is not int or type(s) is not int:
+        raise TypeError(f"m and s are ints, got {m!r} and {s!r}")
+    if s < 0:
+        raise ValueError(f"s counts weight-2 ends, got {s}")
+
+
 @functools.cache
-def _power(base: HalfLaurent, exp: int) -> HalfLaurent:
-    """base ** exp for the three theorem factors, each built once."""
-    return base ** exp
+def _factors(m: int, s: int) -> tuple[HalfLaurent, HalfLaurent, HalfLaurent]:
+    """`_theorem`'s divisor and cofactors of R and BG, built once."""
+    k = m - 2 - 2 * s
+    extra = W_MINUS ** max(0, -k)
+    return W_PLUS ** s * extra, W_MINUS ** max(0, k), extra * Q_PLUS ** s
 
 
 def _theorem(n_trop: HalfLaurent, m: int,
              s: int) -> tuple[HalfLaurent, HalfLaurent]:
     """(R, BG) from N by one exact division.
 
-    The divisor is (w + 1/w)^s, times (w - 1/w)^(2s+2-m) when m-2-2s < 0;
-    R and BG are then multiples of the quotient.
+    With k = m - 2 - 2s, the divisor is (w + 1/w)^s * (w - 1/w)^max(0, -k);
+    R is the quotient times (w - 1/w)^max(0, k), and BG the quotient times
+    (w - 1/w)^max(0, -k) * (q + 1/q)^s.
     """
-    k = m - 2 - 2 * s
-    quot = n_trop.exact_div(_power(W_PLUS, s) * _power(W_MINUS, max(0, -k)))
-    return (quot * _power(W_MINUS, max(0, k)),
-            quot * _power(W_MINUS, max(0, -k)) * _power(Q_PLUS, s))
+    _check_theorem_args(m, s)
+    divisor, r_cofactor, bg_cofactor = _factors(m, s)
+    quot = n_trop.exact_div(divisor)
+    return quot * r_cofactor, quot * bg_cofactor
 
 
 def r_from_n(n_trop: HalfLaurent, m: int, s: int) -> HalfLaurent:
@@ -186,11 +198,12 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
     that exponent is negative. Equal to the BG of invariance_audit, which
     takes it from the same quotient as R instead.
     """
+    _check_theorem_args(m, s)
     k = m - 2 - 2 * s
-    bg = r * _power(Q_PLUS, s)
+    bg = r * Q_PLUS ** s
     if k < 0:
-        return bg * _power(W_MINUS, -k)
-    return bg.exact_div(_power(W_MINUS, k))
+        return bg * W_MINUS ** -k
+    return bg.exact_div(W_MINUS ** k)
 
 
 class TrialRecord(Record):

@@ -328,8 +328,10 @@ def normals_of(poly: LatticePolygon) -> Degree:
 
 
 def as_fraction(value) -> Fraction:
-    """Accept Fraction, int (not bool), or a 'p/q' string; a zero
-    denominator raises ValueError."""
+    """Accept Fraction (returned as it is: it is immutable), int (not
+    bool), or a 'p/q' string; a zero denominator raises ValueError."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (Fraction, int, str)) and type(value) is not bool:
         try:
             return Fraction(value)

@@ -16,11 +16,13 @@ its position depends on the split (A, B) alone, and the edge down to A has
 positive length exactly when A's own vertex lies further along n_A. A
 subset dynamic program over end sets keeps one count per end set, of the
 subtrees below it with every length >= 0, and sorts each set's splits by
-their position along n_S, their key, with suffix sums of those counts: it
-counts with one bisection per child and no linear algebra. Backtracking
-takes only child splits strictly past their parent's key, so it finds
-exactly the curves with every length > 0; finding fewer than the count
-means some length is zero, a wall. This count, `_count`, gives each curve
+their position along n_S, their key, with suffix sums of those counts. It
+counts on integer moment sums over one common denominator, with one
+bisection per child (a single end is one subtree at any key) and no linear
+algebra. Backtracking takes only child splits strictly past their
+parent's key, listing each side of a split once, so it finds exactly the
+curves with every length > 0; finding fewer than the count means some
+length is zero, a wall. This count, `_count`, gives each curve
 as its splits with its vertex multiplicities (each split's |d|) and vertex
 positions (where L_A and L_B meet, as integers over the count's common
 scale, reduced to the least one): weighing curves and comparing them as
@@ -50,7 +52,6 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm, prod
 from typing import Iterable, NamedTuple
 from weakref import WeakKeyDictionary
@@ -289,8 +290,8 @@ class _SplitTable:
 
     def __init__(self, dirs: tuple[Vec, ...]):
         n = len(dirs)
-        sx = self.sx = _subset_sums([d.x for d in dirs])
-        sy = self.sy = _subset_sums([d.y for d in dirs])
+        sx = self.sx = _subset_sums([d.x for d in dirs[1:]])
+        sy = self.sy = _subset_sums([d.y for d in dirs[1:]])
         found = []
         for mask in range(2, 1 << n, 2):
             low = mask & -mask
@@ -331,12 +332,11 @@ def _split_table(delta: Degree) -> _SplitTable:
 
 
 def _subset_sums(values: list[int]) -> list[int]:
-    """For each bitmask of ends 1..n-1, the sum of values[j] over its ends
-    j (masks are even: end 0 is never in a set)."""
-    out = [0] * (1 << len(values))
-    for mask in range(2, len(out), 2):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] + values[low.bit_length() - 1]
+    """For each bitmask of ends 0..len(values), the sum of values[j - 1]
+    over its ends j; end 0 is in no end set and adds nothing."""
+    out = [0, 0]
+    for v in values:
+        out += [s + v for s in out]
     return out
 
 
@@ -356,56 +356,62 @@ def _count(delta: Degree, mu: MomentVector) -> list[tuple]:
     mults, points and scale of its `TropicalSolution`; the vertex of (A, B)
     is n + low(B) - 2, as enumerate_types inserts end low(B), the lowest end
     of B, there (the star's centre n takes end 2). Raises NonGenericMoments
-    on a wall: the backtracking finds fewer curves than the DP counts."""
+    on a wall: the backtracking finds fewer curves than the DP counts. The
+    moment sums are integers over the lcm of the denominators of mu.values;
+    the implied moment of end 1 is never summed."""
     n = len(delta.entries)
     if n < 3:
         raise TooFewEnds(f"a curve needs at least 3 ends, got {n}")
     _check_moment_count(mu, n)
     table = _split_table(delta)
-    full_mu = mu.full()
-    scale_mu = lcm(*(v.denominator for v in full_mu))
+    scale_mu = lcm(*(v.denominator for v in mu.values))
     moment = _subset_sums([v.numerator * (scale_mu // v.denominator)
-                           for v in full_mu])
+                           for v in mu.values])
     # per end set: its placed splits sorted by key, as tuples (key, A, B,
     # along_a, along_b, count), count being the subtrees hanging from the
     # split with every length >= 0; their keys; and suffix sums of counts
+    # (a single end is one subtree at any key)
     placed_at, keys = [()] * (1 << n), [()] * (1 << n)
     count_from = [(0,)] * (1 << n)
+    for j in range(1, n):
+        count_from[1 << j] = (1,)
     for mask, rows in table.splits:
         placed = []
         for a, b, c, fa, fb in rows:
             ma, mb = moment[a], moment[b]
             along_a = ma * c - mb * fa
-            if a & (a - 1):
-                count = count_from[a][bisect_left(keys[a], along_a)]
-                if not count:
-                    continue
-            else:
-                count = 1
+            count = count_from[a][bisect_left(keys[a], along_a)]
+            if not count:
+                continue
             along_b = ma * fb - mb * c
-            if b & (b - 1):
-                count *= count_from[b][bisect_left(keys[b], along_b)]
-                if not count:
-                    continue
-            placed.append((along_a + along_b, a, b, along_a, along_b, count))
+            count *= count_from[b][bisect_left(keys[b], along_b)]
+            if count:
+                placed.append((along_a + along_b, a, b, along_a, along_b,
+                               count))
         if placed:
             placed.sort()
             placed_at[mask] = placed
-            keys[mask], _, _, _, _, count = zip(*placed)
-            # count_from[mask][i] is sum(count[i:]), with a trailing 0
-            count_from[mask] = list(accumulate(count[::-1], initial=0))[::-1]
+            keys[mask] = [row[0] for row in placed]
+            total, suffix = 0, [0]
+            for row in reversed(placed):
+                total += row[5]
+                suffix.append(total)
+            count_from[mask] = suffix[::-1]
 
     def subtrees(mask: int, start: int) -> list[tuple[tuple[int, int], ...]]:
-        """The split tuples of the subtrees below `mask` whose top split is
-        placed at `start` or later and whose every split lies strictly past
-        its parent's key: the subtrees with every length > 0."""
-        if mask & (mask - 1) == 0:
-            return [()]
+        """The split tuples of the subtrees below the end set `mask` (of two
+        or more ends) whose top split is placed at `start` or later and whose
+        every split lies strictly past its parent's key: the subtrees with
+        every length > 0. Each side of a split is listed once."""
         out = []
         for _, a, b, along_a, along_b, _ in placed_at[mask][start:]:
-            out.extend(((a, b), *left, *right)
-                       for left in subtrees(a, bisect_right(keys[a], along_a))
-                       for right in subtrees(b, bisect_right(keys[b], along_b)))
+            left = (subtrees(a, bisect_right(keys[a], along_a))
+                    if a & (a - 1) else [()])
+            if not left:
+                continue
+            right = (subtrees(b, bisect_right(keys[b], along_b))
+                     if b & (b - 1) else [()])
+            out.extend(((a, b), *lo, *hi) for lo in left for hi in right)
         return out
 
     full = (1 << n) - 2

@@ -78,9 +78,11 @@ def test_random_generic_moments_triangle_never_rejects(triangle):
     assert random_generic_moments(triangle, 9) == expect
 
 
-def test_random_generic_moments_exhaustion(square):
+def test_random_generic_moments_exhaustion(square, monkeypatch):
+    # all-zero moments put every curve of the square onto a wall
+    monkeypatch.setattr(invariants, "moment_from_draw", lambda draw: Fraction(0))
     with pytest.raises(ExhaustedRetries):
-        random_generic_moments(square, 0, max_retries=0)
+        random_generic_moments(square, 0, max_retries=1)
 
 
 def test_exhausted_retries_gives_every_reason(square, monkeypatch):
@@ -91,10 +93,12 @@ def test_exhausted_retries_gives_every_reason(square, monkeypatch):
     assert info.value.reasons == ["wall"] * 4
     assert str(info.value) == ("no generic moments for seed 3 in 4 attempts "
                                "(4 wall)")
-    with pytest.raises(ExhaustedRetries) as info:
-        sample_trial(square, 3, max_retries=0)
-    assert info.value.reasons == []
-    assert str(info.value).endswith("in 0 attempts (none made)")
+
+
+@pytest.mark.parametrize("max_retries", [0, -2])
+def test_sample_trial_needs_one_attempt(square, max_retries):
+    with pytest.raises(ValueError, match="at least one attempt"):
+        sample_trial(square, 3, max_retries=max_retries)
 
 
 def test_exhausted_retries_tells_walls_from_coincident_curves(conic,
@@ -283,6 +287,21 @@ def test_r_from_n_not_divisible_exactly_when_form_b_is_not(x, plus, minus, s,
             r_from_n(n, m, s)
     else:
         assert r_from_n(n, m, s) == expected
+
+
+def test_theorem_arguments_are_checked_whatever_ran_before():
+    # the int forms first: a cache keyed on m and s must not let True == 1
+    # or 6.0 == 6 through afterwards
+    assert r_from_n(W_PLUS, 6, 1) == W_MINUS ** 2
+    assert broccoli_from_r(W_MINUS ** 2, 6, 1) == invariants.Q_PLUS
+    for m, s in [(6, True), (6.0, 1), (True, 0), (6, 1.0)]:
+        with pytest.raises(TypeError, match="are ints"):
+            r_from_n(W_PLUS, m, s)
+        with pytest.raises(TypeError, match="are ints"):
+            broccoli_from_r(W_MINUS ** 2, m, s)
+    for take in (r_from_n, broccoli_from_r):
+        with pytest.raises(ValueError, match="weight-2 ends"):
+            take(W_PLUS, 6, -1)
 
 
 def test_r_from_n_not_divisible_is_fatal():
@@ -666,6 +685,23 @@ def test_counting_never_walks_the_tree(conic_merged, monkeypatch):
     # the guard is live: the tree data itself is out of reach
     with pytest.raises(TropicalError, match="walked the tree"):
         sols[0].ctype.multiplicities()
+
+
+def test_counting_never_sums_the_full_moments(conic_merged, monkeypatch):
+    def summed(*_):
+        raise TropicalError("the counting path summed the moments")
+
+    monkeypatch.setattr(MomentVector, "full", summed)
+    monkeypatch.setattr(MomentVector, "implied_first", property(summed))
+    delta = Degree(conic_merged.entries, name="counted without full()")
+    record = sample_trial(delta, 4)
+    assert record.n_trop == W_PLUS
+    report = invariance_audit(delta, trials=2, seed=5)
+    assert (report.n_trop, report.r_inv, report.broccoli) == (
+        W_PLUS, W_MINUS ** 2, invariants.Q_PLUS)
+    # the guard is live: a curve's own check reads the full moments
+    with pytest.raises(TropicalError, match="summed the moments"):
+        record.solutions[0].verify()
 
 
 # -- theorem-level checks at sizes the oracle cannot reach in a test ---------

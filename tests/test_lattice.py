@@ -127,6 +127,15 @@ def test_split_even_ends_is_derived_once_per_degree():
     assert split_even_ends(twin)[0] is not parent
 
 
+def test_as_fraction_returns_a_fraction_unchanged():
+    f = Fraction(-7, 3)
+    assert as_fraction(f) is f
+    assert MomentVector([f, 2]).values[0] is f
+    for value in (True, 1.5):
+        with pytest.raises(TypeError, match="exact rational"):
+            as_fraction(value)
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_moments_reject_bools(flag):
     # a bool is not a rational here, as it is no coordinate in Vec:
