@@ -24,7 +24,7 @@ mu, n_trop, solutions = trial.moments, trial.n_trop, trial.solutions
 print("drawn moments:", ", ".join(str(v) for v in mu.values))
 for sol in solutions:
     print(f"  curve of type {sol.ctype.canonical_key()}: "
-          f"multiplicity {sol.classical_multiplicity()}, "
+          f"multiplicity {sol.det_abs}, "
           f"refined {sol.refined_multiplicity()}")
 print("N =", n_trop)
 print()

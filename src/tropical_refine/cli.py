@@ -17,9 +17,12 @@ text only), and `plot` is `enumerate` with an SVG default. `--n1` needs
 Degrees are read from a JSON file ({"entries": [[x, y], ...]}), an inline
 JSON literal, or the compact form "x,y;x,y;...". Moments are exact rationals;
 either n-1 values (the first end's moment is implied) or all n (checked to
-sum to zero). All JSON and SVG output is deterministic byte for byte:
-identical invocations produce identical files. Fatal mathematical conditions
-and usage errors print a one-line error JSON to stdout and exit 1.
+sum to zero). Each command's runner returns its JSON payload and its text,
+which for `--format svg` is the picture of the curves it counted; `main`
+encodes the payload for json and writes the text otherwise. All JSON and
+SVG output is deterministic byte for byte: identical invocations produce
+identical files. Fatal mathematical conditions and usage errors print a
+one-line error JSON to stdout and exit 1.
 
 Each command imports only the modules it runs. Loading this module loads
 `errors`, `lattice` and `laurent`; `quantum` adds `realsplit`; `enumerate`
@@ -147,7 +150,7 @@ def solution_json(sol: TropicalSolution) -> dict:
             for (a, b), ln in sorted(sol.lengths.items())
         },
         "endMoments": [frac_str(mo) for mo in sol.end_moments()],
-        "multiplicity": sol.classical_multiplicity(),
+        "multiplicity": sol.det_abs,
         "refinedMultiplicity": refined.to_json_pairs(),
         "refinedMultiplicityText": str(refined),
     }
@@ -156,6 +159,8 @@ def solution_json(sol: TropicalSolution) -> dict:
 def run_enumerate(args: argparse.Namespace) -> tuple[dict, str]:
     delta_s = resolve_degree(args)
     mu, n_trop, sols = count_curves(args, delta_s)
+    if args.format == "svg":
+        return {}, render_svg(sols, polygon_of(delta_s))
     payload = {
         "command": "enumerate",
         "degree": delta_s.to_json(),
@@ -172,7 +177,7 @@ def run_enumerate(args: argparse.Namespace) -> tuple[dict, str]:
         x, y = sol.root
         lines.append(f"  tree {sol.ctype.serialize()}  root "
                      f"({frac_str(x)}, {frac_str(y)})  mult "
-                     f"{sol.classical_multiplicity()}  refined "
+                     f"{sol.det_abs}  refined "
                      f"{sol.refined_multiplicity()}")
     lines.append(f"N = {n_trop}")
     return payload, "\n".join(lines) + "\n"
@@ -289,12 +294,6 @@ def render_svg(solutions, polygon) -> str:
     return draw(solutions, polygon)
 
 
-def render_solutions_svg(args: argparse.Namespace) -> str:
-    delta_s = resolve_degree(args)
-    _, _, sols = count_curves(args, delta_s)
-    return render_svg(sols, polygon_of(delta_s))
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):   # a usage error is one error line too
         raise TropicalError(f"{self.prog}: {message}")
@@ -346,14 +345,9 @@ def _write(text: str, out: str | None) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.format == "svg":
-            text = render_solutions_svg(args)
-        else:
-            payload, rendered = _RUNNERS[args.command](args)
-            if args.format == "json":
-                text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-            else:
-                text = rendered
+        payload, text = _RUNNERS[args.command](args)
+        if args.format == "json":
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         _write(text, args.out)
     except (TropicalError, ValueError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

@@ -17,7 +17,9 @@ w - 1/w, so either form of R is exact exactly when T is, and then they
 agree. A nonzero remainder can only mean an implementation bug.
 
 Generic constraints are drawn from a fixed portable generator (SplitMix64)
-so that every run of a given seed is reproducible down to the byte.
+so that every run of a given seed is reproducible down to the byte. N and
+sampling read the counted curves' splits and vertex data alone; `_rebuild`
+gives them trees only for `refined_count` and a record's `solutions`.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from .errors import (DegenerateType, ExhaustedRetries, InvarianceViolation,
                      NonGenericMoments)
 from .lattice import Degree, MomentVector, Record, frac_str, split_even_ends
 from .laurent import HalfLaurent, w_pow_minus_inverse
-from .solver import (TropicalSolution, _count, _q_product, _rebuild, solve,
-                     solve_all)
-from .trees import enumerate_types
+from .solver import TropicalSolution, _q_product, curves_through, solve
+from .trees import enumerate_types, type_from_clades
 
 _MASK64 = (1 << 64) - 1
+MAX_ATTEMPTS = 64                           # moment draws per seed
 W_MINUS = w_pow_minus_inverse(1)            # q^(1/2) - q^(-1/2)
 W_PLUS = HalfLaurent({1: 1, -1: 1})         # q^(1/2) + q^(-1/2)
 Q_PLUS = HalfLaurent({2: 1, -2: 1})         # q + q^(-1)
@@ -70,17 +72,25 @@ def _total(mults: Iterable[tuple[int, ...]]) -> HalfLaurent:
     return sum((_q_product(tuple(sorted(m))) for m in mults), HalfLaurent(0))
 
 
+def _rebuild(delta: Degree, mu: MomentVector,
+             curves: Iterable[tuple]) -> list[TropicalSolution]:
+    """The counted curves as solutions, in enumerate_types order."""
+    found = sorted(((type_from_clades(delta.entries, splits), data)
+                    for splits, *data in curves), key=lambda c: c[0][0])
+    return [TropicalSolution(ctype, mu, *data) for (_, ctype), data in found]
+
+
 def refined_count(delta_s: Degree,
                   mu: MomentVector) -> tuple[HalfLaurent, list[TropicalSolution]]:
     """Sum of refined multiplicities over all curves through mu.
 
     The curves come from the subset dynamic program of
-    `solver.solve_all`, which places every vertex from its split of the end
-    set alone and so needs no per-type linear solve. It returns the same
+    `solver.curves_through`, which places every vertex from its split of the
+    end set alone and so needs no per-type linear solve. It returns the same
     solutions, in the same order, as `refined_count_brute`, and raises
     NonGenericMoments exactly when that would, so callers can resample.
     """
-    solutions = solve_all(delta_s, mu)
+    solutions = _rebuild(delta_s, mu, curves_through(delta_s, mu))
     return _total(sol.mults for sol in solutions), solutions
 
 
@@ -108,27 +118,22 @@ def _position_signature(curve: tuple) -> tuple:
     return scale, tuple(sorted(points))
 
 
-def sample_trial(delta_s: Degree, seed: int,
-                 max_retries: int = 64) -> TrialRecord:
+def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
     """Seeded generic moments for ends 2..n and the count that accepted them.
 
     A candidate is rejected when some type solves onto a wall (zero length)
     or two curves coincide as point sets. Raises ExhaustedRetries, with the
-    reason for every rejection, after max_retries candidates. N and the
+    reason for every rejection, after MAX_ATTEMPTS candidates. N and the
     coincidence test read vertex data only: no tree is built here.
     """
     stream = SplitMix64(seed)
-    if type(max_retries) is not int:
-        raise TypeError(f"max_retries is an int, got {max_retries!r}")
-    if max_retries < 1:
-        raise ValueError(f"need at least one attempt, got {max_retries}")
     n = len(delta_s)
     reasons = []
-    for _ in range(max_retries):
+    for _ in range(MAX_ATTEMPTS):
         mu = MomentVector(tuple(moment_from_draw(stream.next_u64())
                                 for _ in range(n - 1)))
         try:
-            curves = tuple(_count(delta_s, mu))
+            curves = tuple(curves_through(delta_s, mu))
         except NonGenericMoments:
             reasons.append("wall")
             continue
@@ -139,15 +144,14 @@ def sample_trial(delta_s: Degree, seed: int,
         return TrialRecord(seed, mu, n_trop, delta_s, curves)
     tally = ", ".join(f"{reasons.count(r)} {r}" for r in dict.fromkeys(reasons))
     raise ExhaustedRetries(f"no generic moments for seed {seed} in "
-                           f"{max_retries} attempts ({tally})",
+                           f"{MAX_ATTEMPTS} attempts ({tally})",
                            reasons=reasons)
 
 
-def random_generic_moments(delta_s: Degree, seed: int,
-                           max_retries: int = 64) -> MomentVector:
-    """The moments of sample_trial(delta_s, seed, max_retries); the count
-    that accepted them is discarded."""
-    return sample_trial(delta_s, seed, max_retries).moments
+def random_generic_moments(delta_s: Degree, seed: int) -> MomentVector:
+    """The moments of sample_trial(delta_s, seed); the count that accepted
+    them is discarded."""
+    return sample_trial(delta_s, seed).moments
 
 
 def _check_theorem_args(m: int, s: int) -> None:
@@ -208,8 +212,9 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
 
 class TrialRecord(Record):
     """One audited constraint: seed, moments, N, degree and counted curves
-    (`solver._count`), kept whole so a failure can be diffed curve by curve;
-    `solutions`, built when first read, equal solve_all(delta_s, moments)."""
+    (`solver.curves_through`), kept whole so a failure can be diffed curve
+    by curve; `solutions`, built when first read, equal those of
+    refined_count(delta_s, moments)."""
 
     def __init__(self, seed: int, moments: MomentVector, n_trop: HalfLaurent,
                  delta_s: Degree, curves: tuple[tuple, ...]):

@@ -137,7 +137,9 @@ class HalfLaurent(Record):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if type(n) is not int or n < 0:
+        if type(n) is not int:
+            raise TypeError(f"an exponent is an int, got {n!r}")
+        if n < 0:
             raise ValueError("only nonnegative integer powers")
         out = HalfLaurent(1)
         base = self

@@ -246,9 +246,18 @@ class RealSplit(Record):
         return node[1]
 
     @functools.cached_property
+    def _outgoing(self) -> dict[tuple, tuple[Vec, ...]]:
+        """Every node, in repr order, with the slopes of its edges directed
+        away from it, in edge order; read off the edges once."""
+        out: dict[tuple, list[Vec]] = {}
+        for e in self.edges:
+            out.setdefault(e.a, []).append(e.slope)
+            out.setdefault(e.b, []).append(-e.slope)
+        return {nd: tuple(out[nd]) for nd in sorted(out, key=repr)}
+
+    @property
     def nodes(self) -> tuple:
-        return tuple(sorted({nd for e in self.edges for nd in (e.a, e.b)},
-                            key=repr))
+        return tuple(self._outgoing)
 
     @functools.cached_property
     def quad_vertices(self) -> tuple[tuple[int, int], ...]:
@@ -262,9 +271,8 @@ class RealSplit(Record):
     def flat_nodes(self) -> tuple:
         """Finite nodes of valence 3 or more whose slopes are all parallel."""
         out = []
-        for nd, valence in self.valences().items():
-            sl = self.outgoing_slopes(nd)
-            if valence >= 3 and all(
+        for nd, sl in self._outgoing.items():
+            if self.is_finite(nd) and len(sl) >= 3 and all(
                     wedge(sl[0], s) == 0 and wedge(sl[1], s) == 0 for s in sl):
                 out.append(nd)
         return tuple(out)
@@ -277,26 +285,12 @@ class RealSplit(Record):
         x = self.pi(node)
         return not (isinstance(x, int) and x < self.base.tree.n)
 
-    @functools.cached_property
-    def _adjacency(self) -> dict:
-        adj: dict[tuple, list[SplitEdge]] = {nd: [] for nd in self.nodes}
-        for e in self.edges:
-            adj[e.a].append(e)
-            adj[e.b].append(e)
-        return adj
-
-    def valence(self, node) -> int:
-        return len(self._adjacency[node])
-
     def valences(self) -> dict:
-        return {nd: self.valence(nd) for nd in self.nodes
+        return {nd: len(sl) for nd, sl in self._outgoing.items()
                 if self.is_finite(nd)}
 
-    def outgoing_slopes(self, node) -> list[Vec]:
-        out = []
-        for e in self._adjacency[node]:
-            out.append(e.slope if e.a == node else -e.slope)
-        return out
+    def outgoing_slopes(self, node) -> tuple[Vec, ...]:
+        return self._outgoing[node]
 
     @property
     def is_realizable(self) -> bool:
@@ -484,23 +478,20 @@ def m_prime(split: RealSplit, mults: Mapping[int, int]) -> HalfLaurent:
     4 * prod over quadrivalent W of (q^(m_W/2) - q^(-m_W/2)) / (q - 1/q)
       * prod over the other vertices of (q^(m_V/2) - q^(-m_V/2)).
 
-    mults maps each internal base vertex, and nothing else, to its
-    multiplicity, as `CombinatorialType.multiplicities()` gives it.
+    mults must equal the base tree's `CombinatorialType.multiplicities()`,
+    every internal vertex with its multiplicity; else TropicalError.
     """
-    internal = split.base.tree.internal_vertices
-    if mults.keys() != set(internal):
-        raise TropicalError(f"multiplicities given at vertices {sorted(mults)}, "
-                            f"need exactly {list(internal)}")
-    quads = dict(split.quad_vertices)
-    for v, m in quads.items():
-        if mults[v] != m:
-            raise TropicalError(
-                f"vertex {v}: split says multiplicity {m}, caller {mults[v]}")
+    quads = split.quad_vertices
+    for v, m in quads:
         if m % 2:
             raise OddQuadMultiplicity(f"vertex {v} has odd multiplicity {m}")
+    want = split.base.tree.multiplicities()
+    if dict(mults) != want:
+        raise TropicalError(f"multiplicities {dict(mults)} are not the "
+                            f"tree's {want}")
     num = HalfLaurent(4)
-    for v in internal:
-        num = num * w_pow_minus_inverse(mults[v])
+    for m in want.values():
+        num = num * w_pow_minus_inverse(m)
     den = w_pow_minus_inverse(2) ** len(quads)
     return num.exact_div(den)
 

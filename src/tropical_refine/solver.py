@@ -9,26 +9,26 @@ multiplicities. `solve` handles one type this way, by fraction-free
 elimination over the integers; it is the reference the fast path is tested
 against.
 
-`solve_all` finds the curves of every type at once. Hang the tree from end
-1; the vertex above an end set S with children A and B sits where the lines
-L_A and L_B meet, L_X = {p : wedge(n_X, p) = sum of the moments of X}, so
-its position depends on the split (A, B) alone, and the edge down to A has
-positive length exactly when A's own vertex lies further along n_A. A
+`curves_through` finds the curves of every type at once. Hang the tree from
+end 1; the vertex above an end set S with children A and B sits where the
+lines L_A and L_B meet, L_X = {p : wedge(n_X, p) = sum of the moments of
+X}, so its position depends on the split (A, B) alone, and the edge down to
+A has positive length exactly when A's own vertex lies further along n_A. A
 subset dynamic program over end sets keeps one count per end set, of the
 subtrees below it with every length >= 0, and sorts each set's splits by
 their position along n_S, their key, with suffix sums of those counts. It
 counts on integer moment sums over one common denominator, with one
 bisection per child (a single end is one subtree at any key) and no linear
-algebra. Backtracking takes only child splits strictly past their
-parent's key, listing each side of a split once, so it finds exactly the
-curves with every length > 0; finding fewer than the count means some
-length is zero, a wall. This count, `_count`, gives each curve
-as its splits with its vertex multiplicities (each split's |d|) and vertex
-positions (where L_A and L_B meet, as integers over the count's common
-scale, reduced to the least one): weighing curves and comparing them as
-point sets needs no tree. The rebuild, `_rebuild`, gives each curve its
-tree, as the same object, in the same order, that solving every enumerated
-type would give; a rebuilt curve reads its edge lengths off its points.
+algebra. Backtracking takes only child splits strictly past their parent's
+key, listing each side of a split once, so it finds exactly the curves with
+every length > 0; finding fewer than the count means some length is zero, a
+wall. The count gives each curve as its splits with its vertex
+multiplicities (each split's |d|) and vertex positions (where L_A and L_B
+meet, as integers over the count's common scale, reduced to the least one):
+weighing curves and comparing them as point sets needs no tree.
+`invariants` rebuilds a counted curve's tree from its splits only where a
+caller asks for solutions; a rebuilt curve reads its edge lengths off its
+points.
 
 Everything that depends on the degree alone (the direction sums of the end
 sets, their splits with d = wedge(n_A, n_B) != 0, the common scale lcm|d|
@@ -53,13 +53,13 @@ import functools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .errors import DegenerateType, NonGenericMoments, TooFewEnds, TropicalError
 from .lattice import Degree, MomentVector, Vec
 from .laurent import HalfLaurent, q_analog
-from .trees import CombinatorialType, type_from_clades
+from .trees import CombinatorialType
 
 
 def evaluation_matrix(ctype: CombinatorialType) -> list[list[int]]:
@@ -124,9 +124,9 @@ class TropicalSolution(NamedTuple):
     Internal vertex ctype.n + i has multiplicity mults[i] and lies at
     points[i] / scale, where scale is the least positive integer that makes
     every coordinate whole. That form is unique, so a curve has the same
-    fields whichever of the two constructors, `solve` or `solve_all`, built
-    it, and two curves have equal point sets exactly when their scales and
-    sorted points are equal. The tree and the points fix the curve, so
+    fields whether `solve` built it or it was rebuilt from a count, and two
+    curves have equal point sets exactly when their scales and sorted
+    points are equal. The tree and the points fix the curve, so
     `lengths` reads the edge lengths off the points.
     """
 
@@ -205,9 +205,6 @@ class TropicalSolution(NamedTuple):
         """Product of quantum integers [m_V] over the vertices."""
         return _q_product(tuple(sorted(self.mults)))
 
-    def classical_multiplicity(self) -> int:
-        return self.det_abs
-
 
 @functools.cache
 def _q_product(mults: tuple[int, ...]) -> HalfLaurent:
@@ -275,7 +272,7 @@ def solve(ctype: CombinatorialType, mu: MomentVector) -> TropicalSolution | None
 
 
 class _SplitTable:
-    """Everything `solve_all` needs of a degree that the moments do not touch.
+    """What `curves_through` needs of a degree that the moments do not touch.
 
     sx and sy hold the direction sums of every end set (a bitmask over ends
     1..n-1; end 0 is in none). `splits` pairs each end set S, in increasing
@@ -340,18 +337,7 @@ def _subset_sums(values: list[int]) -> list[int]:
     return out
 
 
-def solve_all(delta: Degree, mu: MomentVector) -> list[TropicalSolution]:
-    """Every curve of the degree through mu, in enumerate_types order.
-
-    Equal, solution for solution, to calling `solve` on every type from
-    enumerate_types and keeping the accepted ones, and raises
-    NonGenericMoments whenever that would: `_count` finds the curves, and
-    this adds only their trees and their order.
-    """
-    return _rebuild(delta, mu, _count(delta, mu))
-
-
-def _count(delta: Degree, mu: MomentVector) -> list[tuple]:
+def curves_through(delta: Degree, mu: MomentVector) -> list[tuple]:
     """Every curve through mu, unordered, as its splits (A, B) and the
     mults, points and scale of its `TropicalSolution`; the vertex of (A, B)
     is n + low(B) - 2, as enumerate_types inserts end low(B), the lowest end
@@ -434,11 +420,3 @@ def _count(delta: Degree, mu: MomentVector) -> list[tuple]:
         points = tuple((x // g, y // g) for x, y in points)
         curves.append((splits, tuple(mults), points, common // g))
     return curves
-
-
-def _rebuild(delta: Degree, mu: MomentVector,
-             curves: Iterable[tuple]) -> list[TropicalSolution]:
-    """The counted curves as solutions, in enumerate_types order."""
-    found = sorted(((type_from_clades(delta.entries, splits), data)
-                    for splits, *data in curves), key=lambda c: c[0][0])
-    return [TropicalSolution(ctype, mu, *data) for (_, ctype), data in found]

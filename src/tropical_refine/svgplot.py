@@ -78,9 +78,9 @@ def _ray_clip(p: tuple[Fraction, Fraction], d: Vec, box) -> tuple:
 
 
 def render_svg(solutions: Sequence[TropicalSolution],
-               polygon: LatticePolygon | None = None) -> str:
+               polygon: LatticePolygon) -> str:
     """One SVG document showing all solutions overlaid, plus the dual
-    subdivision of the first solution as an inset."""
+    subdivision of the first solution in the degree polygon as an inset."""
     if not solutions:
         raise ValueError("nothing to draw")
     width, height, inset_size, pad = 720, 540, 170, 40
@@ -133,9 +133,7 @@ def render_svg(solutions: Sequence[TropicalSolution],
         parts.append('</g>')
 
     sub = dual_subdivision(solutions[0].ctype)
-    corners = [p for tri in sub for p in tri]
-    if polygon is not None:
-        corners.extend(polygon.vertices)
+    corners = [p for tri in sub for p in tri] + list(polygon.vertices)
     sxmax = max(p.x for p in corners)
     symax = max(p.y for p in corners)
     sscale = Fraction(inset_size - 20) / max(sxmax, symax, 1)
@@ -153,10 +151,9 @@ def render_svg(solutions: Sequence[TropicalSolution],
         pts = " ".join(",".join(to_inset(p)) for p in tri)
         parts.append(f'<polygon points="{pts}" fill="#dce9f5" '
                      f'stroke="#444444" stroke-width="1"/>')
-    if polygon is not None:
-        pts = " ".join(",".join(to_inset(p)) for p in polygon.vertices)
-        parts.append(f'<polygon points="{pts}" fill="none" '
-                     f'stroke="#000000" stroke-width="1.4"/>')
+    pts = " ".join(",".join(to_inset(p)) for p in polygon.vertices)
+    parts.append(f'<polygon points="{pts}" fill="none" '
+                 f'stroke="#000000" stroke-width="1.4"/>')
     parts.append('</g>')
     parts.append('</svg>')
     return "\n".join(parts) + "\n"

@@ -67,14 +67,15 @@ def doubled_quad_mu() -> MomentVector:
 @pytest.fixture
 def count_solves(monkeypatch):
     """Counters, from here on, of counts ("solves": calls of the one count
-    step, `solver._count`, wherever callers look it up) and of moments drawn
-    by sampling ("draws"; n - 1 per attempt). Counts whose 1-based number is
-    in the set "walls" raise NonGenericMoments instead, as a constraint on a
-    wall would."""
-    from tropical_refine import NonGenericMoments, invariants, solver
+    step, `solver.curves_through`, where `invariants` looks it up) and of
+    moments drawn by sampling ("draws"; n - 1 per attempt). Counts whose
+    1-based number is in the set "walls" raise NonGenericMoments instead, as
+    a constraint on a wall would."""
+    from tropical_refine import NonGenericMoments, invariants
 
     counts = {"solves": 0, "draws": 0, "walls": set()}
-    real_count, real_draw = solver._count, invariants.moment_from_draw
+    real_count = invariants.curves_through
+    real_draw = invariants.moment_from_draw
 
     def count(delta, mu):
         counts["solves"] += 1
@@ -86,15 +87,14 @@ def count_solves(monkeypatch):
         counts["draws"] += 1
         return real_draw(draw)
 
-    monkeypatch.setattr(solver, "_count", count)
-    monkeypatch.setattr(invariants, "_count", count)
+    monkeypatch.setattr(invariants, "curves_through", count)
     monkeypatch.setattr(invariants, "moment_from_draw", moment_from_draw)
     return counts
 
 
 @pytest.fixture
 def count_tables(monkeypatch):
-    """The end directions of every split table `solve_all` builds from here
+    """The end directions of every split table the count builds from here
     on, one entry per build."""
     from tropical_refine import solver
 

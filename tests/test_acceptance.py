@@ -10,7 +10,6 @@ bounds.
 """
 
 import functools
-import itertools
 import sys
 import tempfile
 import time
@@ -26,6 +25,9 @@ from tropical_refine import (CombinatorialType, Degree, DegenerateType,
                              quotient_curve, r_from_n, random_generic_moments,
                              refined_count, solve, w_pow_minus_inverse)
 from tropical_refine.cli import main as cli_main
+
+# the independent tree generator of criterion 7 is test_trees' oracle
+from test_trees import brute_force_keys, generic_degree
 
 TRIANGLE = Degree(((-1, 0), (0, -1), (1, 1)))
 SQUARE = Degree(((-1, 0), (1, 0), (0, -1), (0, 1)))
@@ -230,74 +232,15 @@ def test_criterion_06_quadrivalent_identities():
     return f"250 tables in {elapsed:.3f} s"
 
 
-def _generic_degree(n: int) -> Degree:
-    dirs = [Vec(1, k) for k in range(n - 1)]
-    total = Vec(sum(v.x for v in dirs), sum(v.y for v in dirs))
-    dirs.append(Vec(-total.x, -total.y))
-    return Degree(tuple(dirs))
-
-
-def _prufer_trees(nodes: int):
-    """All labeled trees on 0..nodes-1, independent of the enumerator."""
-    if nodes == 1:
-        yield frozenset()
-        return
-    if nodes == 2:
-        yield frozenset({(0, 1)})
-        return
-    for seq in itertools.product(range(nodes), repeat=nodes - 2):
-        degree = [1] * nodes
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        leaves = sorted(v for v in range(nodes) if degree[v] == 1)
-        for v in seq:
-            leaf = leaves.pop(0)
-            edges.append(tuple(sorted((leaf, v))))
-            degree[v] -= 1
-            if degree[v] == 1:
-                lo = 0
-                while lo < len(leaves) and leaves[lo] < v:
-                    lo += 1
-                leaves.insert(lo, v)
-        edges.append(tuple(sorted((leaves[0], leaves[1]))))
-        yield frozenset(edges)
-
-
-def _brute_force_keys(n: int) -> set:
-    internal = n - 2
-    dirs = _generic_degree(n).entries
-    keys = set()
-    for skeleton in _prufer_trees(internal):
-        internal_degree = {v: 0 for v in range(internal)}
-        for a, b in skeleton:
-            internal_degree[a] += 1
-            internal_degree[b] += 1
-        slots = [3 - internal_degree[v] for v in range(internal)]
-        if any(s < 0 for s in slots):
-            continue
-        for assignment in itertools.product(range(internal), repeat=n):
-            counts = [0] * internal
-            for owner in assignment:
-                counts[owner] += 1
-            if counts != slots:
-                continue
-            edges = [(a + n, b + n) for a, b in skeleton]
-            edges += [(leaf, owner + n)
-                      for leaf, owner in enumerate(assignment)]
-            keys.add(CombinatorialType(dirs, tuple(edges)).canonical_key())
-    return keys
-
-
 @criterion(7, "tree counts match (2n-5)!! and an independent generator")
 def test_criterion_07_tree_enumeration():
     for n in range(3, 9):
-        got = [t.canonical_key() for t in enumerate_types(_generic_degree(n))]
+        got = [t.canonical_key() for t in enumerate_types(generic_degree(n))]
         assert len(got) == len(set(got)) == double_factorial_count(n)
         if n <= 6:
-            assert set(got) == _brute_force_keys(n)
+            assert set(got) == brute_force_keys(n)
     start = time.perf_counter()
-    count = sum(1 for _ in enumerate_types(_generic_degree(9)))
+    count = sum(1 for _ in enumerate_types(generic_degree(9)))
     elapsed = time.perf_counter() - start
     assert count == double_factorial_count(9) == 135135
     assert elapsed < 5.0

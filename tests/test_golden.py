@@ -20,9 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from tropical_refine import TropicalError, sample_trial
+from tropical_refine import TropicalError, refined_count, sample_trial
 from tropical_refine.cli import load_degree, main
-from tropical_refine.solver import solve_all
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 SEEDS = range(6)
@@ -112,12 +111,12 @@ def test_output_matches_golden(golden, key):
 def test_invariant_builds_no_tree(golden, monkeypatch):
     # `invariant` reads N and the curve counts only, so with every tree
     # rebuild refused its outputs keep their golden bytes
-    from tropical_refine import solver, trees
+    from tropical_refine import invariants, trees
 
     def rebuilt(*_):
         raise TropicalError("a tree was built")
 
-    monkeypatch.setattr(solver, "type_from_clades", rebuilt)
+    monkeypatch.setattr(invariants, "type_from_clades", rebuilt)
     monkeypatch.setattr(trees, "type_from_clades", rebuilt)
     keys = [key for key in cases() if "/invariant/" in key]
     assert len(keys) == 2 * len(DEGREES)
@@ -130,7 +129,7 @@ def test_invariant_builds_no_tree(golden, monkeypatch):
 
 @pytest.mark.parametrize("label", DEGREES)
 def test_trial_solutions_are_the_counted_curves(label, count_solves):
-    # a record's solutions are those solve_all gives for its moments, and
+    # a record's solutions are those refined_count gives for its moments, and
     # reading them adds no count
     delta = load_degree(DEGREES[label])
     for seed in SEEDS:
@@ -139,7 +138,7 @@ def test_trial_solutions_are_the_counted_curves(label, count_solves):
         sols = record.solutions
         assert count_solves["solves"] == counted
         assert record.solutions is sols
-        assert sols == tuple(solve_all(delta, record.moments))
+        assert sols == tuple(refined_count(delta, record.moments)[1])
 
 
 if __name__ == "__main__":

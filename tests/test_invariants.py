@@ -82,28 +82,22 @@ def test_random_generic_moments_exhaustion(square, monkeypatch):
     # all-zero moments put every curve of the square onto a wall
     monkeypatch.setattr(invariants, "moment_from_draw", lambda draw: Fraction(0))
     with pytest.raises(ExhaustedRetries):
-        random_generic_moments(square, 0, max_retries=1)
+        random_generic_moments(square, 0)
 
 
 def test_exhausted_retries_gives_every_reason(square, monkeypatch):
     # all-zero moments put every curve of the square onto a wall
     monkeypatch.setattr(invariants, "moment_from_draw", lambda draw: Fraction(0))
     with pytest.raises(ExhaustedRetries) as info:
-        sample_trial(square, 3, max_retries=4)
-    assert info.value.reasons == ["wall"] * 4
-    assert str(info.value) == ("no generic moments for seed 3 in 4 attempts "
-                               "(4 wall)")
-
-
-@pytest.mark.parametrize("max_retries", [0, -2])
-def test_sample_trial_needs_one_attempt(square, max_retries):
-    with pytest.raises(ValueError, match="at least one attempt"):
-        sample_trial(square, 3, max_retries=max_retries)
+        sample_trial(square, 3)
+    assert info.value.reasons == ["wall"] * 64
+    assert str(info.value) == ("no generic moments for seed 3 in 64 attempts "
+                               "(64 wall)")
 
 
 def test_exhausted_retries_tells_walls_from_coincident_curves(conic,
                                                               monkeypatch):
-    real = invariants._count
+    real = invariants.curves_through
     calls = []
 
     def wall_then_doubled(delta, mu):
@@ -113,13 +107,12 @@ def test_exhausted_retries_tells_walls_from_coincident_curves(conic,
         curves = real(delta, mu)
         return curves + curves      # every curve twice: they coincide
 
-    monkeypatch.setattr(invariants, "_count", wall_then_doubled)
+    monkeypatch.setattr(invariants, "curves_through", wall_then_doubled)
     with pytest.raises(ExhaustedRetries) as info:
-        sample_trial(conic, 8, max_retries=5)
-    assert info.value.reasons == ["wall", "coincident curves", "wall",
-                                  "coincident curves", "wall"]
-    assert str(info.value) == ("no generic moments for seed 8 in 5 attempts "
-                               "(3 wall, 2 coincident curves)")
+        sample_trial(conic, 8)
+    assert info.value.reasons == ["wall", "coincident curves"] * 32
+    assert str(info.value) == ("no generic moments for seed 8 in 64 attempts "
+                               "(32 wall, 32 coincident curves)")
 
 
 @pytest.mark.parametrize("name", ["triangle", "square", "conic",
@@ -156,8 +149,8 @@ def test_split_table_is_built_once_across_retries(square, count_solves,
     monkeypatch.setattr(invariants, "moment_from_draw", lambda draw: Fraction(0))
     walled = Degree(square.entries, name="table across real walls")
     with pytest.raises(ExhaustedRetries):
-        sample_trial(walled, 3, max_retries=4)
-    assert count_solves["solves"] == 10
+        sample_trial(walled, 3)
+    assert count_solves["solves"] == 6 + 64
     assert count_tables == [merged.entries, walled.entries]
 
 
@@ -477,8 +470,6 @@ def test_dp_raises_on_the_same_wall(square):
     (((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1), (-1, -1)), (15, 2, 3, 4, 5)),
 ], ids=["square", "hexagon"])
 def test_a_wall_draw_rebuilds_no_curve(entries, wall, monkeypatch):
-    from tropical_refine import solver
-
     delta, wall = Degree(entries), MomentVector(wall)
     assert assert_matches_brute(delta, wall)[0] == "wall"
     generic = random_generic_moments(delta, 0)
@@ -486,7 +477,7 @@ def test_a_wall_draw_rebuilds_no_curve(entries, wall, monkeypatch):
     def rebuilt(*_):
         raise TropicalError("a curve was rebuilt")
 
-    monkeypatch.setattr(solver, "type_from_clades", rebuilt)
+    monkeypatch.setattr(invariants, "type_from_clades", rebuilt)
     with pytest.raises(NonGenericMoments):
         refined_count(delta, wall)
     # the guard is live: a draw off every wall rebuilds its curves
@@ -513,7 +504,6 @@ def test_seeds_trials_and_retries_are_ints(triangle, bad):
     # the seed-1 draw with "seed": true in its JSON
     for refused in (lambda: SplitMix64(bad),
                     lambda: sample_trial(triangle, bad),
-                    lambda: sample_trial(triangle, 1, max_retries=bad),
                     lambda: invariance_audit(triangle, trials=bad),
                     lambda: invariance_audit(triangle, seed=bad)):
         with pytest.raises(TypeError, match=re.escape(repr(bad))):
@@ -521,12 +511,12 @@ def test_seeds_trials_and_retries_are_ints(triangle, bad):
 
 
 def test_an_audit_builds_no_tree(monkeypatch):
-    from tropical_refine import solver, trees
+    from tropical_refine import trees
 
     def rebuilt(*_):
         raise TropicalError("a tree was built")
 
-    monkeypatch.setattr(solver, "type_from_clades", rebuilt)
+    monkeypatch.setattr(invariants, "type_from_clades", rebuilt)
     monkeypatch.setattr(trees, "type_from_clades", rebuilt)
     report = invariance_audit(delta_d(3), trials=3)
     assert report.trials == 3 and report.n_trop.is_symmetric()

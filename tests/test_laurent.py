@@ -1,5 +1,6 @@
 """Half-integer Laurent polynomials: ring laws, division, rendering."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,8 +47,17 @@ def test_bools_do_not_mix_with_polynomials():
     assert HalfLaurent(1) == 1
     # nor is a bool an exponent: HalfLaurent({2: 1}) ** True would be q
     for flag in (True, False):
-        with pytest.raises(ValueError, match="nonnegative integer powers"):
+        with pytest.raises(TypeError, match="an exponent is an int"):
             HalfLaurent({2: 1}) ** flag
+
+
+def test_power_tells_a_wrong_type_from_a_negative_exponent():
+    for bad in (True, 2.0, Fraction(2), "2", None):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            HalfLaurent({1: 1}) ** bad
+    with pytest.raises(ValueError, match="nonnegative integer powers"):
+        HalfLaurent({1: 1}) ** -1
+    assert HalfLaurent({1: 1}) ** 0 == 1
 
 
 @pytest.mark.parametrize("make", [q_analog, w_pow_minus_inverse])

@@ -617,12 +617,21 @@ def test_m_prime_rejects_odd_quad_multiplicity(monkeypatch):
 def test_m_prime_rejects_mismatched_multiplicity():
     base = WeightedPlaneParam(caterpillar_tree())
     split = maximal_split(base)
-    with pytest.raises(TropicalError, match="split says multiplicity 2"):
-        m_prime(split, {6: 4, 7: 2, 8: 2, 9: 2})
-    # the map must name exactly the internal vertices 6..9
-    for mults in ({6: 2, 9: 2}, {6: 2, 7: 2, 8: 2, 9: 2, 10: 5}, {}):
-        with pytest.raises(TropicalError, match=r"need exactly \[6, 7, 8, 9\]"):
+    # the map must be the tree's: each internal vertex 6..9 with its 2
+    for mults in ({6: 4, 7: 2, 8: 2, 9: 2}, {6: 2, 9: 2},
+                  {6: 2, 7: 2, 8: 2, 9: 2, 10: 5}, {}):
+        with pytest.raises(TropicalError,
+                           match=r"not the tree's \{6: 2, 7: 2, 8: 2, 9: 2\}"):
             m_prime(split, mults)
+    # a wrong multiplicity at a trivalent vertex would change m' silently
+    sol = sample_trial(build_delta_s(delta_d(2), Vec(-1, 0), 1), 3).solutions[0]
+    mults = sol.ctype.multiplicities()
+    assert mults == {5: 1, 6: 1, 7: 2}
+    split = maximal_split(WeightedPlaneParam.from_solution(sol))
+    assert split.quad_vertices == ((7, 2),)
+    assert str(m_prime(split, mults)) == "4*q - 8 + 4*q^-1"
+    with pytest.raises(TropicalError, match=r"\{5: 5, 6: 1, 7: 2\} are not"):
+        m_prime(split, {5: 5, 6: 1, 7: 2})
 
 
 def test_quotient_rejects_pieces_that_do_not_chain():

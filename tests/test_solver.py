@@ -13,8 +13,8 @@ from tropical_refine import (CombinatorialType, Degree, DegenerateType,
                              HalfLaurent, MomentVector, NonGenericMoments,
                              TropicalError, Vec, delta_d, enumerate_types,
                              evaluation_matrix, q_analog,
-                             random_generic_moments, sample_trial, solve,
-                             solver)
+                             random_generic_moments, refined_count,
+                             sample_trial, solve, solver)
 
 
 def only_type(degree: Degree) -> CombinatorialType:
@@ -157,8 +157,8 @@ def test_refined_multiplicity_is_built_once(conic, conic_merged, monkeypatch):
     # vertices of different curves in different orders
     mixed = Degree(((1, 2), (2, 1), (-1, -1), (-1, -1), (-1, 0), (0, -1)))
     sols = [sol for delta in (conic, conic_merged, mixed) for seed in range(3)
-            for sol in solver.solve_all(delta, random_generic_moments(delta,
-                                                                      seed))]
+            for sol in refined_count(delta, random_generic_moments(delta,
+                                                                   seed))[1]]
     built = []
     monkeypatch.setattr(solver, "q_analog",
                         lambda m: built.append(m) or q_analog(m))
@@ -208,7 +208,7 @@ def test_verify_raises_domain_errors_on_drift(conic_merged):
             bad.verify()
 
 
-# -- the per-degree split table of solve_all ---------------------------------
+# -- the per-degree split table of the count -------------------------------
 
 
 def test_equal_degrees_give_identical_solutions(count_tables):
@@ -217,14 +217,14 @@ def test_equal_degrees_give_identical_solutions(count_tables):
     assert first == second and first is not second
     for seed in range(3):
         mu = random_generic_moments(first, seed)
-        assert solver.solve_all(first, mu) == solver.solve_all(second, mu)
+        assert refined_count(first, mu) == refined_count(second, mu)
     # equal degrees look up the same table
     assert count_tables == [first.entries]
 
 
 def test_dropping_the_degree_frees_its_table(conic):
     delta = Degree(conic.entries, name="dropped")
-    solver.solve_all(delta, random_generic_moments(conic, 2))
+    refined_count(delta, random_generic_moments(conic, 2))
     table = weakref.ref(solver._TABLES[delta])
     del delta
     gc.collect()

@@ -67,10 +67,11 @@ def test_render_svg_is_deterministic(conic):
 
 def test_render_svg_triangle_is_three_rays(triangle, triangle_mu):
     _, sols = refined_count(triangle, triangle_mu)
-    svg = render_svg(sols)
+    svg = render_svg(sols, polygon_of(triangle))
     assert svg.count("<line") == 3
     assert svg.count("<text") == 0
-    assert svg.count("<polygon") == 1
+    # the one subdivision triangle + the degree polygon
+    assert svg.count("<polygon") == 2
 
 
 def test_render_svg_marks_weight_two_ends(doubled_quad, doubled_quad_mu):
@@ -84,11 +85,11 @@ def test_render_svg_overlays_solution_groups(triangle, triangle_mu, square,
                                              square_mu):
     _, tri_sols = refined_count(triangle, triangle_mu)
     _, sq_sols = refined_count(square, square_mu)
-    svg = render_svg(list(tri_sols) + list(sq_sols))
+    svg = render_svg(list(tri_sols) + list(sq_sols), polygon_of(triangle))
     assert svg.count('<g stroke="#1f77b4"') == 1
     assert svg.count('<g stroke="#d62728"') == 1
 
 
-def test_render_svg_rejects_empty_input():
+def test_render_svg_rejects_empty_input(triangle):
     with pytest.raises(ValueError):
-        render_svg([])
+        render_svg([], polygon_of(triangle))
