@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 from .errors import MenelausViolation, TropicalError
 from .lattice import (Degree, MomentVector, Vec, build_delta_s, frac_str,
                       menelaus_sum, polygon_of, primitive, split_even_ends)
-from .laurent import HalfLaurent
+from .laurent import HalfLaurent, w_pow_minus_inverse
 
 if TYPE_CHECKING:
     from .solver import TropicalSolution
@@ -204,8 +204,9 @@ def run_quantum(args: argparse.Namespace) -> tuple[dict, str]:
     m1, delta = args.m1, args.delta
     indices = quad_indices(m1, delta)
     refined = quad_refined_sum(m1, delta)
-    closed = (HalfLaurent.q_power(m1 * delta) - HalfLaurent.q_power(-m1 * delta)
-              ).exact_div(HalfLaurent.q_power(delta) - HalfLaurent.q_power(-delta))
+    # checked by multiplying back: refined * (q^d - q^-d) = q^(m1 d) - q^-(m1 d)
+    agrees = (refined * w_pow_minus_inverse(2 * delta)
+              == w_pow_minus_inverse(2 * m1 * delta))
     areas = [coamoeba_area(m1, k) for k in range(m1)]
     cks = c_k_values(m1)
     payload = {
@@ -215,14 +216,14 @@ def run_quantum(args: argparse.Namespace) -> tuple[dict, str]:
         "indices": indices,
         "refinedSum": refined.to_json_pairs(),
         "refinedSumText": str(refined),
-        "closedFormAgrees": refined == closed,
+        "closedFormAgrees": agrees,
         "coamoebaAreas": [frac_str(a) for a in areas],
         "ckValues": [frac_str(c) for c in cks],
     }
     lines = [f"quadrivalent vertex: m1 = {m1}, delta = {delta}",
              f"indices: {indices}",
              f"refined sum: {refined}",
-             f"closed form agrees: {refined == closed}",
+             f"closed form agrees: {agrees}",
              "k | index | coamoeba area | c_k"]
     for k in range(m1):
         lines.append(f"{k} | {indices[k]} | {frac_str(areas[k])} "

@@ -256,6 +256,8 @@ class HalfLaurent(Record):
 
 def q_analog(a: int) -> HalfLaurent:
     """The quantum integer [a] = q^((a-1)/2) + q^((a-3)/2) + ... + q^(-(a-1)/2)."""
+    if type(a) is not int:
+        raise TypeError(f"a is an int, got {a!r}")
     if a < 1:
         raise NonPositive(f"quantum integer needs a >= 1, got {a}")
     return HalfLaurent({k: 1 for k in range(-(a - 1), a, 2)})
@@ -263,6 +265,8 @@ def q_analog(a: int) -> HalfLaurent:
 
 def w_pow_minus_inverse(a: int) -> HalfLaurent:
     """q^(a/2) - q^(-a/2), the numerator of the quantum integer [a]."""
+    if type(a) is not int:
+        raise TypeError(f"a is an int, got {a!r}")
     if a < 1:
         raise NonPositive(f"need a >= 1, got {a}")
     return HalfLaurent({a: 1, -a: -1})

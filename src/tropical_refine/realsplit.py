@@ -33,7 +33,9 @@ vertices are where the quantum-index arithmetic below happens.
 m'/4 (see `m_prime`) of a curve with n = m - s ends and k quadrivalent
 vertices is its refined multiplicity times (w - 1/w)^(n-2) / (q - 1/q)^k,
 so sum m'/4 = R is `r_from_n`'s formula once every k is s: it checks that
-condition, not N.
+condition, not N. m' is a product with no division: a quadrivalent vertex
+has even multiplicity m, and its factor (w^m - w^-m) / (w^2 - w^-2) is the
+sum w^(m-2) + w^(m-6) + ... + w^(2-m), which is quad_refined_sum(m/2, 1).
 
 A RealSplit stores only what defines it: the base curve, the cut points at
 vertices and inside edges, and the split edges. Its nodes, quadrivalent
@@ -473,27 +475,31 @@ def maximal_split(base: WeightedPlaneParam) -> RealSplit:
 
 
 def m_prime(split: RealSplit, mults: Mapping[int, int]) -> HalfLaurent:
-    """First-order real multiplicity of the split curve.
+    """First-order real multiplicity of the split curve, in w = q^(1/2):
 
-    4 * prod over quadrivalent W of (q^(m_W/2) - q^(-m_W/2)) / (q - 1/q)
-      * prod over the other vertices of (q^(m_V/2) - q^(-m_V/2)).
+      4 * prod over quadrivalent W of (w^m_W - w^-m_W) / (w^2 - w^-2)
+        * prod over the other vertices V of (w^m_V - w^-m_V).
+
+    Built as a product, with no division: m_W is even, and then
+    (w^m - w^-m) / (w^2 - w^-2) = w^(m-2) + w^(m-6) + ... + w^(2-m), which
+    is quad_refined_sum(m/2, 1).
 
     mults must equal the base tree's `CombinatorialType.multiplicities()`,
     every internal vertex with its multiplicity; else TropicalError.
     """
-    quads = split.quad_vertices
-    for v, m in quads:
+    quads = dict(split.quad_vertices)
+    for v, m in quads.items():
         if m % 2:
             raise OddQuadMultiplicity(f"vertex {v} has odd multiplicity {m}")
     want = split.base.tree.multiplicities()
     if dict(mults) != want:
         raise TropicalError(f"multiplicities {dict(mults)} are not the "
                             f"tree's {want}")
-    num = HalfLaurent(4)
-    for m in want.values():
-        num = num * w_pow_minus_inverse(m)
-    den = w_pow_minus_inverse(2) ** len(quads)
-    return num.exact_div(den)
+    out = HalfLaurent(4)
+    for v, m in want.items():
+        out = out * (quad_refined_sum(m // 2, 1) if v in quads
+                     else w_pow_minus_inverse(m))
+    return out
 
 
 def oriented_solution_count(split: RealSplit) -> int:
@@ -523,6 +529,8 @@ def trivalent_quantum_index(u: Vec, v: Vec) -> tuple[Fraction, Fraction]:
 def quad_indices(m1: int, delta: int) -> list[int]:
     """Quantum indices of the m1 first-order solutions at a quadrivalent
     vertex of type (m1; delta): delta * (2k + 1 - m1) for k = 0..m1-1."""
+    if type(m1) is not int or type(delta) is not int:
+        raise TypeError(f"m1 and delta are ints, got {m1!r} and {delta!r}")
     if m1 < 1:
         raise OutOfRange(f"m1 must be at least 1, got {m1}")
     if delta < 1:
@@ -532,24 +540,28 @@ def quad_indices(m1: int, delta: int) -> list[int]:
 
 def quad_refined_sum(m1: int, delta: int) -> HalfLaurent:
     """Sum of q^index over the quadrivalent solutions; equals the exact
-    quotient (q^(delta*m1) - q^(-delta*m1)) / (q^delta - q^(-delta))."""
-    return HalfLaurent.from_pairs(
-        (2 * idx, 1) for idx in quad_indices(m1, delta))
+    quotient (q^(delta*m1) - q^(-delta*m1)) / (q^delta - q^(-delta)). The
+    indices are distinct, so each monomial has coefficient 1."""
+    return HalfLaurent({2 * idx: 1 for idx in quad_indices(m1, delta)})
 
 
 def coamoeba_area(m1: int, k: int) -> Fraction:
     """Signed coamoeba defect of the k-th solution sheet, in units of pi^2:
     (2k + 1)/m1 - 1."""
+    if type(m1) is not int or type(k) is not int:
+        raise TypeError(f"m1 and k are ints, got {m1!r} and {k!r}")
     if m1 < 1:
         raise OutOfRange(f"m1 must be at least 1, got {m1}")
     if not 0 <= k < m1:
         raise OutOfRange(f"k must lie in [0, {m1}), got {k}")
-    return Fraction(2 * k + 1, m1) - 1
+    return Fraction(2 * k + 1 - m1, m1)
 
 
 def c_k_values(m1: int) -> list[Fraction]:
     """Cotangent arguments of the solution sheets, as exact multiples of pi:
     (2k + 1) / (2 m1) for k = 0..m1-1."""
+    if type(m1) is not int:
+        raise TypeError(f"m1 is an int, got {m1!r}")
     if m1 < 1:
         raise OutOfRange(f"m1 must be at least 1, got {m1}")
     return [Fraction(2 * k + 1, 2 * m1) for k in range(m1)]

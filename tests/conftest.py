@@ -1,11 +1,16 @@
 """Shared degrees and moment constraints used across the suite."""
 
+import importlib.util
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tropical_refine import Degree, MomentVector
+import tropical_refine
+from tropical_refine import Degree, HalfLaurent, MomentVector
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -50,6 +55,19 @@ def doubled_quad() -> Degree:
 
 
 @pytest.fixture
+def named_degrees(triangle, square, conic, conic_merged, doubled_quad) -> dict:
+    """Every degree of this file and of the benchmark's reference table
+    (`bench/reference.py`), by name; where both use a name, this file's."""
+    spec = importlib.util.spec_from_file_location("bench_reference",
+                                                  BENCH / "reference.py")
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return {**reference.build_degrees(tropical_refine), "triangle": triangle,
+            "square": square, "conic": conic, "conic_merged": conic_merged,
+            "doubled_quad": doubled_quad}
+
+
+@pytest.fixture
 def triangle_mu() -> MomentVector:
     return MomentVector((Fraction(3), Fraction(2)))
 
@@ -90,6 +108,20 @@ def count_solves(monkeypatch):
     monkeypatch.setattr(invariants, "curves_through", count)
     monkeypatch.setattr(invariants, "moment_from_draw", moment_from_draw)
     return counts
+
+
+@pytest.fixture
+def count_divisions(monkeypatch):
+    """The divisor of every `HalfLaurent.exact_div` call from here on."""
+    calls = []
+    real = HalfLaurent.exact_div
+
+    def counted(self, den):
+        calls.append(den)
+        return real(self, den)
+
+    monkeypatch.setattr(HalfLaurent, "exact_div", counted)
+    return calls
 
 
 @pytest.fixture

@@ -14,9 +14,9 @@ import jsonschema
 import pytest
 
 import tropical_refine
-from tropical_refine import (Degree, MenelausViolation, TropicalError, Vec,
-                             polygon_of, random_generic_moments,
-                             refined_count)
+from tropical_refine import (Degree, HalfLaurent, MenelausViolation,
+                             TropicalError, Vec, polygon_of,
+                             random_generic_moments, refined_count)
 from tropical_refine.cli import (build_parser, default_n1, load_degree, main,
                                  parse_moments, parse_vec)
 from tropical_refine.lattice import frac_str
@@ -261,6 +261,26 @@ def test_enumerate_svg_matches_plot(capsys):
                            "--moments", "3,2", "--format", "svg"])
     plot = run_cli(capsys, ["plot", f"--degree={TRIANGLE}", "--moments", "3,2"])
     assert svg == plot
+
+
+def test_quantum_checks_its_closed_form_without_dividing(capsys,
+                                                          count_divisions):
+    for m1, delta in ((1, 1), (7, 3), (50, 5)):
+        payload = run_json(capsys, ["quantum", "--m1", str(m1),
+                                    "--delta", str(delta)])
+        assert payload["closedFormAgrees"] is True
+    assert count_divisions == []
+
+
+def test_realize_divides_twice(capsys, count_divisions):
+    # each m' is a product, so the only divisions are R from N and sum m'/4
+    payload = run_json(capsys, ["realize",
+                                "--degree=-1,0;0,-1;0,-1;1,1;1,1;1,0;-2,0",
+                                "--seed", "1"])
+    assert payload["matchesRealInvariant"] is True
+    assert len(payload["solutions"]) > 1
+    # r_from_n divides N by w + 1/w (s = 1), and the sum of m' by 4
+    assert count_divisions == [HalfLaurent({1: 1, -1: 1}), 4]
 
 
 def _bench_spans():

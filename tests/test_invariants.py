@@ -202,19 +202,6 @@ def test_r_from_n_conic_merged(conic_merged):
     assert r == W_MINUS ** 2
 
 
-@pytest.fixture
-def count_divisions(monkeypatch):
-    calls = []
-    real = HalfLaurent.exact_div
-
-    def counted(self, den):
-        calls.append(den)
-        return real(self, den)
-
-    monkeypatch.setattr(HalfLaurent, "exact_div", counted)
-    return calls
-
-
 def test_r_from_n_divides_once(count_divisions):
     assert r_from_n(W_PLUS, 6, 1) == W_MINUS ** 2
     assert len(count_divisions) == 1
@@ -748,14 +735,22 @@ def crossing_weight(sol) -> int:
     return total
 
 
-@pytest.mark.parametrize("delta_s", [
-    delta_d(3), build_delta_s(delta_d(3), Vec(-1, 0), 1),
-    build_delta_s(delta_d(4), Vec(-1, 0), 1), delta_d(4)],
-    ids=["delta_3", "delta_3_s1", "delta_4_s1", "delta_4"])
-def test_every_curve_keeps_the_pick_identity(delta_s):
+PICK_DEGREES = {
+    "delta_3": delta_d(3),
+    "delta_3_s1": build_delta_s(delta_d(3), Vec(-1, 0), 1),
+    "delta_4_s1": build_delta_s(delta_d(4), Vec(-1, 0), 1),
+    "delta_4": delta_d(4),
+}
+
+
+@pytest.mark.parametrize("label", [
+    *PICK_DEGREES, "triangle", "square", "conic", "conic_merged",
+    "doubled_quad", "six_ends_s2", "six_ends_s1", "seven_ends_s1"])
+def test_every_curve_keeps_the_pick_identity(label, named_degrees):
     # sum over vertices of (m_v - 1), plus twice the crossing weight, is
     # 2i + s for every curve, with i the interior points of the polygon
     # (Pick: 2i = 2 area - b + 2, and the b boundary points are n + s)
+    delta_s = {**named_degrees, **PICK_DEGREES}[label]
     _, s = split_even_ends(delta_s)
     two_i = polygon_of(delta_s).area2() - (len(delta_s) + s) + 2
     for seed in (1, 2):

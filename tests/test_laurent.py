@@ -66,6 +66,15 @@ def test_quantum_integers_refuse_a_non_positive_index(make):
         make(0)
 
 
+@pytest.mark.parametrize("make", [q_analog, w_pow_minus_inverse])
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2)])
+def test_quantum_integers_refuse_a_non_int_index(make, bad):
+    # a bool is an int to isinstance: q_analog(True) is not 1
+    got = re.escape(repr(bad))
+    with pytest.raises(TypeError, match=f"a is an int, got {got}"):
+        make(bad)
+
+
 @pytest.mark.parametrize("pairs", [[[1.5, 1]], [[1, 2.0]], [["1", 1]],
                                    [[1, Fraction(1)]], [[True, 1]],
                                    [[1, True]]])

@@ -3,6 +3,7 @@ the quantum-index arithmetic at quadrivalent vertices."""
 
 import functools
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -634,6 +635,37 @@ def test_m_prime_rejects_mismatched_multiplicity():
         m_prime(split, {5: 5, 6: 1, 7: 2})
 
 
+def steep_quad_tree(b: int) -> CombinatorialType:
+    """Four ends; the weight-2 end meets the end (1, b) at a quadrivalent
+    vertex of multiplicity 2b, the other vertex has multiplicity 1."""
+    dirs = (Vec(-2, 0), Vec(1, b), Vec(0, -1), Vec(1, 1 - b))
+    return CombinatorialType(dirs, ((0, 4), (1, 4), (4, 5), (2, 5), (3, 5)))
+
+
+def test_m_prime_is_the_quotient_it_replaced(named_degrees, count_divisions):
+    # m' is built as a product; times (w^2 - w^-2)^k, for its k quadrivalent
+    # vertices, it is 4 * prod over every vertex of (w^m - w^-m)
+    bases = [WeightedPlaneParam.from_solution(sol)
+             for degree in named_degrees.values() for seed in (1, 2, 3)
+             for sol in sample_trial(degree, seed).solutions]
+    bases += [WeightedPlaneParam(steep_quad_tree(b)) for b in range(1, 21)]
+    quad_mults = set()
+    count_divisions.clear()
+    for base in bases:
+        mults = base.tree.multiplicities()
+        split = maximal_split(base)
+        quad_mults.update(m for _, m in split.quad_vertices)
+        product = HalfLaurent(4)
+        for m in mults.values():
+            product = product * w_pow_minus_inverse(m)
+        assert (m_prime(split, mults)
+                * w_pow_minus_inverse(2) ** len(split.quad_vertices)
+                == product)
+    assert len(bases) == 43 + 20
+    assert quad_mults == set(range(2, 41, 2))
+    assert count_divisions == []
+
+
 def test_quotient_rejects_pieces_that_do_not_chain():
     base = WeightedPlaneParam(closure_tree(), {(4, 5): Fraction(7, 2)})
     split = build_split(base, [((4, 5), Fraction(3, 2))])
@@ -722,6 +754,20 @@ def test_quad_refined_sum_property(m1, delta):
     assert got * w_pow_minus_inverse(2 * delta) == w_pow_minus_inverse(
         2 * delta * m1)
     assert got.eval_q1() == m1
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2)])
+def test_quantum_helpers_refuse_non_int_arguments(bad):
+    # a bool is an int to isinstance: quad_indices(True, True) is not [0]
+    calls = [(quad_indices, (bad, 1), "m1"), (quad_indices, (2, bad), "delta"),
+             (quad_refined_sum, (bad, 1), "m1"),
+             (quad_refined_sum, (2, bad), "delta"),
+             (coamoeba_area, (bad, 0), "m1"), (coamoeba_area, (2, bad), "k"),
+             (c_k_values, (bad,), "m1")]
+    got = re.escape(repr(bad))
+    for fn, args, name in calls:
+        with pytest.raises(TypeError, match=rf"\b{name}\b.*{got}"):
+            fn(*args)
 
 
 def test_coamoeba_areas():

@@ -264,3 +264,43 @@ def test_the_unused_import_rule_reads_names_not_attributes():
             "def count(t: Tree, u: 'Forest') -> int:\n"
             "    return solver.solve(t).Unread\n")
     assert _unused_names(code) == ["Unread", "solve"]
+
+
+def _call_sites(code: str, module: str, method: str) -> list[str]:
+    """The innermost function around every `.method(...)` call of a module,
+    as `module.function`, once per call; `module.<module>` outside any."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == method):
+                found.append(f"{module}.{owner}")
+            visit(child, owner)
+
+    visit(ast.parse(code), "<module>")
+    return found
+
+
+def test_every_division_is_pinned():
+    # the theorem's division, the Broccoli definition and sum m'/4; m' and
+    # the quantum table multiply, so a division there fails this test
+    found = sorted(site for path in SRC.rglob("*.py")
+                   for site in _call_sites(path.read_text(encoding="utf-8"),
+                                           path.stem, "exact_div"))
+    assert found == ["cli.run_realize", "invariants._theorem",
+                     "invariants.broccoli_from_r"]
+
+
+def test_the_call_site_rule_sees_each_kind():
+    code = ("x.exact_div(y)\n"
+            "def f(a):\n    return a.exact_div(2).exact_div(3)\n"
+            "class K:\n    def m(self):\n"
+            "        def inner(): return self.exact_div(1)\n"
+            "        return exact_div(self)\n")
+    assert sorted(_call_sites(code, "mod", "exact_div")) == [
+        "mod.<module>", "mod.f", "mod.f", "mod.inner"]
