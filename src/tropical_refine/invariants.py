@@ -11,10 +11,19 @@ primitive ends of an m-end primitive degree, the real refined invariant is
 
 and both divisions are exact. With w = q^(1/2), q - 1/q = (w - 1/w)(w + 1/w),
 so R and the Broccoli normalization BG are multiples of the one quotient
-T = N / (w + 1/w)^s, the only division made: R = T * (w - 1/w)^(m-2-2s) and
-BG = T * (q + 1/q)^s. Z[w, 1/w] is a UFD in which w + 1/w is coprime to
-w - 1/w, so either form of R is exact exactly when T is, and then they
-agree. A nonzero remainder can only mean an implementation bug.
+T = N / (w + 1/w)^s, the only division `_theorem` makes:
+R = T * (w - 1/w)^(m-2-2s) and BG = T * (q + 1/q)^s. Z[w, 1/w] is a UFD in
+which w + 1/w is coprime to w - 1/w, so either form of R is exact exactly
+when T is, and then they agree. A nonzero remainder can only mean an
+implementation bug.
+
+Each curve's term of N divides on its own, so `invariance_audit` divides
+terms, not N. The weight-2 ends are parallel (one toric divisor), so no two
+meet at one vertex, and the vertex each one meets has even multiplicity
+2j, whose [2j] = (w + 1/w) * (w^(2j-2) + w^(2j-6) + ... + w^(2-2j)) holds
+a factor w + 1/w. A term is the product [m_V] of its curve's sorted vertex
+multiplicities, so its share of R and BG is divided once per multiplicity
+tuple and cached (`_curve_share`); an audit sums the shares.
 
 Generic constraints are drawn from a fixed portable generator (SplitMix64)
 so that every run of a given seed is reproducible down to the byte. N and
@@ -25,6 +34,7 @@ gives them trees only for `refined_count` and a record's `solutions`.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -194,13 +204,21 @@ def r_from_n(n_trop: HalfLaurent, m: int, s: int) -> HalfLaurent:
     return _theorem(n_trop, m, s)[0]
 
 
+@functools.cache
+def _curve_share(mults: tuple[int, ...], m: int,
+                 s: int) -> tuple[HalfLaurent, HalfLaurent]:
+    """(R, BG) of one curve with these sorted vertex multiplicities: the
+    `_theorem` of its term of N, built once per tuple, m and s."""
+    return _theorem(_q_product(mults), m, s)
+
+
 def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
     """Broccoli-normalized invariant: R = BG * (w - 1/w)^(m-2-2s) / (q + 1/q)^s.
 
     For s = 0 this is the refined count itself. BG is R * (q + 1/q)^s
     divided by (w - 1/w)^(m-2-2s), or multiplied by (w - 1/w)^(2s+2-m) when
     that exponent is negative. Equal to the BG of invariance_audit, which
-    takes it from the same quotient as R instead.
+    sums it from the same per-curve quotients as R instead.
     """
     _check_theorem_args(m, s)
     k = m - 2 - 2 * s
@@ -285,11 +303,14 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
                      seed: int = 2024) -> InvariantReport:
     """Count the curves through several seeded generic constraints, each
     counted once while it is sampled, and insist the refined counts agree;
-    derive R and the Broccoli normalization once.
+    derive R and the Broccoli normalization from the first trial's curves.
 
-    R and BG are multiples of the one quotient N / (w + 1/w)^s (see the
-    module docstring), so each audit divides once, whatever the number of
-    trials.
+    R and BG are sums of per-curve shares, one per sorted multiplicity
+    tuple, each weighted by the number of curves that carry it (see the
+    module docstring). A share is divided once per tuple, m and s and then
+    cached, so an audit divides at most once per distinct tuple, whatever
+    the number of trials, and not at all once its tuples have been seen. A
+    curve whose term is not divisible raises NotDivisible.
 
     Raises InvarianceViolation (a bug detector, not an input error) when two
     trials disagree.
@@ -309,5 +330,11 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
                 trials=(records[0], rec))
     delta, s = split_even_ends(delta_s)
     m = len(delta)
-    r, bg = _theorem(first, m, s)
+    tally = Counter(tuple(sorted(mults))
+                    for _, mults, _, _ in records[0].curves)
+    r = bg = HalfLaurent(0)
+    for mults, count in tally.items():
+        r_share, bg_share = _curve_share(mults, m, s)
+        r += r_share * count
+        bg += bg_share * count
     return InvariantReport(delta, delta_s, s, m, tuple(records), first, r, bg)

@@ -228,6 +228,8 @@ class Degree(Record):
 def delta_d(d: int) -> Degree:
     """The standard projective degree d: each of (-1,0), (0,-1), (1,1) taken
     d times."""
+    if type(d) is not int:
+        raise TypeError(f"d is an int, got {d!r}")
     if d < 1:
         raise ValueError("d must be positive")
     ents = (Vec(-1, 0),) * d + (Vec(0, -1),) * d + (Vec(1, 1),) * d
@@ -240,6 +242,8 @@ def build_delta_s(delta: Degree, n1: Vec, s: int) -> Degree:
     The first 2s entries equal to n1 are removed (remaining labels compact to
     the left, preserving order) and s copies of 2*n1 are appended at the end.
     """
+    if type(s) is not int:
+        raise TypeError(f"s is an int, got {s!r}")
     n1 = Vec(n1[0], n1[1])
     if lattice_length(n1) != 1:
         raise ValueError("n1 must be primitive")

@@ -54,6 +54,8 @@ class HalfLaurent(Record):
     @classmethod
     def q_power(cls, exp: int) -> "HalfLaurent":
         """q^exp for a whole exponent."""
+        if type(exp) is not int:
+            raise TypeError(f"exp is an int, got {exp!r}")
         return cls({2 * exp: 1})
 
     @classmethod

@@ -166,6 +166,8 @@ class CombinatorialType(Record):
 
 def double_factorial_count(n: int) -> int:
     """(2n-5)!!, the number of trivalent trees on n labeled leaves."""
+    if type(n) is not int:
+        raise TypeError(f"n is an int, got {n!r}")
     if n < 3:
         raise TooFewEnds(f"need at least 3 ends, got {n}")
     out = 1

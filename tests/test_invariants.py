@@ -214,10 +214,29 @@ def test_r_from_n_divides_once(count_divisions):
     assert len(count_divisions) == 1
 
 
+def _tuples(report) -> set[tuple[int, ...]]:
+    """The sorted multiplicity tuples of an audit's first trial."""
+    return {tuple(sorted(mults))
+            for _, mults, _, _ in report.trial_records[0].curves}
+
+
 def test_audit_divides_once(conic_merged, count_divisions):
+    # once per distinct multiplicity tuple, however many trials; an audit
+    # whose tuples were all seen before divides zero times
+    invariants._curve_share.cache_clear()
     report = invariance_audit(conic_merged, trials=1, seed=5)
     assert report.broccoli == HalfLaurent({2: 1, -2: 1})
-    assert len(count_divisions) == 1
+    assert len(count_divisions) == len(_tuples(report)) == 1
+    count_divisions.clear()
+    assert invariance_audit(conic_merged, trials=1, seed=5) == report
+    assert count_divisions == []
+    seven = Degree(((-1, 0), (0, -1), (0, -1), (1, 1), (1, 1), (1, 0),
+                    (-2, 0)))
+    report = invariance_audit(seven, trials=3, seed=5)
+    assert len(count_divisions) == len(_tuples(report)) > 1
+    count_divisions.clear()
+    assert invariance_audit(seven, trials=3, seed=5) == report
+    assert count_divisions == []
 
 
 def test_theorem_factors_are_their_definitions():
@@ -691,7 +710,7 @@ def test_counting_never_sums_the_full_moments(conic_merged, monkeypatch):
     ids=["delta_3", "delta_3_s1", "delta_4", "delta_4_s1", "delta_5_s2"])
 def test_audit_properties_beyond_brute_force(delta_s):
     # the audit itself insists that N agrees across its three seeds and that
-    # r_from_n divides exactly; it raises otherwise
+    # each curve's term divides exactly; it raises otherwise
     report = invariance_audit(delta_s, trials=3, seed=7)
     m, s = report.m, report.s
     assert report.broccoli == broccoli_from_r(report.r_inv, m, s)
@@ -705,6 +724,35 @@ def test_audit_properties_beyond_brute_force(delta_s):
             split = maximal_split(WeightedPlaneParam.from_solution(sol))
             total = total + m_prime(split, sol.ctype.multiplicities())
         assert total.exact_div(HalfLaurent(4)) == r_from_n(record.n_trop, m, s)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("d, s", [(4, 1), (5, 2)], ids=["11-ends", "13-ends"])
+def test_every_curve_divides_above_brute_force(d, s, seed, monkeypatch):
+    delta_s = build_delta_s(delta_d(d), Vec(-1, 0), s)
+    report = invariance_audit(delta_s, trials=1, seed=seed)
+    assert (report.m, report.s) == (3 * d, s)
+    for mults in _tuples(report):
+        term = invariants._q_product(mults)
+        assert term.exact_div(W_PLUS ** s) * W_PLUS ** s == term
+    assert report.r_inv == r_from_n(report.n_trop, report.m, s)
+    assert report.broccoli == broccoli_from_r(report.r_inv, report.m, s)
+    # the s vertices on weight-2 ends have even multiplicity; in a curve
+    # with no other even one, an odd multiplicity there leaves its term
+    # one factor w + 1/w short
+    curves = report.trial_records[0].curves
+    target = next(c for c in curves if sum(x % 2 == 0 for x in c[1]) == s)
+    i = next(i for i, x in enumerate(target[1]) if x % 2 == 0)
+    mutated = (target[0], target[1][:i] + (target[1][i] - 1,)
+               + target[1][i + 1:], *target[2:])
+    real_count = invariants.curves_through
+
+    def count(delta, mu):
+        return [mutated if c == target else c for c in real_count(delta, mu)]
+
+    monkeypatch.setattr(invariants, "curves_through", count)
+    with pytest.raises(NotDivisible):
+        invariance_audit(delta_s, trials=1, seed=seed)
 
 
 def crossing_weight(sol) -> int:

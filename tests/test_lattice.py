@@ -205,6 +205,17 @@ def test_lattice_refusals(refused, message):
         refused()
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2)])
+def test_degree_builders_refuse_non_int_arguments(bad):
+    # a bool is an int to isinstance: delta_d(True) would be named
+    # 'delta_True', and build_delta_s(..., True) 'delta_2(True)'
+    got = re.escape(repr(bad))
+    with pytest.raises(TypeError, match=rf"\bd is an int, got {got}"):
+        delta_d(bad)
+    with pytest.raises(TypeError, match=rf"\bs is an int, got {got}"):
+        build_delta_s(delta_d(2), Vec(-1, 0), bad)
+
+
 def test_build_delta_s_zero_is_identity():
     conic = delta_d(2)
     assert build_delta_s(conic, Vec(-1, 0), 0) == conic

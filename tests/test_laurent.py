@@ -60,6 +60,16 @@ def test_power_tells_a_wrong_type_from_a_negative_exponent():
     assert HalfLaurent({1: 1}) ** 0 == 1
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2)])
+def test_whole_powers_of_q_refuse_a_non_int_exponent(bad):
+    # as HalfLaurent.monomial(True) is refused, q_power(True) is not q
+    got = re.escape(repr(bad))
+    with pytest.raises(TypeError, match=f"exp is an int, got {got}"):
+        HalfLaurent.q_power(bad)
+    with pytest.raises(TypeError):
+        HalfLaurent.monomial(bad)
+
+
 @pytest.mark.parametrize("make", [q_analog, w_pow_minus_inverse])
 def test_quantum_integers_refuse_a_non_positive_index(make):
     with pytest.raises(NonPositive, match="a >= 1, got 0"):

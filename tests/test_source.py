@@ -304,3 +304,45 @@ def test_the_call_site_rule_sees_each_kind():
             "        return exact_div(self)\n")
     assert sorted(_call_sites(code, "mod", "exact_div")) == [
         "mod.<module>", "mod.f", "mod.f", "mod.inner"]
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def _caches(code: str, module: str) -> list[str]:
+    """Every function of a module under a `functools.cache` or `lru_cache`
+    decorator, bare, called or imported by name, as `module.function`."""
+    found = []
+    for fn in ast.walk(ast.parse(code)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in fn.decorator_list:
+            dec = dec.func if isinstance(dec, ast.Call) else dec
+            name = (dec.attr if isinstance(dec, ast.Attribute)
+                    else getattr(dec, "id", None))
+            if name in CACHES:
+                found.append(f"{module}.{fn.name}")
+    return found
+
+
+def test_every_cache_is_pinned():
+    # a process-wide cache lives as long as the process and is keyed on
+    # what its callers pass; a new one has to be added here, where review
+    # sees it
+    found = sorted(site for path in SRC.rglob("*.py")
+                   for site in _caches(path.read_text(encoding="utf-8"),
+                                       path.stem))
+    assert found == ["invariants._curve_share", "invariants._factors",
+                     "solver._q_product"]
+
+
+def test_the_cache_rule_sees_each_kind():
+    code = ("import functools\nfrom functools import cache, lru_cache\n"
+            "@functools.cache\ndef a(): pass\n"
+            "@functools.lru_cache(maxsize=8)\ndef b(): pass\n"
+            "@cache\ndef c(): pass\n@lru_cache\ndef d(): pass\n"
+            "class K:\n    @functools.cached_property\n    def e(self): pass\n"
+            "    @staticmethod\n    @functools.cache\n    def f(): pass\n"
+            "@functools.wraps(a)\ndef g(): pass\n")
+    assert sorted(_caches(code, "mod")) == [
+        "mod.a", "mod.b", "mod.c", "mod.d", "mod.f"]

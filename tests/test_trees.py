@@ -88,6 +88,13 @@ def test_double_factorial_count_values():
         1, 3, 15, 105, 945, 10395, 135135]
 
 
+@pytest.mark.parametrize("bad", [True, 5.0])
+def test_double_factorial_count_refuses_a_non_int(bad):
+    # a bool is an int to isinstance: True would be too few ends, "got True"
+    with pytest.raises(TypeError, match=f"n is an int, got {bad!r}"):
+        double_factorial_count(bad)
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_enumeration_matches_closed_form(n):
     types = list(enumerate_types(generic_degree(n)))
