@@ -23,7 +23,13 @@ meet at one vertex, and the vertex each one meets has even multiplicity
 2j, whose [2j] = (w + 1/w) * (w^(2j-2) + w^(2j-6) + ... + w^(2-2j)) holds
 a factor w + 1/w. A term is the product [m_V] of its curve's sorted vertex
 multiplicities, so its share of R and BG is divided once per multiplicity
-tuple and cached (`_curve_share`); an audit sums the shares.
+tuple and cached (`_curve_share`).
+
+A count tallies its curves once: each sorted multiplicity tuple with the
+number of curves that carry it. N, R and BG are each summed from that one
+tally in one pass (`laurent.linear_combination`), one term per tuple times
+its count, not one addition per curve; a trial keeps its tally on its
+`TrialRecord` for the audit's R and BG.
 
 Generic constraints are drawn from a fixed portable generator (SplitMix64)
 so that every run of a given seed is reproducible down to the byte. N and
@@ -41,7 +47,7 @@ from typing import Iterable, NamedTuple
 from .errors import (DegenerateType, ExhaustedRetries, InvarianceViolation,
                      NonGenericMoments)
 from .lattice import Degree, MomentVector, Record, frac_str, split_even_ends
-from .laurent import HalfLaurent, w_pow_minus_inverse
+from .laurent import HalfLaurent, linear_combination, w_pow_minus_inverse
 from .solver import TropicalSolution, _q_product, curves_through, solve
 from .trees import enumerate_types, type_from_clades
 
@@ -78,8 +84,19 @@ def moment_from_draw(draw: int) -> Fraction:
     return Fraction(draw % 2001 - 1000, 1 + draw % 7)
 
 
-def _total(mults: Iterable[tuple[int, ...]]) -> HalfLaurent:
-    return sum((_q_product(tuple(sorted(m))) for m in mults), HalfLaurent(0))
+Tally = tuple[tuple[tuple[int, ...], int], ...]
+
+
+def _tally(mults: Iterable[tuple[int, ...]]) -> Tally:
+    """Each sorted multiplicity tuple of the curves with the number of
+    curves that carry it, in the order the tuples are first met."""
+    return tuple(Counter(tuple(sorted(m)) for m in mults).items())
+
+
+def _n_from_tally(tally: Tally) -> HalfLaurent:
+    """N: each tuple's product [m_V] times its count, summed in one pass."""
+    return linear_combination((_q_product(mults), count)
+                              for mults, count in tally)
 
 
 def _rebuild(delta: Degree, mu: MomentVector,
@@ -100,8 +117,9 @@ def refined_count(delta_s: Degree,
     solutions, in the same order, as `refined_count_brute`, and raises
     NonGenericMoments exactly when that would, so callers can resample.
     """
-    solutions = _rebuild(delta_s, mu, curves_through(delta_s, mu))
-    return _total(sol.mults for sol in solutions), solutions
+    curves = curves_through(delta_s, mu)
+    n_trop = _n_from_tally(_tally(mults for _, mults, _, _ in curves))
+    return n_trop, _rebuild(delta_s, mu, curves)
 
 
 def refined_count_brute(
@@ -119,7 +137,7 @@ def refined_count_brute(
             continue
         if sol is not None:
             solutions.append(sol)
-    return _total(sol.mults for sol in solutions), solutions
+    return _n_from_tally(_tally(sol.mults for sol in solutions)), solutions
 
 
 def _position_signature(curve: tuple) -> tuple:
@@ -132,8 +150,11 @@ def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
     """Seeded generic moments for ends 2..n and the count that accepted them.
 
     A candidate is rejected when some type solves onto a wall (zero length)
-    or two curves coincide as point sets. Raises ExhaustedRetries, with the
-    reason for every rejection, after MAX_ATTEMPTS candidates. N and the
+    or two curves coincide as point sets (a lone curve has none to meet).
+    Raises ExhaustedRetries, with the reason for every rejection, after
+    MAX_ATTEMPTS candidates. The accepted curves' multiplicity tuples are
+    tallied once; N is summed from the tally, once per tuple, and the
+    record keeps it for the audit's R and BG. N, the tally and the
     coincidence test read vertex data only: no tree is built here.
     """
     stream = SplitMix64(seed)
@@ -147,14 +168,17 @@ def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
         except NonGenericMoments:
             reasons.append("wall")
             continue
-        if len(set(map(_position_signature, curves))) != len(curves):
+        if (len(curves) > 1 and len(set(map(_position_signature, curves)))
+                != len(curves)):
             reasons.append("coincident curves")
             continue
-        n_trop = _total(mults for _, mults, _, _ in curves)
-        return TrialRecord(seed, mu, n_trop, delta_s, curves)
-    tally = ", ".join(f"{reasons.count(r)} {r}" for r in dict.fromkeys(reasons))
+        tally = _tally(mults for _, mults, _, _ in curves)
+        return TrialRecord(seed, mu, _n_from_tally(tally), delta_s, curves,
+                           tally)
+    counts = ", ".join(f"{reasons.count(r)} {r}"
+                       for r in dict.fromkeys(reasons))
     raise ExhaustedRetries(f"no generic moments for seed {seed} in "
-                           f"{MAX_ATTEMPTS} attempts ({tally})",
+                           f"{MAX_ATTEMPTS} attempts ({counts})",
                            reasons=reasons)
 
 
@@ -169,6 +193,11 @@ def _check_theorem_args(m: int, s: int) -> None:
         raise TypeError(f"m and s are ints, got {m!r} and {s!r}")
     if s < 0:
         raise ValueError(f"s counts weight-2 ends, got {s}")
+    if m < 3:
+        raise ValueError(f"m counts the ends of a curve, at least 3, got {m}")
+    if 2 * s > m:
+        raise ValueError(f"s = {s} weight-2 ends pair off 2s = {2 * s} of "
+                         f"the m = {m} ends, more than there are")
 
 
 @functools.cache
@@ -232,12 +261,15 @@ class TrialRecord(Record):
     """One audited constraint: seed, moments, N, degree and counted curves
     (`solver.curves_through`), kept whole so a failure can be diffed curve
     by curve; `solutions`, built when first read, equal those of
-    refined_count(delta_s, moments)."""
+    refined_count(delta_s, moments). `tally` pairs each sorted multiplicity
+    tuple of the curves with the number of curves that carry it; N was
+    summed from it once per tuple, and an audit sums R and BG from it. It
+    is read off the curves, so it is not part of the record's identity."""
 
     def __init__(self, seed: int, moments: MomentVector, n_trop: HalfLaurent,
-                 delta_s: Degree, curves: tuple[tuple, ...]):
+                 delta_s: Degree, curves: tuple[tuple, ...], tally: Tally):
         self._set(seed=seed, moments=moments, n_trop=n_trop, delta_s=delta_s,
-                  curves=curves)
+                  curves=curves, tally=tally)
 
     def identity(self) -> tuple:
         return self.seed, self.moments, self.n_trop, self.delta_s, self.curves
@@ -306,11 +338,12 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
     derive R and the Broccoli normalization from the first trial's curves.
 
     R and BG are sums of per-curve shares, one per sorted multiplicity
-    tuple, each weighted by the number of curves that carry it (see the
-    module docstring). A share is divided once per tuple, m and s and then
-    cached, so an audit divides at most once per distinct tuple, whatever
-    the number of trials, and not at all once its tuples have been seen. A
-    curve whose term is not divisible raises NotDivisible.
+    tuple of the first trial's tally, each weighted by the number of curves
+    that carry it and summed in one pass (see the module docstring). A
+    share is divided once per tuple, m and s and then cached, so an audit
+    divides at most once per distinct tuple, whatever the number of trials,
+    and not at all once its tuples have been seen. A curve whose term is
+    not divisible raises NotDivisible.
 
     Raises InvarianceViolation (a bug detector, not an input error) when two
     trials disagree.
@@ -330,11 +363,9 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
                 trials=(records[0], rec))
     delta, s = split_even_ends(delta_s)
     m = len(delta)
-    tally = Counter(tuple(sorted(mults))
-                    for _, mults, _, _ in records[0].curves)
-    r = bg = HalfLaurent(0)
-    for mults, count in tally.items():
-        r_share, bg_share = _curve_share(mults, m, s)
-        r += r_share * count
-        bg += bg_share * count
+    shares = [(_curve_share(mults, m, s), count)
+              for mults, count in records[0].tally]
+    r = linear_combination((r_share, count) for (r_share, _), count in shares)
+    bg = linear_combination((bg_share, count)
+                            for (_, bg_share), count in shares)
     return InvariantReport(delta, delta_s, s, m, tuple(records), first, r, bg)

@@ -70,6 +70,8 @@ class HalfLaurent(Record):
     # -- inspection --------------------------------------------------------
 
     def coeff(self, half_exp: int) -> int:
+        if type(half_exp) is not int:
+            raise TypeError(f"an exponent is an int, got {half_exp!r}")
         return self._c.get(half_exp, 0)
 
     def items(self) -> Iterator[tuple[int, int]]:
@@ -254,6 +256,23 @@ class HalfLaurent(Record):
     @classmethod
     def from_json_pairs(cls, pairs) -> "HalfLaurent":
         return cls.from_pairs((k, c) for k, c in pairs)
+
+
+def linear_combination(
+        terms: Iterable[tuple[HalfLaurent, int]]) -> HalfLaurent:
+    """The sum of count * poly over (poly, count) pairs: the sum that `+`
+    and `*` give term by term, built in one dict with no polynomial in
+    between. Each count is an int."""
+    out: dict[int, int] = {}
+    get = out.get
+    for poly, count in terms:
+        if type(count) is not int:
+            raise TypeError(f"a count is an int, got {count!r}")
+        if not isinstance(poly, HalfLaurent):
+            raise TypeError(f"a term is a HalfLaurent, got {poly!r}")
+        for k, c in poly._c.items():
+            out[k] = get(k, 0) + c * count
+    return HalfLaurent._of(out)
 
 
 def q_analog(a: int) -> HalfLaurent:

@@ -18,11 +18,14 @@ subset dynamic program over end sets keeps one count per end set, of the
 subtrees below it with every length >= 0, and sorts each set's splits by
 their position along n_S, their key, with suffix sums of those counts. It
 counts on integer moment sums over one common denominator, with one
-bisection per child (a single end is one subtree at any key) and no linear
-algebra. Backtracking takes only child splits strictly past their parent's
-key, listing each side of a split once, so it finds exactly the curves with
-every length > 0; finding fewer than the count means some length is zero, a
-wall. The count gives each curve as its splits with its vertex
+bisection per child and no linear algebra. Single ends and two-end sets are
+seeded, not searched: a single end is one subtree at any key, and a two-end
+set has one split, into two single ends, so it is one subtree below its one
+key, with no bisection, sort or suffix sum. Backtracking takes only child
+splits strictly past their parent's key, listing each side of a split once
+and joining split tuples by concatenation, so it finds exactly the curves
+with every length > 0; finding fewer than the count means some length is
+zero, a wall. The count gives each curve as its splits with its vertex
 multiplicities (each split's |d|) and vertex positions (where L_A and L_B
 meet, as integers over the count's common scale, reduced to the least one):
 weighing curves and comparing them as point sets needs no tree.
@@ -275,14 +278,16 @@ class _SplitTable:
     """What `curves_through` needs of a degree that the moments do not touch.
 
     sx and sy hold the direction sums of every end set (a bitmask over ends
-    1..n-1; end 0 is in none). `splits` pairs each end set S, in increasing
-    order so that every set comes after the sets inside it, with its splits
-    S = A | B, where A holds the lowest end of S and d = wedge(n_A, n_B) is
-    not 0, as tuples (A, B, c, f_a, f_b). With f = scale / d and M_X the
-    moment sum of X, the vertex of the split lies at M_A * c - M_B * f_a
-    along n_A and at M_A * f_b - M_B * c along n_B: c is f * dot(n_A, n_B),
-    f_a is f * |n_A|^2 and f_b is f * |n_B|^2. `scale` is the lcm of every
-    |d|. A side X is a single end exactly when X & (X - 1) is 0.
+    1..n-1; end 0 is in none). A split S = A | B, where A holds the lowest
+    end of S and d = wedge(n_A, n_B) is not 0, is a tuple (A, B, c, f_a,
+    f_b): with f = scale / d and M_X the moment sum of X, its vertex lies at
+    M_A * c - M_B * f_a along n_A and at M_A * f_b - M_B * c along n_B, so c
+    is f * dot(n_A, n_B), f_a is f * |n_A|^2 and f_b is f * |n_B|^2.
+    `pairs` holds each two-end set with its one split, which parts it into
+    two single ends, as (S, A, B, c, f_a, f_b). `splits` pairs each end set
+    of three or more ends, in increasing order so that every set comes after
+    the sets inside it, with its splits. `scale` is the lcm of every |d|. A
+    side X is a single end exactly when X & (X - 1) is 0.
     """
 
     def __init__(self, dirs: tuple[Vec, ...]):
@@ -305,7 +310,7 @@ class _SplitTable:
                 found.append((mask, rows))
         self.scale = scale = lcm(1, *(abs(d) for _, rows in found
                                       for _, _, d in rows))
-        self.splits = []
+        self.pairs, self.splits = [], []
         for mask, rows in found:
             out = []
             for a, b, d in rows:
@@ -313,7 +318,10 @@ class _SplitTable:
                 xa, ya, xb, yb = sx[a], sy[a], sx[b], sy[b]
                 out.append((a, b, f * (xa * xb + ya * yb),
                             f * (xa * xa + ya * ya), f * (xb * xb + yb * yb)))
-            self.splits.append((mask, out))
+            if mask.bit_count() == 2:
+                self.pairs.append((mask, *out[0]))
+            else:
+                self.splits.append((mask, out))
 
 
 _TABLES: WeakKeyDictionary[Degree, _SplitTable] = WeakKeyDictionary()
@@ -355,12 +363,20 @@ def curves_through(delta: Degree, mu: MomentVector) -> list[tuple]:
                            for v in mu.values])
     # per end set: its placed splits sorted by key, as tuples (key, A, B,
     # along_a, along_b, count), count being the subtrees hanging from the
-    # split with every length >= 0; their keys; and suffix sums of counts
-    # (a single end is one subtree at any key)
+    # split with every length >= 0; their keys; and suffix sums of counts.
+    # A single end is one subtree at any key, and a two-end set one subtree
+    # below its one key: both are seeded, with no bisection or sort.
     placed_at, keys = [()] * (1 << n), [()] * (1 << n)
     count_from = [(0,)] * (1 << n)
     for j in range(1, n):
         count_from[1 << j] = (1,)
+    for mask, a, b, c, fa, fb in table.pairs:
+        ma, mb = moment[a], moment[b]
+        along_a, along_b = ma * c - mb * fa, ma * fb - mb * c
+        key = along_a + along_b
+        placed_at[mask] = ((key, a, b, along_a, along_b, 1),)
+        keys[mask] = (key,)
+        count_from[mask] = (1, 0)
     for mask, rows in table.splits:
         placed = []
         for a, b, c, fa, fb in rows:
@@ -392,12 +408,16 @@ def curves_through(delta: Degree, mu: MomentVector) -> list[tuple]:
         out = []
         for _, a, b, along_a, along_b, _ in placed_at[mask][start:]:
             left = (subtrees(a, bisect_right(keys[a], along_a))
-                    if a & (a - 1) else [()])
+                    if a & (a - 1) else ((),))
             if not left:
                 continue
             right = (subtrees(b, bisect_right(keys[b], along_b))
-                     if b & (b - 1) else [()])
-            out.extend(((a, b), *lo, *hi) for lo in left for hi in right)
+                     if b & (b - 1) else ((),))
+            top = ((a, b),)
+            for lo in left:
+                lo = top + lo
+                for hi in right:
+                    out.append(lo + hi)
         return out
 
     full = (1 << n) - 2

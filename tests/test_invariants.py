@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -164,14 +165,14 @@ def test_split_table_is_built_once_per_audit(count_solves, count_tables):
 
 
 def test_invariance_violation_carries_both_trials(conic_merged, monkeypatch):
-    real = invariants._total
+    real = invariants._n_from_tally
     calls = []
 
-    def drifting(mults):
-        calls.append(mults)
-        return real(mults) + len(calls) - 1     # a wrong N from trial 2 on
+    def drifting(tally):
+        calls.append(tally)
+        return real(tally) + len(calls) - 1     # a wrong N from trial 2 on
 
-    monkeypatch.setattr(invariants, "_total", drifting)
+    monkeypatch.setattr(invariants, "_n_from_tally", drifting)
     with pytest.raises(InvarianceViolation) as info:
         invariance_audit(conic_merged, trials=2, seed=5)
     first, second = info.value.trials
@@ -239,6 +240,89 @@ def test_audit_divides_once(conic_merged, count_divisions):
     assert count_divisions == []
 
 
+def assert_tally_gives_n(delta, seed):
+    """The trial's tally holds each sorted multiplicity tuple of its curves
+    with its number of curves, and the N summed from it is the sum of the
+    curves' refined multiplicities and refined_count's N. Returns the
+    record."""
+    record = sample_trial(delta, seed)
+    tally = dict(record.tally)
+    assert len(tally) == len(record.tally)
+    assert tally == Counter(tuple(sorted(sol.mults))
+                            for sol in record.solutions)
+    total = HalfLaurent(0)
+    for sol in record.solutions:
+        total = total + sol.refined_multiplicity()
+    assert record.n_trop == total
+    assert record.n_trop == refined_count(delta, record.moments)[0]
+    return record
+
+
+EIGHT_ENDS = build_delta_s(delta_d(3), Vec(-1, 0), 1)
+
+
+@pytest.mark.parametrize("label", [
+    "triangle", "square", "conic", "conic_merged", "doubled_quad",
+    "delta_2", "six_ends_s2", "six_ends_s1", "seven_ends_s1",
+    "four_ends_s1", "eight_ends_s1"])
+def test_tally_n_is_the_brute_count(label, named_degrees):
+    delta = {**named_degrees, "eight_ends_s1": EIGHT_ENDS}[label]
+    for seed in (1, 2):
+        record = assert_tally_gives_n(delta, seed)
+        assert record.n_trop == refined_count_brute(delta, record.moments)[0]
+
+
+def test_tally_n_is_the_brute_count_at_nine_ends():
+    # refined_count_brute gives q + 7 + 1/q for delta_d(3) at seeds 1 and 2,
+    # but takes about 18 s a seed, so its N is written out here
+    for seed in (1, 2):
+        record = assert_tally_gives_n(delta_d(3), seed)
+        assert record.n_trop == HalfLaurent({2: 1, 0: 7, -2: 1})
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("d, s", [(4, 1), (4, 0), (5, 2)],
+                         ids=["11-ends", "12-ends", "13-ends"])
+def test_tally_n_above_brute_force(d, s, seed):
+    record = assert_tally_gives_n(build_delta_s(delta_d(d), Vec(-1, 0), s),
+                                  seed)
+    assert len(record.tally) < len(record.curves)
+
+
+def test_audit_sums_once_per_tuple(monkeypatch):
+    # about 900 curves carry far fewer multiplicity tuples: N, R and BG are
+    # each one combination of one term per tuple, with no `+` per curve
+    delta = build_delta_s(delta_d(5), Vec(-1, 0), 2)
+    adds, terms = [], []
+    real_add = HalfLaurent.__add__
+    real_combination = invariants.linear_combination
+
+    def add(self, other):
+        adds.append(other)
+        return real_add(self, other)
+
+    def combination(pairs):
+        pairs = list(pairs)
+        terms.append(len(pairs))
+        return real_combination(pairs)
+
+    monkeypatch.setattr(HalfLaurent, "__add__", add)
+    monkeypatch.setattr(HalfLaurent, "__radd__", add)
+    monkeypatch.setattr(invariants, "linear_combination", combination)
+    report = invariance_audit(delta, trials=1, seed=1)
+    record = report.trial_records[0]
+    tuples = len(record.tally)
+    assert len(record.curves) > 800 and tuples < len(record.curves) // 10
+    assert terms == [tuples] * 3
+    assert len(adds) + sum(terms) <= 3 * tuples
+    # the guard is live: the sum by hand adds once per curve
+    adds.clear()
+    total = HalfLaurent(0)
+    for _, mults, _, _ in record.curves:
+        total = total + invariants._q_product(tuple(sorted(mults)))
+    assert total == report.n_trop and len(adds) == len(record.curves)
+
+
 def test_theorem_factors_are_their_definitions():
     w = HalfLaurent.monomial
     assert invariants.W_MINUS == w(1) - w(-1)
@@ -259,6 +343,7 @@ def divide(n, num_base, num_exp, den):
        st.integers(0, 2), st.integers(0, 5))
 def test_r_from_n_equals_both_divided_forms(x, s, extra):
     m = 2 * s + extra          # m - 2 - 2s runs over -2..3
+    assume(m >= 3)             # a curve has at least three ends
     n = x * W_PLUS ** s * W_MINUS ** max(0, 2 * s + 2 - m)
     q_minus = w_pow_minus_inverse(2)
     form_a = divide(n, W_MINUS, m - 2 - s, q_minus ** s)
@@ -279,6 +364,7 @@ def test_r_from_n_not_divisible_exactly_when_form_b_is_not(x, plus, minus, s,
     # factors of w + 1/w and w - 1/w make both outcomes common
     n = x * W_PLUS ** plus * W_MINUS ** minus
     m = 2 * s + extra
+    assume(m >= 3)
     try:
         expected = divide(n, W_MINUS, m - 2 - 2 * s, W_PLUS ** s)
     except NotDivisible:
@@ -301,6 +387,19 @@ def test_theorem_arguments_are_checked_whatever_ran_before():
     for take in (r_from_n, broccoli_from_r):
         with pytest.raises(ValueError, match="weight-2 ends"):
             take(W_PLUS, 6, -1)
+
+
+@pytest.mark.parametrize("take", [r_from_n, broccoli_from_r])
+@pytest.mark.parametrize("m, s", [(2, 0), (1, 0), (0, 0), (-3, 0), (4, 3),
+                                  (5, 3)])
+def test_theorem_refuses_impossible_end_counts(take, m, s):
+    # a curve has at least three ends, and its s weight-2 ends pair off 2s
+    # of them; without these checks r_from_n raised NotDivisible, the mark
+    # of a bug, and broccoli_from_r returned a polynomial
+    with pytest.raises(ValueError, match=rf"\bm = {m}\b|got {m}\b"):
+        take(HalfLaurent(1), m, s)
+    with pytest.raises(ValueError):
+        invariants._curve_share((1,), m, s)
 
 
 def test_r_from_n_not_divisible_is_fatal():

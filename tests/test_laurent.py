@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tropical_refine import (HalfLaurent, NonPositive, NotDivisible,
                              q_analog, w_pow_minus_inverse)
+from tropical_refine.laurent import linear_combination
 
 coeffs = st.integers(-20, 20)
 polys = st.dictionaries(st.integers(-8, 8), coeffs, max_size=6).map(HalfLaurent)
@@ -116,6 +117,35 @@ def test_only_ints_mix_with_polynomials():
                    lambda p: p.exact_div(other)):
             with pytest.raises(TypeError):
                 op(HalfLaurent(2))
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, Fraction(1), "1", None])
+def test_coeff_refuses_a_non_int_exponent(bad):
+    # a bool or a float equal to a key would read that key's coefficient
+    p = HalfLaurent({1: 2, 0: 5})
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        p.coeff(bad)
+    assert (p.coeff(1), p.coeff(0), p.coeff(3)) == (2, 5, 0)
+
+
+@given(st.lists(st.tuples(polys, st.integers(-5, 5)), max_size=6))
+def test_linear_combination_equals_repeated_addition(terms):
+    total = HalfLaurent(0)
+    for poly, count in terms:
+        total = total + poly * count
+    assert linear_combination(terms) == total
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2), "2", None])
+def test_linear_combination_takes_only_int_counts(bad):
+    with pytest.raises(TypeError, match="a count is an int"):
+        linear_combination([(HalfLaurent(1), 2), (HalfLaurent(3), bad)])
+
+
+@pytest.mark.parametrize("bad", [1, 2.0, {0: 1}, None])
+def test_linear_combination_takes_only_polynomial_terms(bad):
+    with pytest.raises(TypeError, match="a term is a HalfLaurent"):
+        linear_combination([(HalfLaurent(1), 2), (bad, 1)])
 
 
 def test_arithmetic_oracles():
