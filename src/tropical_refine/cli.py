@@ -14,15 +14,16 @@ splitting and first-order real multiplicity of every solution (as json or
 text only), and `plot` is `enumerate` with an SVG default. `--n1` needs
 `--s` >= 1.
 
-Degrees are read from a JSON file ({"entries": [[x, y], ...]}), an inline
-JSON literal, or the compact form "x,y;x,y;...". Moments are exact rationals;
-either n-1 values (the first end's moment is implied) or all n (checked to
-sum to zero). Each command's runner returns its JSON payload and its text,
-which for `--format svg` is the picture of the curves it counted; `main`
-encodes the payload for json and writes the text otherwise. All JSON and
-SVG output is deterministic byte for byte: identical invocations produce
-identical files. Fatal mathematical conditions and usage errors print a
-one-line error JSON to stdout and exit 1.
+Degrees are read as a JSON literal ({"entries": [[x, y], ...]} or the bare
+list) or the compact form "x,y;x,y;...", inline or from a file. Moments are
+exact rationals; either n-1 values (the first end's moment is implied) or
+all n (checked to sum to zero). Each command's runner returns its JSON
+payload and its text, which for `--format svg` is the picture of the curves
+it counted; `main` encodes the payload for json and writes the text
+otherwise. All JSON and SVG output is deterministic byte for byte:
+identical invocations produce identical files. Fatal mathematical
+conditions and usage errors print a one-line error JSON to stdout and
+exit 1.
 
 Each command imports only the modules it runs. Loading this module loads
 `errors`, `lattice` and `laurent`; `quantum` adds `realsplit`; `enumerate`
@@ -60,17 +61,24 @@ def parse_vec(text: str) -> Vec:
     return Vec(int(parts[0]), int(parts[1]))
 
 
+def _json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("the degree's JSON is nested too deeply") from None
+
+
 def load_degree(source: str) -> Degree:
-    """A degree from a JSON file path, an inline JSON literal, or the
-    compact "x,y;x,y;..." form."""
+    """A degree from a JSON literal or the compact "x,y;x,y;..." form, given
+    inline or as the path of a file that holds it."""
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
-            return Degree.from_json(json.load(fh))
+            source = fh.read()
     stripped = source.strip()
     if stripped.startswith("{"):
-        return Degree.from_json(json.loads(stripped))
+        return Degree.from_json(_json(stripped))
     if stripped.startswith("["):
-        return Degree.from_json({"entries": json.loads(stripped)})
+        return Degree.from_json({"entries": _json(stripped)})
     entries = [parse_vec(chunk) for chunk in stripped.split(";") if chunk]
     return Degree(tuple(entries))
 

@@ -11,25 +11,22 @@ primitive ends of an m-end primitive degree, the real refined invariant is
 
 and both divisions are exact. With w = q^(1/2), q - 1/q = (w - 1/w)(w + 1/w),
 so R and the Broccoli normalization BG are multiples of the one quotient
-T = N / (w + 1/w)^s, the only division `_theorem` makes:
+T = N / (w + 1/w)^s, the only division `_r_and_bg` makes:
 R = T * (w - 1/w)^(m-2-2s) and BG = T * (q + 1/q)^s. Z[w, 1/w] is a UFD in
 which w + 1/w is coprime to w - 1/w, so either form of R is exact exactly
 when T is, and then they agree. A nonzero remainder can only mean an
 implementation bug.
 
-Each curve's term of N divides on its own, so `invariance_audit` divides
-terms, not N. The weight-2 ends are parallel (one toric divisor), so no two
-meet at one vertex, and the vertex each one meets has even multiplicity
-2j, whose [2j] = (w + 1/w) * (w^(2j-2) + w^(2j-6) + ... + w^(2-2j)) holds
-a factor w + 1/w. A term is the product [m_V] of its curve's sorted vertex
-multiplicities, so its share of R and BG is divided once per multiplicity
-tuple and cached (`_curve_share`).
+`r_from_n` and `invariance_audit` both take R and BG from N through
+`_theorem`, which checks its arguments and then looks up the one division
+memoised per (N, m, s) (`_r_and_bg`). The trials of an audit agree on N, so
+a degree's first audit divides once, whatever its number of trials, and a
+repeat audit or `r_from_n` of a seen N divides not at all.
 
-A count tallies its curves once: each sorted multiplicity tuple with the
-number of curves that carry it. N, R and BG are each summed from that one
-tally in one pass (`laurent.linear_combination`), one term per tuple times
-its count, not one addition per curve; a trial keeps its tally on its
-`TrialRecord` for the audit's R and BG.
+A count sorts each curve's vertex multiplicities and tallies the sorted
+tuples: N is summed in one pass (`laurent.linear_combination`), each
+tuple's product [m_V] times the number of curves that carry it, not one
+addition per curve.
 
 Generic constraints are drawn from a fixed portable generator (SplitMix64)
 so that every run of a given seed is reproducible down to the byte. N and
@@ -84,19 +81,12 @@ def moment_from_draw(draw: int) -> Fraction:
     return Fraction(draw % 2001 - 1000, 1 + draw % 7)
 
 
-Tally = tuple[tuple[tuple[int, ...], int], ...]
-
-
-def _tally(mults: Iterable[tuple[int, ...]]) -> Tally:
-    """Each sorted multiplicity tuple of the curves with the number of
-    curves that carry it, in the order the tuples are first met."""
-    return tuple(Counter(tuple(sorted(m)) for m in mults).items())
-
-
-def _n_from_tally(tally: Tally) -> HalfLaurent:
-    """N: each tuple's product [m_V] times its count, summed in one pass."""
-    return linear_combination((_q_product(mults), count)
-                              for mults, count in tally)
+def _n_from_mults(mults: Iterable[tuple[int, ...]]) -> HalfLaurent:
+    """N from the curves' vertex multiplicities: each sorted tuple's product
+    [m_V] times the number of curves that carry it, summed in one pass."""
+    tally = Counter(tuple(sorted(m)) for m in mults)
+    return linear_combination((_q_product(tup), count)
+                              for tup, count in tally.items())
 
 
 def _rebuild(delta: Degree, mu: MomentVector,
@@ -118,7 +108,7 @@ def refined_count(delta_s: Degree,
     NonGenericMoments exactly when that would, so callers can resample.
     """
     curves = curves_through(delta_s, mu)
-    n_trop = _n_from_tally(_tally(mults for _, mults, _, _ in curves))
+    n_trop = _n_from_mults(mults for _, mults, _, _ in curves)
     return n_trop, _rebuild(delta_s, mu, curves)
 
 
@@ -137,7 +127,7 @@ def refined_count_brute(
             continue
         if sol is not None:
             solutions.append(sol)
-    return _n_from_tally(_tally(sol.mults for sol in solutions)), solutions
+    return _n_from_mults(sol.mults for sol in solutions), solutions
 
 
 def _position_signature(curve: tuple) -> tuple:
@@ -152,10 +142,9 @@ def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
     A candidate is rejected when some type solves onto a wall (zero length)
     or two curves coincide as point sets (a lone curve has none to meet).
     Raises ExhaustedRetries, with the reason for every rejection, after
-    MAX_ATTEMPTS candidates. The accepted curves' multiplicity tuples are
-    tallied once; N is summed from the tally, once per tuple, and the
-    record keeps it for the audit's R and BG. N, the tally and the
-    coincidence test read vertex data only: no tree is built here.
+    MAX_ATTEMPTS candidates. N is summed once per sorted multiplicity
+    tuple of the accepted curves; an audit takes R and BG from it. N and
+    the coincidence test read vertex data only: no tree is built here.
     """
     stream = SplitMix64(seed)
     n = len(delta_s)
@@ -172,9 +161,8 @@ def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
                 != len(curves)):
             reasons.append("coincident curves")
             continue
-        tally = _tally(mults for _, mults, _, _ in curves)
-        return TrialRecord(seed, mu, _n_from_tally(tally), delta_s, curves,
-                           tally)
+        n_trop = _n_from_mults(mults for _, mults, _, _ in curves)
+        return TrialRecord(seed, mu, n_trop, delta_s, curves)
     counts = ", ".join(f"{reasons.count(r)} {r}"
                        for r in dict.fromkeys(reasons))
     raise ExhaustedRetries(f"no generic moments for seed {seed} in "
@@ -200,30 +188,36 @@ def _check_theorem_args(m: int, s: int) -> None:
                          f"the m = {m} ends, more than there are")
 
 
-@functools.cache
-def _factors(m: int, s: int) -> tuple[HalfLaurent, HalfLaurent, HalfLaurent]:
-    """`_theorem`'s divisor and cofactors of R and BG, built once."""
-    k = m - 2 - 2 * s
-    extra = W_MINUS ** max(0, -k)
-    return W_PLUS ** s * extra, W_MINUS ** max(0, k), extra * Q_PLUS ** s
-
-
 def _theorem(n_trop: HalfLaurent, m: int,
              s: int) -> tuple[HalfLaurent, HalfLaurent]:
-    """(R, BG) from N by one exact division.
+    """(R, BG) from N, by the division `_r_and_bg` memoises. The arguments
+    are checked before the lookup, so no answer depends on what ran
+    earlier: an int N or a bool m would otherwise hit the key of an equal
+    HalfLaurent or int."""
+    _check_theorem_args(m, s)
+    if type(n_trop) is not HalfLaurent:
+        raise TypeError(f"N is a HalfLaurent, got {n_trop!r}")
+    return _r_and_bg(n_trop, m, s)
+
+
+@functools.cache
+def _r_and_bg(n_trop: HalfLaurent, m: int,
+              s: int) -> tuple[HalfLaurent, HalfLaurent]:
+    """(R, BG) from N by one exact division, made once per (N, m, s).
 
     With k = m - 2 - 2s, the divisor is (w + 1/w)^s * (w - 1/w)^max(0, -k);
     R is the quotient times (w - 1/w)^max(0, k), and BG the quotient times
     (w - 1/w)^max(0, -k) * (q + 1/q)^s.
     """
-    _check_theorem_args(m, s)
-    divisor, r_cofactor, bg_cofactor = _factors(m, s)
-    quot = n_trop.exact_div(divisor)
-    return quot * r_cofactor, quot * bg_cofactor
+    k = m - 2 - 2 * s
+    extra = W_MINUS ** max(0, -k)
+    quot = n_trop.exact_div(W_PLUS ** s * extra)
+    return quot * W_MINUS ** max(0, k), quot * extra * Q_PLUS ** s
 
 
 def r_from_n(n_trop: HalfLaurent, m: int, s: int) -> HalfLaurent:
-    """Real refined invariant from the refined count, by one exact division.
+    """Real refined invariant from the refined count, by one exact division
+    made once per (N, m, s).
 
     m is the number of ends of the primitive parent degree, s the number of
     weight-2 ends. Both theorem forms give this R (see the module
@@ -233,21 +227,13 @@ def r_from_n(n_trop: HalfLaurent, m: int, s: int) -> HalfLaurent:
     return _theorem(n_trop, m, s)[0]
 
 
-@functools.cache
-def _curve_share(mults: tuple[int, ...], m: int,
-                 s: int) -> tuple[HalfLaurent, HalfLaurent]:
-    """(R, BG) of one curve with these sorted vertex multiplicities: the
-    `_theorem` of its term of N, built once per tuple, m and s."""
-    return _theorem(_q_product(mults), m, s)
-
-
 def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
     """Broccoli-normalized invariant: R = BG * (w - 1/w)^(m-2-2s) / (q + 1/q)^s.
 
     For s = 0 this is the refined count itself. BG is R * (q + 1/q)^s
     divided by (w - 1/w)^(m-2-2s), or multiplied by (w - 1/w)^(2s+2-m) when
     that exponent is negative. Equal to the BG of invariance_audit, which
-    sums it from the same per-curve quotients as R instead.
+    takes it from N's quotient, as it takes R.
     """
     _check_theorem_args(m, s)
     k = m - 2 - 2 * s
@@ -261,15 +247,13 @@ class TrialRecord(Record):
     """One audited constraint: seed, moments, N, degree and counted curves
     (`solver.curves_through`), kept whole so a failure can be diffed curve
     by curve; `solutions`, built when first read, equal those of
-    refined_count(delta_s, moments). `tally` pairs each sorted multiplicity
-    tuple of the curves with the number of curves that carry it; N was
-    summed from it once per tuple, and an audit sums R and BG from it. It
-    is read off the curves, so it is not part of the record's identity."""
+    refined_count(delta_s, moments). An audit takes R and BG from the N
+    its trials agree on."""
 
     def __init__(self, seed: int, moments: MomentVector, n_trop: HalfLaurent,
-                 delta_s: Degree, curves: tuple[tuple, ...], tally: Tally):
+                 delta_s: Degree, curves: tuple[tuple, ...]):
         self._set(seed=seed, moments=moments, n_trop=n_trop, delta_s=delta_s,
-                  curves=curves, tally=tally)
+                  curves=curves)
 
     def identity(self) -> tuple:
         return self.seed, self.moments, self.n_trop, self.delta_s, self.curves
@@ -335,15 +319,13 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
                      seed: int = 2024) -> InvariantReport:
     """Count the curves through several seeded generic constraints, each
     counted once while it is sampled, and insist the refined counts agree;
-    derive R and the Broccoli normalization from the first trial's curves.
+    derive R and the Broccoli normalization from the N they agree on.
 
-    R and BG are sums of per-curve shares, one per sorted multiplicity
-    tuple of the first trial's tally, each weighted by the number of curves
-    that carry it and summed in one pass (see the module docstring). A
-    share is divided once per tuple, m and s and then cached, so an audit
-    divides at most once per distinct tuple, whatever the number of trials,
-    and not at all once its tuples have been seen. A curve whose term is
-    not divisible raises NotDivisible.
+    R and BG come from N by `_theorem`, the path `r_from_n` takes: one
+    exact division per (N, m, s), memoised, so a degree's first audit
+    divides once, whatever its number of trials or multiplicity tuples,
+    and a repeat audit divides not at all. An N that does not divide
+    raises NotDivisible.
 
     Raises InvarianceViolation (a bug detector, not an input error) when two
     trials disagree.
@@ -363,9 +345,5 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
                 trials=(records[0], rec))
     delta, s = split_even_ends(delta_s)
     m = len(delta)
-    shares = [(_curve_share(mults, m, s), count)
-              for mults, count in records[0].tally]
-    r = linear_combination((r_share, count) for (r_share, _), count in shares)
-    bg = linear_combination((bg_share, count)
-                            for (_, bg_share), count in shares)
+    r, bg = _theorem(first, m, s)
     return InvariantReport(delta, delta_s, s, m, tuple(records), first, r, bg)

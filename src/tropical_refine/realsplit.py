@@ -96,9 +96,13 @@ class WeightedPlaneParam(Record):
         if all(w == 2 for w in weights):
             raise ValueError("need at least one odd (weight-1) end")
         if lengths is not None:
-            want = set(tree.bounded_edges)
-            have = {_key(e) for e in lengths}
-            if want != have:
+            have: dict[EdgeKey, EdgeKey] = {}
+            for e in lengths:
+                first = have.setdefault(_key(e), e)
+                if first != e:
+                    raise ValueError(f"edge {_key(e)} is given two lengths, "
+                                     f"as {first} and as {e}")
+            if set(tree.bounded_edges) != have.keys():
                 raise ValueError("lengths must cover exactly the bounded edges")
             lengths = {_key(e): as_fraction(v) for e, v in lengths.items()}
             if any(v <= 0 for v in lengths.values()):

@@ -112,7 +112,10 @@ def count_solves(monkeypatch):
 
 @pytest.fixture
 def count_divisions(monkeypatch):
-    """The divisor of every `HalfLaurent.exact_div` call from here on."""
+    """The divisor of every `HalfLaurent.exact_div` call from here on. The
+    theorem's memo starts empty, so the count does not depend on which
+    tests ran before."""
+    tropical_refine.invariants._r_and_bg.cache_clear()
     calls = []
     real = HalfLaurent.exact_div
 

@@ -63,6 +63,16 @@ def test_load_degree_forms(tmp_path):
     assert load_degree(str(path)) == want
 
 
+@pytest.mark.parametrize("text", ["[[-1,0],[0,-1],[1,1]]", TRIANGLE,
+                                  '{"entries": [[-1,0],[0,-1],[1,1]]}'])
+def test_a_degree_file_holds_any_inline_form(tmp_path, text):
+    # a file's text is parsed as the same text given inline; a bare list in
+    # a file used to be refused
+    path = tmp_path / "degree.json"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert load_degree(str(path)) == load_degree(text)
+
+
 def test_default_n1_picks_smallest_repeated_direction():
     conic = load_degree(CONIC)
     assert default_n1(conic, 1) == Vec(-1, 0)
@@ -470,6 +480,30 @@ def test_malformed_input_is_one_error_line(capsys, argv, named):
     assert set(payload) == {"error", "message"}
     assert payload["error"] == "ValueError"
     assert named in payload["message"]
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text", [DEEP, '{"entries": ' + DEEP + "}"],
+                         ids=["list", "object"])
+@pytest.mark.parametrize("in_file", [False, True], ids=["inline", "file"])
+def test_deeply_nested_degree_is_one_error_line(capsys, tmp_path, text,
+                                                in_file):
+    # the JSON decoder runs out of stack on such input; that used to leave
+    # a RecursionError traceback on stderr and nothing on stdout
+    source = text
+    if in_file:
+        source = str(tmp_path / "deep.json")
+        Path(source).write_text(text, encoding="utf-8")
+    code = main(["enumerate", f"--degree={source}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    jsonschema.validate(payload, schema("error"))
+    assert payload == {"error": "ValueError",
+                       "message": "the degree's JSON is nested too deeply"}
 
 
 def test_console_script_runs():

@@ -165,14 +165,14 @@ def test_split_table_is_built_once_per_audit(count_solves, count_tables):
 
 
 def test_invariance_violation_carries_both_trials(conic_merged, monkeypatch):
-    real = invariants._n_from_tally
+    real = invariants._n_from_mults
     calls = []
 
-    def drifting(tally):
-        calls.append(tally)
-        return real(tally) + len(calls) - 1     # a wrong N from trial 2 on
+    def drifting(mults):
+        calls.append(mults)
+        return real(mults) + len(calls) - 1     # a wrong N from trial 2 on
 
-    monkeypatch.setattr(invariants, "_n_from_tally", drifting)
+    monkeypatch.setattr(invariants, "_n_from_mults", drifting)
     with pytest.raises(InvarianceViolation) as info:
         invariance_audit(conic_merged, trials=2, seed=5)
     first, second = info.value.trials
@@ -222,40 +222,41 @@ def _tuples(report) -> set[tuple[int, ...]]:
 
 
 def test_audit_divides_once(conic_merged, count_divisions):
-    # once per distinct multiplicity tuple, however many trials; an audit
-    # whose tuples were all seen before divides zero times
-    invariants._curve_share.cache_clear()
+    # once for the N the trials agree on, however many trials or tuples;
+    # a repeat audit divides zero times
     report = invariance_audit(conic_merged, trials=1, seed=5)
     assert report.broccoli == HalfLaurent({2: 1, -2: 1})
-    assert len(count_divisions) == len(_tuples(report)) == 1
+    assert count_divisions == [W_PLUS]
     count_divisions.clear()
     assert invariance_audit(conic_merged, trials=1, seed=5) == report
     assert count_divisions == []
     seven = Degree(((-1, 0), (0, -1), (0, -1), (1, 1), (1, 1), (1, 0),
                     (-2, 0)))
     report = invariance_audit(seven, trials=3, seed=5)
-    assert len(count_divisions) == len(_tuples(report)) > 1
+    assert len(_tuples(report)) > 1
+    assert count_divisions == [W_PLUS]
     count_divisions.clear()
     assert invariance_audit(seven, trials=3, seed=5) == report
+    assert count_divisions == []
+    # r_from_n reaches the same memo
+    assert r_from_n(report.n_trop, report.m, report.s) == report.r_inv
     assert count_divisions == []
 
 
 def assert_tally_gives_n(delta, seed):
-    """The trial's tally holds each sorted multiplicity tuple of its curves
-    with its number of curves, and the N summed from it is the sum of the
+    """The N summed once per sorted multiplicity tuple is the sum of the
     curves' refined multiplicities and refined_count's N. Returns the
-    record."""
+    record and its tally: each sorted tuple with its number of curves."""
     record = sample_trial(delta, seed)
-    tally = dict(record.tally)
-    assert len(tally) == len(record.tally)
-    assert tally == Counter(tuple(sorted(sol.mults))
-                            for sol in record.solutions)
+    tally = Counter(tuple(sorted(sol.mults)) for sol in record.solutions)
+    assert tally == Counter(tuple(sorted(mults))
+                            for _, mults, _, _ in record.curves)
     total = HalfLaurent(0)
     for sol in record.solutions:
         total = total + sol.refined_multiplicity()
     assert record.n_trop == total
     assert record.n_trop == refined_count(delta, record.moments)[0]
-    return record
+    return record, tally
 
 
 EIGHT_ENDS = build_delta_s(delta_d(3), Vec(-1, 0), 1)
@@ -268,7 +269,7 @@ EIGHT_ENDS = build_delta_s(delta_d(3), Vec(-1, 0), 1)
 def test_tally_n_is_the_brute_count(label, named_degrees):
     delta = {**named_degrees, "eight_ends_s1": EIGHT_ENDS}[label]
     for seed in (1, 2):
-        record = assert_tally_gives_n(delta, seed)
+        record, _ = assert_tally_gives_n(delta, seed)
         assert record.n_trop == refined_count_brute(delta, record.moments)[0]
 
 
@@ -276,7 +277,7 @@ def test_tally_n_is_the_brute_count_at_nine_ends():
     # refined_count_brute gives q + 7 + 1/q for delta_d(3) at seeds 1 and 2,
     # but takes about 18 s a seed, so its N is written out here
     for seed in (1, 2):
-        record = assert_tally_gives_n(delta_d(3), seed)
+        record, _ = assert_tally_gives_n(delta_d(3), seed)
         assert record.n_trop == HalfLaurent({2: 1, 0: 7, -2: 1})
 
 
@@ -284,14 +285,15 @@ def test_tally_n_is_the_brute_count_at_nine_ends():
 @pytest.mark.parametrize("d, s", [(4, 1), (4, 0), (5, 2)],
                          ids=["11-ends", "12-ends", "13-ends"])
 def test_tally_n_above_brute_force(d, s, seed):
-    record = assert_tally_gives_n(build_delta_s(delta_d(d), Vec(-1, 0), s),
-                                  seed)
-    assert len(record.tally) < len(record.curves)
+    record, tally = assert_tally_gives_n(
+        build_delta_s(delta_d(d), Vec(-1, 0), s), seed)
+    assert len(tally) < len(record.curves)
 
 
 def test_audit_sums_once_per_tuple(monkeypatch):
-    # about 900 curves carry far fewer multiplicity tuples: N, R and BG are
-    # each one combination of one term per tuple, with no `+` per curve
+    # about 900 curves carry far fewer multiplicity tuples: N is one
+    # combination of one term per tuple, with no `+` per curve, and R and
+    # BG come from N with no combination at all
     delta = build_delta_s(delta_d(5), Vec(-1, 0), 2)
     adds, terms = [], []
     real_add = HalfLaurent.__add__
@@ -311,10 +313,10 @@ def test_audit_sums_once_per_tuple(monkeypatch):
     monkeypatch.setattr(invariants, "linear_combination", combination)
     report = invariance_audit(delta, trials=1, seed=1)
     record = report.trial_records[0]
-    tuples = len(record.tally)
+    tuples = len(_tuples(report))
     assert len(record.curves) > 800 and tuples < len(record.curves) // 10
-    assert terms == [tuples] * 3
-    assert len(adds) + sum(terms) <= 3 * tuples
+    assert terms == [tuples]
+    assert len(adds) + sum(terms) <= tuples
     # the guard is live: the sum by hand adds once per curve
     adds.clear()
     total = HalfLaurent(0)
@@ -399,7 +401,16 @@ def test_theorem_refuses_impossible_end_counts(take, m, s):
     with pytest.raises(ValueError, match=rf"\bm = {m}\b|got {m}\b"):
         take(HalfLaurent(1), m, s)
     with pytest.raises(ValueError):
-        invariants._curve_share((1,), m, s)
+        invariants._theorem(HalfLaurent(1), m, s)
+
+
+def test_r_from_n_takes_only_a_polynomial_whatever_ran_before():
+    # the constant HalfLaurent(1) equals 1 and hashes like it, so an int N
+    # would hit its memo key; it used to raise AttributeError
+    for _ in range(2):
+        with pytest.raises(TypeError, match="N is a HalfLaurent, got 1"):
+            r_from_n(1, 3, 0)
+        assert r_from_n(HalfLaurent(1), 3, 0) == W_MINUS
 
 
 def test_r_from_n_not_divisible_is_fatal():

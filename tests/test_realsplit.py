@@ -140,6 +140,13 @@ def test_weighted_param_length_validation():
     assert WeightedPlaneParam(tree, {(5, 4): 2}).edge_length((4, 5)) == 2
 
 
+@pytest.mark.parametrize("a, b", [(1, 2), (3, 3)])
+def test_weighted_param_refuses_two_lengths_for_one_edge(a, b):
+    # both orders of one edge used to be accepted, the later length kept
+    with pytest.raises(ValueError, match=re.escape("edge (4, 5) is given two")):
+        WeightedPlaneParam(closure_tree(), {(4, 5): a, (5, 4): b})
+
+
 def test_weighted_param_equality_ignores_edge_presentation():
     dirs = (Vec(3, 1), Vec(1, -1), Vec(-2, 0), Vec(-2, 0))
     a = WeightedPlaneParam(CombinatorialType(

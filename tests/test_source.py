@@ -292,7 +292,7 @@ def test_every_division_is_pinned():
     found = sorted(site for path in SRC.rglob("*.py")
                    for site in _call_sites(path.read_text(encoding="utf-8"),
                                            path.stem, "exact_div"))
-    assert found == ["cli.run_realize", "invariants._theorem",
+    assert found == ["cli.run_realize", "invariants._r_and_bg",
                      "invariants.broccoli_from_r"]
 
 
@@ -332,8 +332,7 @@ def test_every_cache_is_pinned():
     found = sorted(site for path in SRC.rglob("*.py")
                    for site in _caches(path.read_text(encoding="utf-8"),
                                        path.stem))
-    assert found == ["invariants._curve_share", "invariants._factors",
-                     "solver._q_product"]
+    assert found == ["invariants._r_and_bg", "solver._q_product"]
 
 
 def test_the_cache_rule_sees_each_kind():
