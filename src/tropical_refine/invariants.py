@@ -233,9 +233,13 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
     For s = 0 this is the refined count itself. BG is R * (q + 1/q)^s
     divided by (w - 1/w)^(m-2-2s), or multiplied by (w - 1/w)^(2s+2-m) when
     that exponent is negative. Equal to the BG of invariance_audit, which
-    takes it from N's quotient, as it takes R.
+    takes it from N's quotient, as it takes R. An R that is not a
+    HalfLaurent raises TypeError before any arithmetic, as N does in
+    `r_from_n`.
     """
     _check_theorem_args(m, s)
+    if type(r) is not HalfLaurent:
+        raise TypeError(f"R is a HalfLaurent, got {r!r}")
     k = m - 2 - 2 * s
     bg = r * Q_PLUS ** s
     if k < 0:

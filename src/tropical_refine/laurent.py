@@ -220,7 +220,10 @@ class HalfLaurent(Record):
         return re, im
 
     def is_symmetric(self) -> bool:
-        """True when invariant under q -> 1/q (palindromic coefficients)."""
+        """True when invariant under q -> 1/q (palindromic coefficients).
+
+        The test-time check of the q -> 1/q symmetry of N and BG; no
+        computation of the package calls it."""
         return all(self._c.get(-k, 0) == c for k, c in self._c.items())
 
     # -- presentation ------------------------------------------------------

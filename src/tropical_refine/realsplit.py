@@ -195,17 +195,22 @@ def admissible_sets(base: WeightedPlaneParam,
     interior of each listed edge.
     """
     children = base._stem_tree[0]
-    orient = base._gamma_even
+    return iter(_cuts(children, base._gamma_even,
+                      children[stem_of(base, comp)][0]))
 
-    def cuts(e: EdgeKey) -> list[frozenset[EdgeKey]]:
-        out = [frozenset({e})]
-        kids = children.get(orient[e][1])
-        if kids:
-            for combo in itertools.product(*(cuts(k) for k in kids)):
-                out.append(frozenset().union(*combo))
-        return out
 
-    return iter(cuts(children[stem_of(base, comp)][0]))
+def _cuts(children: dict[int, list[EdgeKey]],
+          orient: dict[EdgeKey, tuple[int, int]],
+          e: EdgeKey) -> list[frozenset[EdgeKey]]:
+    """The cut classes of the part of the component at and below edge e:
+    e alone, or one cut class below each of the edges under e."""
+    out = [frozenset({e})]
+    kids = children.get(orient[e][1])
+    if kids:
+        for combo in itertools.product(*(_cuts(children, orient, k)
+                                         for k in kids)):
+            out.append(frozenset().union(*combo))
+    return out
 
 
 class SplitEdge(NamedTuple):

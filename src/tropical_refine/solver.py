@@ -21,14 +21,18 @@ counts on integer moment sums over one common denominator, with one
 bisection per child and no linear algebra. Single ends and two-end sets are
 seeded, not searched: a single end is one subtree at any key, and a two-end
 set has one split, into two single ends, so it is one subtree below its one
-key, with no bisection, sort or suffix sum. Backtracking takes only child
-splits strictly past their parent's key, listing each side of a split once
-and joining split tuples by concatenation, so it finds exactly the curves
-with every length > 0; finding fewer than the count means some length is
-zero, a wall. The count gives each curve as its splits with its vertex
-multiplicities (each split's |d|) and vertex positions (where L_A and L_B
-meet, as integers over the count's common scale, reduced to the least one):
-weighing curves and comparing them as point sets needs no tree.
+key, with no bisection, sort or suffix sum. Backtracking, the module-level
+`_subtrees`, takes only child splits strictly past their parent's key,
+listing each side of a split once and joining split tuples by
+concatenation, so it finds exactly the curves with every length > 0;
+finding fewer than the count means some length is zero, a wall. It takes
+the count's placed rows and keys as arguments, so a count builds no
+reference cycle: its state is freed by reference counting as it returns,
+with nothing left for the cyclic collector. The count gives each curve as
+its splits with its vertex multiplicities (each split's |d|) and vertex
+positions (where L_A and L_B meet, as integers over the count's common
+scale, reduced to the least one): weighing curves and comparing them as
+point sets needs no tree.
 `invariants` rebuilds a counted curve's tree from its splits only where a
 caller asks for solutions; a rebuilt curve reads its edge lengths off its
 points.
@@ -39,8 +43,12 @@ and, per split, integer coefficients that turn the children's moment sums
 into the vertex's positions along n_A and n_B) is a `_SplitTable`. It is
 built the first time a degree is counted and dropped with the `Degree`
 object it was built for, so the draws of one degree share it and each
-count does only the work that depends on the moments. For delta_d(4) it
-holds 57 933 splits of 1838 end sets, about 13 MiB.
+count does only the work that depends on the moments. A dead split, one
+with a side of two or more ends that has no split of its own (a set of
+parallel ends has none), is never placed; the table drops it when it is
+built, in one pass in mask order, since each side comes before its set.
+For delta_d(4) it holds 50 702 splits of 1838 end sets, about 12 MiB,
+after dropping 7 231 dead ones.
 
 All arithmetic is exact; a curve is accepted only when every edge length is
 strictly positive. A length of exactly zero means the constraint sits on a
@@ -286,14 +294,20 @@ class _SplitTable:
     `pairs` holds each two-end set with its one split, which parts it into
     two single ends, as (S, A, B, c, f_a, f_b). `splits` pairs each end set
     of three or more ends, in increasing order so that every set comes after
-    the sets inside it, with its splits. `scale` is the lcm of every |d|. A
-    side X is a single end exactly when X & (X - 1) is 0.
+    the sets inside it, with its splits. No split is dead: each side is a
+    single end or a set with splits of its own. `scale` is the lcm of every
+    kept |d|. A side X is a single end exactly when X & (X - 1) is 0.
     """
 
     def __init__(self, dirs: tuple[Vec, ...]):
         n = len(dirs)
         sx = self.sx = _subset_sums([d.x for d in dirs[1:]])
         sy = self.sy = _subset_sums([d.y for d in dirs[1:]])
+        # live[X]: X is a single end or has a row. Sides come before their
+        # set in mask order, so one pass drops every dead row.
+        live = bytearray(1 << n)
+        for j in range(1, n):
+            live[1 << j] = 1
         found = []
         for mask in range(2, 1 << n, 2):
             low = mask & -mask
@@ -304,9 +318,10 @@ class _SplitTable:
                 a = low | sub
                 b = mask ^ a
                 d = sx[a] * sy[b] - sy[a] * sx[b]
-                if d:
+                if d and live[a] and live[b]:
                     rows.append((a, b, d))
             if rows:
+                live[mask] = 1
                 found.append((mask, rows))
         self.scale = scale = lcm(1, *(abs(d) for _, rows in found
                                       for _, _, d in rows))
@@ -342,6 +357,30 @@ def _subset_sums(values: list[int]) -> list[int]:
     out = [0, 0]
     for v in values:
         out += [s + v for s in out]
+    return out
+
+
+def _subtrees(placed_at: list, keys: list, mask: int,
+              start: int) -> list[tuple[tuple[int, int], ...]]:
+    """The split tuples of the subtrees below the end set `mask` (of two or
+    more ends) whose top split is placed at `start` or later and whose every
+    split lies strictly past its parent's key: the subtrees with every
+    length > 0. Each side of a split is listed once. The count's state is
+    passed in, not closed over, so the recursion makes no reference cycle.
+    """
+    out = []
+    for _, a, b, along_a, along_b, _ in placed_at[mask][start:]:
+        left = (_subtrees(placed_at, keys, a, bisect_right(keys[a], along_a))
+                if a & (a - 1) else ((),))
+        if not left:
+            continue
+        right = (_subtrees(placed_at, keys, b, bisect_right(keys[b], along_b))
+                 if b & (b - 1) else ((),))
+        top = ((a, b),)
+        for lo in left:
+            lo = top + lo
+            for hi in right:
+                out.append(lo + hi)
     return out
 
 
@@ -400,28 +439,8 @@ def curves_through(delta: Degree, mu: MomentVector) -> list[tuple]:
                 suffix.append(total)
             count_from[mask] = suffix[::-1]
 
-    def subtrees(mask: int, start: int) -> list[tuple[tuple[int, int], ...]]:
-        """The split tuples of the subtrees below the end set `mask` (of two
-        or more ends) whose top split is placed at `start` or later and whose
-        every split lies strictly past its parent's key: the subtrees with
-        every length > 0. Each side of a split is listed once."""
-        out = []
-        for _, a, b, along_a, along_b, _ in placed_at[mask][start:]:
-            left = (subtrees(a, bisect_right(keys[a], along_a))
-                    if a & (a - 1) else ((),))
-            if not left:
-                continue
-            right = (subtrees(b, bisect_right(keys[b], along_b))
-                     if b & (b - 1) else ((),))
-            top = ((a, b),)
-            for lo in left:
-                lo = top + lo
-                for hi in right:
-                    out.append(lo + hi)
-        return out
-
     full = (1 << n) - 2
-    chosen = subtrees(full, 0)
+    chosen = _subtrees(placed_at, keys, full, 0)
     if len(chosen) != count_from[full][0]:
         raise NonGenericMoments("an edge length vanishes; resample moments")
     sx, sy, common = table.sx, table.sy, scale_mu * table.scale

@@ -154,14 +154,14 @@ class CombinatorialType(Record):
 
     def serialize(self) -> str:
         """Nested-parenthesis form of canonical_key, leaves by label."""
+        return "(" + ",".join(map(_render, self.canonical_key())) + ")"
 
-        def render(node) -> str:
-            if node[0] == 0:
-                return str(node[1])
-            return "(" + ",".join(render(c) for c in node[1:]) + ")"
 
-        key = self.canonical_key()
-        return "(" + ",".join(render(c) for c in key) + ")"
+def _render(node) -> str:
+    """One node of a canonical key in nested-parenthesis form."""
+    if node[0] == 0:
+        return str(node[1])
+    return "(" + ",".join(map(_render, node[1:])) + ")"
 
 
 def double_factorial_count(n: int) -> int:
@@ -186,24 +186,28 @@ def enumerate_types(delta: Degree) -> Iterator[CombinatorialType]:
     n = len(dirs)
     if n < 3:
         raise TooFewEnds(f"a curve needs at least 3 ends, got {n}")
-    edges: list[tuple[int, int]] = [(0, n), (1, n), (2, n)]
+    return _grow(dirs, [(0, n), (1, n), (2, n)], 3)
 
-    def grow(next_leaf: int) -> Iterator[CombinatorialType]:
-        if next_leaf == n:
-            yield CombinatorialType(dirs, tuple(edges))
-            return
-        w = n + next_leaf - 2
-        for i in range(len(edges)):
-            u, v = edges[i]
-            edges[i] = (u, w)
-            edges.append((w, v))
-            edges.append((w, next_leaf))
-            yield from grow(next_leaf + 1)
-            edges.pop()
-            edges.pop()
-            edges[i] = (u, v)
 
-    return grow(3)
+def _grow(dirs: tuple[Vec, ...], edges: list[tuple[int, int]],
+          next_leaf: int) -> Iterator[CombinatorialType]:
+    """The types that inserting leaves next_leaf..n-1 into the tree `edges`
+    makes, in enumeration order; `edges` is changed in place and restored
+    before each next insertion."""
+    n = len(dirs)
+    if next_leaf == n:
+        yield CombinatorialType(dirs, tuple(edges))
+        return
+    w = n + next_leaf - 2
+    for i in range(len(edges)):
+        u, v = edges[i]
+        edges[i] = (u, w)
+        edges.append((w, v))
+        edges.append((w, next_leaf))
+        yield from _grow(dirs, edges, next_leaf + 1)
+        edges.pop()
+        edges.pop()
+        edges[i] = (u, v)
 
 
 def type_from_clades(

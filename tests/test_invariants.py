@@ -413,6 +413,23 @@ def test_r_from_n_takes_only_a_polynomial_whatever_ran_before():
         assert r_from_n(HalfLaurent(1), 3, 0) == W_MINUS
 
 
+def test_broccoli_from_r_takes_only_a_polynomial(monkeypatch):
+    # an int R used to come back multiplied out, 1 as q + 1/q, and a float
+    # failed only inside `*`; both theorem entry points refuse alike, and
+    # before any arithmetic
+    def refused(*_):
+        raise RuntimeError("arithmetic on a refused R")
+
+    monkeypatch.setattr(HalfLaurent, "__pow__", refused)
+    monkeypatch.setattr(HalfLaurent, "__mul__", refused)
+    for bad in (1, 2, 1.5, Fraction(1)):
+        with pytest.raises(TypeError, match=re.escape(
+                f"R is a HalfLaurent, got {bad!r}")):
+            broccoli_from_r(bad, 4, 1)
+    monkeypatch.undo()
+    assert broccoli_from_r(HalfLaurent(1), 4, 1) == invariants.Q_PLUS
+
+
 def test_r_from_n_not_divisible_is_fatal():
     with pytest.raises(NotDivisible):
         r_from_n(HalfLaurent(1), 3, 1)

@@ -4,6 +4,7 @@ import functools
 import gc
 import weakref
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from tropical_refine import (CombinatorialType, Degree, DegenerateType,
                              HalfLaurent, MomentVector, NonGenericMoments,
-                             TropicalError, Vec, delta_d, enumerate_types,
-                             evaluation_matrix, q_analog,
+                             TropicalError, Vec, build_delta_s, delta_d,
+                             enumerate_types, evaluation_matrix, q_analog,
                              random_generic_moments, refined_count,
                              sample_trial, solve, solver)
 
@@ -229,3 +230,63 @@ def test_dropping_the_degree_frees_its_table(conic):
     del delta
     gc.collect()
     assert table() is None
+
+
+def unpruned_table(dirs) -> solver._SplitTable:
+    """The split table with its dead rows kept: every split with d != 0,
+    its coefficients over the lcm of all their |d|."""
+    n = len(dirs)
+    table = object.__new__(solver._SplitTable)
+    sx = table.sx = solver._subset_sums([d.x for d in dirs[1:]])
+    sy = table.sy = solver._subset_sums([d.y for d in dirs[1:]])
+    found = []
+    for mask in range(2, 1 << n, 2):
+        low = mask & -mask
+        rest = sub = mask ^ low
+        rows = []
+        while sub:
+            sub = (sub - 1) & rest
+            a, b = low | sub, mask ^ (low | sub)
+            d = sx[a] * sy[b] - sy[a] * sx[b]
+            if d:
+                rows.append((a, b, d))
+        if rows:
+            found.append((mask, rows))
+    table.scale = lcm(1, *(abs(d) for _, rows in found for *_, d in rows))
+    table.pairs, table.splits = [], []
+    for mask, rows in found:
+        out = []
+        for a, b, d in rows:
+            f = table.scale // d
+            xa, ya, xb, yb = sx[a], sy[a], sx[b], sy[b]
+            out.append((a, b, f * (xa * xb + ya * yb),
+                        f * (xa * xa + ya * ya), f * (xb * xb + yb * yb)))
+        if mask.bit_count() == 2:
+            table.pairs.append((mask, *out[0]))
+        else:
+            table.splits.append((mask, out))
+    return table
+
+
+@pytest.mark.parametrize("delta, kept, dropped", [
+    (delta_d(4), 50_662, 7_231),
+    (build_delta_s(delta_d(5), Vec(-1, 0), 2), 174_181, 26_768)],
+    ids=["12-ends", "13-ends"])
+def test_the_table_drops_exactly_the_dead_rows(delta, kept, dropped,
+                                               monkeypatch):
+    # a dead row has a side of two or more ends with no row of its own, so
+    # it is never placed: dropping it changes no curve, nor their order
+    table, full = solver._split_table(delta), unpruned_table(delta.entries)
+
+    def rows(t):
+        return sum(len(r) for _, r in t.splits)
+
+    assert (rows(table), rows(full) - rows(table)) == (kept, dropped)
+    has_rows = {mask for mask, *_ in table.pairs + table.splits}
+    assert all(side & (side - 1) == 0 or side in has_rows
+               for _, out in table.splits for a, b, *_ in out
+               for side in (a, b))
+    records = [sample_trial(delta, seed) for seed in (0, 1)]
+    monkeypatch.setitem(solver._TABLES, delta, full)
+    assert [tuple(solver.curves_through(delta, rec.moments))
+            for rec in records] == [rec.curves for rec in records]

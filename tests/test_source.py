@@ -306,6 +306,48 @@ def test_the_call_site_rule_sees_each_kind():
         "mod.<module>", "mod.f", "mod.f", "mod.inner"]
 
 
+def _self_referring_defs(code: str, module: str) -> list[str]:
+    """Every function defined inside another function that names itself,
+    in its own body or in a function nested in it, as `module.name`."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    nested = {fn for outer in ast.walk(ast.parse(code))
+              if isinstance(outer, functions)
+              for fn in ast.walk(outer)
+              if fn is not outer and isinstance(fn, functions)}
+    return [f"{module}.{fn.name}" for fn in nested
+            if any(isinstance(node, ast.Name) and node.id == fn.name
+                   for node in ast.walk(fn))]
+
+
+def test_no_nested_function_refers_to_itself():
+    # a nested function that names itself holds its own closure cell, a
+    # reference cycle that keeps everything it closes over alive until the
+    # cyclic collector runs; recursion lives in module-level helpers that
+    # take their state as arguments
+    found = sorted(site for path in SRC.rglob("*.py")
+                   for site in _self_referring_defs(
+                       path.read_text(encoding="utf-8"), path.stem))
+    assert found == []
+
+
+def test_the_self_reference_rule_sees_each_kind():
+    code = ("def top(n): return top(n - 1)\n"
+            "def outer():\n"
+            "    def rec(n): return rec(n - 1)\n"
+            "    def flat(n): return n\n"
+            "    def deep():\n"
+            "        def inner(): return deep()\n"
+            "        return inner\n"
+            "    async def gen(): yield gen\n"
+            "class K:\n"
+            "    def m(self): return self.m()\n"
+            "    def w(self):\n"
+            "        def mid():\n"
+            "            def walk(x): return [walk(y) for y in x]\n")
+    assert sorted(_self_referring_defs(code, "mod")) == [
+        "mod.deep", "mod.gen", "mod.rec", "mod.walk"]
+
+
 CACHES = {"cache", "lru_cache"}
 
 
