@@ -343,6 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: argparse's parser objects refer to each other, so a parser
+# built per `main` call would be cyclic garbage after it
+_PARSER = build_parser()
+
+
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -353,7 +358,7 @@ def _write(text: str, out: str | None) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         payload, text = _RUNNERS[args.command](args)
         if args.format == "json":
             text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

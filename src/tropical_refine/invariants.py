@@ -43,8 +43,10 @@ from typing import Iterable, NamedTuple
 
 from .errors import (DegenerateType, ExhaustedRetries, InvarianceViolation,
                      NonGenericMoments)
-from .lattice import Degree, MomentVector, Record, frac_str, split_even_ends
-from .laurent import HalfLaurent, linear_combination, w_pow_minus_inverse
+from .lattice import (Degree, MomentVector, Record, _int, frac_str,
+                      split_even_ends)
+from .laurent import (HalfLaurent, _poly, linear_combination,
+                      w_pow_minus_inverse)
 from .solver import TropicalSolution, _q_product, curves_through, solve
 from .trees import enumerate_types, type_from_clades
 
@@ -63,9 +65,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        if type(seed) is not int:
-            raise TypeError(f"a seed is an int, got {seed!r}")
-        self.state = seed & _MASK64
+        self.state = _int("seed", seed) & _MASK64
 
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
@@ -177,8 +177,8 @@ def random_generic_moments(delta_s: Degree, seed: int) -> MomentVector:
 
 
 def _check_theorem_args(m: int, s: int) -> None:
-    if type(m) is not int or type(s) is not int:
-        raise TypeError(f"m and s are ints, got {m!r} and {s!r}")
+    _int("m", m)
+    _int("s", s)
     if s < 0:
         raise ValueError(f"s counts weight-2 ends, got {s}")
     if m < 3:
@@ -195,9 +195,7 @@ def _theorem(n_trop: HalfLaurent, m: int,
     earlier: an int N or a bool m would otherwise hit the key of an equal
     HalfLaurent or int."""
     _check_theorem_args(m, s)
-    if type(n_trop) is not HalfLaurent:
-        raise TypeError(f"N is a HalfLaurent, got {n_trop!r}")
-    return _r_and_bg(n_trop, m, s)
+    return _r_and_bg(_poly("N", n_trop), m, s)
 
 
 @functools.cache
@@ -238,8 +236,7 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
     `r_from_n`.
     """
     _check_theorem_args(m, s)
-    if type(r) is not HalfLaurent:
-        raise TypeError(f"R is a HalfLaurent, got {r!r}")
+    _poly("R", r)
     k = m - 2 - 2 * s
     bg = r * Q_PLUS ** s
     if k < 0:
@@ -334,9 +331,7 @@ def invariance_audit(delta_s: Degree, trials: int = 5,
     Raises InvarianceViolation (a bug detector, not an input error) when two
     trials disagree.
     """
-    if type(trials) is not int:
-        raise TypeError(f"trials is an int, got {trials!r}")
-    if trials < 1:
+    if _int("trials", trials) < 1:
         raise ValueError("need at least one trial")
     seed_stream = SplitMix64(seed)
     records = [sample_trial(delta_s, seed_stream.next_u64())

@@ -31,6 +31,15 @@ from .errors import (DegenerateDegree, InsufficientMultiplicity, LengthMismatch,
                      MultipleDivisors)
 
 
+def _int(name: str, value):
+    """value, when it is exactly an int; else TypeError naming the argument.
+
+    type(...) is int: a bool is an int to isinstance, not to JSON."""
+    if type(value) is not int:
+        raise TypeError(f"{name} is an int, got {value!r}")
+    return value
+
+
 class Vec(tuple):
     """An integer lattice vector.
 
@@ -228,9 +237,7 @@ class Degree(Record):
 def delta_d(d: int) -> Degree:
     """The standard projective degree d: each of (-1,0), (0,-1), (1,1) taken
     d times."""
-    if type(d) is not int:
-        raise TypeError(f"d is an int, got {d!r}")
-    if d < 1:
+    if _int("d", d) < 1:
         raise ValueError("d must be positive")
     ents = (Vec(-1, 0),) * d + (Vec(0, -1),) * d + (Vec(1, 1),) * d
     return Degree(ents, name=f"delta_{d}")
@@ -242,8 +249,7 @@ def build_delta_s(delta: Degree, n1: Vec, s: int) -> Degree:
     The first 2s entries equal to n1 are removed (remaining labels compact to
     the left, preserving order) and s copies of 2*n1 are appended at the end.
     """
-    if type(s) is not int:
-        raise TypeError(f"s is an int, got {s!r}")
+    _int("s", s)
     n1 = Vec(n1[0], n1[1])
     if lattice_length(n1) != 1:
         raise ValueError("n1 must be primitive")

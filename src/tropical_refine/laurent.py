@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import NonPositive, NotDivisible
-from .lattice import Record
+from .lattice import Record, _int
 
 
 class HalfLaurent(Record):
@@ -54,25 +54,22 @@ class HalfLaurent(Record):
     @classmethod
     def q_power(cls, exp: int) -> "HalfLaurent":
         """q^exp for a whole exponent."""
-        if type(exp) is not int:
-            raise TypeError(f"exp is an int, got {exp!r}")
-        return cls({2 * exp: 1})
+        return cls({2 * _int("exp", exp): 1})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "HalfLaurent":
         d: dict[int, int] = {}
         for k, c in pairs:
-            if type(c) is not int:
-                raise TypeError("exponents and coefficients must be integers")
-            d[k] = d.get(k, 0) + c
+            # checked as read: the sum keeps the first of equal keys, so a
+            # later 1.0 or True would hide behind an int 1
+            _int("an exponent", k)
+            d[k] = d.get(k, 0) + _int("a coefficient", c)
         return cls(d)
 
     # -- inspection --------------------------------------------------------
 
     def coeff(self, half_exp: int) -> int:
-        if type(half_exp) is not int:
-            raise TypeError(f"an exponent is an int, got {half_exp!r}")
-        return self._c.get(half_exp, 0)
+        return self._c.get(_int("an exponent", half_exp), 0)
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(half_exponent, coefficient) pairs, descending by exponent."""
@@ -141,9 +138,7 @@ class HalfLaurent(Record):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if type(n) is not int:
-            raise TypeError(f"an exponent is an int, got {n!r}")
-        if n < 0:
+        if _int("an exponent", n) < 0:
             raise ValueError("only nonnegative integer powers")
         out = HalfLaurent(1)
         base = self
@@ -164,9 +159,7 @@ class HalfLaurent(Record):
         """
         if type(den) is int:
             den = HalfLaurent(den)
-        elif not isinstance(den, HalfLaurent):
-            raise TypeError(f"cannot divide a HalfLaurent by {den!r}")
-        if not den:
+        if not _poly("a divisor", den):
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return HalfLaurent(0)
@@ -199,25 +192,6 @@ class HalfLaurent(Record):
     def eval_q1(self) -> int:
         """Value at q = 1 (the classical specialization): sum of coefficients."""
         return sum(self._c.values())
-
-    def eval_q_minus1(self) -> tuple[int, int]:
-        """Value at q = -1 taken through w = q^(1/2) -> i.
-
-        Returns the Gaussian integer (a, b) meaning a + b*i. For polynomials
-        symmetric under q -> 1/q the imaginary part vanishes.
-        """
-        re = im = 0
-        for k, c in self._c.items():
-            r = k % 4
-            if r == 0:
-                re += c
-            elif r == 1:
-                im += c
-            elif r == 2:
-                re -= c
-            else:
-                im -= c
-        return re, im
 
     def is_symmetric(self) -> bool:
         """True when invariant under q -> 1/q (palindromic coefficients).
@@ -261,6 +235,14 @@ class HalfLaurent(Record):
         return cls.from_pairs((k, c) for k, c in pairs)
 
 
+def _poly(name: str, value) -> HalfLaurent:
+    """value, when it is exactly a HalfLaurent; else TypeError naming the
+    argument."""
+    if type(value) is not HalfLaurent:
+        raise TypeError(f"{name} is a HalfLaurent, got {value!r}")
+    return value
+
+
 def linear_combination(
         terms: Iterable[tuple[HalfLaurent, int]]) -> HalfLaurent:
     """The sum of count * poly over (poly, count) pairs: the sum that `+`
@@ -269,28 +251,21 @@ def linear_combination(
     out: dict[int, int] = {}
     get = out.get
     for poly, count in terms:
-        if type(count) is not int:
-            raise TypeError(f"a count is an int, got {count!r}")
-        if not isinstance(poly, HalfLaurent):
-            raise TypeError(f"a term is a HalfLaurent, got {poly!r}")
-        for k, c in poly._c.items():
+        _int("a count", count)
+        for k, c in _poly("a term", poly)._c.items():
             out[k] = get(k, 0) + c * count
     return HalfLaurent._of(out)
 
 
 def q_analog(a: int) -> HalfLaurent:
     """The quantum integer [a] = q^((a-1)/2) + q^((a-3)/2) + ... + q^(-(a-1)/2)."""
-    if type(a) is not int:
-        raise TypeError(f"a is an int, got {a!r}")
-    if a < 1:
+    if _int("a", a) < 1:
         raise NonPositive(f"quantum integer needs a >= 1, got {a}")
     return HalfLaurent({k: 1 for k in range(-(a - 1), a, 2)})
 
 
 def w_pow_minus_inverse(a: int) -> HalfLaurent:
     """q^(a/2) - q^(-a/2), the numerator of the quantum integer [a]."""
-    if type(a) is not int:
-        raise TypeError(f"a is an int, got {a!r}")
-    if a < 1:
+    if _int("a", a) < 1:
         raise NonPositive(f"need a >= 1, got {a}")
     return HalfLaurent({a: 1, -a: -1})

@@ -57,8 +57,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (FlatVertex, InadmissibleSet, MultipleDivisors,
                      OddQuadMultiplicity, OutOfRange, TropicalError)
-from .lattice import (Record, Vec, as_fraction, lattice_length, primitive,
-                      wedge)
+from .lattice import (Record, Vec, _int, as_fraction, lattice_length,
+                      primitive, wedge)
 from .laurent import HalfLaurent, w_pow_minus_inverse
 
 if TYPE_CHECKING:
@@ -538,8 +538,8 @@ def trivalent_quantum_index(u: Vec, v: Vec) -> tuple[Fraction, Fraction]:
 def quad_indices(m1: int, delta: int) -> list[int]:
     """Quantum indices of the m1 first-order solutions at a quadrivalent
     vertex of type (m1; delta): delta * (2k + 1 - m1) for k = 0..m1-1."""
-    if type(m1) is not int or type(delta) is not int:
-        raise TypeError(f"m1 and delta are ints, got {m1!r} and {delta!r}")
+    _int("m1", m1)
+    _int("delta", delta)
     if m1 < 1:
         raise OutOfRange(f"m1 must be at least 1, got {m1}")
     if delta < 1:
@@ -557,8 +557,8 @@ def quad_refined_sum(m1: int, delta: int) -> HalfLaurent:
 def coamoeba_area(m1: int, k: int) -> Fraction:
     """Signed coamoeba defect of the k-th solution sheet, in units of pi^2:
     (2k + 1)/m1 - 1."""
-    if type(m1) is not int or type(k) is not int:
-        raise TypeError(f"m1 and k are ints, got {m1!r} and {k!r}")
+    _int("m1", m1)
+    _int("k", k)
     if m1 < 1:
         raise OutOfRange(f"m1 must be at least 1, got {m1}")
     if not 0 <= k < m1:
@@ -569,8 +569,6 @@ def coamoeba_area(m1: int, k: int) -> Fraction:
 def c_k_values(m1: int) -> list[Fraction]:
     """Cotangent arguments of the solution sheets, as exact multiples of pi:
     (2k + 1) / (2 m1) for k = 0..m1-1."""
-    if type(m1) is not int:
-        raise TypeError(f"m1 is an int, got {m1!r}")
-    if m1 < 1:
+    if _int("m1", m1) < 1:
         raise OutOfRange(f"m1 must be at least 1, got {m1}")
     return [Fraction(2 * k + 1, 2 * m1) for k in range(m1)]

@@ -22,7 +22,7 @@ import functools
 from typing import Iterable, Iterator
 
 from .errors import TooFewEnds, TropicalError
-from .lattice import Degree, Record, Vec
+from .lattice import Degree, Record, Vec, _int
 
 
 class CombinatorialType(Record):
@@ -166,9 +166,7 @@ def _render(node) -> str:
 
 def double_factorial_count(n: int) -> int:
     """(2n-5)!!, the number of trivalent trees on n labeled leaves."""
-    if type(n) is not int:
-        raise TypeError(f"n is an int, got {n!r}")
-    if n < 3:
+    if _int("n", n) < 3:
         raise TooFewEnds(f"need at least 3 ends, got {n}")
     out = 1
     for k in range(3, 2 * n - 4, 2):

@@ -382,9 +382,9 @@ def test_theorem_arguments_are_checked_whatever_ran_before():
     assert r_from_n(W_PLUS, 6, 1) == W_MINUS ** 2
     assert broccoli_from_r(W_MINUS ** 2, 6, 1) == invariants.Q_PLUS
     for m, s in [(6, True), (6.0, 1), (True, 0), (6, 1.0)]:
-        with pytest.raises(TypeError, match="are ints"):
+        with pytest.raises(TypeError, match=" is an int, got "):
             r_from_n(W_PLUS, m, s)
-        with pytest.raises(TypeError, match="are ints"):
+        with pytest.raises(TypeError, match=" is an int, got "):
             broccoli_from_r(W_MINUS ** 2, m, s)
     for take in (r_from_n, broccoli_from_r):
         with pytest.raises(ValueError, match="weight-2 ends"):

@@ -96,6 +96,16 @@ def test_json_pairs_reject_non_integers(pairs):
         HalfLaurent.from_pairs(pairs)
 
 
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_pairs_refuse_a_non_int_exponent_after_an_equal_int(bad):
+    # the sum keeps the first of equal keys, so the key check of the
+    # constructor never saw a 1.0 or True that followed an int 1
+    with pytest.raises(TypeError, match=f"an exponent is an int, got {bad!r}"):
+        HalfLaurent.from_pairs([(1, 1), (bad, 1)])
+    with pytest.raises(TypeError, match=f"an exponent is an int, got {bad!r}"):
+        HalfLaurent.from_json_pairs([[1, 1], [bad, 1]])
+
+
 def test_scalar_and_monomial_constructors():
     assert HalfLaurent(3) == HalfLaurent({0: 3})
     assert HalfLaurent.monomial(1) == HalfLaurent({1: 1})
@@ -295,14 +305,6 @@ def test_exact_div_lead_two_and_three():
 @given(polys)
 def test_eval_q1_is_coefficient_sum(a):
     assert a.eval_q1() == sum(c for _, c in a.items())
-
-
-def test_eval_q_minus1_oracles():
-    assert q_analog(2).eval_q_minus1() == (0, 0)
-    assert q_analog(3).eval_q_minus1() == (-1, 0)
-    assert HalfLaurent.monomial(1).eval_q_minus1() == (0, 1)
-    assert HalfLaurent.monomial(2).eval_q_minus1() == (-1, 0)
-    assert w_pow_minus_inverse(1).eval_q_minus1() == (0, 2)
 
 
 def test_is_symmetric():

@@ -13,9 +13,14 @@ import tropical_refine
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _raises_assertion_error(node) -> bool:
+def _raised_name(node) -> str | None:
+    """The name a `raise` raises: X of `raise X` or `raise X(...)`."""
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def _raises_assertion_error(node) -> bool:
+    return _raised_name(node) == "AssertionError"
 
 
 def test_no_assert_statements_in_src():
@@ -40,6 +45,57 @@ def test_the_source_rule_sees_hand_raised_assertion_errors():
               if isinstance(node, ast.Raise)]
     assert [_raises_assertion_error(node) for node in raised] == [
         True, True, False]
+
+
+def _type_error_sites(code: str, module: str) -> list[str]:
+    """The innermost function or class around every `raise TypeError` of a
+    module, as `module.Class.method`, once per raise; `module.<module>`
+    outside any."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, owner + (child.name,))
+                continue
+            if (isinstance(child, ast.Raise)
+                    and _raised_name(child) == "TypeError"):
+                found.append(".".join((module,) + (owner or ("<module>",))))
+            visit(child, owner)
+
+    visit(ast.parse(code), ())
+    return found
+
+
+TYPE_CHECKERS = {"lattice._int", "laurent._poly", "lattice.as_fraction",
+                 "lattice.Vec.__new__", "laurent.HalfLaurent.__init__"}
+
+
+def test_every_type_error_is_raised_by_a_checker():
+    # one argument policy: `_int` and `_poly` refuse a wrong type and name
+    # the argument, `as_fraction` is the one exact-rational check, and the
+    # Vec and HalfLaurent constructors check their shapes; a hand-written
+    # refusal elsewhere is a new message shape and a check to keep in step
+    found = [site for path in sorted(SRC.rglob("*.py"))
+             for site in _type_error_sites(path.read_text(encoding="utf-8"),
+                                           path.stem)]
+    assert [site for site in found if site not in TYPE_CHECKERS] == []
+    assert set(found) == TYPE_CHECKERS
+
+
+def test_the_type_error_rule_sees_each_kind():
+    code = ("raise TypeError\n"
+            "def _int(v):\n    raise TypeError(f'{v}')\n"
+            "class K:\n    def __init__(self):\n"
+            "        raise TypeError('x') from None\n"
+            "    def m(self):\n        def inner():\n            raise TypeError\n"
+            "        raise ValueError('y')\n"
+            "async def a():\n    raise TypeError()\n"
+            "def f():\n    raise\n")
+    assert sorted(_type_error_sites(code, "mod")) == [
+        "mod.<module>", "mod.K.__init__", "mod.K.m.inner", "mod._int",
+        "mod.a"]
 
 
 def test_every_export_exists_once():
