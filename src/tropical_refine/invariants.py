@@ -47,7 +47,8 @@ from .lattice import (Degree, MomentVector, Record, _int, frac_str,
                       split_even_ends)
 from .laurent import (HalfLaurent, _poly, linear_combination,
                       w_pow_minus_inverse)
-from .solver import TropicalSolution, _q_product, curves_through, solve
+from .solver import (CountedCurve, TropicalSolution, _q_product,
+                     curves_through, solve)
 from .trees import enumerate_types, type_from_clades
 
 _MASK64 = (1 << 64) - 1
@@ -90,7 +91,7 @@ def _n_from_mults(mults: Iterable[tuple[int, ...]]) -> HalfLaurent:
 
 
 def _rebuild(delta: Degree, mu: MomentVector,
-             curves: Iterable[tuple]) -> list[TropicalSolution]:
+             curves: Iterable[CountedCurve]) -> list[TropicalSolution]:
     """The counted curves as solutions, in enumerate_types order."""
     found = sorted(((type_from_clades(delta.entries, splits), data)
                     for splits, *data in curves), key=lambda c: c[0][0])
@@ -108,7 +109,7 @@ def refined_count(delta_s: Degree,
     NonGenericMoments exactly when that would, so callers can resample.
     """
     curves = curves_through(delta_s, mu)
-    n_trop = _n_from_mults(mults for _, mults, _, _ in curves)
+    n_trop = _n_from_mults(curve.mults for curve in curves)
     return n_trop, _rebuild(delta_s, mu, curves)
 
 
@@ -130,10 +131,9 @@ def refined_count_brute(
     return _n_from_mults(sol.mults for sol in solutions), solutions
 
 
-def _position_signature(curve: tuple) -> tuple:
+def _position_signature(curve: CountedCurve) -> tuple:
     """Equal exactly for curves with the same vertex positions."""
-    *_, points, scale = curve
-    return scale, tuple(sorted(points))
+    return curve.scale, tuple(sorted(curve.points))
 
 
 def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
@@ -161,7 +161,7 @@ def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
                 != len(curves)):
             reasons.append("coincident curves")
             continue
-        n_trop = _n_from_mults(mults for _, mults, _, _ in curves)
+        n_trop = _n_from_mults(curve.mults for curve in curves)
         return TrialRecord(seed, mu, n_trop, delta_s, curves)
     counts = ", ".join(f"{reasons.count(r)} {r}"
                        for r in dict.fromkeys(reasons))
@@ -252,7 +252,7 @@ class TrialRecord(Record):
     its trials agree on."""
 
     def __init__(self, seed: int, moments: MomentVector, n_trop: HalfLaurent,
-                 delta_s: Degree, curves: tuple[tuple, ...]):
+                 delta_s: Degree, curves: tuple[CountedCurve, ...]):
         self._set(seed=seed, moments=moments, n_trop=n_trop, delta_s=delta_s,
                   curves=curves)
 

@@ -17,11 +17,15 @@ A has positive length exactly when A's own vertex lies further along n_A. A
 subset dynamic program over end sets keeps one count per end set, of the
 subtrees below it with every length >= 0, and sorts each set's splits by
 their position along n_S, their key, with suffix sums of those counts. It
-counts on integer moment sums over one common denominator, with one
-bisection per child and no linear algebra. Single ends and two-end sets are
-seeded, not searched: a single end is one subtree at any key, and a two-end
-set has one split, into two single ends, so it is one subtree below its one
-key, with no bisection, sort or suffix sum. Backtracking, the module-level
+counts on integer moment sums over one common denominator, with no linear
+algebra. The counts are positive, so a set has a subtree below a vertex
+exactly when the vertex lies at or before the set's largest placed key:
+one comparison per child rejects a split, and only a placed split bisects
+for its children's counts. Single ends, two-end sets and sets whose draw
+places one split are seeded, with no sort or suffix sum: a single end is
+one subtree at any key, a two-end set has one split, into two single ends,
+so it is one subtree below its one key, and a set with one placed split
+has that split's count below its key. Backtracking, the module-level
 `_subtrees`, takes only child splits strictly past their parent's key,
 listing each side of a split once and joining split tuples by
 concatenation, so it finds exactly the curves with every length > 0;
@@ -63,7 +67,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
@@ -282,6 +286,16 @@ def solve(ctype: CombinatorialType, mu: MomentVector) -> TropicalSolution | None
     return TropicalSolution(ctype, mu, tuple(mults.values()), points, scale)
 
 
+class CountedCurve(NamedTuple):
+    """A curve as `curves_through` counts it: its splits (A, B), and the
+    mults, points and scale of its `TropicalSolution`."""
+
+    splits: tuple[tuple[int, int], ...]
+    mults: tuple[int, ...]
+    points: tuple[tuple[int, int], ...]
+    scale: int
+
+
 class _SplitTable:
     """What `curves_through` needs of a degree that the moments do not touch.
 
@@ -384,14 +398,14 @@ def _subtrees(placed_at: list, keys: list, mask: int,
     return out
 
 
-def curves_through(delta: Degree, mu: MomentVector) -> list[tuple]:
-    """Every curve through mu, unordered, as its splits (A, B) and the
-    mults, points and scale of its `TropicalSolution`; the vertex of (A, B)
-    is n + low(B) - 2, as enumerate_types inserts end low(B), the lowest end
-    of B, there (the star's centre n takes end 2). Raises NonGenericMoments
-    on a wall: the backtracking finds fewer curves than the DP counts. The
-    moment sums are integers over the lcm of the denominators of mu.values;
-    the implied moment of end 1 is never summed."""
+def curves_through(delta: Degree, mu: MomentVector) -> list[CountedCurve]:
+    """Every curve through mu, unordered, as a `CountedCurve`; the vertex
+    of (A, B) is n + low(B) - 2, as enumerate_types inserts end low(B), the
+    lowest end of B, there (the star's centre n takes end 2). Raises
+    NonGenericMoments on a wall: the backtracking finds fewer curves than
+    the DP counts. The moment sums are integers over the lcm of the
+    denominators of mu.values; the implied moment of end 1 is never
+    summed."""
     n = len(delta.entries)
     if n < 3:
         raise TooFewEnds(f"a curve needs at least 3 ends, got {n}")
@@ -402,34 +416,40 @@ def curves_through(delta: Degree, mu: MomentVector) -> list[tuple]:
                            for v in mu.values])
     # per end set: its placed splits sorted by key, as tuples (key, A, B,
     # along_a, along_b, count), count being the subtrees hanging from the
-    # split with every length >= 0; their keys; and suffix sums of counts.
-    # A single end is one subtree at any key, and a two-end set one subtree
-    # below its one key: both are seeded, with no bisection or sort.
-    placed_at, keys = [()] * (1 << n), [()] * (1 << n)
-    count_from = [(0,)] * (1 << n)
+    # split with every length >= 0; their keys; suffix sums of counts; and
+    # top, its largest key. A child X has a subtree below a vertex at x
+    # exactly when x <= top[X]. A single end's top lies above every key and
+    # that of a set with nothing placed below every key: these two floats
+    # are only ever compared with.
+    size = 1 << n
+    placed_at, keys, top = [()] * size, [()] * size, [-inf] * size
+    count_from = [(0,)] * size
     for j in range(1, n):
-        count_from[1 << j] = (1,)
+        count_from[1 << j], top[1 << j] = (1,), inf
     for mask, a, b, c, fa, fb in table.pairs:
         ma, mb = moment[a], moment[b]
         along_a, along_b = ma * c - mb * fa, ma * fb - mb * c
         key = along_a + along_b
         placed_at[mask] = ((key, a, b, along_a, along_b, 1),)
-        keys[mask] = (key,)
-        count_from[mask] = (1, 0)
+        keys[mask], count_from[mask], top[mask] = (key,), (1, 0), key
     for mask, rows in table.splits:
         placed = []
         for a, b, c, fa, fb in rows:
             ma, mb = moment[a], moment[b]
             along_a = ma * c - mb * fa
-            count = count_from[a][bisect_left(keys[a], along_a)]
-            if not count:
+            if along_a > top[a]:
                 continue
             along_b = ma * fb - mb * c
-            count *= count_from[b][bisect_left(keys[b], along_b)]
-            if count:
-                placed.append((along_a + along_b, a, b, along_a, along_b,
-                               count))
-        if placed:
+            if along_b > top[b]:
+                continue
+            placed.append((along_a + along_b, a, b, along_a, along_b,
+                           count_from[a][bisect_left(keys[a], along_a)]
+                           * count_from[b][bisect_left(keys[b], along_b)]))
+        if len(placed) == 1:
+            key, count = placed[0][0], placed[0][5]
+            placed_at[mask] = placed
+            keys[mask], count_from[mask], top[mask] = (key,), (count, 0), key
+        elif placed:
             placed.sort()
             placed_at[mask] = placed
             keys[mask] = [row[0] for row in placed]
@@ -437,7 +457,7 @@ def curves_through(delta: Degree, mu: MomentVector) -> list[tuple]:
             for row in reversed(placed):
                 total += row[5]
                 suffix.append(total)
-            count_from[mask] = suffix[::-1]
+            count_from[mask], top[mask] = suffix[::-1], keys[mask][-1]
 
     full = (1 << n) - 2
     chosen = _subtrees(placed_at, keys, full, 0)
@@ -457,5 +477,5 @@ def curves_through(delta: Degree, mu: MomentVector) -> list[tuple]:
                          (ma * sy[b] - sy[a] * mb) * f)
         g = gcd(common, *(c for p in points for c in p))
         points = tuple((x // g, y // g) for x, y in points)
-        curves.append((splits, tuple(mults), points, common // g))
+        curves.append(CountedCurve(splits, tuple(mults), points, common // g))
     return curves

@@ -664,11 +664,11 @@ DIRECTIONS = (Vec(1, 0), Vec(0, 1), Vec(1, 1), Vec(1, -1), Vec(2, 1),
 
 
 @st.composite
-def balanced_degrees(draw):
-    """Degrees with 3..7 ends of weight 1 or 2, drawn from a small direction
-    pool, with anti-parallel pairs added on purpose: repeated directions and
-    end sets with n_S = 0 (always flat) are both common."""
-    n = draw(st.integers(3, 7))
+def balanced_degrees(draw, max_ends=7):
+    """Degrees with 3..max_ends ends of weight 1 or 2, drawn from a small
+    direction pool, with anti-parallel pairs added on purpose: repeated
+    directions and end sets with n_S = 0 (always flat) are both common."""
+    n = draw(st.integers(3, max_ends))
     ends = []
     while len(ends) < n - 1:
         d = draw(st.sampled_from(DIRECTIONS)).scale(draw(st.sampled_from((1, -1))))
@@ -681,8 +681,8 @@ def balanced_degrees(draw):
 
 
 @st.composite
-def degrees_with_moments(draw):
-    delta = draw(balanced_degrees())
+def degrees_with_moments(draw, max_ends=7):
+    delta = draw(balanced_degrees(max_ends))
     draws = st.integers(0, 2 ** 64 - 1).map(moment_from_draw)
     small = st.integers(-2, 2).map(Fraction)
     moment = draws if draw(st.booleans()) else small
@@ -868,10 +868,10 @@ def test_every_curve_divides_above_brute_force(d, s, seed, monkeypatch):
     # with no other even one, an odd multiplicity there leaves its term
     # one factor w + 1/w short
     curves = report.trial_records[0].curves
-    target = next(c for c in curves if sum(x % 2 == 0 for x in c[1]) == s)
-    i = next(i for i, x in enumerate(target[1]) if x % 2 == 0)
-    mutated = (target[0], target[1][:i] + (target[1][i] - 1,)
-               + target[1][i + 1:], *target[2:])
+    target = next(c for c in curves if sum(x % 2 == 0 for x in c.mults) == s)
+    i = next(i for i, x in enumerate(target.mults) if x % 2 == 0)
+    mutated = target._replace(mults=target.mults[:i] + (target.mults[i] - 1,)
+                              + target.mults[i + 1:])
     real_count = invariants.curves_through
 
     def count(delta, mu):

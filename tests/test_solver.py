@@ -3,11 +3,13 @@
 import functools
 import gc
 import weakref
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropical_refine import (CombinatorialType, Degree, DegenerateType,
@@ -16,6 +18,7 @@ from tropical_refine import (CombinatorialType, Degree, DegenerateType,
                              enumerate_types, evaluation_matrix, q_analog,
                              random_generic_moments, refined_count,
                              sample_trial, solve, solver)
+from test_invariants import assert_matches_brute, degrees_with_moments
 
 
 def only_type(degree: Degree) -> CombinatorialType:
@@ -290,3 +293,66 @@ def test_the_table_drops_exactly_the_dead_rows(delta, kept, dropped,
     monkeypatch.setitem(solver._TABLES, delta, full)
     assert [tuple(solver.curves_through(delta, rec.moments))
             for rec in records] == [rec.curves for rec in records]
+
+
+# -- the one-comparison reject against a count that bisects every split ----
+
+
+def bisecting_splits(delta, mu):
+    """The split tuples of the curves through mu, in `curves_through`'s
+    order, or "wall": the count as it ran before the one-comparison reject.
+    Every split looks up both children's counts by bisection, and every end
+    set of two or more ends is sorted and summed; none is seeded."""
+    n = len(delta.entries)
+    table = solver._split_table(delta)
+    scale = lcm(*(v.denominator for v in mu.values))
+    moment = solver._subset_sums([v.numerator * (scale // v.denominator)
+                                  for v in mu.values])
+    placed_at, keys = [()] * (1 << n), [()] * (1 << n)
+    count_from = [(0,)] * (1 << n)
+    for j in range(1, n):
+        count_from[1 << j] = (1,)
+    sets = [(mask, [row]) for mask, *row in table.pairs] + table.splits
+    for mask, rows in sorted(sets):
+        placed = []
+        for a, b, c, fa, fb in rows:
+            ma, mb = moment[a], moment[b]
+            along_a, along_b = ma * c - mb * fa, ma * fb - mb * c
+            count = (count_from[a][bisect_left(keys[a], along_a)]
+                     * count_from[b][bisect_left(keys[b], along_b)])
+            if count:
+                placed.append((along_a + along_b, a, b, along_a, along_b,
+                               count))
+        placed.sort()
+        placed_at[mask], keys[mask] = placed, [row[0] for row in placed]
+        count_from[mask] = [*accumulate((row[5] for row in placed[::-1]),
+                                        initial=0)][::-1]
+    full = (1 << n) - 2
+    chosen = solver._subtrees(placed_at, keys, full, 0)
+    return chosen if len(chosen) == count_from[full][0] else "wall"
+
+
+def curve_splits(delta, mu):
+    try:
+        return [curve.splits for curve in solver.curves_through(delta, mu)]
+    except NonGenericMoments:
+        return "wall"
+
+
+@settings(max_examples=40, deadline=None)
+@given(degrees_with_moments(max_ends=9))
+def test_the_reject_places_what_bisection_places(case):
+    delta, mu = case
+    assert curve_splits(delta, mu) == bisecting_splits(delta, mu)
+    if len(delta) <= 7:
+        assert_matches_brute(delta, mu)
+
+
+@pytest.mark.parametrize("delta", [
+    delta_d(4), build_delta_s(delta_d(5), Vec(-1, 0), 2)],
+    ids=["12-ends", "13-ends"])
+def test_the_reject_places_what_bisection_places_above_brute_force(delta):
+    for seed in (1, 2):
+        mu = random_generic_moments(delta, seed)
+        want = bisecting_splits(delta, mu)
+        assert len(want) > 100 and curve_splits(delta, mu) == want
