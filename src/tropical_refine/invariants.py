@@ -183,9 +183,10 @@ def _check_theorem_args(m: int, s: int) -> None:
         raise ValueError(f"s counts weight-2 ends, got {s}")
     if m < 3:
         raise ValueError(f"m counts the ends of a curve, at least 3, got {m}")
-    if 2 * s > m:
+    if m - 2 * s < 2:
         raise ValueError(f"s = {s} weight-2 ends pair off 2s = {2 * s} of "
-                         f"the m = {m} ends, more than there are")
+                         f"the m = {m} ends and leave {m - 2 * s}, but the "
+                         f"rest sum to -2s n1, which takes two or more")
 
 
 def _theorem(n_trop: HalfLaurent, m: int,
@@ -201,16 +202,11 @@ def _theorem(n_trop: HalfLaurent, m: int,
 @functools.cache
 def _r_and_bg(n_trop: HalfLaurent, m: int,
               s: int) -> tuple[HalfLaurent, HalfLaurent]:
-    """(R, BG) from N by one exact division, made once per (N, m, s).
-
-    With k = m - 2 - 2s, the divisor is (w + 1/w)^s * (w - 1/w)^max(0, -k);
-    R is the quotient times (w - 1/w)^max(0, k), and BG the quotient times
-    (w - 1/w)^max(0, -k) * (q + 1/q)^s.
-    """
-    k = m - 2 - 2 * s
-    extra = W_MINUS ** max(0, -k)
-    quot = n_trop.exact_div(W_PLUS ** s * extra)
-    return quot * W_MINUS ** max(0, k), quot * extra * Q_PLUS ** s
+    """(R, BG) from N by one exact division, made once per (N, m, s): the
+    quotient T = N / (w + 1/w)^s gives R = T * (w - 1/w)^(m-2-2s) and
+    BG = T * (q + 1/q)^s."""
+    quot = n_trop.exact_div(W_PLUS ** s)
+    return quot * W_MINUS ** (m - 2 - 2 * s), quot * Q_PLUS ** s
 
 
 def r_from_n(n_trop: HalfLaurent, m: int, s: int) -> HalfLaurent:
@@ -229,19 +225,14 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
     """Broccoli-normalized invariant: R = BG * (w - 1/w)^(m-2-2s) / (q + 1/q)^s.
 
     For s = 0 this is the refined count itself. BG is R * (q + 1/q)^s
-    divided by (w - 1/w)^(m-2-2s), or multiplied by (w - 1/w)^(2s+2-m) when
-    that exponent is negative. Equal to the BG of invariance_audit, which
+    divided by (w - 1/w)^(m-2-2s). Equal to the BG of invariance_audit, which
     takes it from N's quotient, as it takes R. An R that is not a
     HalfLaurent raises TypeError before any arithmetic, as N does in
     `r_from_n`.
     """
     _check_theorem_args(m, s)
     _poly("R", r)
-    k = m - 2 - 2 * s
-    bg = r * Q_PLUS ** s
-    if k < 0:
-        return bg * W_MINUS ** -k
-    return bg.exact_div(W_MINUS ** k)
+    return (r * Q_PLUS ** s).exact_div(W_MINUS ** (m - 2 - 2 * s))
 
 
 class TrialRecord(Record):

@@ -14,25 +14,22 @@ end 1; the vertex above an end set S with children A and B sits where the
 lines L_A and L_B meet, L_X = {p : wedge(n_X, p) = sum of the moments of
 X}, so its position depends on the split (A, B) alone, and the edge down to
 A has positive length exactly when A's own vertex lies further along n_A. A
-subset dynamic program over end sets keeps one count per end set, of the
-subtrees below it with every length >= 0, and sorts each set's splits by
-their position along n_S, their key, with suffix sums of those counts. It
-counts on integer moment sums over one common denominator, with no linear
-algebra. The counts are positive, so a set has a subtree below a vertex
-exactly when the vertex lies at or before the set's largest placed key:
-one comparison per child rejects a split, and only a placed split bisects
-for its children's counts. Single ends, two-end sets and sets whose draw
-places one split are seeded, with no sort or suffix sum: a single end is
-one subtree at any key, a two-end set has one split, into two single ends,
-so it is one subtree below its one key, and a set with one placed split
-has that split's count below its key. Backtracking, the module-level
-`_subtrees`, takes only child splits strictly past their parent's key,
-listing each side of a split once and joining split tuples by
-concatenation, so it finds exactly the curves with every length > 0;
-finding fewer than the count means some length is zero, a wall. It takes
-the count's placed rows and keys as arguments, so a count builds no
-reference cycle: its state is freed by reference counting as it returns,
-with nothing left for the cyclic collector. The count gives each curve as
+subset dynamic program over end sets, on integer moment sums over one
+common denominator and with no linear algebra, places each set's splits
+sorted by their position along n_S, their key. A split is placed only when
+its position along each side of two or more ends is at most that side's
+largest placed key, so every placed split has a subtree with every length
+>= 0 on each side, and one comparison per side rejects a split. Single
+ends, two-end sets and sets whose draw places one split are seeded, with
+no sort. Backtracking, the module-level `_subtrees`, enters each side of
+two or more ends at its first key at or past the parent's: a key past it
+starts the children with every length > 0, and a key equal to it is a
+child on a zero-length edge, a wall. So it finds exactly the curves with
+every length > 0, or meets the wall on its way down. It lists each side
+of a split once, joins split tuples by concatenation, and takes the
+count's placed rows and keys as arguments, so a count builds no reference
+cycle: its state is freed by reference counting as it returns, with
+nothing left for the cyclic collector. The count gives each curve as
 its splits with its vertex multiplicities (each split's |d|) and vertex
 positions (where L_A and L_B meet, as integers over the count's common
 scale, reduced to the least one): weighing curves and comparing them as
@@ -65,7 +62,7 @@ A curve is a `NamedTuple`, like the package's other plain records; the
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
 from typing import NamedTuple
@@ -379,17 +376,26 @@ def _subtrees(placed_at: list, keys: list, mask: int,
     """The split tuples of the subtrees below the end set `mask` (of two or
     more ends) whose top split is placed at `start` or later and whose every
     split lies strictly past its parent's key: the subtrees with every
-    length > 0. Each side of a split is listed once. The count's state is
+    length > 0. A side of two or more ends is entered at its first key at
+    or past the parent's, which exists as the split was placed; an equal
+    key is a wall, and raises NonGenericMoments. The count's state is
     passed in, not closed over, so the recursion makes no reference cycle.
     """
     out = []
-    for _, a, b, along_a, along_b, _ in placed_at[mask][start:]:
-        left = (_subtrees(placed_at, keys, a, bisect_right(keys[a], along_a))
-                if a & (a - 1) else ((),))
-        if not left:
-            continue
-        right = (_subtrees(placed_at, keys, b, bisect_right(keys[b], along_b))
-                 if b & (b - 1) else ((),))
+    for _, a, b, along_a, along_b in placed_at[mask][start:]:
+        left = right = ((),)
+        if a & (a - 1):
+            i = bisect_left(keys[a], along_a)
+            if keys[a][i] == along_a:
+                raise NonGenericMoments("an edge length vanishes; resample "
+                                        "moments")
+            left = _subtrees(placed_at, keys, a, i)
+        if b & (b - 1):
+            i = bisect_left(keys[b], along_b)
+            if keys[b][i] == along_b:
+                raise NonGenericMoments("an edge length vanishes; resample "
+                                        "moments")
+            right = _subtrees(placed_at, keys, b, i)
         top = ((a, b),)
         for lo in left:
             lo = top + lo
@@ -402,8 +408,8 @@ def curves_through(delta: Degree, mu: MomentVector) -> list[CountedCurve]:
     """Every curve through mu, unordered, as a `CountedCurve`; the vertex
     of (A, B) is n + low(B) - 2, as enumerate_types inserts end low(B), the
     lowest end of B, there (the star's centre n takes end 2). Raises
-    NonGenericMoments on a wall: the backtracking finds fewer curves than
-    the DP counts. The moment sums are integers over the lcm of the
+    NonGenericMoments on a wall: the backtracking meets a child split at
+    its parent's key. The moment sums are integers over the lcm of the
     denominators of mu.values; the implied moment of end 1 is never
     summed."""
     n = len(delta.entries)
@@ -415,23 +421,21 @@ def curves_through(delta: Degree, mu: MomentVector) -> list[CountedCurve]:
     moment = _subset_sums([v.numerator * (scale_mu // v.denominator)
                            for v in mu.values])
     # per end set: its placed splits sorted by key, as tuples (key, A, B,
-    # along_a, along_b, count), count being the subtrees hanging from the
-    # split with every length >= 0; their keys; suffix sums of counts; and
-    # top, its largest key. A child X has a subtree below a vertex at x
-    # exactly when x <= top[X]. A single end's top lies above every key and
-    # that of a set with nothing placed below every key: these two floats
-    # are only ever compared with.
+    # along_a, along_b); their keys; and top, its largest key. By induction
+    # every placed split has a subtree with every length >= 0 on each side,
+    # so a child X has one below a vertex at x exactly when x <= top[X]. A
+    # single end's top lies above every key and that of a set with nothing
+    # placed below every key: these two floats are only ever compared with.
     size = 1 << n
     placed_at, keys, top = [()] * size, [()] * size, [-inf] * size
-    count_from = [(0,)] * size
     for j in range(1, n):
-        count_from[1 << j], top[1 << j] = (1,), inf
+        top[1 << j] = inf
     for mask, a, b, c, fa, fb in table.pairs:
         ma, mb = moment[a], moment[b]
         along_a, along_b = ma * c - mb * fa, ma * fb - mb * c
         key = along_a + along_b
-        placed_at[mask] = ((key, a, b, along_a, along_b, 1),)
-        keys[mask], count_from[mask], top[mask] = (key,), (1, 0), key
+        placed_at[mask] = ((key, a, b, along_a, along_b),)
+        keys[mask], top[mask] = (key,), key
     for mask, rows in table.splits:
         placed = []
         for a, b, c, fa, fb in rows:
@@ -442,27 +446,17 @@ def curves_through(delta: Degree, mu: MomentVector) -> list[CountedCurve]:
             along_b = ma * fb - mb * c
             if along_b > top[b]:
                 continue
-            placed.append((along_a + along_b, a, b, along_a, along_b,
-                           count_from[a][bisect_left(keys[a], along_a)]
-                           * count_from[b][bisect_left(keys[b], along_b)]))
+            placed.append((along_a + along_b, a, b, along_a, along_b))
         if len(placed) == 1:
-            key, count = placed[0][0], placed[0][5]
-            placed_at[mask] = placed
-            keys[mask], count_from[mask], top[mask] = (key,), (count, 0), key
+            key = placed[0][0]
+            placed_at[mask], keys[mask], top[mask] = placed, (key,), key
         elif placed:
             placed.sort()
             placed_at[mask] = placed
             keys[mask] = [row[0] for row in placed]
-            total, suffix = 0, [0]
-            for row in reversed(placed):
-                total += row[5]
-                suffix.append(total)
-            count_from[mask], top[mask] = suffix[::-1], keys[mask][-1]
+            top[mask] = keys[mask][-1]
 
-    full = (1 << n) - 2
-    chosen = _subtrees(placed_at, keys, full, 0)
-    if len(chosen) != count_from[full][0]:
-        raise NonGenericMoments("an edge length vanishes; resample moments")
+    chosen = _subtrees(placed_at, keys, (1 << n) - 2, 0)
     sx, sy, common = table.sx, table.sy, scale_mu * table.scale
     curves = []
     for splits in chosen:

@@ -2,8 +2,9 @@
 
 import functools
 import gc
+import random
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -298,11 +299,29 @@ def test_the_table_drops_exactly_the_dead_rows(delta, kept, dropped,
 # -- the one-comparison reject against a count that bisects every split ----
 
 
+def strict_subtrees(placed_at, keys, mask, start):
+    """The split tuples of the subtrees below `mask` whose top split is
+    placed at `start` or later, each split strictly past its parent's key."""
+    out = []
+    for _, a, b, along_a, along_b, _ in placed_at[mask][start:]:
+        left = (strict_subtrees(placed_at, keys, a,
+                                bisect_right(keys[a], along_a))
+                if a & (a - 1) else ((),))
+        right = (strict_subtrees(placed_at, keys, b,
+                                 bisect_right(keys[b], along_b))
+                 if b & (b - 1) else ((),))
+        out += [((a, b),) + lo + hi for lo in left for hi in right]
+    return out
+
+
 def bisecting_splits(delta, mu):
     """The split tuples of the curves through mu, in `curves_through`'s
     order, or "wall": the count as it ran before the one-comparison reject.
     Every split looks up both children's counts by bisection, and every end
-    set of two or more ends is sorted and summed; none is seeded."""
+    set of two or more ends is sorted and summed; none is seeded. A wall is
+    a shortfall: the backtracking, which takes only children strictly past
+    their parent's key, finds fewer curves than the count of subtrees with
+    every length >= 0."""
     n = len(delta.entries)
     table = solver._split_table(delta)
     scale = lcm(*(v.denominator for v in mu.values))
@@ -328,7 +347,7 @@ def bisecting_splits(delta, mu):
         count_from[mask] = [*accumulate((row[5] for row in placed[::-1]),
                                         initial=0)][::-1]
     full = (1 << n) - 2
-    chosen = solver._subtrees(placed_at, keys, full, 0)
+    chosen = strict_subtrees(placed_at, keys, full, 0)
     return chosen if len(chosen) == count_from[full][0] else "wall"
 
 
@@ -356,3 +375,12 @@ def test_the_reject_places_what_bisection_places_above_brute_force(delta):
         mu = random_generic_moments(delta, seed)
         want = bisecting_splits(delta, mu)
         assert len(want) > 100 and curve_splits(delta, mu) == want
+    # moments of size at most 6 put many vertices on few lines: each of
+    # these draws is a wall, which the backtracking meets where a child
+    # split sits at its parent's key
+    rng = random.Random(len(delta))
+    for _ in range(4):
+        mu = MomentVector(tuple(Fraction(rng.randint(-6, 6))
+                                for _ in range(len(delta) - 1)))
+        assert curve_splits(delta, mu) == bisecting_splits(delta, mu) == "wall"
+
