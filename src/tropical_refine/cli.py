@@ -1,7 +1,9 @@
 """Command-line front end: five subcommands, each with only the flags it reads.
 
-    tropical-refine enumerate|realize|plot --degree D [--s N] [--n1 x,y]
+    tropical-refine enumerate|plot --degree D [--s N] [--n1 x,y]
         [--moments a/b,... | --seed N] [--out PATH] [--format json|text|svg]
+    tropical-refine realize --degree D [--s N] [--n1 x,y]
+        [--moments a/b,... | --seed N] [--out PATH] [--format json|text]
     tropical-refine invariant --degree D [--s N] [--n1 x,y] [--seed N]
         [--trials N] [--out PATH] [--format json|text]
     tropical-refine quantum --m1 N [--delta N] [--out PATH] [--format json|text]
@@ -114,7 +116,10 @@ def parse_moment(text: str) -> Fraction:
 
 
 def parse_moments(text: str, delta_s: Degree) -> MomentVector:
-    values = [parse_moment(chunk) for chunk in text.split(",") if chunk]
+    chunks = text.split(",")
+    if "" in chunks:
+        raise ValueError(f"moment {chunks.index('') + 1} of {text!r} is empty")
+    values = [parse_moment(chunk) for chunk in chunks]
     n = len(delta_s)
     if len(values) == n:
         total = menelaus_sum(values, delta_s)

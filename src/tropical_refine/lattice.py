@@ -214,6 +214,10 @@ class Degree(Record):
         if len(evens) > 1:
             raise MultipleDivisors(
                 f"even ends span {len(evens)} directions, need exactly one")
+        # nonzero directions all lie on one line when each is parallel to
+        # the next
+        if not any(wedge(a, b) for a, b in zip(out, out[1:])):
+            raise DegenerateDegree("all directions lie on one line")
         return Degree(tuple(out), name=self.name), s
 
     def to_json(self) -> dict:
@@ -281,7 +285,9 @@ def split_even_ends(delta_s: Degree) -> tuple[Degree, int]:
     Each weight-2 entry 2*n becomes two consecutive copies of n; weight-1
     entries pass through. Entries of weight > 2 are rejected, and so are
     weight-2 ends of more than one direction (MultipleDivisors): the theorem
-    covers pairs on one toric divisor, the image of build_delta_s.
+    covers pairs on one toric divisor, the image of build_delta_s. A degree
+    whose ends all lie on one line bounds no curve and raises
+    DegenerateDegree, as polygon_of does.
     """
     return delta_s._split_even_ends
 

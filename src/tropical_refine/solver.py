@@ -19,21 +19,21 @@ common denominator and with no linear algebra, places each set's splits
 sorted by their position along n_S, their key. A split is placed only when
 its position along each side of two or more ends is at most that side's
 largest placed key, so every placed split has a subtree with every length
->= 0 on each side, and one comparison per side rejects a split. Single
-ends, two-end sets and sets whose draw places one split are seeded, with
-no sort. Backtracking, the module-level `_subtrees`, enters each side of
-two or more ends at its first key at or past the parent's: a key past it
-starts the children with every length > 0, and a key equal to it is a
-child on a zero-length edge, a wall. So it finds exactly the curves with
-every length > 0, or meets the wall on its way down. It lists each side
-of a split once, joins split tuples by concatenation, and takes the
-count's placed rows and keys as arguments, so a count builds no reference
-cycle: its state is freed by reference counting as it returns, with
-nothing left for the cyclic collector. The count gives each curve as
-its splits with its vertex multiplicities (each split's |d|) and vertex
-positions (where L_A and L_B meet, as integers over the count's common
-scale, reduced to the least one): weighing curves and comparing them as
-point sets needs no tree.
+>= 0 on each side, and one comparison per side rejects a split. Only
+single ends are seeded; every other set is placed the same way. The
+backtracking, the module-level `_subtrees` and `_side`, enters each side of
+two or more ends at its first placed row whose key is at or past the
+parent's: a key past it starts the children with every length > 0, and a
+key equal to it is a child on a zero-length edge, a wall. So it finds
+exactly the curves with every length > 0, or meets the wall on its way
+down. It lists each side of a split once, joins split tuples by
+concatenation, and takes the count's placed rows as an argument, so a
+count builds no reference cycle: its state is freed by reference counting
+as it returns, with nothing left for the cyclic collector. The count gives
+each curve as its splits with its vertex multiplicities (each split's |d|)
+and vertex positions (where L_A and L_B meet, as integers over the count's
+common scale, reduced to the least one): weighing curves and comparing them
+as point sets needs no tree.
 `invariants` rebuilds a counted curve's tree from its splits only where a
 caller asks for solutions; a rebuilt curve reads its edge lengths off its
 points.
@@ -65,7 +65,7 @@ import functools
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from .errors import DegenerateType, NonGenericMoments, TooFewEnds, TropicalError
@@ -302,12 +302,11 @@ class _SplitTable:
     f_b): with f = scale / d and M_X the moment sum of X, its vertex lies at
     M_A * c - M_B * f_a along n_A and at M_A * f_b - M_B * c along n_B, so c
     is f * dot(n_A, n_B), f_a is f * |n_A|^2 and f_b is f * |n_B|^2.
-    `pairs` holds each two-end set with its one split, which parts it into
-    two single ends, as (S, A, B, c, f_a, f_b). `splits` pairs each end set
-    of three or more ends, in increasing order so that every set comes after
-    the sets inside it, with its splits. No split is dead: each side is a
-    single end or a set with splits of its own. `scale` is the lcm of every
-    kept |d|. A side X is a single end exactly when X & (X - 1) is 0.
+    `splits` pairs each end set of two or more ends that has splits, in
+    increasing order so that every set comes after the sets inside it, with
+    its splits. No split is dead: each side is a single end or a set with
+    splits of its own. `scale` is the lcm of every kept |d|. A side X is a
+    single end exactly when X & (X - 1) is 0.
     """
 
     def __init__(self, dirs: tuple[Vec, ...]):
@@ -336,7 +335,7 @@ class _SplitTable:
                 found.append((mask, rows))
         self.scale = scale = lcm(1, *(abs(d) for _, rows in found
                                       for _, _, d in rows))
-        self.pairs, self.splits = [], []
+        self.splits = []
         for mask, rows in found:
             out = []
             for a, b, d in rows:
@@ -344,10 +343,7 @@ class _SplitTable:
                 xa, ya, xb, yb = sx[a], sy[a], sx[b], sy[b]
                 out.append((a, b, f * (xa * xb + ya * yb),
                             f * (xa * xa + ya * ya), f * (xb * xb + yb * yb)))
-            if mask.bit_count() == 2:
-                self.pairs.append((mask, *out[0]))
-            else:
-                self.splits.append((mask, out))
+            self.splits.append((mask, out))
 
 
 _TABLES: WeakKeyDictionary[Degree, _SplitTable] = WeakKeyDictionary()
@@ -371,37 +367,41 @@ def _subset_sums(values: list[int]) -> list[int]:
     return out
 
 
-def _subtrees(placed_at: list, keys: list, mask: int,
+def _subtrees(placed_at: list, mask: int,
               start: int) -> list[tuple[tuple[int, int], ...]]:
     """The split tuples of the subtrees below the end set `mask` (of two or
     more ends) whose top split is placed at `start` or later and whose every
     split lies strictly past its parent's key: the subtrees with every
-    length > 0. A side of two or more ends is entered at its first key at
-    or past the parent's, which exists as the split was placed; an equal
-    key is a wall, and raises NonGenericMoments. The count's state is
-    passed in, not closed over, so the recursion makes no reference cycle.
+    length > 0. The count's placed rows are passed in, not closed over, so
+    the recursion makes no reference cycle.
     """
     out = []
     for _, a, b, along_a, along_b in placed_at[mask][start:]:
-        left = right = ((),)
-        if a & (a - 1):
-            i = bisect_left(keys[a], along_a)
-            if keys[a][i] == along_a:
-                raise NonGenericMoments("an edge length vanishes; resample "
-                                        "moments")
-            left = _subtrees(placed_at, keys, a, i)
-        if b & (b - 1):
-            i = bisect_left(keys[b], along_b)
-            if keys[b][i] == along_b:
-                raise NonGenericMoments("an edge length vanishes; resample "
-                                        "moments")
-            right = _subtrees(placed_at, keys, b, i)
+        left = _side(placed_at, a, along_a)
+        right = _side(placed_at, b, along_b)
         top = ((a, b),)
         for lo in left:
             lo = top + lo
             for hi in right:
                 out.append(lo + hi)
     return out
+
+
+def _side(placed_at: list, x: int,
+          along: int) -> Sequence[tuple[tuple[int, int], ...]]:
+    """The subtrees below the side x of a split whose vertex lies at `along`
+    along n_x: a single end's one empty tuple, or `_subtrees` of x from its
+    first placed row with key at or past `along`, which exists as the split
+    was placed. The probe (along,) sorts before every row with that key, so
+    an equal key there is a child on a zero-length edge, a wall, and raises
+    NonGenericMoments."""
+    if not x & (x - 1):
+        return ((),)
+    rows = placed_at[x]
+    i = bisect_left(rows, (along,))
+    if rows[i][0] == along:
+        raise NonGenericMoments("an edge length vanishes; resample moments")
+    return _subtrees(placed_at, x, i)
 
 
 def curves_through(delta: Degree, mu: MomentVector) -> list[CountedCurve]:
@@ -421,21 +421,15 @@ def curves_through(delta: Degree, mu: MomentVector) -> list[CountedCurve]:
     moment = _subset_sums([v.numerator * (scale_mu // v.denominator)
                            for v in mu.values])
     # per end set: its placed splits sorted by key, as tuples (key, A, B,
-    # along_a, along_b); their keys; and top, its largest key. By induction
-    # every placed split has a subtree with every length >= 0 on each side,
-    # so a child X has one below a vertex at x exactly when x <= top[X]. A
-    # single end's top lies above every key and that of a set with nothing
-    # placed below every key: these two floats are only ever compared with.
+    # along_a, along_b), and top, its largest key. By induction every
+    # placed split has a subtree with every length >= 0 on each side, so a
+    # child X has one below a vertex at x exactly when x <= top[X]. A single
+    # end's top lies above every key and that of a set with nothing placed
+    # below every key: these two floats are only ever compared with.
     size = 1 << n
-    placed_at, keys, top = [()] * size, [()] * size, [-inf] * size
+    placed_at, top = [()] * size, [-inf] * size
     for j in range(1, n):
         top[1 << j] = inf
-    for mask, a, b, c, fa, fb in table.pairs:
-        ma, mb = moment[a], moment[b]
-        along_a, along_b = ma * c - mb * fa, ma * fb - mb * c
-        key = along_a + along_b
-        placed_at[mask] = ((key, a, b, along_a, along_b),)
-        keys[mask], top[mask] = (key,), key
     for mask, rows in table.splits:
         placed = []
         for a, b, c, fa, fb in rows:
@@ -447,16 +441,11 @@ def curves_through(delta: Degree, mu: MomentVector) -> list[CountedCurve]:
             if along_b > top[b]:
                 continue
             placed.append((along_a + along_b, a, b, along_a, along_b))
-        if len(placed) == 1:
-            key = placed[0][0]
-            placed_at[mask], keys[mask], top[mask] = placed, (key,), key
-        elif placed:
+        if placed:
             placed.sort()
-            placed_at[mask] = placed
-            keys[mask] = [row[0] for row in placed]
-            top[mask] = keys[mask][-1]
+            placed_at[mask], top[mask] = placed, placed[-1][0]
 
-    chosen = _subtrees(placed_at, keys, (1 << n) - 2, 0)
+    chosen = _subtrees(placed_at, (1 << n) - 2, 0)
     sx, sy, common = table.sx, table.sy, scale_mu * table.scale
     curves = []
     for splits in chosen:

@@ -90,6 +90,9 @@ def test_parse_moments_accepts_both_lengths():
         parse_moments("1,3,2", triangle)
     with pytest.raises(TropicalError):
         parse_moments("3", triangle)
+    for text in ("3,,2", ",3,2", "3,2,", "-5,3,2,"):
+        with pytest.raises(ValueError, match="is empty"):
+            parse_moments(text, triangle)
 
 
 def test_enumerate_json_triangle(capsys):
@@ -362,7 +365,17 @@ def test_error_degenerate_degree(capsys):
 
 
 def test_error_too_few_ends(capsys):
-    error_case(capsys, ["enumerate", "--degree=1,0;-1,0"], "TooFewEnds")
+    for command in ("enumerate", "invariant", "realize"):
+        error_case(capsys, [command, "--degree=1,0;-1,0"], "TooFewEnds")
+
+
+@pytest.mark.parametrize("command", ["invariant", "realize"])
+def test_error_ends_on_one_line(capsys, command):
+    # no curve has these ends, so there is no R to report; `enumerate`
+    # counts N = 0 through them and derives nothing
+    payload = error_case(capsys, [command, "--degree=-2,0;1,0;1,0"],
+                         "DegenerateDegree")
+    assert payload["message"] == "all directions lie on one line"
 
 
 def test_error_menelaus_violation(capsys):
@@ -463,12 +476,20 @@ def test_error_malformed_degree(capsys):
 
 @pytest.mark.parametrize("argv, named", [
     ([f"--degree={TRIANGLE}", "--moments=1/0"], "'1/0'"),
+    # an empty field is refused, not dropped: on the 6-end conic,
+    # "1,,2,3,4,5" would otherwise read as the 5-value form
+    ([f"--degree={CONIC}", "--moments=1,,2,3,4,5"],
+     "moment 2 of '1,,2,3,4,5' is empty"),
+    ([f"--degree={TRIANGLE}", "--moments=,3,2"], "moment 1 of ',3,2' is empty"),
+    ([f"--degree={TRIANGLE}", "--moments=3,2,"], "moment 3 of '3,2,' is empty"),
+    ([f"--degree={TRIANGLE}", "--moments="], "moment 1 of '' is empty"),
     (["--degree=[[1.5,0],[-1.5,0],[0,1],[0,-1]]"], "[1.5, 0]"),
     (['--degree={"entries": 5}'], "{'entries': 5}"),
     (['--degree={"x": 1}'], "{'x': 1}"),
     (["--degree=[1,2]"], "got 1"),
     (['--degree={"entries": [[-1,0],[0,-1],[1,1]], "name": 5}'], "got 5")],
-    ids=["zero-denominator", "float-entry", "entries-not-a-list",
+    ids=["zero-denominator", "empty-moment", "leading-comma",
+         "trailing-comma", "no-moments", "float-entry", "entries-not-a-list",
          "no-entries", "entry-not-a-pair", "name-not-a-string"])
 def test_malformed_input_is_one_error_line(capsys, argv, named):
     code = main(["enumerate", *argv])

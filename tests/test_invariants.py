@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropical_refine import (Degree, ExhaustedRetries, HalfLaurent,
-                             InvarianceViolation, MomentVector,
+from tropical_refine import (DegenerateDegree, Degree, ExhaustedRetries,
+                             HalfLaurent, InvarianceViolation, MomentVector,
                              NonGenericMoments, NotDivisible, SplitMix64,
                              TooFewEnds, TrialRecord, TropicalError, Vec,
                              WeightedPlaneParam, broccoli_from_r,
@@ -459,6 +459,15 @@ def test_invariance_audit_triangle(triangle):
     assert report.solutions_per_trial == (1,) * 20
     assert report.trials == 20
     assert report.s == 0 and report.m == 3
+
+
+def test_invariance_audit_refuses_ends_on_one_line():
+    # N = 0 through such ends, but they bound no curve and give no R; too
+    # few ends are still refused by the count, before any R is derived
+    with pytest.raises(DegenerateDegree, match="one line"):
+        invariance_audit(Degree(((-2, 0), (1, 0), (1, 0))), trials=2, seed=0)
+    with pytest.raises(TooFewEnds):
+        invariance_audit(Degree(((1, 0), (-1, 0))), trials=2, seed=0)
 
 
 def test_invariance_audit_square(square):

@@ -282,6 +282,17 @@ def test_polygon_of_degenerate():
         polygon_of(Degree(((1, 0), (1, 0), (-2, 0))))
 
 
+@pytest.mark.parametrize("entries", [
+    ((-2, 0), (1, 0), (1, 0)), ((1, 0), (1, 0), (-2, 0)),
+    ((1, 0), (-1, 0)), ((1, 1), (1, 1), (-2, -2)), ()],
+    ids=["weight-2", "primitive", "two-ends", "diagonal", "empty"])
+def test_split_even_ends_refuses_ends_on_one_line(entries):
+    # such a degree bounds no curve, so no R is derived from it
+    with pytest.raises(DegenerateDegree, match="all directions lie on one "
+                                               "line"):
+        split_even_ends(Degree(entries))
+
+
 def test_normals_of_round_trip():
     for deg in (delta_d(1), delta_d(2),
                 Degree(((-1, 0), (1, 0), (0, -1), (0, 1)))):

@@ -257,7 +257,7 @@ def unpruned_table(dirs) -> solver._SplitTable:
         if rows:
             found.append((mask, rows))
     table.scale = lcm(1, *(abs(d) for _, rows in found for *_, d in rows))
-    table.pairs, table.splits = [], []
+    table.splits = []
     for mask, rows in found:
         out = []
         for a, b, d in rows:
@@ -265,16 +265,13 @@ def unpruned_table(dirs) -> solver._SplitTable:
             xa, ya, xb, yb = sx[a], sy[a], sx[b], sy[b]
             out.append((a, b, f * (xa * xb + ya * yb),
                         f * (xa * xa + ya * ya), f * (xb * xb + yb * yb)))
-        if mask.bit_count() == 2:
-            table.pairs.append((mask, *out[0]))
-        else:
-            table.splits.append((mask, out))
+        table.splits.append((mask, out))
     return table
 
 
 @pytest.mark.parametrize("delta, kept, dropped", [
-    (delta_d(4), 50_662, 7_231),
-    (build_delta_s(delta_d(5), Vec(-1, 0), 2), 174_181, 26_768)],
+    (delta_d(4), 50_702, 7_231),
+    (build_delta_s(delta_d(5), Vec(-1, 0), 2), 174_226, 26_768)],
     ids=["12-ends", "13-ends"])
 def test_the_table_drops_exactly_the_dead_rows(delta, kept, dropped,
                                                monkeypatch):
@@ -286,7 +283,7 @@ def test_the_table_drops_exactly_the_dead_rows(delta, kept, dropped,
         return sum(len(r) for _, r in t.splits)
 
     assert (rows(table), rows(full) - rows(table)) == (kept, dropped)
-    has_rows = {mask for mask, *_ in table.pairs + table.splits}
+    has_rows = {mask for mask, _ in table.splits}
     assert all(side & (side - 1) == 0 or side in has_rows
                for _, out in table.splits for a, b, *_ in out
                for side in (a, b))
@@ -331,8 +328,7 @@ def bisecting_splits(delta, mu):
     count_from = [(0,)] * (1 << n)
     for j in range(1, n):
         count_from[1 << j] = (1,)
-    sets = [(mask, [row]) for mask, *row in table.pairs] + table.splits
-    for mask, rows in sorted(sets):
+    for mask, rows in table.splits:
         placed = []
         for a, b, c, fa, fb in rows:
             ma, mb = moment[a], moment[b]

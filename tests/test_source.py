@@ -14,8 +14,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _raised_name(node) -> str | None:
-    """The name a `raise` raises: X of `raise X` or `raise X(...)`."""
+    """The name a `raise` raises: X of `raise X`, `raise X(...)` or
+    `raise module.X(...)`."""
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Attribute):
+        return exc.attr
     return exc.id if isinstance(exc, ast.Name) else None
 
 
@@ -40,17 +43,18 @@ def test_no_assert_statements_in_src():
 
 
 def test_the_source_rule_sees_hand_raised_assertion_errors():
-    code = "raise AssertionError('x')\nraise AssertionError\nraise ValueError\n"
+    code = ("raise AssertionError('x')\nraise AssertionError\n"
+            "raise ValueError\nraise builtins.AssertionError\n")
     raised = [node for node in ast.walk(ast.parse(code))
               if isinstance(node, ast.Raise)]
     assert [_raises_assertion_error(node) for node in raised] == [
-        True, True, False]
+        True, True, False, True]
 
 
-def _type_error_sites(code: str, module: str) -> list[str]:
-    """The innermost function or class around every `raise TypeError` of a
-    module, as `module.Class.method`, once per raise; `module.<module>`
-    outside any."""
+def _raise_sites(code: str, module: str, name: str) -> list[str]:
+    """The innermost function or class around every `raise` of the
+    exception `name` in a module, as `module.Class.method`, once per raise;
+    `module.<module>` outside any."""
     found = []
 
     def visit(node, owner):
@@ -60,7 +64,7 @@ def _type_error_sites(code: str, module: str) -> list[str]:
                 visit(child, owner + (child.name,))
                 continue
             if (isinstance(child, ast.Raise)
-                    and _raised_name(child) == "TypeError"):
+                    and _raised_name(child) == name):
                 found.append(".".join((module,) + (owner or ("<module>",))))
             visit(child, owner)
 
@@ -78,8 +82,8 @@ def test_every_type_error_is_raised_by_a_checker():
     # Vec and HalfLaurent constructors check their shapes; a hand-written
     # refusal elsewhere is a new message shape and a check to keep in step
     found = [site for path in sorted(SRC.rglob("*.py"))
-             for site in _type_error_sites(path.read_text(encoding="utf-8"),
-                                           path.stem)]
+             for site in _raise_sites(path.read_text(encoding="utf-8"),
+                                      path.stem, "TypeError")]
     assert [site for site in found if site not in TYPE_CHECKERS] == []
     assert set(found) == TYPE_CHECKERS
 
@@ -93,9 +97,31 @@ def test_the_type_error_rule_sees_each_kind():
             "        raise ValueError('y')\n"
             "async def a():\n    raise TypeError()\n"
             "def f():\n    raise\n")
-    assert sorted(_type_error_sites(code, "mod")) == [
+    assert sorted(_raise_sites(code, "mod", "TypeError")) == [
         "mod.<module>", "mod.K.__init__", "mod.K.m.inner", "mod._int",
         "mod.a"]
+    assert _raise_sites(code, "mod", "ValueError") == ["mod.K.m"]
+
+
+def test_every_wall_is_raised_by_the_solve_or_the_tie_test():
+    # a draw on a wall raises NonGenericMoments in two places only: the
+    # per-type solve, on a zero length, and the count's tie test, where a
+    # child split sits at its parent's key; a second site in the count is
+    # a second wall test to keep in step with the first
+    found = sorted(site for path in sorted(SRC.rglob("*.py"))
+                   for site in _raise_sites(path.read_text(encoding="utf-8"),
+                                            path.stem, "NonGenericMoments"))
+    assert found == ["solver._side", "solver.solve"]
+
+
+def test_the_wall_rule_sees_each_kind():
+    code = ("def solve(t):\n    raise NonGenericMoments('zero length')\n"
+            "def _side(rows):\n    if rows:\n"
+            "        raise NonGenericMoments('tie')\n"
+            "def _subtrees():\n    raise errors.NonGenericMoments\n"
+            "def other():\n    raise TypeError('x')\n")
+    assert _raise_sites(code, "solver", "NonGenericMoments") == [
+        "solver.solve", "solver._side", "solver._subtrees"]
 
 
 def test_every_export_exists_once():

@@ -6,7 +6,8 @@ import pytest
 
 from tropical_refine import (Vec, dual_subdivision, enumerate_types,
                              polygon_of, random_generic_moments,
-                             refined_count, render_svg)
+                             refined_count, render_svg, sample_trial)
+from test_invariants import PICK_DEGREES, crossing_weight
 
 
 def tri_area2(tri) -> int:
@@ -49,6 +50,26 @@ def test_dual_subdivision_tiles_the_polygon(conic, square, doubled_quad):
             assert len(sub) == n - 2
             assert sum(tri_area2(t) for t in sub) == want
             assert min(p for tri in sub for p in tri) == Vec(0, 0)
+
+
+@pytest.mark.parametrize("label", PICK_DEGREES)
+def test_dual_subdivision_with_crossings_tiles_the_polygon(label):
+    # a vertex's triangle has doubled area its multiplicity, and a crossing
+    # of edges with weighted slopes u and w is dual to a parallelogram of
+    # doubled area 2 |wedge(u, w)|: together they tile the polygon
+    delta = PICK_DEGREES[label]
+    want = polygon_of(delta).area2()
+    crossed = 0
+    for seed in (1, 2):
+        for sol in sample_trial(delta, seed).solutions:
+            sub = dual_subdivision(sol.ctype)
+            mults = sol.ctype.multiplicities()
+            assert [tri_area2(t) for t in sub] == [
+                mults[v] for v in sol.ctype.internal_vertices]
+            crossing = crossing_weight(sol)
+            crossed += crossing > 0
+            assert sum(tri_area2(t) for t in sub) + 2 * crossing == want
+    assert crossed
 
 
 def test_render_svg_is_deterministic(conic):
