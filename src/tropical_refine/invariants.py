@@ -30,8 +30,8 @@ addition per curve.
 
 Generic constraints are drawn from a fixed portable generator (SplitMix64)
 so that every run of a given seed is reproducible down to the byte. N and
-sampling read the counted curves' splits and vertex data alone; `_rebuild`
-gives them trees only for `refined_count` and a record's `solutions`.
+sampling read the counted curves' vertex data alone; a curve builds its
+tree only when `refined_count` or a record's `solutions` sorts it.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ from .lattice import (Degree, MomentVector, Record, _int, frac_str,
                       split_even_ends)
 from .laurent import (HalfLaurent, _poly, linear_combination,
                       w_pow_minus_inverse)
-from .solver import (CountedCurve, TropicalSolution, _q_product,
-                     curves_through, solve)
-from .trees import enumerate_types, type_from_clades
+from .solver import TropicalSolution, _q_product, curves_through, solve
+from .trees import enumerate_types
 
 _MASK64 = (1 << 64) - 1
 MAX_ATTEMPTS = 64                           # moment draws per seed
@@ -90,27 +89,15 @@ def _n_from_mults(mults: Iterable[tuple[int, ...]]) -> HalfLaurent:
                               for tup, count in tally.items())
 
 
-def _rebuild(delta: Degree, mu: MomentVector,
-             curves: Iterable[CountedCurve]) -> list[TropicalSolution]:
-    """The counted curves as solutions, in enumerate_types order."""
-    found = sorted(((type_from_clades(delta.entries, splits), data)
-                    for splits, *data in curves), key=lambda c: c[0][0])
-    return [TropicalSolution(ctype, mu, *data) for (_, ctype), data in found]
-
-
 def refined_count(delta_s: Degree,
                   mu: MomentVector) -> tuple[HalfLaurent, list[TropicalSolution]]:
-    """Sum of refined multiplicities over all curves through mu.
-
-    The curves come from the subset dynamic program of
-    `solver.curves_through`, which places every vertex from its split of the
-    end set alone and so needs no per-type linear solve. It returns the same
-    solutions, in the same order, as `refined_count_brute`, and raises
-    NonGenericMoments exactly when that would, so callers can resample.
-    """
+    """Sum of refined multiplicities over all curves through mu, and the
+    curves in enumerate_types order, as `solver.curves_through` counts them
+    with no per-type solve: equal to `refined_count_brute`, and raising
+    NonGenericMoments exactly when it does, so callers can resample."""
     curves = curves_through(delta_s, mu)
     n_trop = _n_from_mults(curve.mults for curve in curves)
-    return n_trop, _rebuild(delta_s, mu, curves)
+    return n_trop, _in_type_order(curves)
 
 
 def refined_count_brute(
@@ -131,7 +118,11 @@ def refined_count_brute(
     return _n_from_mults(sol.mults for sol in solutions), solutions
 
 
-def _position_signature(curve: CountedCurve) -> tuple:
+def _in_type_order(curves: Iterable[TropicalSolution]) -> list:
+    return sorted(curves, key=lambda curve: curve.place)
+
+
+def _position_signature(curve: TropicalSolution) -> tuple:
     """Equal exactly for curves with the same vertex positions."""
     return curve.scale, tuple(sorted(curve.points))
 
@@ -238,12 +229,12 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
 class TrialRecord(Record):
     """One audited constraint: seed, moments, N, degree and counted curves
     (`solver.curves_through`), kept whole so a failure can be diffed curve
-    by curve; `solutions`, built when first read, equal those of
+    by curve; `solutions`, sorted when first read, equal those of
     refined_count(delta_s, moments). An audit takes R and BG from the N
     its trials agree on."""
 
     def __init__(self, seed: int, moments: MomentVector, n_trop: HalfLaurent,
-                 delta_s: Degree, curves: tuple[CountedCurve, ...]):
+                 delta_s: Degree, curves: tuple[TropicalSolution, ...]):
         self._set(seed=seed, moments=moments, n_trop=n_trop, delta_s=delta_s,
                   curves=curves)
 
@@ -252,7 +243,7 @@ class TrialRecord(Record):
 
     @functools.cached_property
     def solutions(self) -> tuple[TropicalSolution, ...]:
-        return tuple(_rebuild(self.delta_s, self.moments, self.curves))
+        return tuple(_in_type_order(self.curves))
 
     def to_json(self) -> dict:
         return {

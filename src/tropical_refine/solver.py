@@ -19,44 +19,28 @@ common denominator and with no linear algebra, places each set's splits
 sorted by their position along n_S, their key. A split is placed only when
 its position along each side of two or more ends is at most that side's
 largest placed key, so every placed split has a subtree with every length
->= 0 on each side, and one comparison per side rejects a split. Only
-single ends are seeded; every other set is placed the same way. The
-backtracking, the module-level `_subtrees` and `_side`, enters each side of
-two or more ends at its first placed row whose key is at or past the
-parent's: a key past it starts the children with every length > 0, and a
-key equal to it is a child on a zero-length edge, a wall. So it finds
+>= 0 on each side, and one comparison per side rejects a split. The
+backtracking (`_subtrees` and `_side`) enters each side at its first row
+with a key at or past the parent's; an equal key is a wall. So it finds
 exactly the curves with every length > 0, or meets the wall on its way
-down. It lists each side of a split once, joins split tuples by
-concatenation, and takes the count's placed rows as an argument, so a
-count builds no reference cycle: its state is freed by reference counting
-as it returns, with nothing left for the cyclic collector. The count gives
-each curve as its splits with its vertex multiplicities (each split's |d|)
-and vertex positions (where L_A and L_B meet, as integers over the count's
-common scale, reduced to the least one): weighing curves and comparing them
-as point sets needs no tree.
-`invariants` rebuilds a counted curve's tree from its splits only where a
-caller asks for solutions; a rebuilt curve reads its edge lengths off its
-points.
+down, and it builds no reference cycle.
+
+Both give a curve as one `TropicalSolution`: its splits, its vertex
+multiplicities (each split's |d|) and its vertex positions, integers over
+the least common scale. Weighing curves and comparing them as point sets
+needs no tree; a curve builds its tree from its splits when first asked.
 
 Everything that depends on the degree alone (the direction sums of the end
-sets, their splits with d = wedge(n_A, n_B) != 0, the common scale lcm|d|
-and, per split, integer coefficients that turn the children's moment sums
-into the vertex's positions along n_A and n_B) is a `_SplitTable`. It is
-built the first time a degree is counted and dropped with the `Degree`
-object it was built for, so the draws of one degree share it and each
-count does only the work that depends on the moments. A dead split, one
-with a side of two or more ends that has no split of its own (a set of
-parallel ends has none), is never placed; the table drops it when it is
-built, in one pass in mask order, since each side comes before its set.
-For delta_d(4) it holds 50 702 splits of 1838 end sets, about 12 MiB,
-after dropping 7 231 dead ones.
+sets, their splits with d = wedge(n_A, n_B) != 0 and no dead side, the
+common scale lcm|d| and per-split coefficients) is a `_SplitTable`, built
+the first time a degree is counted and dropped with its `Degree`, so each
+count does only the work that depends on the moments. For delta_d(4) it
+holds 50 702 splits of 1838 end sets, about 12 MiB, after dropping 7 231
+dead ones.
 
 All arithmetic is exact; a curve is accepted only when every edge length is
 strictly positive. A length of exactly zero means the constraint sits on a
 wall of the moment cone and callers must resample.
-
-A curve is a `NamedTuple`, like the package's other plain records; the
-`lattice` module says why.
 """
 
 from __future__ import annotations
@@ -65,13 +49,13 @@ import functools
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
-from typing import NamedTuple, Sequence
+from typing import Sequence
 from weakref import WeakKeyDictionary
 
 from .errors import DegenerateType, NonGenericMoments, TooFewEnds, TropicalError
-from .lattice import Degree, MomentVector, Vec
+from .lattice import Degree, MomentVector, Record, Vec
 from .laurent import HalfLaurent, q_analog
-from .trees import CombinatorialType
+from .trees import CombinatorialType, type_from_clades
 
 
 def evaluation_matrix(ctype: CombinatorialType) -> list[list[int]]:
@@ -130,28 +114,49 @@ def _solve_exact(matrix: list[list[int]], rhs: list[Fraction]):
     return sign * prev, [Fraction(v, prev * denom) for v in y]
 
 
-class TropicalSolution(NamedTuple):
-    """A parametrized curve of a fixed type through the given moments.
+class TropicalSolution(Record):
+    """A curve with the ends `dirs` through the given moments.
 
-    Internal vertex ctype.n + i has multiplicity mults[i] and lies at
-    points[i] / scale, where scale is the least positive integer that makes
-    every coordinate whole. That form is unique, so a curve has the same
-    fields whether `solve` built it or it was rebuilt from a count, and two
-    curves have equal point sets exactly when their scales and sorted
-    points are equal. The tree and the points fix the curve, so
-    `lengths` reads the edge lengths off the points.
+    Hung from end 1, internal vertex n + i (n = len(dirs)) splits the
+    leaves below it into splits[i] = (A, B), bitmasks by leaf with A
+    holding the lowest leaf; it has multiplicity mults[i] and lies at
+    points[i] / scale, with scale the least that makes every coordinate
+    whole. That form is unique, so `solve` and `curves_through` give equal
+    records for one curve, and equal point sets have equal scales and
+    sorted points. `ctype`, and `place`, which sorts as the type does in
+    enumerate_types order, come from one `type_from_clades` call when
+    either is first read; `lengths` reads the edge lengths off the points.
     """
 
-    ctype: CombinatorialType
-    moments: MomentVector
-    mults: tuple[int, ...]
-    points: tuple[tuple[int, int], ...]
-    scale: int
+    __slots__ = ("dirs", "moments", "splits", "mults", "points", "scale",
+                 "_tree")
+
+    def __init__(self, dirs: tuple[Vec, ...], moments: MomentVector,
+                 splits: tuple, mults: tuple, points: tuple, scale: int):
+        self._set(dirs=dirs, moments=moments, splits=splits, mults=mults,
+                  points=points, scale=scale)
+
+    def identity(self) -> tuple:
+        return (self.dirs, self.moments, self.splits, self.mults, self.points,
+                self.scale)
+
+    def _typed(self) -> tuple[tuple[int, ...], CombinatorialType]:
+        if not hasattr(self, "_tree"):
+            self._set(_tree=type_from_clades(self.dirs, self.splits))
+        return self._tree
+
+    @property
+    def ctype(self) -> CombinatorialType:
+        return self._typed()[1]
+
+    @property
+    def place(self) -> tuple[int, ...]:
+        return self._typed()[0]
 
     @property
     def root(self) -> tuple[Fraction, Fraction]:
         """Position of the vertex adjacent to end 1."""
-        x, y = self.points[self.ctype.root_vertex - self.ctype.n]
+        x, y = self.points[self.ctype.root_vertex - len(self.dirs)]
         return Fraction(x, self.scale), Fraction(y, self.scale)
 
     @property
@@ -159,7 +164,7 @@ class TropicalSolution(NamedTuple):
         """Length of every bounded edge, keyed and ordered as bounded_edges:
         the edge from parent u down to v runs along v's clade sum (x, y),
         so its length is (p_v - p_u).(x, y) / (scale * (x^2 + y^2))."""
-        n, points, scale = self.ctype.n, self.points, self.scale
+        n, points, scale = len(self.dirs), self.points, self.scale
         _, parent, clade = self.ctype.clades
         out = {}
         for e in self.ctype.bounded_edges:
@@ -177,7 +182,7 @@ class TropicalSolution(NamedTuple):
 
     def positions(self) -> dict[int, tuple[Fraction, Fraction]]:
         """Exact plane position of every internal vertex."""
-        n, scale = self.ctype.n, self.scale
+        n, scale = len(self.dirs), self.scale
         return {n + i: (Fraction(x, scale), Fraction(y, scale))
                 for i, (x, y) in enumerate(self.points)}
 
@@ -185,8 +190,7 @@ class TropicalSolution(NamedTuple):
         """Recomputed moments of all n ends (including end 1) from geometry."""
         pos = self.positions()
         out = []
-        for leaf in range(self.ctype.n):
-            nj = self.ctype.leaf_dirs[leaf]
+        for leaf, nj in enumerate(self.dirs):
             px, py = pos[self.ctype.leaf_vertex(leaf)]
             out.append(nj.x * py - nj.y * px)
         return tuple(out)
@@ -257,7 +261,8 @@ def solve(ctype: CombinatorialType, mu: MomentVector) -> TropicalSolution | None
     raises DegenerateType when the system is singular (a flat vertex) and
     NonGenericMoments when a length vanishes exactly. A determinant that is
     not the product of the vertex multiplicities raises TropicalError: it
-    can only mean a bug in the matrix or the elimination.
+    can only mean a bug in the matrix or the elimination. The curve's
+    vertices are numbered as enumerate_types numbers its type.
     """
     _check_moment_count(mu, ctype.n)
     matrix = evaluation_matrix(ctype)
@@ -275,22 +280,18 @@ def solve(ctype: CombinatorialType, mu: MomentVector) -> TropicalSolution | None
     if any(v == 0 for v in lengths.values()):
         raise NonGenericMoments("an edge length vanishes; resample moments")
     pos = _walk(ctype, (x[0], x[1]), lengths)
-    coords = [pos[v] for v in ctype.internal_vertices]
+    _, parent, clade = ctype.clades
+    splits, vertex_mults, coords = ([None] * len(mults) for _ in range(3))
+    for v in ctype.internal_vertices:
+        a, b = (clade[w][0] for w in ctype.adjacency[v] if w != parent[v])
+        if b & -b < a & -a:
+            a, b = b, a
+        i = (b & -b).bit_length() - 3
+        splits[i], vertex_mults[i], coords[i] = (a, b), mults[v], pos[v]
     scale = lcm(*(c.denominator for p in coords for c in p))
-    points = tuple((px.numerator * (scale // px.denominator),
-                    py.numerator * (scale // py.denominator))
-                   for px, py in coords)
-    return TropicalSolution(ctype, mu, tuple(mults.values()), points, scale)
-
-
-class CountedCurve(NamedTuple):
-    """A curve as `curves_through` counts it: its splits (A, B), and the
-    mults, points and scale of its `TropicalSolution`."""
-
-    splits: tuple[tuple[int, int], ...]
-    mults: tuple[int, ...]
-    points: tuple[tuple[int, int], ...]
-    scale: int
+    points = tuple((int(px * scale), int(py * scale)) for px, py in coords)
+    return TropicalSolution(ctype.leaf_dirs, mu, tuple(splits),
+                            tuple(vertex_mults), points, scale)
 
 
 class _SplitTable:
@@ -404,14 +405,14 @@ def _side(placed_at: list, x: int,
     return _subtrees(placed_at, x, i)
 
 
-def curves_through(delta: Degree, mu: MomentVector) -> list[CountedCurve]:
-    """Every curve through mu, unordered, as a `CountedCurve`; the vertex
-    of (A, B) is n + low(B) - 2, as enumerate_types inserts end low(B), the
-    lowest end of B, there (the star's centre n takes end 2). Raises
-    NonGenericMoments on a wall: the backtracking meets a child split at
-    its parent's key. The moment sums are integers over the lcm of the
-    denominators of mu.values; the implied moment of end 1 is never
-    summed."""
+def curves_through(delta: Degree,
+                   mu: MomentVector) -> list[TropicalSolution]:
+    """Every curve through mu, unordered; the vertex of the split (A, B) is
+    n + low(B) - 2, as enumerate_types inserts end low(B), the lowest end
+    of B, there (the star's centre n takes end 2). Raises NonGenericMoments
+    on a wall: the backtracking meets a child split at its parent's key.
+    The moment sums are integers over the lcm of the denominators of
+    mu.values; the implied moment of end 1 is never summed."""
     n = len(delta.entries)
     if n < 3:
         raise TooFewEnds(f"a curve needs at least 3 ends, got {n}")
@@ -446,19 +447,26 @@ def curves_through(delta: Degree, mu: MomentVector) -> list[CountedCurve]:
             placed_at[mask], top[mask] = placed, placed[-1][0]
 
     chosen = _subtrees(placed_at, (1 << n) - 2, 0)
-    sx, sy, common = table.sx, table.sy, scale_mu * table.scale
+    sx, sy, scale = table.sx, table.sy, table.scale
+    common, dirs = scale_mu * scale, delta.entries
     curves = []
-    for splits in chosen:
-        mults, points = [0] * (n - 2), [(0, 0)] * (n - 2)
-        for a, b in splits:
+    # popped as each record is built: never both split orders of every curve
+    chosen.reverse()
+    while chosen:
+        found = chosen.pop()
+        splits, mults, points = [()] * (n - 2), [0] * (n - 2), [()] * (n - 2)
+        for split in found:
+            a, b = split
             d = sx[a] * sy[b] - sy[a] * sx[b]
-            f = table.scale // d
+            f = scale // d
             ma, mb = moment[a], moment[b]
             i = (b & -b).bit_length() - 3
+            splits[i] = split
             mults[i] = abs(d)
             points[i] = ((ma * sx[b] - sx[a] * mb) * f,
                          (ma * sy[b] - sy[a] * mb) * f)
         g = gcd(common, *(c for p in points for c in p))
         points = tuple((x // g, y // g) for x, y in points)
-        curves.append(CountedCurve(splits, tuple(mults), points, common // g))
+        curves.append(TropicalSolution(dirs, mu, tuple(splits), tuple(mults),
+                                       points, common // g))
     return curves

@@ -527,6 +527,30 @@ def test_deeply_nested_degree_is_one_error_line(capsys, tmp_path, text,
                        "message": "the degree's JSON is nested too deeply"}
 
 
+CUBIC = "--degree=-1,0;-1,0;-1,0;0,-1;0,-1;0,-1;1,1;1,1;1,1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", CUBIC, "--seed=1", "--format=json"],
+    ["realize", CUBIC, "--s=1", "--seed=1"],
+], ids=["enumerate", "realize"])
+def test_output_bytes_do_not_depend_on_the_hash_seed(argv):
+    # str hashes change with PYTHONHASHSEED; records hash by their fields
+    # and curves are put in order by a sort, so no output byte may move.
+    # The cubic gives 7 and 4 curves, so their order shows.
+    src = str(Path(tropical_refine.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-m", "tropical_refine", *argv],
+                              capture_output=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and b'"solutions"' in outputs[0]
+
+
 def test_console_script_runs():
     # the tropical-refine script calls cli:main; run that target through
     # `python -m`, which needs no installed script on PATH

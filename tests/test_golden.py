@@ -111,12 +111,12 @@ def test_output_matches_golden(golden, key):
 def test_invariant_builds_no_tree(golden, monkeypatch):
     # `invariant` reads N and the curve counts only, so with every tree
     # rebuild refused its outputs keep their golden bytes
-    from tropical_refine import invariants, trees
+    from tropical_refine import solver, trees
 
     def rebuilt(*_):
         raise TropicalError("a tree was built")
 
-    monkeypatch.setattr(invariants, "type_from_clades", rebuilt)
+    monkeypatch.setattr(solver, "type_from_clades", rebuilt)
     monkeypatch.setattr(trees, "type_from_clades", rebuilt)
     keys = [key for key in cases() if "/invariant/" in key]
     assert len(keys) == 2 * len(DEGREES)

@@ -19,7 +19,8 @@ from tropical_refine import (CombinatorialType, Degree, DegenerateType,
                              enumerate_types, evaluation_matrix, q_analog,
                              random_generic_moments, refined_count,
                              sample_trial, solve, solver)
-from test_invariants import assert_matches_brute, degrees_with_moments
+from test_invariants import (assert_matches_brute, degrees_with_moments,
+                             with_fields)
 
 
 def only_type(degree: Degree) -> CombinatorialType:
@@ -197,20 +198,37 @@ def test_verify_raises_domain_errors_on_drift(conic_merged):
     reflected = list(sol.points)
     reflected[cherry - n] = (2 * ux - vx, 2 * uy - vy)
     drifts = [
-        ("multiplicities", sol._replace(
-            mults=(sol.mults[0] + 1,) + sol.mults[1:])),
-        ("is not the least", sol._replace(
-            points=tuple((2 * px, 2 * py) for px, py in sol.points),
+        ("multiplicities", with_fields(
+            sol, mults=(sol.mults[0] + 1,) + sol.mults[1:])),
+        ("is not the least", with_fields(
+            sol, points=tuple((2 * px, 2 * py) for px, py in sol.points),
             scale=2 * sol.scale)),
-        ("edge lengths walked", sol._replace(
-            points=(*rest, (x + sol.scale, y)))),
-        ("not all positive", sol._replace(points=tuple(reflected))),
-        ("moment mismatch", sol._replace(
-            moments=MomentVector((mu.values[0] + 1,) + mu.values[1:]))),
+        ("edge lengths walked", with_fields(
+            sol, points=(*rest, (x + sol.scale, y)))),
+        ("not all positive", with_fields(sol, points=tuple(reflected))),
+        ("moment mismatch", with_fields(sol, moments=MomentVector(
+            (mu.values[0] + 1,) + mu.values[1:]))),
     ]
     for what, bad in drifts:
         with pytest.raises(TropicalError, match=what):
             bad.verify()
+
+
+def test_solve_numbers_vertices_as_enumerate_types_does():
+    # a type whose internal vertices carry other ids gives the same record,
+    # whose tree, rebuilt from its splits, has enumerate_types' ids
+    mu = random_generic_moments(delta_d(3), 1)
+    sols = refined_count(delta_d(3), mu)[1]
+    assert len(sols) > 1
+    for sol in sols:
+        ctype, n = sol.ctype, sol.ctype.n
+        ids = {v: 3 * n - 3 - v for v in ctype.internal_vertices}
+        relabelled = CombinatorialType(ctype.leaf_dirs, tuple(
+            (ids.get(u, u), ids.get(v, v)) for u, v in ctype.edges))
+        assert relabelled != ctype
+        again = solve(relabelled, mu)
+        assert again == sol and again.ctype == ctype
+        again.verify()
 
 
 # -- the per-degree split table of the count -------------------------------
@@ -313,7 +331,8 @@ def strict_subtrees(placed_at, keys, mask, start):
 
 def bisecting_splits(delta, mu):
     """The split tuples of the curves through mu, in `curves_through`'s
-    order, or "wall": the count as it ran before the one-comparison reject.
+    order, each in vertex order (the vertex of (A, B) is n + low(B) - 2),
+    or "wall": the count as it ran before the one-comparison reject.
     Every split looks up both children's counts by bisection, and every end
     set of two or more ends is sorted and summed; none is seeded. A wall is
     a shortfall: the backtracking, which takes only children strictly past
@@ -344,7 +363,10 @@ def bisecting_splits(delta, mu):
                                         initial=0)][::-1]
     full = (1 << n) - 2
     chosen = strict_subtrees(placed_at, keys, full, 0)
-    return chosen if len(chosen) == count_from[full][0] else "wall"
+    if len(chosen) != count_from[full][0]:
+        return "wall"
+    return [tuple(sorted(splits, key=lambda split: split[1] & -split[1]))
+            for splits in chosen]
 
 
 def curve_splits(delta, mu):

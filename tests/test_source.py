@@ -124,6 +124,53 @@ def test_the_wall_rule_sees_each_kind():
         "solver.solve", "solver._side", "solver._subtrees"]
 
 
+def _name_sites(code: str, module: str, name: str) -> list[str]:
+    """The innermost function or class around every place a module names
+    `name` (a name, an attribute, an import or a definition), as
+    `module.Class.method`, once per place; `module.<module>` outside any.
+    A definition is placed where it is made, not inside itself."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            names = {getattr(child, field, None)
+                     for field in ("id", "attr", "name", "asname")}
+            if name in names:
+                found.append(".".join((module,) + (owner or ("<module>",))))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, owner + (child.name,))
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(code), ())
+    return found
+
+
+def test_one_place_builds_a_tree_from_splits():
+    # a counted curve's tree comes from its splits in one place, the
+    # record's lazy tree; no other module rebuilds one
+    found = sorted(site for path in sorted(SRC.rglob("*.py"))
+                   for site in _name_sites(path.read_text(encoding="utf-8"),
+                                           path.stem, "type_from_clades"))
+    assert found == ["solver.<module>", "solver.TropicalSolution._typed",
+                     "trees.<module>"]
+
+
+def test_the_name_rule_sees_each_kind():
+    code = ("from .trees import type_from_clades\n"
+            "import trees as type_from_clades\n"
+            "def type_from_clades(dirs, splits):\n    return dirs\n"
+            "class K:\n    built = type_from_clades\n"
+            "    def m(self):\n        return trees.type_from_clades(1, 2)\n"
+            "def f():\n    def g():\n        return type_from_clades\n"
+            "    return 'type_from_clades'\n"
+            "def other(type_from):\n    return type_from\n")
+    assert _name_sites(code, "mod", "type_from_clades") == [
+        "mod.<module>", "mod.<module>", "mod.<module>", "mod.K", "mod.K.m",
+        "mod.f.g"]
+
+
 def test_every_export_exists_once():
     # a deleted name left in __all__ breaks `from tropical_refine import *`
     names = tropical_refine.__all__
