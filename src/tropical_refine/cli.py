@@ -45,7 +45,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import MenelausViolation, TropicalError
+from .errors import MenelausViolation, TooFewEnds, TropicalError
 from .lattice import (Degree, MomentVector, Vec, build_delta_s, frac_str,
                       menelaus_sum, polygon_of, primitive, split_even_ends)
 from .laurent import HalfLaurent, w_pow_minus_inverse
@@ -81,8 +81,10 @@ def load_degree(source: str) -> Degree:
         return Degree.from_json(_json(stripped))
     if stripped.startswith("["):
         return Degree.from_json({"entries": _json(stripped)})
-    entries = [parse_vec(chunk) for chunk in stripped.split(";") if chunk]
-    return Degree(tuple(entries))
+    chunks = stripped.split(";")
+    if "" in chunks:
+        raise ValueError(f"entry {chunks.index('') + 1} of {stripped!r} is empty")
+    return Degree(tuple(map(parse_vec, chunks)))
 
 
 def default_n1(delta: Degree, s: int) -> Vec:
@@ -116,11 +118,13 @@ def parse_moment(text: str) -> Fraction:
 
 
 def parse_moments(text: str, delta_s: Degree) -> MomentVector:
+    n = len(delta_s)
+    if n < 3:   # no moment count fits, so say what `curves_through` says
+        raise TooFewEnds(f"a curve needs at least 3 ends, got {n}")
     chunks = text.split(",")
     if "" in chunks:
         raise ValueError(f"moment {chunks.index('') + 1} of {text!r} is empty")
     values = [parse_moment(chunk) for chunk in chunks]
-    n = len(delta_s)
     if len(values) == n:
         total = menelaus_sum(values, delta_s)
         if total != 0:

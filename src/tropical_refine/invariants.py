@@ -23,15 +23,15 @@ memoised per (N, m, s) (`_r_and_bg`). The trials of an audit agree on N, so
 a degree's first audit divides once, whatever its number of trials, and a
 repeat audit or `r_from_n` of a seen N divides not at all.
 
-A count sorts each curve's vertex multiplicities and tallies the sorted
-tuples: N is summed in one pass (`laurent.linear_combination`), each
-tuple's product [m_V] times the number of curves that carry it, not one
-addition per curve.
+A count becomes N in one place, its `TrialRecord`, which tallies the
+curves' sorted vertex multiplicities and sums N in one pass
+(`laurent.linear_combination`): each tuple's product [m_V] times the
+number of curves that carry it, not one addition per curve.
 
 Generic constraints are drawn from a fixed portable generator (SplitMix64)
 so that every run of a given seed is reproducible down to the byte. N and
 sampling read the counted curves' vertex data alone; a curve builds its
-tree only when `refined_count` or a record's `solutions` sorts it.
+tree only when a record's `solutions` sorts it.
 """
 
 from __future__ import annotations
@@ -91,13 +91,12 @@ def _n_from_mults(mults: Iterable[tuple[int, ...]]) -> HalfLaurent:
 
 def refined_count(delta_s: Degree,
                   mu: MomentVector) -> tuple[HalfLaurent, list[TropicalSolution]]:
-    """Sum of refined multiplicities over all curves through mu, and the
-    curves in enumerate_types order, as `solver.curves_through` counts them
-    with no per-type solve: equal to `refined_count_brute`, and raising
-    NonGenericMoments exactly when it does, so callers can resample."""
-    curves = curves_through(delta_s, mu)
-    n_trop = _n_from_mults(curve.mults for curve in curves)
-    return n_trop, _in_type_order(curves)
+    """N and the curves through mu in enumerate_types order, read from the
+    TrialRecord of one `solver.curves_through` count, as `sample_trial`
+    builds it but with no coincidence check: equal to `refined_count_brute`,
+    and raising NonGenericMoments exactly when it does."""
+    trial = TrialRecord(None, mu, delta_s, curves_through(delta_s, mu))
+    return trial.n_trop, list(trial.solutions)
 
 
 def refined_count_brute(
@@ -118,10 +117,6 @@ def refined_count_brute(
     return _n_from_mults(sol.mults for sol in solutions), solutions
 
 
-def _in_type_order(curves: Iterable[TropicalSolution]) -> list:
-    return sorted(curves, key=lambda curve: curve.place)
-
-
 def _position_signature(curve: TropicalSolution) -> tuple:
     """Equal exactly for curves with the same vertex positions."""
     return curve.scale, tuple(sorted(curve.points))
@@ -133,9 +128,9 @@ def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
     A candidate is rejected when some type solves onto a wall (zero length)
     or two curves coincide as point sets (a lone curve has none to meet).
     Raises ExhaustedRetries, with the reason for every rejection, after
-    MAX_ATTEMPTS candidates. N is summed once per sorted multiplicity
-    tuple of the accepted curves; an audit takes R and BG from it. N and
-    the coincidence test read vertex data only: no tree is built here.
+    MAX_ATTEMPTS candidates. The TrialRecord of the accepted count sums
+    its N, as `refined_count`'s does; an audit takes R and BG from it. N
+    and the coincidence test read vertex data only: no tree is built here.
     """
     stream = SplitMix64(seed)
     n = len(delta_s)
@@ -144,7 +139,7 @@ def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
         mu = MomentVector(tuple(moment_from_draw(stream.next_u64())
                                 for _ in range(n - 1)))
         try:
-            curves = tuple(curves_through(delta_s, mu))
+            curves = curves_through(delta_s, mu)
         except NonGenericMoments:
             reasons.append("wall")
             continue
@@ -152,8 +147,7 @@ def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
                 != len(curves)):
             reasons.append("coincident curves")
             continue
-        n_trop = _n_from_mults(curve.mults for curve in curves)
-        return TrialRecord(seed, mu, n_trop, delta_s, curves)
+        return TrialRecord(seed, mu, delta_s, curves)
     counts = ", ".join(f"{reasons.count(r)} {r}"
                        for r in dict.fromkeys(reasons))
     raise ExhaustedRetries(f"no generic moments for seed {seed} in "
@@ -227,23 +221,24 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
 
 
 class TrialRecord(Record):
-    """One audited constraint: seed, moments, N, degree and counted curves
-    (`solver.curves_through`), kept whole so a failure can be diffed curve
-    by curve; `solutions`, sorted when first read, equal those of
-    refined_count(delta_s, moments). An audit takes R and BG from the N
-    its trials agree on."""
+    """One counted constraint: seed (None for given moments), moments,
+    degree and the curves `solver.curves_through` counted, kept whole so a
+    failure can be diffed curve by curve, and the N it sums from them;
+    `solutions`, sorted when first read, are the curves in enumerate_types
+    order. An audit takes R and BG from the N its trials agree on."""
 
-    def __init__(self, seed: int, moments: MomentVector, n_trop: HalfLaurent,
-                 delta_s: Degree, curves: tuple[TropicalSolution, ...]):
-        self._set(seed=seed, moments=moments, n_trop=n_trop, delta_s=delta_s,
-                  curves=curves)
+    def __init__(self, seed: int | None, moments: MomentVector,
+                 delta_s: Degree, curves: Iterable[TropicalSolution]):
+        curves = tuple(curves)
+        self._set(seed=seed, moments=moments, delta_s=delta_s, curves=curves,
+                  n_trop=_n_from_mults(curve.mults for curve in curves))
 
     def identity(self) -> tuple:
         return self.seed, self.moments, self.n_trop, self.delta_s, self.curves
 
     @functools.cached_property
     def solutions(self) -> tuple[TropicalSolution, ...]:
-        return tuple(_in_type_order(self.curves))
+        return tuple(sorted(self.curves, key=lambda curve: curve.place))
 
     def to_json(self) -> dict:
         return {

@@ -73,6 +73,14 @@ def test_a_degree_file_holds_any_inline_form(tmp_path, text):
     assert load_degree(str(path)) == load_degree(text)
 
 
+def test_a_degree_file_refuses_an_empty_entry(tmp_path):
+    path = tmp_path / "degree.txt"
+    path.write_text("-1,0;;0,-1;1,1\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match="^entry 2 of '-1,0;;0,-1;1,1' is empty$"):
+        load_degree(str(path))
+
+
 def test_default_n1_picks_smallest_repeated_direction():
     conic = load_degree(CONIC)
     assert default_n1(conic, 1) == Vec(-1, 0)
@@ -367,6 +375,11 @@ def test_error_degenerate_degree(capsys):
 def test_error_too_few_ends(capsys):
     for command in ("enumerate", "invariant", "realize"):
         error_case(capsys, [command, "--degree=1,0;-1,0"], "TooFewEnds")
+    # with no ends no moment count fits; the ends are refused, not the count
+    for degree in ("[]", '{"entries": []}'):
+        payload = error_case(capsys, ["enumerate", f"--degree={degree}",
+                                      "--moments=1"], "TooFewEnds")
+        assert payload["message"] == "a curve needs at least 3 ends, got 0"
 
 
 @pytest.mark.parametrize("command", ["invariant", "realize"])
@@ -483,13 +496,19 @@ def test_error_malformed_degree(capsys):
     ([f"--degree={TRIANGLE}", "--moments=,3,2"], "moment 1 of ',3,2' is empty"),
     ([f"--degree={TRIANGLE}", "--moments=3,2,"], "moment 3 of '3,2,' is empty"),
     ([f"--degree={TRIANGLE}", "--moments="], "moment 1 of '' is empty"),
+    # so is an empty degree entry, which would otherwise be dropped
+    (["--degree=-1,0;;0,-1;1,1"], "entry 2 of '-1,0;;0,-1;1,1' is empty"),
+    (["--degree=;-1,0;0,-1;1,1"], "entry 1 of ';-1,0;0,-1;1,1' is empty"),
+    (["--degree=-1,0;0,-1;1,1;"], "entry 4 of '-1,0;0,-1;1,1;' is empty"),
+    (["--degree="], "entry 1 of '' is empty"),
     (["--degree=[[1.5,0],[-1.5,0],[0,1],[0,-1]]"], "[1.5, 0]"),
     (['--degree={"entries": 5}'], "{'entries': 5}"),
     (['--degree={"x": 1}'], "{'x': 1}"),
     (["--degree=[1,2]"], "got 1"),
     (['--degree={"entries": [[-1,0],[0,-1],[1,1]], "name": 5}'], "got 5")],
     ids=["zero-denominator", "empty-moment", "leading-comma",
-         "trailing-comma", "no-moments", "float-entry", "entries-not-a-list",
+         "trailing-comma", "no-moments", "empty-entry", "leading-semicolon",
+         "trailing-semicolon", "no-degree", "float-entry", "entries-not-a-list",
          "no-entries", "entry-not-a-pair", "name-not-a-string"])
 def test_malformed_input_is_one_error_line(capsys, argv, named):
     code = main(["enumerate", *argv])
@@ -549,6 +568,19 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] and b'"solutions"' in outputs[0]
+
+
+@pytest.mark.parametrize("seed", [1, 4, 9])
+def test_seeded_and_given_moments_print_the_same_bytes(capsys, seed):
+    # a seeded run prints the count that accepted its draw, a given one
+    # counts the moments afresh; the two must agree in N, curves and order.
+    # `plot` draws the moments `enumerate` printed: its SVG holds none.
+    for command in (["enumerate"], ["plot"], ["realize", "--s=1"]):
+        seeded = run_cli(capsys, [*command, CUBIC, f"--seed={seed}"])
+        if command != ["plot"]:
+            moments = ",".join(json.loads(seeded[1])["moments"])
+        given = run_cli(capsys, [*command, CUBIC, f"--moments={moments}"])
+        assert seeded == given and seeded[0] == 0
 
 
 def test_console_script_runs():

@@ -171,6 +171,29 @@ def test_the_name_rule_sees_each_kind():
         "mod.f.g"]
 
 
+def test_one_place_sums_n_from_a_count():
+    # a count becomes N in its TrialRecord, which refined_count and
+    # sample_trial both build; the brute-force oracle sums its own N
+    found = sorted(site for path in sorted(SRC.rglob("*.py"))
+                   for site in _name_sites(path.read_text(encoding="utf-8"),
+                                           path.stem, "_n_from_mults"))
+    assert found == ["invariants.<module>", "invariants.TrialRecord.__init__",
+                     "invariants.refined_count_brute"]
+
+
+def test_the_n_rule_sees_each_caller():
+    code = ("def _n_from_mults(mults):\n    return mults\n"
+            "class TrialRecord:\n    def __init__(self, curves):\n"
+            "        self.n = _n_from_mults(c.mults for c in curves)\n"
+            "def refined_count(mu):\n"
+            "    return invariants._n_from_mults(mu), mu\n"
+            "def sample_trial(seed):\n    n = _n_from_mults\n"
+            "    return '_n_from_mults', seed\n")
+    assert _name_sites(code, "invariants", "_n_from_mults") == [
+        "invariants.<module>", "invariants.TrialRecord.__init__",
+        "invariants.refined_count", "invariants.sample_trial"]
+
+
 def test_every_export_exists_once():
     # a deleted name left in __all__ breaks `from tropical_refine import *`
     names = tropical_refine.__all__
