@@ -37,7 +37,6 @@ tree only when a record's `solutions` sorts it.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -68,8 +67,7 @@ class SplitMix64:
         self.state = _int("seed", seed) & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
+        self.state = z = (self.state + 0x9E3779B97F4A7C15) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
@@ -84,7 +82,10 @@ def moment_from_draw(draw: int) -> Fraction:
 def _n_from_mults(mults: Iterable[tuple[int, ...]]) -> HalfLaurent:
     """N from the curves' vertex multiplicities: each sorted tuple's product
     [m_V] times the number of curves that carry it, summed in one pass."""
-    tally = Counter(tuple(sorted(m)) for m in mults)
+    tally: dict[tuple[int, ...], int] = {}
+    for m in mults:
+        key = tuple(sorted(m))
+        tally[key] = tally.get(key, 0) + 1
     return linear_combination((_q_product(tup), count)
                               for tup, count in tally.items())
 
@@ -136,8 +137,8 @@ def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
     n = len(delta_s)
     reasons = []
     for _ in range(MAX_ATTEMPTS):
-        mu = MomentVector(tuple(moment_from_draw(stream.next_u64())
-                                for _ in range(n - 1)))
+        mu = MomentVector(moment_from_draw(stream.next_u64())
+                          for _ in range(n - 1))
         try:
             curves = curves_through(delta_s, mu)
         except NonGenericMoments:
@@ -230,8 +231,12 @@ class TrialRecord(Record):
     def __init__(self, seed: int | None, moments: MomentVector,
                  delta_s: Degree, curves: Iterable[TropicalSolution]):
         curves = tuple(curves)
-        self._set(seed=seed, moments=moments, delta_s=delta_s, curves=curves,
-                  n_trop=_n_from_mults(curve.mults for curve in curves))
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "moments", moments)
+        object.__setattr__(self, "delta_s", delta_s)
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "n_trop",
+                           _n_from_mults(curve.mults for curve in curves))
 
     def identity(self) -> tuple:
         return self.seed, self.moments, self.n_trop, self.delta_s, self.curves

@@ -130,14 +130,11 @@ def _entry(e: Sequence[int]) -> Vec:
 
 
 class Record:
-    """An immutable record: fields set once by `_set`, then neither set nor
-    deleted; equal, hashed and shown by its class and `identity()` tuple."""
+    """An immutable record: each field stored once with `object.__setattr__`
+    by its constructor (a lazy one when first derived), then neither set
+    nor deleted; equal, hashed and shown by its class and `identity()`."""
 
     __slots__ = ()
-
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -176,7 +173,8 @@ class Degree(Record):
         if total != ZERO:
             raise DegenerateDegree(
                 f"degree entries must sum to zero, got {tuple(total)}")
-        self._set(entries=ents, name=name)
+        object.__setattr__(self, "entries", ents)
+        object.__setattr__(self, "name", name)
 
     def identity(self) -> tuple:
         return self.entries, self.name
@@ -363,7 +361,7 @@ class MomentVector(Record):
     """
 
     def __init__(self, values: Iterable):
-        self._set(values=tuple(as_fraction(v) for v in values))
+        object.__setattr__(self, "values", tuple(map(as_fraction, values)))
 
     def identity(self) -> tuple:
         return (self.values,)

@@ -34,14 +34,16 @@ class HalfLaurent(Record):
         for k, c in coeffs.items():
             if type(k) is not int or type(c) is not int:
                 raise TypeError("exponents and coefficients must be integers")
-        self._set(_c={k: c for k, c in coeffs.items() if c})
+        object.__setattr__(self, "_c", {k: c for k, c in coeffs.items() if c})
 
     @classmethod
     def _of(cls, coeffs: dict[int, int]) -> "HalfLaurent":
-        """An arithmetic result, whose keys and coefficients are ints by
-        construction: only its zero coefficients are dropped."""
+        """An arithmetic result in a dict its caller built and lets go of,
+        with int keys and coefficients: kept, or copied to drop zeros."""
+        if 0 in coeffs.values():
+            coeffs = {k: c for k, c in coeffs.items() if c}
         self = object.__new__(cls)
-        self._set(_c={k: c for k, c in coeffs.items() if c})
+        object.__setattr__(self, "_c", coeffs)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -89,8 +91,8 @@ class HalfLaurent(Record):
         return self._c == other._c
 
     def __hash__(self):
-        # a constant equals its int, so it hashes as that int
-        if self._c.keys() <= {0}:
+        # a constant, whose one key if it has one is 0, hashes as its int
+        if len(self._c) == (0 in self._c):
             return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 

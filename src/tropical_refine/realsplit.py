@@ -107,7 +107,8 @@ class WeightedPlaneParam(Record):
             lengths = {_key(e): as_fraction(v) for e, v in lengths.items()}
             if any(v <= 0 for v in lengths.values()):
                 raise ValueError("edge lengths must be positive")
-        self._set(tree=tree, lengths=lengths)
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "lengths", lengths)
 
     def identity(self) -> tuple:
         return (frozenset(map(_key, self.tree.edges)), self.tree.leaf_dirs,
@@ -235,8 +236,10 @@ class RealSplit(Record):
                  vertex_points: tuple[int, ...],
                  edge_points: tuple[tuple[EdgeKey, Fraction], ...],
                  edges: tuple[SplitEdge, ...]):
-        self._set(base=base, vertex_points=vertex_points,
-                  edge_points=edge_points, edges=edges)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "vertex_points", vertex_points)
+        object.__setattr__(self, "edge_points", edge_points)
+        object.__setattr__(self, "edges", edges)
 
     def identity(self) -> tuple:
         return self.base, self.vertex_points, self.edge_points, self.edges

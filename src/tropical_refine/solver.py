@@ -49,7 +49,6 @@ import functools
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
-from typing import Sequence
 from weakref import WeakKeyDictionary
 
 from .errors import DegenerateType, NonGenericMoments, TooFewEnds, TropicalError
@@ -133,8 +132,12 @@ class TropicalSolution(Record):
 
     def __init__(self, dirs: tuple[Vec, ...], moments: MomentVector,
                  splits: tuple, mults: tuple, points: tuple, scale: int):
-        self._set(dirs=dirs, moments=moments, splits=splits, mults=mults,
-                  points=points, scale=scale)
+        object.__setattr__(self, "dirs", dirs)
+        object.__setattr__(self, "moments", moments)
+        object.__setattr__(self, "splits", splits)
+        object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "scale", scale)
 
     def identity(self) -> tuple:
         return (self.dirs, self.moments, self.splits, self.mults, self.points,
@@ -142,7 +145,8 @@ class TropicalSolution(Record):
 
     def _typed(self) -> tuple[tuple[int, ...], CombinatorialType]:
         if not hasattr(self, "_tree"):
-            self._set(_tree=type_from_clades(self.dirs, self.splits))
+            object.__setattr__(self, "_tree",
+                               type_from_clades(self.dirs, self.splits))
         return self._tree
 
     @property
@@ -361,10 +365,12 @@ def _split_table(delta: Degree) -> _SplitTable:
 
 def _subset_sums(values: list[int]) -> list[int]:
     """For each bitmask of ends 0..len(values), the sum of values[j - 1]
-    over its ends j; end 0 is in no end set and adds nothing."""
-    out = [0, 0]
+    over its ends j; end 0 adds nothing, so each sum is made once."""
+    half = [0]
     for v in values:
-        out += [s + v for s in out]
+        half += [s + v for s in half]
+    out = [0] * (2 * len(half))
+    out[::2] = out[1::2] = half
     return out
 
 
@@ -378,8 +384,9 @@ def _subtrees(placed_at: list, mask: int,
     """
     out = []
     for _, a, b, along_a, along_b in placed_at[mask][start:]:
-        left = _side(placed_at, a, along_a)
-        right = _side(placed_at, b, along_b)
+        # a single end's side holds one empty subtree
+        left = _side(placed_at, a, along_a) if a & (a - 1) else ((),)
+        right = _side(placed_at, b, along_b) if b & (b - 1) else ((),)
         top = ((a, b),)
         for lo in left:
             lo = top + lo
@@ -389,15 +396,13 @@ def _subtrees(placed_at: list, mask: int,
 
 
 def _side(placed_at: list, x: int,
-          along: int) -> Sequence[tuple[tuple[int, int], ...]]:
-    """The subtrees below the side x of a split whose vertex lies at `along`
-    along n_x: a single end's one empty tuple, or `_subtrees` of x from its
-    first placed row with key at or past `along`, which exists as the split
-    was placed. The probe (along,) sorts before every row with that key, so
-    an equal key there is a child on a zero-length edge, a wall, and raises
+          along: int) -> list[tuple[tuple[int, int], ...]]:
+    """The subtrees below the side x, of two or more ends, of a split whose
+    vertex lies at `along` along n_x: `_subtrees` of x from its first
+    placed row with key at or past `along`, which exists as the split was
+    placed. The probe (along,) sorts before every row with that key, so an
+    equal key there is a child on a zero-length edge, a wall, and raises
     NonGenericMoments."""
-    if not x & (x - 1):
-        return ((),)
     rows = placed_at[x]
     i = bisect_left(rows, (along,))
     if rows[i][0] == along:
@@ -418,7 +423,7 @@ def curves_through(delta: Degree,
         raise TooFewEnds(f"a curve needs at least 3 ends, got {n}")
     _check_moment_count(mu, n)
     table = _split_table(delta)
-    scale_mu = lcm(*(v.denominator for v in mu.values))
+    scale_mu = lcm(*[v.denominator for v in mu.values])
     moment = _subset_sums([v.numerator * (scale_mu // v.denominator)
                            for v in mu.values])
     # per end set: its placed splits sorted by key, as tuples (key, A, B,
@@ -455,18 +460,18 @@ def curves_through(delta: Degree,
     while chosen:
         found = chosen.pop()
         splits, mults, points = [()] * (n - 2), [0] * (n - 2), [()] * (n - 2)
+        g = common
         for split in found:
             a, b = split
-            d = sx[a] * sy[b] - sy[a] * sx[b]
+            xa, ya, xb, yb = sx[a], sy[a], sx[b], sy[b]
+            d = xa * yb - ya * xb
             f = scale // d
             ma, mb = moment[a], moment[b]
+            x, y = (ma * xb - xa * mb) * f, (ma * yb - ya * mb) * f
             i = (b & -b).bit_length() - 3
-            splits[i] = split
-            mults[i] = abs(d)
-            points[i] = ((ma * sx[b] - sx[a] * mb) * f,
-                         (ma * sy[b] - sy[a] * mb) * f)
-        g = gcd(common, *(c for p in points for c in p))
-        points = tuple((x // g, y // g) for x, y in points)
-        curves.append(TropicalSolution(dirs, mu, tuple(splits), tuple(mults),
-                                       points, common // g))
+            splits[i], mults[i], points[i] = split, abs(d), (x, y)
+            g = gcd(g, x, y)
+        curves.append(TropicalSolution(
+            dirs, mu, tuple(splits), tuple(mults),
+            tuple([(x // g, y // g) for x, y in points]), common // g))
     return curves

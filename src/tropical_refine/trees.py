@@ -34,7 +34,8 @@ class CombinatorialType(Record):
 
     def __init__(self, leaf_dirs: tuple[Vec, ...],
                  edges: tuple[tuple[int, int], ...]):
-        self._set(leaf_dirs=leaf_dirs, edges=edges)
+        object.__setattr__(self, "leaf_dirs", leaf_dirs)
+        object.__setattr__(self, "edges", edges)
 
     def identity(self) -> tuple:
         return self.leaf_dirs, self.edges

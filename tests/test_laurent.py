@@ -115,8 +115,25 @@ def test_scalar_and_monomial_constructors():
 
 @given(st.integers(-50, 50))
 def test_constants_equal_and_hash_as_their_int(c):
-    assert HalfLaurent(c) == c and hash(HalfLaurent(c)) == hash(c)
-    assert c in {HalfLaurent(c)} and HalfLaurent(c) in {c}
+    # built by the constructor or as an arithmetic result, whose zero
+    # coefficients are dropped, a constant equals its int and hashes as it
+    w, q = HalfLaurent({1: 1}), HalfLaurent({2: 1})
+    zeros = [HalfLaurent({}), HalfLaurent({2: 0}), w - w, w * 0, 0 * w,
+             linear_combination([]), linear_combination([(w, 3), (w, -3)])]
+    constants = [HalfLaurent(c), HalfLaurent({0: c, 3: 0}),
+                 HalfLaurent(c) + 0, (w + c) - w, w * 0 + c,
+                 HalfLaurent(1) * c, c * HalfLaurent(1),
+                 linear_combination([(HalfLaurent(c), 1), (w, 2), (w, -2)])]
+    for p, value in [(z, 0) for z in zeros] + [(p, c) for p in constants]:
+        assert p == value and hash(p) == hash(value)
+        assert value in {p} and p in {value}
+    # a polynomial with a constant term and another is not that int, and
+    # equal ones hash alike however they were built
+    want = HalfLaurent({0: c, 2: 1})
+    for p in (q + c, c + q * 1, HalfLaurent({2: 1, 0: c}),
+              linear_combination([(q, 1), (HalfLaurent(c), 1)])):
+        assert p != c and p not in {c} and c not in {p}
+        assert p == want and hash(p) == hash(want)
 
 
 def test_only_ints_mix_with_polynomials():

@@ -51,9 +51,9 @@ def test_the_source_rule_sees_hand_raised_assertion_errors():
         True, True, False, True]
 
 
-def _raise_sites(code: str, module: str, name: str) -> list[str]:
-    """The innermost function or class around every `raise` of the
-    exception `name` in a module, as `module.Class.method`, once per raise;
+def _sites(code: str, module: str, hit) -> list[str]:
+    """The innermost function or class around every node of a module that
+    `hit` accepts, as `module.Class.method`, once per node;
     `module.<module>` outside any."""
     found = []
 
@@ -63,13 +63,18 @@ def _raise_sites(code: str, module: str, name: str) -> list[str]:
                                   ast.ClassDef)):
                 visit(child, owner + (child.name,))
                 continue
-            if (isinstance(child, ast.Raise)
-                    and _raised_name(child) == name):
+            if hit(child):
                 found.append(".".join((module,) + (owner or ("<module>",))))
             visit(child, owner)
 
     visit(ast.parse(code), ())
     return found
+
+
+def _raise_sites(code: str, module: str, name: str) -> list[str]:
+    """The `_sites` of every `raise` of the exception `name`."""
+    return _sites(code, module, lambda node: isinstance(node, ast.Raise)
+                  and _raised_name(node) == name)
 
 
 TYPE_CHECKERS = {"lattice._int", "laurent._poly", "lattice.as_fraction",
@@ -279,6 +284,55 @@ def test_the_record_contract_is_written_once():
                      "__eq__": ["lattice.py:Record", "laurent.py:HalfLaurent"],
                      "__hash__": ["lattice.py:Record",
                                   "laurent.py:HalfLaurent"]}
+
+
+STORES = {"__setattr__", "_set", "setattr"}
+
+
+def _stores(node) -> bool:
+    """A call that stores an attribute by name: `object.__setattr__`, any
+    other `__setattr__`, a `_set` helper or the builtin `setattr`."""
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (
+        getattr(func, "attr", None) in STORES
+        or getattr(func, "id", None) in STORES)
+
+
+def test_every_record_field_is_stored_by_its_constructor():
+    # a record's fields are stored once, by its own constructor, past the
+    # guard lattice.Record puts on setting them; the one lazy field is the
+    # curve's tree. A store anywhere else writes into a record that may
+    # already be shared, hashed or a cache key, so a new writer has to be
+    # added here, where review sees it. functools.cached_property values
+    # are derived, not fields, and bypass the guard by design.
+    found = sorted({site for path in sorted(SRC.rglob("*.py"))
+                    for site in _sites(path.read_text(encoding="utf-8"),
+                                       path.stem, _stores)})
+    assert found == ["invariants.TrialRecord.__init__",
+                     "lattice.Degree.__init__",
+                     "lattice.MomentVector.__init__",
+                     "laurent.HalfLaurent.__init__",
+                     "laurent.HalfLaurent._of",
+                     "realsplit.RealSplit.__init__",
+                     "realsplit.WeightedPlaneParam.__init__",
+                     "solver.TropicalSolution.__init__",
+                     "solver.TropicalSolution._typed",
+                     "trees.CombinatorialType.__init__"]
+
+
+def test_the_store_rule_sees_each_kind():
+    code = ("object.__setattr__(x, 'a', 1)\n"
+            "class K:\n    def __init__(self, a):\n"
+            "        object.__setattr__(self, 'a', a)\n"
+            "        self._set(b=a)\n"
+            "    @classmethod\n    def _of(cls, a):\n"
+            "        def inner(s):\n            setattr(s, 'a', a)\n"
+            "        return super().__setattr__('a', a)\n"
+            "def f(r):\n    r.a = 1\n    getattr(r, 'a')\n"
+            "    return r.__setattr__\n")
+    assert _sites(code, "mod", _stores) == [
+        "mod.<module>", "mod.K.__init__", "mod.K.__init__", "mod.K._of.inner",
+        "mod.K._of"]
 
 
 def _fresh_load(code: str) -> set[str]:
