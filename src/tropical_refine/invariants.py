@@ -132,6 +132,12 @@ def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
     MAX_ATTEMPTS candidates. The TrialRecord of the accepted count sums
     its N, as `refined_count`'s does; an audit takes R and BG from it. N
     and the coincidence test read vertex data only: no tree is built here.
+
+    The coincident-curve guard has never fired: not in a census of 24 000
+    draws on eight degrees of 5 to 11 ends (52 walls), and not on stretched
+    draws, proven off every wall, on 11 degrees of up to 15 ends. It stays
+    until an argument shows that two distinct curves through generic
+    moments cannot share their vertex points.
     """
     stream = SplitMix64(seed)
     n = len(delta_s)

@@ -5,8 +5,8 @@ quotient of a symmetric curve: the even part (the minimal subgraph containing
 every weight-2 end, closed under the rule that a vertex with all its edges
 but one even pulls in the last one) is cut at a set of points R, and
 the pieces beyond the cuts are doubled. The resulting graph carries an
-involution whose quotient recovers the original curve; edge lengths double
-and slopes halve on the doubled part.
+involution whose quotient recovers the original curve; slopes halve on the
+doubled part.
 
 By induction on the closure rule, an edge is in the even part exactly when
 every end on one of its sides is even. Hung from end 1, the edge above a
@@ -80,47 +80,29 @@ def _is_even(v: Vec) -> bool:
 class WeightedPlaneParam(Record):
     """A parametrized plane curve with end weights 1 or 2.
 
-    Wraps a combinatorial type (whose leaf directions may be non-primitive)
-    together with optional exact bounded-edge lengths. Purely combinatorial
-    instances (lengths None) support every splitting operation; metric data,
-    when present, is carried through splits and quotients. Lengths are exact
-    rationals: a float raises TypeError. Equal and hashed by the edge set,
-    the leaf directions and the lengths, whatever the order of the edges.
+    Wraps a combinatorial type whose leaf directions may be non-primitive.
+    The real side reads only combinatorics, so a curve's edge lengths stay
+    on its `TropicalSolution`. Equal and hashed by the edge set and the leaf
+    directions, whatever the order of the edges.
     """
 
-    def __init__(self, tree: CombinatorialType,
-                 lengths: Mapping[EdgeKey, Fraction] | None = None):
+    def __init__(self, tree: CombinatorialType):
         weights = [lattice_length(d) for d in tree.leaf_dirs]
         if any(w > 2 for w in weights):
             raise ValueError("end weights above 2 are out of scope")
         if all(w == 2 for w in weights):
             raise ValueError("need at least one odd (weight-1) end")
-        if lengths is not None:
-            have: dict[EdgeKey, EdgeKey] = {}
-            for e in lengths:
-                first = have.setdefault(_key(e), e)
-                if first != e:
-                    raise ValueError(f"edge {_key(e)} is given two lengths, "
-                                     f"as {first} and as {e}")
-            if set(tree.bounded_edges) != have.keys():
-                raise ValueError("lengths must cover exactly the bounded edges")
-            lengths = {_key(e): as_fraction(v) for e, v in lengths.items()}
-            if any(v <= 0 for v in lengths.values()):
-                raise ValueError("edge lengths must be positive")
         object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "lengths", lengths)
 
     def identity(self) -> tuple:
-        return (frozenset(map(_key, self.tree.edges)), self.tree.leaf_dirs,
-                None if self.lengths is None
-                else frozenset(self.lengths.items()))
+        return frozenset(map(_key, self.tree.edges)), self.tree.leaf_dirs
 
     def __repr__(self):
-        return f"WeightedPlaneParam({self.tree!r}, {self.lengths!r})"
+        return f"WeightedPlaneParam({self.tree!r})"
 
     @classmethod
     def from_solution(cls, sol: TropicalSolution) -> "WeightedPlaneParam":
-        return cls(sol.ctype, sol.lengths)
+        return cls(sol.ctype)
 
     @functools.cached_property
     def _gamma_even(self) -> dict[EdgeKey, tuple[int, int]]:
@@ -163,9 +145,6 @@ class WeightedPlaneParam(Record):
     def even_leaves(self) -> tuple[int, ...]:
         return tuple(l for l, d in enumerate(self.tree.leaf_dirs)
                      if _is_even(d))
-
-    def edge_length(self, e: EdgeKey) -> Fraction | None:
-        return None if self.lengths is None else self.lengths[_key(e)]
 
 
 def gamma_even(base: WeightedPlaneParam) -> frozenset[EdgeKey]:
@@ -220,7 +199,6 @@ class SplitEdge(NamedTuple):
     a: tuple
     b: tuple
     slope: Vec
-    length: Fraction | None
     image: EdgeKey
 
 
@@ -311,7 +289,7 @@ class RealSplit(Record):
         return not self.flat_nodes
 
 
-def _normalize_points(base, orient, points):
+def _normalize_points(orient, points):
     """Sort raw (edge, offset) pairs into vertex points and interior edge
     points, rejecting duplicates and off-even placements."""
     vertex_points: set[int] = set()
@@ -326,12 +304,6 @@ def _normalize_points(base, orient, points):
         if offset == 0:
             vertex_points.add(orient[e][0])
             continue
-        is_end = min(e) < base.tree.n
-        if not is_end:
-            full = base.edge_length(e)
-            if full is not None and offset >= full:
-                raise InadmissibleSet(
-                    f"offset {offset} reaches past edge {e} of length {full}")
         if e in edge_points and edge_points[e] != offset:
             raise InadmissibleSet(f"two cut points on edge {e}")
         edge_points[e] = offset
@@ -342,16 +314,16 @@ def build_split(base: WeightedPlaneParam,
                 points: Iterable[tuple[EdgeKey, Fraction]]) -> RealSplit:
     """Construct the symmetric curve defined by splitting points.
 
-    Each point is (edge, offset); the offset is measured from the edge
-    endpoint nearer the stem of its even component, and offset 0 means the
-    cut sits at that vertex itself. Admissibility (exactly one cut between
-    the stem and every even end, no nesting) is enforced.
+    Each point is (edge, offset), the offset an exact rational: 0 puts the
+    cut at the edge's endpoint nearer the stem of its even component, and a
+    positive offset puts it inside the edge, where only that class matters;
+    the split keeps the offset as given. Admissibility (exactly one cut
+    between the stem and every even end, no nesting) is enforced.
     """
     tree = base.tree
-    n = tree.n
     children, stems = base._stem_tree
     orient = base._gamma_even
-    vertex_points, edge_points = _normalize_points(base, orient, points)
+    vertex_points, edge_points = _normalize_points(orient, points)
 
     # one walk down from the stems: count the cut points above every node
     # and double every node past one
@@ -373,34 +345,29 @@ def build_split(base: WeightedPlaneParam,
                                   f"crosses {hits[leaf]} cut points")
 
     # one pass over the base edges: subdivide each at its cut point, then
-    # halve and double the pieces past the cut
+    # halve the slopes of the pieces past the cut and double those pieces
     split_edges: list[SplitEdge] = []
     for edge in tree.edges:
         e = _key(edge)
         near, far = orient.get(e, e)
         slope = tree.slopes[(near, far)]
-        full = base.edge_length(e) if min(e) >= n else None
         if e in edge_points:
-            off = edge_points[e]
             cut = ("cut", e)
-            rest = None if full is None else full - off
-            pieces = ((near, cut, off), (cut, far, rest))
+            pieces = ((near, cut), (cut, far))
         else:
-            pieces = ((near, far, full),)
-        for a, b, length in pieces:
+            pieces = ((near, far),)
+        for a, b in pieces:
             if a in doubled or b in doubled:
                 if slope.x % 2 or slope.y % 2:
                     raise InadmissibleSet(
                         f"cannot halve odd slope {tuple(slope)} on {e}")
                 half = Vec(slope.x // 2, slope.y // 2)
-                twice = None if length is None else 2 * length
                 for sign in ("+", "-"):
                     ta = (sign if a in doubled else "f", a)
                     tb = (sign if b in doubled else "f", b)
-                    split_edges.append(SplitEdge(ta, tb, half, twice, e))
+                    split_edges.append(SplitEdge(ta, tb, half, e))
             else:
-                split_edges.append(
-                    SplitEdge(("f", a), ("f", b), slope, length, e))
+                split_edges.append(SplitEdge(("f", a), ("f", b), slope, e))
 
     return RealSplit(base, tuple(sorted(vertex_points)),
                      tuple(sorted(edge_points.items())), tuple(split_edges))
@@ -411,9 +378,9 @@ def quotient_curve(split: RealSplit) -> WeightedPlaneParam:
 
     Every piece's image must be a base edge, and the pieces of each base
     edge, without their "-" copies, must chain from one end of it to the
-    other; doubled pieces get their lengths halved and slopes doubled, and
-    the subdivision points are smoothed away. The result reuses the base
-    node ids, so equality with the original is literal.
+    other; doubled pieces get their slopes doubled, and the subdivision
+    points are smoothed away. The result reuses the base node ids, so
+    equality with the original is literal.
     """
     from .trees import CombinatorialType
 
@@ -422,12 +389,8 @@ def quotient_curve(split: RealSplit) -> WeightedPlaneParam:
         tags = (e.a[0], e.b[0])
         if "-" in tags:
             continue
-        if "+" in tags:
-            slope = e.slope.scale(2)
-            length = None if e.length is None else e.length / 2
-        else:
-            slope, length = e.slope, e.length
-        pieces.setdefault(e.image, []).append((e.a[1], e.b[1], slope, length))
+        slope = e.slope.scale(2) if "+" in tags else e.slope
+        pieces.setdefault(e.image, []).append((e.a[1], e.b[1], slope))
 
     base_tree = split.base.tree
     base_edges = set(map(_key, base_tree.edges))
@@ -438,10 +401,8 @@ def quotient_curve(split: RealSplit) -> WeightedPlaneParam:
     if foreign:
         raise TropicalError(f"pieces of {foreign}, which are not base edges")
     n = base_tree.n
-    metric = split.base.lengths is not None
     edges = []
     leaf_dirs: list[Vec | None] = [None] * n
-    lengths: dict[EdgeKey, Fraction] = {}
     for image in sorted(pieces):
         chain = pieces[image]
         a, b, slope = chain[0][0], chain[-1][1], chain[0][2]
@@ -454,10 +415,7 @@ def quotient_curve(split: RealSplit) -> WeightedPlaneParam:
             leaf_dirs[a] = -slope
         elif b < n:
             leaf_dirs[b] = slope
-        elif metric:
-            lengths[image] = sum(p[3] for p in chain)
-    tree = CombinatorialType(tuple(leaf_dirs), tuple(edges))
-    return WeightedPlaneParam(tree, lengths if metric else None)
+    return WeightedPlaneParam(CombinatorialType(tuple(leaf_dirs), tuple(edges)))
 
 
 def maximal_split(base: WeightedPlaneParam) -> RealSplit:

@@ -274,20 +274,28 @@ def test_criterion_08_split_round_trip():
                             for leaf in base.even_leaves()]
                     roundtrip(build_split(base, cuts), base)
 
-    # hand-built parametrizations, metric and not, deeper even subgraphs
-    closure = CombinatorialType(
+    # hand-built parametrizations: a deeper even subgraph, and two even
+    # components cut at their vertices or inside their ends
+    base = WeightedPlaneParam(CombinatorialType(
         (Vec(3, 1), Vec(1, -1), Vec(-2, 0), Vec(-2, 0)),
-        ((0, 4), (1, 4), (4, 5), (2, 5), (3, 5)))
-    for lengths in (None, {(4, 5): Fraction(7, 2)}):
-        base = WeightedPlaneParam(closure, lengths)
-        for off in (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)):
-            roundtrip(build_split(base, [((4, 5), off)]), base)
-        for off2 in (Fraction(0), Fraction(1, 3), Fraction(2)):
-            for off3 in (Fraction(0), Fraction(1, 3), Fraction(2)):
-                if (off2 == 0) != (off3 == 0):
-                    continue   # a lone vertex cut strands the other end
-                split = build_split(base, [((2, 5), off2), ((3, 5), off3)])
-                roundtrip(split, base)
+        ((0, 4), (1, 4), (4, 5), (2, 5), (3, 5))))
+    for off in (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)):
+        roundtrip(build_split(base, [((4, 5), off)]), base)
+    for off2 in (Fraction(0), Fraction(1, 3), Fraction(2)):
+        for off3 in (Fraction(0), Fraction(1, 3), Fraction(2)):
+            if (off2 == 0) != (off3 == 0):
+                continue   # a lone vertex cut strands the other end
+            split = build_split(base, [((2, 5), off2), ((3, 5), off3)])
+            roundtrip(split, base)
+    base = WeightedPlaneParam(CombinatorialType(
+        (Vec(1, 1), Vec(1, 1), Vec(1, -1), Vec(1, -1), Vec(-2, 0),
+         Vec(-2, 0)),
+        ((0, 6), (4, 6), (6, 7), (1, 7), (7, 8), (2, 8), (8, 9), (3, 9),
+         (5, 9))))
+    for off1 in (Fraction(0), Fraction(1, 2)):
+        for off2 in (Fraction(0), Fraction(2)):
+            roundtrip(build_split(base, [((4, 6), off1), ((5, 9), off2)]),
+                      base)
     assert roundtrips >= 100
     return f"{roundtrips} round trips"
 

@@ -549,11 +549,13 @@ def test_deeply_nested_degree_is_one_error_line(capsys, tmp_path, text,
 CUBIC = "--degree=-1,0;-1,0;-1,0;0,-1;0,-1;0,-1;1,1;1,1;1,1"
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", CUBIC, "--seed=1", "--format=json"],
-    ["realize", CUBIC, "--s=1", "--seed=1"],
-], ids=["enumerate", "realize"])
-def test_output_bytes_do_not_depend_on_the_hash_seed(argv):
+@pytest.mark.parametrize("argv, marker", [
+    (["enumerate", CUBIC, "--seed=1", "--format=json"], b'"solutions"'),
+    (["realize", CUBIC, "--s=1", "--seed=1"], b'"solutions"'),
+    (["plot", CUBIC, "--seed=1"], b"<svg"),
+    (["invariant", CUBIC, "--s=1"], b'"broccoli"'),
+], ids=["enumerate", "realize", "plot", "invariant"])
+def test_output_bytes_do_not_depend_on_the_hash_seed(argv, marker):
     # str hashes change with PYTHONHASHSEED; records hash by their fields
     # and curves are put in order by a sort, so no output byte may move.
     # The cubic gives 7 and 4 curves, so their order shows.
@@ -567,7 +569,7 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(argv):
                               capture_output=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1] and b'"solutions"' in outputs[0]
+    assert outputs[0] == outputs[1] and marker in outputs[0]
 
 
 @pytest.mark.parametrize("seed", [1, 4, 9])

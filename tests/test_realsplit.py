@@ -3,6 +3,7 @@ the quantum-index arithmetic at quadrivalent vertices."""
 
 import functools
 import itertools
+import json
 import re
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from tropical_refine import (CombinatorialType, Degree, FlatVertex,
                              HalfLaurent, InadmissibleSet, MomentVector,
                              MultipleDivisors, OddQuadMultiplicity, OutOfRange,
-                             RealSplit, TropicalError, Vec, WeightedPlaneParam,
+                             RealSplit, TropicalError, TropicalSolution, Vec,
+                             WeightedPlaneParam,
                              admissible_sets, build_delta_s, build_split,
                              c_k_values, coamoeba_area, delta_d,
                              enumerate_types, even_components, gamma_even,
@@ -24,6 +26,7 @@ from tropical_refine import (CombinatorialType, Degree, FlatVertex,
                              refined_count, sample_trial,
                              stem_of, trivalent_quantum_index,
                              w_pow_minus_inverse, wedge)
+from tropical_refine.cli import main
 
 W_MINUS = w_pow_minus_inverse(1)   # q^(1/2) - q^(-1/2)
 
@@ -58,13 +61,13 @@ def check_symmetric_model(split, base):
         assert split.sigma(split.sigma(nd)) == nd
     assert split.fixed_nodes == frozenset(
         nd for nd in split.nodes if split.sigma(nd) == nd)
-    # sigma maps edges to edges, preserving slope, length and image
+    # sigma maps edges to edges, preserving slope and image
     table = {}
     for e in split.edges:
-        table.setdefault((e.a, e.b), []).append((e.slope, e.length, e.image))
+        table.setdefault((e.a, e.b), []).append((e.slope, e.image))
     for e in split.edges:
         pair = (split.sigma(e.a), split.sigma(e.b))
-        assert (e.slope, e.length, e.image) in table[pair]
+        assert (e.slope, e.image) in table[pair]
     # balancing survives the split at every finite node
     for nd in split.nodes:
         if split.is_finite(nd):
@@ -122,31 +125,6 @@ def test_weighted_param_needs_an_odd_end():
         WeightedPlaneParam(CombinatorialType(dirs, edges))
 
 
-def test_weighted_param_length_validation():
-    tree = closure_tree()
-    with pytest.raises(ValueError):
-        WeightedPlaneParam(tree, {})
-    with pytest.raises(ValueError):
-        WeightedPlaneParam(tree, {(4, 5): Fraction(1), (0, 4): Fraction(1)})
-    with pytest.raises(ValueError):
-        WeightedPlaneParam(tree, {(4, 5): Fraction(0)})
-    # lengths are exact: Fraction(0.1) would be 3602879701896397/2**55
-    with pytest.raises(TypeError):
-        WeightedPlaneParam(tree, {(4, 5): 0.1})
-    with pytest.raises(TypeError):                  # nor is a bool a length
-        WeightedPlaneParam(tree, {(4, 5): True})
-    with pytest.raises(ValueError, match="zero denominator"):
-        WeightedPlaneParam(tree, {(4, 5): "1/0"})
-    assert WeightedPlaneParam(tree, {(5, 4): 2}).edge_length((4, 5)) == 2
-
-
-@pytest.mark.parametrize("a, b", [(1, 2), (3, 3)])
-def test_weighted_param_refuses_two_lengths_for_one_edge(a, b):
-    # both orders of one edge used to be accepted, the later length kept
-    with pytest.raises(ValueError, match=re.escape("edge (4, 5) is given two")):
-        WeightedPlaneParam(closure_tree(), {(4, 5): a, (5, 4): b})
-
-
 def test_weighted_param_equality_ignores_edge_presentation():
     dirs = (Vec(3, 1), Vec(1, -1), Vec(-2, 0), Vec(-2, 0))
     a = WeightedPlaneParam(CombinatorialType(
@@ -155,15 +133,38 @@ def test_weighted_param_equality_ignores_edge_presentation():
         dirs, ((5, 2), (5, 3), (5, 4), (4, 1), (4, 0))))
     assert a == b
     assert hash(a) == hash(b)
-    assert a != WeightedPlaneParam(a.tree, {(4, 5): Fraction(1)})
 
 
-def test_from_solution_carries_metric(doubled_quad, doubled_quad_mu):
+def test_from_solution_wraps_the_curve_type(doubled_quad, doubled_quad_mu):
     _, sols = refined_count(doubled_quad, doubled_quad_mu)
     base = WeightedPlaneParam.from_solution(sols[0])
     assert base.tree is sols[0].ctype
-    assert base.lengths == dict(sols[0].lengths)
+    assert base == WeightedPlaneParam(sols[0].ctype)
     assert base.even_leaves() == (0,)
+
+
+def test_the_real_side_reads_no_edge_length(conic_merged, monkeypatch,
+                                            capsys):
+    # the maximal split and m' are combinatorial; only enumerate prints the
+    # curve's metric
+    def refuse(sol):
+        raise AssertionError("the real side read an edge length")
+
+    trial = sample_trial(conic_merged, 0)
+    monkeypatch.setattr(TropicalSolution, "lengths", property(refuse))
+    for sol in trial.solutions:
+        split = maximal_split(WeightedPlaneParam.from_solution(sol))
+        assert str(m_prime(split, sol.ctype.multiplicities())) == (
+            "4*q - 8 + 4*q^-1")
+    degree = "--degree=-1,0;-1,0;0,-1;0,-1;1,1;1,1"
+    assert main(["realize", degree, "--s", "1", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["matchesRealInvariant"]
+    monkeypatch.undo()
+    assert main(["enumerate", degree, "--s", "1", "--seed", "0"]) == 0
+    (curve,) = json.loads(capsys.readouterr().out)["solutions"]
+    assert curve["edgeLengths"] == {
+        f"{a}-{b}": str(ln)
+        for (a, b), ln in sorted(trial.solutions[0].lengths.items())}
 
 
 def test_gamma_even_without_even_ends_is_empty(triangle, triangle_mu):
@@ -251,17 +252,17 @@ def test_bounded_interior_cut_edge_table():
     split = build_split(base, [((4, 5), Fraction(1))])
     cut = ("cut", (4, 5))
     assert split.edge_points == (((4, 5), Fraction(1)),)
-    got = {(e.a, e.b, e.slope, e.length) for e in split.edges}
+    got = {(e.a, e.b, e.slope) for e in split.edges}
     assert got == {
-        (("f", 0), ("f", 4), Vec(-3, -1), None),
-        (("f", 1), ("f", 4), Vec(-1, 1), None),
-        (("f", 4), ("f", cut), Vec(-4, 0), Fraction(1)),
-        (("f", cut), ("+", 5), Vec(-2, 0), None),
-        (("f", cut), ("-", 5), Vec(-2, 0), None),
-        (("+", 5), ("+", 2), Vec(-1, 0), None),
-        (("-", 5), ("-", 2), Vec(-1, 0), None),
-        (("+", 5), ("+", 3), Vec(-1, 0), None),
-        (("-", 5), ("-", 3), Vec(-1, 0), None),
+        (("f", 0), ("f", 4), Vec(-3, -1)),
+        (("f", 1), ("f", 4), Vec(-1, 1)),
+        (("f", 4), ("f", cut), Vec(-4, 0)),
+        (("f", cut), ("+", 5), Vec(-2, 0)),
+        (("f", cut), ("-", 5), Vec(-2, 0)),
+        (("+", 5), ("+", 2), Vec(-1, 0)),
+        (("-", 5), ("-", 2), Vec(-1, 0)),
+        (("+", 5), ("+", 3), Vec(-1, 0)),
+        (("-", 5), ("-", 3), Vec(-1, 0)),
     }
     # vertex 5 is collinear in this base, so its doubled copies stay flat
     assert split.flat_nodes == (("+", 5), ("-", 5), ("f", cut))
@@ -283,18 +284,6 @@ def test_end_interior_cuts_make_flat_cut_nodes():
     check_symmetric_model(split, base)
 
 
-def test_metric_lengths_double_beyond_the_cut():
-    tree = closure_tree()
-    base = WeightedPlaneParam(tree, {(4, 5): Fraction(7, 2)})
-    split = build_split(base, [((4, 5), Fraction(3, 2))])
-    by_ends = {(e.a, e.b): e.length for e in split.edges}
-    cut = ("f", ("cut", (4, 5)))
-    assert by_ends[(("f", 4), cut)] == Fraction(3, 2)
-    assert by_ends[(cut, ("+", 5))] == Fraction(4)
-    assert by_ends[(cut, ("-", 5))] == Fraction(4)
-    check_symmetric_model(split, base)
-
-
 def test_inadmissible_cut_sets():
     tree = closure_tree()
     base = WeightedPlaneParam(tree)
@@ -308,14 +297,11 @@ def test_inadmissible_cut_sets():
         build_split(base, [])                        # even ends left uncut
     with pytest.raises(InadmissibleSet):
         build_split(base, [((4, 5), Fraction(1)), ((2, 5), Fraction(1, 3))])
-    metric = WeightedPlaneParam(tree, {(4, 5): Fraction(7, 2)})
-    with pytest.raises(InadmissibleSet):
-        build_split(metric, [((4, 5), Fraction(7, 2))])
     # offsets are exact: a float is refused rather than expanded
     with pytest.raises(TypeError):
-        build_split(metric, [((4, 5), 0.1)])
+        build_split(base, [((4, 5), 0.1)])
     with pytest.raises(TypeError):
-        build_split(metric, [((4, 5), True)])
+        build_split(base, [((4, 5), True)])
 
 
 def test_inadmissible_sets_name_the_first_failing_end():
@@ -371,7 +357,7 @@ def test_components_without_a_unique_stem_are_rejected():
 
 def _generated_bases():
     """Every type of the two small s >= 1 degrees and a sample of the s = 1
-    surgery on delta_3, without and with edge lengths."""
+    surgery on delta_3."""
     six = Degree(((1, 1), (1, 1), (1, -1), (1, -1), (-2, 0), (-2, 0)))
     trees = [*enumerate_types(build_delta_s(delta_d(2), Vec(-1, 0), 1)),
              *enumerate_types(six),
@@ -379,8 +365,6 @@ def _generated_bases():
                  build_delta_s(delta_d(3), Vec(-1, 0), 1)), 0, None, 97)]
     for tree in trees:
         yield WeightedPlaneParam(tree)
-        yield WeightedPlaneParam(tree, {e: Fraction(k + 1) for k, e in
-                                        enumerate(tree.bounded_edges)})
 
 
 def test_stem_tree_on_generated_trees():
@@ -404,7 +388,7 @@ def test_stem_tree_on_generated_trees():
                 split = build_split(base, [(e, offset) for e in cuts])
                 check_symmetric_model(split, base)
                 splits += 1
-    assert (bases, splits) == (456, 972)
+    assert (bases, splits) == (228, 486)
 
 
 def test_maximal_split_rejects_two_divisors():
@@ -573,37 +557,28 @@ def test_split_roundtrips_en_masse(conic_merged, doubled_quad):
             assert lhs == rhs
             assert mp.exact_div(HalfLaurent(4)) == r_from_n(n_trop, m, s)
 
-    plain = WeightedPlaneParam(closure_tree())
-    metric = WeightedPlaneParam(closure_tree(), {(4, 5): Fraction(7, 2)})
-    for base, bounded_offsets in ((plain, (1, 2, 7)),
-                                  (metric, (Fraction(1, 2), Fraction(3, 2),
-                                            Fraction(5, 2)))):
-        for off in bounded_offsets:
-            split = build_split(base, [((4, 5), Fraction(off))])
-            check_symmetric_model(split, base)
-            total += 1
-        for off2 in (Fraction(1, 3), 1, 3):
-            for off3 in (Fraction(1, 3), 1, 3):
-                split = build_split(base, [((2, 5), Fraction(off2)),
-                                           ((3, 5), Fraction(off3))])
-                check_symmetric_model(split, base)
-                total += 1
-        split = build_split(base, [((2, 5), Fraction(0)),
-                                   ((3, 5), Fraction(0))])
+    base = WeightedPlaneParam(closure_tree())
+    for off in (1, 2, 7):
+        split = build_split(base, [((4, 5), Fraction(off))])
         check_symmetric_model(split, base)
         total += 1
+    for off2 in (Fraction(1, 3), 1, 3):
+        for off3 in (Fraction(1, 3), 1, 3):
+            split = build_split(base, [((2, 5), Fraction(off2)),
+                                       ((3, 5), Fraction(off3))])
+            check_symmetric_model(split, base)
+            total += 1
+    split = build_split(base, [((2, 5), Fraction(0)), ((3, 5), Fraction(0))])
+    check_symmetric_model(split, base)
+    total += 1
 
-    cat = WeightedPlaneParam(caterpillar_tree())
-    cat_metric = WeightedPlaneParam(
-        cat.tree, {e: Fraction(k + 1) for k, e in
-                   enumerate(cat.tree.bounded_edges)})
-    for base in (cat, cat_metric):
-        for off1 in (Fraction(0), Fraction(1, 2)):
-            for off2 in (Fraction(0), Fraction(2)):
-                split = build_split(base, [((4, 6), off1), ((5, 9), off2)])
-                check_symmetric_model(split, base)
-                total += 1
-    assert total == 114
+    base = WeightedPlaneParam(caterpillar_tree())
+    for off1 in (Fraction(0), Fraction(1, 2)):
+        for off2 in (Fraction(0), Fraction(2)):
+            split = build_split(base, [((4, 6), off1), ((5, 9), off2)])
+            check_symmetric_model(split, base)
+            total += 1
+    assert total == 97
 
 
 def test_m_prime_accepts_all_multiplicity_forms():
@@ -674,7 +649,7 @@ def test_m_prime_is_the_quotient_it_replaced(named_degrees, count_divisions):
 
 
 def test_quotient_rejects_pieces_that_do_not_chain():
-    base = WeightedPlaneParam(closure_tree(), {(4, 5): Fraction(7, 2)})
+    base = WeightedPlaneParam(closure_tree())
     split = build_split(base, [((4, 5), Fraction(3, 2))])
     assert quotient_curve(split) == base
     near, *rest = [e for e in split.edges if e.image == (4, 5)]
@@ -695,7 +670,7 @@ def test_quotient_rejects_pieces_that_do_not_chain():
 
 
 def test_quotient_names_base_edges_without_pieces():
-    base = WeightedPlaneParam(closure_tree(), {(4, 5): Fraction(7, 2)})
+    base = WeightedPlaneParam(closure_tree())
     split = build_split(base, [((4, 5), Fraction(1))])
     kept = tuple(e for e in split.edges if e.image != (0, 4))
     assert len(kept) < len(split.edges)
@@ -707,7 +682,7 @@ def test_quotient_names_base_edges_without_pieces():
 
 def test_quotient_names_pieces_off_the_base_edges():
     # a piece whose ends match its image, but whose image is no base edge
-    base = WeightedPlaneParam(closure_tree(), {(4, 5): Fraction(7, 2)})
+    base = WeightedPlaneParam(closure_tree())
     split = build_split(base, [((4, 5), Fraction(1))])
     foreign = split.edges[0]._replace(b=("f", 9), image=(0, 9))
     hand_built = RealSplit(base, split.vertex_points, split.edge_points,

@@ -1,6 +1,9 @@
 """The contract every record type keeps: immutable fields, which can be
-neither set nor deleted, value equality, and a hash wherever all the fields
-are hashable."""
+neither set nor deleted, value equality, a hash wherever all the fields
+are hashable, and equal copies through pickle and the copy module."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -41,7 +44,7 @@ RECORDS = [
      "r_inv", True),
     ("WeightedPlaneParam",
      lambda: WeightedPlaneParam.from_solution(_merged_conic_curve()),
-     "lengths", True),
+     "tree", True),
     ("SplitEdge", lambda: _split().edges[0], "slope", True),
     ("RealSplit", _split, "quad_vertices", True),
     ("HalfLaurent", lambda: HalfLaurent({1: 1, -1: 1}), "_c", True),
@@ -66,6 +69,23 @@ def test_records_are_immutable_values(name, make, field, hashable):
     else:
         with pytest.raises(TypeError):
             hash(record)
+
+
+@pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("name, make, field, hashable", RECORDS,
+                         ids=[r[0] for r in RECORDS])
+def test_records_survive_pickle_and_copy(name, make, field, hashable, how):
+    # a copy is rebuilt past the guard, equal and with an equal hash, and
+    # is as immutable as its original
+    record = make()
+    twin = {"pickle": lambda r: pickle.loads(pickle.dumps(r)),
+            "copy": copy.copy, "deepcopy": copy.deepcopy}[how](record)
+    assert type(twin) is type(record)
+    assert twin == record
+    if hashable:
+        assert hash(twin) == hash(record)
+    with pytest.raises(AttributeError):
+        setattr(twin, field, getattr(twin, field))
 
 
 def test_equal_degrees_share_one_split_table():
