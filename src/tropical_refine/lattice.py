@@ -238,13 +238,16 @@ class Degree(Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "Degree":
-        """The inverse of to_json. Every coordinate must be an integer and
-        a name, if given, a string; anything else raises ValueError naming
-        the bad value."""
+        """The inverse of to_json: integer "entries" and, optionally, a
+        string "name", and no other key; anything else raises ValueError
+        naming the bad value or key."""
         entries = data.get("entries") if isinstance(data, dict) else None
         if not isinstance(entries, (list, tuple)):
             raise ValueError(
                 f'a degree is {{"entries": [[x, y], ...]}}, got {data!r}')
+        extra = [key for key in data if key not in ("entries", "name")]
+        if extra:
+            raise ValueError(f"a degree has no key {extra[0]!r}")
         return cls(entries, name=data.get("name"))
 
 

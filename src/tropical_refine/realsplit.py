@@ -350,7 +350,7 @@ def build_split(base: WeightedPlaneParam,
     for edge in tree.edges:
         e = _key(edge)
         near, far = orient.get(e, e)
-        slope = tree.slopes[(near, far)]
+        slope = tree.slope(near, far)
         if e in edge_points:
             cut = ("cut", e)
             pieces = ((near, cut), (cut, far))

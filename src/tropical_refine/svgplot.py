@@ -33,7 +33,7 @@ def dual_subdivision(ctype) -> list[tuple[Vec, Vec, Vec]]:
     order = functools.cmp_to_key(angle_cmp)
     local: dict[int, tuple[list[Vec], dict[int, tuple[Vec, Vec]]]] = {}
     for v in ctype.internal_vertices:
-        pairs = sorted(((ctype.slopes[(v, w)], w) for w in ctype.adjacency[v]),
+        pairs = sorted(((ctype.slope(v, w), w) for w in ctype.adjacency[v]),
                        key=lambda p: order(p[0]))
         p = Vec(0, 0)
         verts: list[Vec] = []

@@ -10,10 +10,10 @@ leaf inverts the construction.
 Node convention: leaves are 0..n-1, internal vertices are n..2n-3 (vertex n
 is the initial star center, vertex n+k-2 is created when leaf k is inserted).
 Hung from leaf 0, every edge cuts off a clade: the leaves below it. The
-balancing condition forces the edge's slope, oriented downwards, to be the
-sum of the clade's leaf directions; one walk (`CombinatorialType.clades`)
-finds every clade, and the slopes, the vertex multiplicities and everything
-else derived from the tree are read off them.
+balancing condition forces the edge's direction, oriented downwards, to be
+the sum of the clade's leaf directions; one walk (`CombinatorialType.clades`)
+finds every clade, and every edge direction, the vertex multiplicities and
+everything else derived from the tree are read off them.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class CombinatorialType(Record):
         Returns (order, parent, clade): the internal vertices with each
         parent before its children, the parent of every vertex but leaf 0,
         and for each of those vertices its clade (mask, x, y), the bitmask
-        of the leaves below it and the sum (x, y) of their directions, which
-        is the slope of the edge down from its parent.
+        of the leaves below it and the sum (x, y) of their directions: the
+        edge direction down from its parent. Every direction is read off it.
         """
         n, adj, root = self.n, self.adjacency, self.root_vertex
         order, parent = [root], {root: 0}
@@ -101,16 +101,15 @@ class CombinatorialType(Record):
             clade[v] = tuple(map(sum, zip((0, 0, 0), *below)))
         return order, parent, clade
 
-    @functools.cached_property
-    def slopes(self) -> dict[tuple[int, int], Vec]:
-        """Directed slope map: slopes[(u, v)] is the displacement direction
-        when walking from u to v, i.e. the sum of leaf directions behind v."""
+    def slope(self, u: int, v: int) -> Vec:
+        """The direction from u to v along their edge, read off the clades:
+        v's clade sum if u is v's parent, else minus u's (KeyError if none)."""
         _, parent, clade = self.clades
-        out = {}
-        for v, u in parent.items():
-            _, x, y = clade[v]
-            out[u, v], out[v, u] = Vec(x, y), Vec(-x, -y)
-        return out
+        if parent.get(v) == u:
+            return Vec(*clade[v][1:])
+        if parent[u] == v:
+            return -Vec(*clade[u][1:])
+        raise KeyError((u, v))
 
     @functools.cached_property
     def _multiplicities(self) -> dict[int, int]:

@@ -505,11 +505,14 @@ def test_error_malformed_degree(capsys):
     (['--degree={"entries": 5}'], "{'entries': 5}"),
     (['--degree={"x": 1}'], "{'x': 1}"),
     (["--degree=[1,2]"], "got 1"),
-    (['--degree={"entries": [[-1,0],[0,-1],[1,1]], "name": 5}'], "got 5")],
+    (['--degree={"entries": [[-1,0],[0,-1],[1,1]], "name": 5}'], "got 5"),
+    (['--degree={"entries": [[1,0],[0,1],[-1,-1]], "nmae": "tri"}'],
+     "a degree has no key 'nmae'")],
     ids=["zero-denominator", "empty-moment", "leading-comma",
          "trailing-comma", "no-moments", "empty-entry", "leading-semicolon",
          "trailing-semicolon", "no-degree", "float-entry", "entries-not-a-list",
-         "no-entries", "entry-not-a-pair", "name-not-a-string"])
+         "no-entries", "entry-not-a-pair", "name-not-a-string",
+         "unknown-key"])
 def test_malformed_input_is_one_error_line(capsys, argv, named):
     code = main(["enumerate", *argv])
     captured = capsys.readouterr()
@@ -520,6 +523,23 @@ def test_malformed_input_is_one_error_line(capsys, argv, named):
     assert set(payload) == {"error", "message"}
     assert payload["error"] == "ValueError"
     assert named in payload["message"]
+
+
+def test_a_degree_file_with_an_unknown_key_is_one_error_line(capsys,
+                                                            tmp_path):
+    # degree.schema.json allows no key but entries and name; a misspelt
+    # name used to be dropped, inline and from a file alike
+    path = tmp_path / "degree.json"
+    path.write_text('{"entries": [[1,0],[0,1],[-1,-1]], "nmae": "tri"}',
+                    encoding="utf-8")
+    code = main(["enumerate", f"--degree={path}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    jsonschema.validate(payload, schema("error"))
+    assert payload == {"error": "ValueError",
+                       "message": "a degree has no key 'nmae'"}
 
 
 DEEP = "[" * 100_000 + "]" * 100_000

@@ -810,7 +810,7 @@ def test_counting_never_walks_the_tree(conic_merged, monkeypatch):
     def walked(*_):
         raise TropicalError("the counting path walked the tree")
 
-    for name in ("clades", "slopes", "_multiplicities"):
+    for name in ("clades", "slope", "_multiplicities"):
         monkeypatch.setattr(CombinatorialType, name, property(walked))
     delta = Degree(conic_merged.entries, name="counted without the tree")
     record = sample_trial(delta, 4)
@@ -904,7 +904,7 @@ def crossing_weight(sol) -> int:
     for u, v in ctype.edges:
         if u < ctype.n:
             u, v = v, u
-        slope = ctype.slopes[(u, v)]
+        slope = ctype.slope(u, v)
         (px, py) = start = pos[u]
         if v < ctype.n:
             pieces.append((start, slope, slope, True))

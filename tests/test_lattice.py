@@ -91,6 +91,19 @@ def test_degree_json_round_trip():
     assert Degree.from_json({"entries": [[-1, 0], [0, -1], [1, 1]]}) == plain
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"entries": [[1, 0], [0, 1], [-1, -1]], "nmae": "tri"}, "'nmae'"),
+    ({"entries": [[1, 0], [0, 1], [-1, -1]], "name": "tri", "s": 1}, "'s'"),
+    ({"weights": [1, 1], "entries": [[1, 0], [0, 1], [-1, -1]]}, "'weights'"),
+    ({"entries": [[1, 0], [0, 1], [-1, -1]], 0: "tri"}, "0")],
+    ids=["misspelt-name", "after-name", "before-entries", "not-a-string"])
+def test_degree_json_refuses_unknown_keys(data, key):
+    # the degree schema allows no other properties; a misspelt name used
+    # to be dropped and the degree printed without it
+    with pytest.raises(ValueError, match=f"a degree has no key {key}$"):
+        Degree.from_json(data)
+
+
 @pytest.mark.parametrize("bad", [(True, False), [True, 0], (1.0, 0), [0, 0.5]],
                          ids=["bool-tuple", "bool-list", "float-tuple",
                               "float-list"])

@@ -19,7 +19,7 @@ from tropical_refine import (CombinatorialType, Degree, FlatVertex,
                              admissible_sets, build_delta_s, build_split,
                              c_k_values, coamoeba_area, delta_d,
                              enumerate_types, even_components, gamma_even,
-                             m_prime,
+                             dual_subdivision, m_prime,
                              maximal_split, oriented_solution_count,
                              quad_indices, quad_refined_sum, quotient_curve,
                              r_from_n, random_generic_moments,
@@ -165,6 +165,20 @@ def test_the_real_side_reads_no_edge_length(conic_merged, monkeypatch,
     assert curve["edgeLengths"] == {
         f"{a}-{b}": str(ln)
         for (a, b), ln in sorted(trial.solutions[0].lengths.items())}
+
+
+def test_a_realized_tree_keeps_no_direction_map():
+    # every edge direction is read off the clades when it is asked for, so
+    # splitting, m' and the dual subdivision leave only the tree's own fields
+    trial = sample_trial(build_delta_s(delta_d(3), Vec(-1, 0), 1), 1)
+    kept = {"leaf_dirs", "edges", "adjacency", "clades", "bounded_edges",
+            "_multiplicities"}
+    assert trial.solutions
+    for sol in trial.solutions:
+        split = maximal_split(WeightedPlaneParam.from_solution(sol))
+        m_prime(split, sol.ctype.multiplicities())
+        dual_subdivision(sol.ctype)
+        assert set(vars(sol.ctype)) <= kept
 
 
 def test_gamma_even_without_even_ends_is_empty(triangle, triangle_mu):

@@ -152,7 +152,7 @@ def test_solution_positions_connect_by_lengths(conic):
         for (a, b), ln in sol.lengths.items():
             ax, ay = pos[a]
             bx, by = pos[b]
-            slope = sol.ctype.slopes[(a, b)]
+            slope = sol.ctype.slope(a, b)
             assert (bx - ax, by - ay) in ((ln * slope.x, ln * slope.y),
                                           (-ln * slope.x, -ln * slope.y))
             assert ln > 0

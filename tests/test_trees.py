@@ -157,10 +157,10 @@ def test_too_few_ends():
 def test_slopes_forced_by_balancing():
     square = Degree(((-1, 0), (1, 0), (0, -1), (0, 1)))
     for t in enumerate_types(square):
-        for (u, v), slope in t.slopes.items():
-            assert t.slopes[(v, u)] == -slope
+        for u, v in t.edges:
+            assert t.slope(v, u) == -t.slope(u, v)
         for v in t.internal_vertices:
-            out = [t.slopes[(v, w)] for w in t.adjacency[v]]
+            out = [t.slope(v, w) for w in t.adjacency[v]]
             total = Vec(sum(s.x for s in out), sum(s.y for s in out))
             assert total == Vec(0, 0)
 
@@ -211,14 +211,22 @@ def test_clades():
     for v, u in parent.items():
         _, x, y = clade[v]
         want[u, v], want[v, u] = Vec(x, y), Vec(-x, -y)
-    assert t.slopes == want
+    assert {(u, v): t.slope(u, v) for u, v in want} == want
+
+
+def test_slope_refuses_a_non_edge():
+    dirs = generic_degree(4).entries
+    t = CombinatorialType(dirs, ((4, 0), (4, 1), (4, 5), (5, 2), (5, 3)))
+    for u, v in ((1, 5), (5, 1), (0, 5), (2, 3), (4, 4)):
+        with pytest.raises(KeyError):
+            t.slope(u, v)
 
 
 def test_multiplicity_is_wedge_of_outgoing_slopes():
     for t in enumerate_types(generic_degree(5)):
         mults = t.multiplicities()
         for vertex in t.internal_vertices:
-            u, v, w = (t.slopes[(vertex, nb)] for nb in t.adjacency[vertex])
+            u, v, w = (t.slope(vertex, nb) for nb in t.adjacency[vertex])
             assert mults[vertex] == abs(wedge(u, v))
             assert abs(wedge(u, v)) == abs(wedge(v, w)) == abs(wedge(u, w))
 
