@@ -245,7 +245,7 @@ class TrialRecord(Record):
                            _n_from_mults(curve.mults for curve in curves))
 
     def identity(self) -> tuple:
-        return self.seed, self.moments, self.n_trop, self.delta_s, self.curves
+        return self.seed, self.moments, self.delta_s, self.curves
 
     @functools.cached_property
     def solutions(self) -> tuple[TropicalSolution, ...]:

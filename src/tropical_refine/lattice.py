@@ -135,9 +135,9 @@ def _entry(e: Sequence[int]) -> Vec:
 
 class Record:
     """An immutable record: each field stored once with `object.__setattr__`
-    by its constructor (a lazy one when first derived, a copy's by
-    `__setstate__`), then neither set nor deleted; equal, hashed and shown
-    by its class and `identity()`."""
+    by its constructor (a lazy one when first derived), then neither set nor
+    deleted; equal, hashed and shown by its class and `identity()`, and
+    pickled or copied as a call of its constructor on `identity()`."""
 
     __slots__ = ()
 
@@ -147,12 +147,8 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __setstate__(self, state):
-        """Store the fields pickle or copy saved, past the guard: a dict,
-        or a (dict, slots) pair for a slotted record."""
-        for fields in state if isinstance(state, tuple) else (state,):
-            for name, value in (fields or {}).items():
-                object.__setattr__(self, name, value)
+    def __reduce__(self):
+        return type(self), self.identity()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -21,7 +21,8 @@ from .lattice import Record, _int
 
 class HalfLaurent(Record):
     """Immutable sparse Laurent polynomial in w = q^(1/2) over Z. A `Record`
-    for the guards; a constant equals, and hashes as, its int."""
+    for the guards, repr and pickling; a constant equals, and hashes as, its
+    int."""
 
     __slots__ = ("_c",)
 
@@ -57,16 +58,6 @@ class HalfLaurent(Record):
     def q_power(cls, exp: int) -> "HalfLaurent":
         """q^exp for a whole exponent."""
         return cls({2 * _int("exp", exp): 1})
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "HalfLaurent":
-        d: dict[int, int] = {}
-        for k, c in pairs:
-            # checked as read: the sum keeps the first of equal keys, so a
-            # later 1.0 or True would hide behind an int 1
-            _int("an exponent", k)
-            d[k] = d.get(k, 0) + _int("a coefficient", c)
-        return cls(d)
 
     # -- inspection --------------------------------------------------------
 
@@ -225,8 +216,8 @@ class HalfLaurent(Record):
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"HalfLaurent({self._c!r})"
+    def identity(self) -> tuple:
+        return (self._c,)
 
     def to_json_pairs(self) -> list[list[int]]:
         """[[half_exponent, coeff], ...] sorted by descending exponent."""
@@ -234,7 +225,13 @@ class HalfLaurent(Record):
 
     @classmethod
     def from_json_pairs(cls, pairs) -> "HalfLaurent":
-        return cls.from_pairs((k, c) for k, c in pairs)
+        d: dict[int, int] = {}
+        for k, c in pairs:
+            # checked as read: the sum keeps the first of equal keys, so a
+            # later 1.0 or True would hide behind an int 1
+            _int("an exponent", k)
+            d[k] = d.get(k, 0) + _int("a coefficient", c)
+        return cls(d)
 
 
 def _poly(name: str, value) -> HalfLaurent:

@@ -100,6 +100,9 @@ class WeightedPlaneParam(Record):
     def __repr__(self):
         return f"WeightedPlaneParam({self.tree!r})"
 
+    def __reduce__(self):
+        return WeightedPlaneParam, (self.tree,)
+
     @classmethod
     def from_solution(cls, sol: TropicalSolution) -> "WeightedPlaneParam":
         return cls(sol.ctype)

@@ -380,14 +380,16 @@ def _subtrees(placed_at: list, mask: int,
     more ends) whose top split is placed at `start` or later and whose every
     split lies strictly past its parent's key: the subtrees with every
     length > 0. The count's placed rows are passed in, not closed over, so
-    the recursion makes no reference cycle.
+    the recursion makes no reference cycle; each row's one split pair goes
+    into every subtree through it.
     """
     out = []
-    for _, a, b, along_a, along_b in placed_at[mask][start:]:
+    for _, split, along_a, along_b in placed_at[mask][start:]:
+        a, b = split
         # a single end's side holds one empty subtree
         left = _side(placed_at, a, along_a) if a & (a - 1) else ((),)
         right = _side(placed_at, b, along_b) if b & (b - 1) else ((),)
-        top = ((a, b),)
+        top = (split,)
         for lo in left:
             lo = top + lo
             for hi in right:
@@ -426,7 +428,7 @@ def curves_through(delta: Degree,
     scale_mu = lcm(*[v.denominator for v in mu.values])
     moment = _subset_sums([v.numerator * (scale_mu // v.denominator)
                            for v in mu.values])
-    # per end set: its placed splits sorted by key, as tuples (key, A, B,
+    # per end set: its placed splits sorted by key, as tuples (key, (A, B),
     # along_a, along_b), and top, its largest key. By induction every
     # placed split has a subtree with every length >= 0 on each side, so a
     # child X has one below a vertex at x exactly when x <= top[X]. A single
@@ -446,7 +448,7 @@ def curves_through(delta: Degree,
             along_b = ma * fb - mb * c
             if along_b > top[b]:
                 continue
-            placed.append((along_a + along_b, a, b, along_a, along_b))
+            placed.append((along_a + along_b, (a, b), along_a, along_b))
         if placed:
             placed.sort()
             placed_at[mask], top[mask] = placed, placed[-1][0]

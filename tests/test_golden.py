@@ -2,7 +2,8 @@
 
 Every seeded output of `enumerate`, `realize` and `invariant` (json and
 text) and of `plot` (svg and json), at seeds 0-5 on the six benchmark
-degrees, plus `quantum` tables and the error lines of malformed input and
+degrees and at a few seeds on the 9-end cubic (s = 0 and 1) and the 12-end
+quartic, plus `quantum` tables and the error lines of malformed input and
 of usage errors, is hashed to one SHA-256 per (case, command, format) and
 compared against `golden.json`. A change that keeps every output byte the
 same keeps this test green. After a deliberate output change, rebuild the
@@ -35,6 +36,13 @@ DEGREES = {
     "seven_ends_s1": "-1,0;0,-1;0,-1;1,1;1,1;1,0;-2,0",
     "four_ends_s1": "-2,0;0,-1;1,1;1,0",
 }
+# above seven ends, few seeds: (label, degree, --s, seeds)
+LARGE = (
+    ("cubic_s0", "-1,0;-1,0;-1,0;0,-1;0,-1;0,-1;1,1;1,1;1,1", 0, (1, 2, 3)),
+    ("cubic_s1", "-1,0;-1,0;-1,0;0,-1;0,-1;0,-1;1,1;1,1;1,1", 1, (1, 2, 3)),
+    ("quartic", "-1,0;-1,0;-1,0;-1,0;0,-1;0,-1;0,-1;0,-1;1,1;1,1;1,1;1,1",
+     0, (1, 2)),
+)
 SEEDED = (("enumerate", "json"), ("enumerate", "text"),
           ("realize", "json"), ("realize", "text"),
           ("invariant", "json"), ("invariant", "text"),
@@ -79,6 +87,11 @@ def cases() -> dict:
             out[f"{label}/{command}/{fmt}"] = [
                 [command, f"--degree={degree}", "--seed", str(seed),
                  "--format", fmt] for seed in SEEDS]
+    for label, degree, s, seeds in LARGE:
+        for command, fmt in SEEDED:
+            out[f"{label}/{command}/{fmt}"] = [
+                [command, f"--degree={degree}", "--s", str(s), "--seed",
+                 str(seed), "--format", fmt] for seed in seeds]
     for fmt in ("json", "text"):
         out[f"quantum/{fmt}"] = [
             ["quantum", "--m1", str(m1), "--delta", str(delta),
@@ -101,6 +114,8 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(cases())
     assert sum(len(runs) for key, runs in cases().items()
                if key.split("/")[0] in DEGREES) == 288
+    assert sum(len(runs) for key, runs in cases().items()
+               if key.split("/")[0] in {label for label, *_ in LARGE}) == 64
 
 
 @pytest.mark.parametrize("key", sorted(cases()))
@@ -119,7 +134,7 @@ def test_invariant_builds_no_tree(golden, monkeypatch):
     monkeypatch.setattr(solver, "type_from_clades", rebuilt)
     monkeypatch.setattr(trees, "type_from_clades", rebuilt)
     keys = [key for key in cases() if "/invariant/" in key]
-    assert len(keys) == 2 * len(DEGREES)
+    assert len(keys) == 2 * (len(DEGREES) + len(LARGE))
     for key in keys:
         assert _digest(cases()[key]) == golden[key], key
     # the guard is live: `enumerate` prints every curve's tree

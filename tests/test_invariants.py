@@ -1,6 +1,7 @@
 """Refined counts, the invariance audit, and the theorem conversions."""
 
 import itertools
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -948,3 +949,38 @@ def test_every_curve_keeps_the_pick_identity(label, named_degrees):
                     == two_i + s), sol
         # so no curve's refined multiplicity reaches past q^((2i + s)/2)
         assert max(record.n_trop.support()) <= two_i + s
+
+
+def _ends(*groups):
+    return Degree(tuple(v for v, times in groups for _ in range(times)))
+
+
+# degree -> (K, c_K): N's top K coefficients are binomials, and c_K, the
+# first past them, falls short of its binomial; observed, not proven
+STABLE_RANGE = {
+    "delta_4": (delta_d(4), 3, 172),
+    "delta_4_s1": (build_delta_s(delta_d(4), Vec(-1, 0), 1), 3, 133),
+    "delta_5_s2": (build_delta_s(delta_d(5), Vec(-1, 0), 2), 4, 966),
+    "p1xp1_3_3": (_ends(((1, 0), 3), ((-1, 0), 3), ((0, 1), 3),
+                        ((0, -1), 3)), 3, 208),
+    "p1xp1_2_4": (_ends(((1, 0), 2), ((-1, 0), 2), ((0, 1), 4),
+                        ((0, -1), 4)), 2, 47),
+    "triangle_5_3": (_ends(((-1, 0), 5), ((0, -1), 3), ((5, 3), 1)), 3, 79),
+}
+
+
+@pytest.mark.parametrize("label", STABLE_RANGE)
+def test_top_coefficients_of_n_are_binomials(label):
+    # with top = 2i + s, N's coefficient at half-exponent top - 2k is
+    # C(n - 3 + k, k) for every k < K, the coefficients of
+    # (1 - x)^-(n - 2); c_K falls short, which pins K exactly
+    delta_s, k_range, c_past = STABLE_RANGE[label]
+    n, (_, s) = len(delta_s), split_even_ends(delta_s)
+    two_i = polygon_of(delta_s).area2() - n - s + 2   # Pick, b = n + s
+    top = two_i + s
+    n_trop = sample_trial(delta_s, 1).n_trop
+    assert max(n_trop.support()) == top
+    assert [n_trop.coeff(top - 2 * k) for k in range(k_range)] == [
+        math.comb(n - 3 + k, k) for k in range(k_range)]
+    assert n_trop.coeff(top - 2 * k_range) == c_past
+    assert c_past < math.comb(n - 3 + k_range, k_range)

@@ -1,6 +1,7 @@
 """The contract every record type keeps: immutable fields, which can be
 neither set nor deleted, value equality, a hash wherever all the fields
-are hashable, and equal copies through pickle and the copy module."""
+are hashable, and equal copies through pickle and the copy module, each
+rebuilt by its record's constructor."""
 
 import copy
 import pickle
@@ -10,7 +11,8 @@ import pytest
 from tropical_refine import (Degree, HalfLaurent, MomentVector, Vec,
                              WeightedPlaneParam, build_delta_s, delta_d,
                              enumerate_types, invariance_audit, maximal_split,
-                             polygon_of, sample_trial, solver)
+                             polygon_of, sample_trial, solver,
+                             split_even_ends)
 
 CONIC_MERGED = build_delta_s(delta_d(2), Vec(-1, 0), 1)
 
@@ -29,6 +31,12 @@ def _fields(record) -> tuple[str, ...]:
     if isinstance(record, tuple):
         return record._fields
     return tuple(getattr(record, "__dict__", ())) or type(record).__slots__
+
+
+def _held(record) -> set[str]:
+    """The attributes a record holds now: its fields and any cached value."""
+    return {name for name in _fields(record) if hasattr(record, name)}
+
 
 
 # (record type, a fresh instance, a field, hashable)
@@ -71,21 +79,70 @@ def test_records_are_immutable_values(name, make, field, hashable):
             hash(record)
 
 
-@pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+COPIES = {"pickle": lambda r: pickle.loads(pickle.dumps(r)),
+          "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", COPIES)
 @pytest.mark.parametrize("name, make, field, hashable", RECORDS,
                          ids=[r[0] for r in RECORDS])
 def test_records_survive_pickle_and_copy(name, make, field, hashable, how):
-    # a copy is rebuilt past the guard, equal and with an equal hash, and
-    # is as immutable as its original
+    # a copy is rebuilt by its record's constructor, equal and with an
+    # equal hash, and is as immutable as its original
     record = make()
-    twin = {"pickle": lambda r: pickle.loads(pickle.dumps(r)),
-            "copy": copy.copy, "deepcopy": copy.deepcopy}[how](record)
+    twin = COPIES[how](record)
     assert type(twin) is type(record)
     assert twin == record
     if hashable:
         assert hash(twin) == hash(record)
     with pytest.raises(AttributeError):
         setattr(twin, field, getattr(twin, field))
+
+
+@pytest.mark.parametrize("name, make, field, hashable", RECORDS,
+                         ids=[r[0] for r in RECORDS])
+def test_no_record_takes_a_state_after_it_is_built(name, make, field,
+                                                   hashable):
+    # a copy is made by the constructor, so nothing stores saved state into
+    # a built record
+    with pytest.raises(AttributeError):
+        make().__setstate__({field: None})
+
+
+# (record type, a fresh instance, a read that caches derived values on it,
+# the fields its constructor stores)
+DERIVED = [
+    ("Degree", lambda: build_delta_s(delta_d(2), Vec(-1, 0), 1),
+     split_even_ends, {"entries", "name"}),
+    ("TropicalSolution", lambda: sample_trial(CONIC_MERGED, 0).curves[0],
+     lambda r: r.ctype,
+     {"dirs", "moments", "splits", "mults", "points", "scale"}),
+    ("TrialRecord", lambda: sample_trial(CONIC_MERGED, 0),
+     lambda r: r.solutions,
+     {"seed", "moments", "delta_s", "curves", "n_trop"}),
+    ("WeightedPlaneParam",
+     lambda: WeightedPlaneParam.from_solution(_merged_conic_curve()),
+     maximal_split, {"tree"}),
+    ("RealSplit", _split, lambda r: r.quad_vertices,
+     {"base", "vertex_points", "edge_points", "edges"}),
+]
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("name, make, derive, fields", DERIVED,
+                         ids=[r[0] for r in DERIVED])
+def test_a_copy_holds_only_its_constructor_fields(name, make, derive, fields,
+                                                  how):
+    # a copy re-derives what its original cached, so no cached value
+    # travels in a pickle
+    record = make()
+    derive(record)
+    assert _held(record) > fields
+    twin = COPIES[how](record)
+    assert type(twin).__name__ == name
+    assert _held(twin) == fields
+    assert twin == record
+    assert derive(twin) == derive(record)
 
 
 def test_equal_degrees_share_one_split_table():

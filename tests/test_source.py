@@ -300,8 +300,8 @@ def _stores(node) -> bool:
 def test_every_record_field_is_stored_by_its_constructor():
     # a record's fields are stored once, by its own constructor, past the
     # guard lattice.Record puts on setting them; the one lazy field is the
-    # curve's tree, and a pickled or copied record's fields are stored by
-    # Record.__setstate__. A store anywhere else writes into a record that may
+    # curve's tree, and a pickled or copied record is rebuilt by its
+    # constructor. A store anywhere else writes into a record that may
     # already be shared, hashed or a cache key, so a new writer has to be
     # added here, where review sees it. functools.cached_property values
     # are derived, not fields, and bypass the guard by design.
@@ -311,7 +311,6 @@ def test_every_record_field_is_stored_by_its_constructor():
     assert found == ["invariants.TrialRecord.__init__",
                      "lattice.Degree.__init__",
                      "lattice.MomentVector.__init__",
-                     "lattice.Record.__setstate__",
                      "laurent.HalfLaurent.__init__",
                      "laurent.HalfLaurent._of",
                      "realsplit.RealSplit.__init__",
