@@ -22,10 +22,11 @@ exact rationals; either n-1 values (the first end's moment is implied) or
 all n (checked to sum to zero). Each command's runner returns its JSON
 payload and its text, which for `--format svg` is the picture of the curves
 it counted; `main` encodes the payload for json and writes the text
-otherwise. All JSON and SVG output is deterministic byte for byte:
-identical invocations produce identical files. Fatal mathematical
-conditions and usage errors print a one-line error JSON to stdout and
-exit 1.
+otherwise. A runner builds its payload first and reads its text off it, so
+each tree, root and polynomial string is made once. All JSON and SVG
+output is deterministic byte for byte: identical invocations produce
+identical files. Fatal mathematical conditions and usage errors print a
+one-line error JSON to stdout and exit 1.
 
 Each command imports only the modules it runs. Loading this module loads
 `errors`, `lattice` and `laurent`; `quantum` adds `realsplit`; `enumerate`
@@ -149,8 +150,8 @@ def count_curves(args: argparse.Namespace, delta_s: Degree):
     return (mu, *refined_count(delta_s, mu))
 
 
-def degree_text(delta: Degree) -> str:
-    return " ".join(f"({v.x},{v.y})" for v in delta.entries)
+def degree_text(degree: dict) -> str:   # of a degree's JSON
+    return " ".join(f"({x},{y})" for x, y in degree["entries"])
 
 
 def solution_json(sol: TropicalSolution) -> dict:
@@ -187,16 +188,13 @@ def run_enumerate(args: argparse.Namespace) -> tuple[dict, str]:
         "refinedCountText": str(n_trop),
         "solutions": [solution_json(s) for s in sols],
     }
-    lines = [f"degree: {degree_text(delta_s)}",
-             f"moments: {', '.join(frac_str(v) for v in mu.full())}",
-             f"solutions: {len(sols)}"]
-    for sol in sols:
-        x, y = sol.root
-        lines.append(f"  tree {sol.ctype.serialize()}  root "
-                     f"({frac_str(x)}, {frac_str(y)})  mult "
-                     f"{sol.det_abs}  refined "
-                     f"{sol.refined_multiplicity()}")
-    lines.append(f"N = {n_trop}")
+    lines = [f"degree: {degree_text(payload['degree'])}",
+             f"moments: {', '.join(payload['moments'])}",
+             f"solutions: {payload['solutionCount']}",
+             *(f"  tree {c['tree']}  root ({', '.join(c['root'])})  mult "
+               f"{c['multiplicity']}  refined {c['refinedMultiplicityText']}"
+               for c in payload["solutions"]),
+             f"N = {payload['refinedCountText']}"]
     return payload, "\n".join(lines) + "\n"
 
 
@@ -206,11 +204,13 @@ def run_invariant(args: argparse.Namespace) -> tuple[dict, str]:
     delta_s = resolve_degree(args)
     report = invariance_audit(delta_s, trials=args.trials, seed=args.seed)
     payload = {"command": "invariant", **report.to_json()}
-    lines = [f"degree: {degree_text(delta_s)}   s = {report.s}   m = {report.m}",
-             f"trials: {report.trials}, solutions per trial: "
-             f"{list(report.solutions_per_trial)}",
-             f"N = {report.n_trop}, R = {report.r_inv}",
-             f"BG = {report.broccoli}"]
+    counts = [t["solutionCount"] for t in payload["trialRecords"]]
+    lines = [f"degree: {degree_text(payload['degree'])}   s = {payload['s']}"
+             f"   m = {payload['m']}",
+             f"trials: {payload['trials']}, solutions per trial: {counts}",
+             f"N = {payload['refinedCountText']}, "
+             f"R = {payload['realInvariantText']}",
+             f"BG = {payload['broccoliText']}"]
     return payload, "\n".join(lines) + "\n"
 
 
@@ -224,8 +224,6 @@ def run_quantum(args: argparse.Namespace) -> tuple[dict, str]:
     # checked by multiplying back: refined * (q^d - q^-d) = q^(m1 d) - q^-(m1 d)
     agrees = (refined * w_pow_minus_inverse(2 * delta)
               == w_pow_minus_inverse(2 * m1 * delta))
-    areas = [coamoeba_area(m1, k) for k in range(m1)]
-    cks = c_k_values(m1)
     payload = {
         "command": "quantum",
         "m1": m1,
@@ -234,17 +232,17 @@ def run_quantum(args: argparse.Namespace) -> tuple[dict, str]:
         "refinedSum": refined.to_json_pairs(),
         "refinedSumText": str(refined),
         "closedFormAgrees": agrees,
-        "coamoebaAreas": [frac_str(a) for a in areas],
-        "ckValues": [frac_str(c) for c in cks],
+        "coamoebaAreas": [frac_str(coamoeba_area(m1, k)) for k in range(m1)],
+        "ckValues": [frac_str(c) for c in c_k_values(m1)],
     }
     lines = [f"quadrivalent vertex: m1 = {m1}, delta = {delta}",
              f"indices: {indices}",
-             f"refined sum: {refined}",
+             f"refined sum: {payload['refinedSumText']}",
              f"closed form agrees: {agrees}",
              "k | index | coamoeba area | c_k"]
-    for k in range(m1):
-        lines.append(f"{k} | {indices[k]} | {frac_str(areas[k])} "
-                     f"| {frac_str(cks[k])}")
+    for k, (index, area, c_k) in enumerate(zip(
+            indices, payload["coamoebaAreas"], payload["ckValues"])):
+        lines.append(f"{k} | {index} | {area} | {c_k}")
     return payload, "\n".join(lines) + "\n"
 
 
@@ -259,11 +257,9 @@ def run_realize(args: argparse.Namespace) -> tuple[dict, str]:
     r_inv = r_from_n(n_trop, len(delta), s)
     total = HalfLaurent(0)
     entries = []
-    lines = [f"degree: {degree_text(delta_s)}   s = {s}   m = {len(delta)}"]
     for sol in sols:
         split = maximal_split(WeightedPlaneParam.from_solution(sol))
         mp = m_prime(split, sol.ctype.multiplicities())
-        oriented = oriented_solution_count(split)
         total = total + mp
         entries.append({
             "tree": sol.ctype.serialize(),
@@ -273,11 +269,8 @@ def run_realize(args: argparse.Namespace) -> tuple[dict, str]:
             "realizable": split.is_realizable,
             "mPrime": mp.to_json_pairs(),
             "mPrimeText": str(mp),
-            "orientedSolutions": oriented,
+            "orientedSolutions": oriented_solution_count(split),
         })
-        lines.append(f"  tree {sol.ctype.serialize()}  quads "
-                     f"{len(split.quad_vertices)}  m' = {mp}  oriented "
-                     f"{oriented}")
     quarter = total.exact_div(HalfLaurent(4))
     payload = {
         "command": "realize",
@@ -290,8 +283,14 @@ def run_realize(args: argparse.Namespace) -> tuple[dict, str]:
         "realInvariant": r_inv.to_json_pairs(),
         "matchesRealInvariant": quarter == r_inv,
     }
-    lines.append(f"sum m'/4 = {quarter}")
-    lines.append(f"R = {r_inv}  ({'match' if quarter == r_inv else 'MISMATCH'})")
+    match = "match" if payload["matchesRealInvariant"] else "MISMATCH"
+    lines = [f"degree: {degree_text(payload['degree'])}   s = {s}"
+             f"   m = {payload['m']}",
+             *(f"  tree {e['tree']}  quads {len(e['quadVertices'])}  "
+               f"m' = {e['mPrimeText']}  oriented {e['orientedSolutions']}"
+               for e in entries),
+             f"sum m'/4 = {quarter}",
+             f"R = {r_inv}  ({match})"]
     return payload, "\n".join(lines) + "\n"
 
 

@@ -304,8 +304,8 @@ def _describe(rec: TrialRecord) -> str:
             f"N = {rec.n_trop} from curves of multiplicity [{mults}]")
 
 
-def invariance_audit(delta_s: Degree, trials: int = 5,
-                     seed: int = 2024) -> InvariantReport:
+def invariance_audit(delta_s: Degree, trials: int,
+                     seed: int) -> InvariantReport:
     """Count the curves through several seeded generic constraints, each
     counted once while it is sampled, and insist the refined counts agree;
     derive R and the Broccoli normalization from the N they agree on.

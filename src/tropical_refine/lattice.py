@@ -224,7 +224,8 @@ class Degree(Record):
         # the next
         if not any(wedge(a, b) for a, b in zip(out, out[1:])):
             raise DegenerateDegree("all directions lie on one line")
-        return Degree(tuple(out), name=self.name), s
+        # a new record even for s = 0: self in its own cache is a cycle
+        return Degree(tuple(out), name=None if s else self.name), s
 
     def to_json(self) -> dict:
         d: dict = {"entries": [[e.x, e.y] for e in self.entries]}
@@ -290,6 +291,7 @@ def build_delta_s(delta: Degree, n1: Vec, s: int) -> Degree:
 
 def split_even_ends(delta_s: Degree) -> tuple[Degree, int]:
     """Undo weight-2 surgery: return the primitive parent degree and s.
+    The parent keeps delta_s's name only when s = 0, where the two are equal.
 
     Each weight-2 entry 2*n becomes two consecutive copies of n; weight-1
     entries pass through. Entries of weight > 2 are rejected, and so are

@@ -26,7 +26,7 @@ class HalfLaurent(Record):
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[int, int] | int = 0):
+    def __init__(self, coeffs: Mapping[int, int] | int):
         # type(...) is int: a bool is an int to isinstance, not to JSON
         if type(coeffs) is int:
             coeffs = {0: coeffs}

@@ -191,12 +191,12 @@ class TropicalSolution(Record):
                 for i, (x, y) in enumerate(self.points)}
 
     def end_moments(self) -> tuple[Fraction, ...]:
-        """Recomputed moments of all n ends (including end 1) from geometry."""
-        pos = self.positions()
+        """Moments of all n ends, end 1 too, read off `points` and `scale`."""
+        n, ctype, scale = len(self.dirs), self.ctype, self.scale
         out = []
         for leaf, nj in enumerate(self.dirs):
-            px, py = pos[self.ctype.leaf_vertex(leaf)]
-            out.append(nj.x * py - nj.y * px)
+            px, py = self.points[ctype.leaf_vertex(leaf) - n]
+            out.append(Fraction(nj.x * py - nj.y * px, scale))
         return tuple(out)
 
     def verify(self) -> None:

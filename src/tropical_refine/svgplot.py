@@ -80,16 +80,15 @@ def _ray_clip(p: tuple[Fraction, Fraction], d: Vec, box) -> tuple:
 def render_svg(solutions: Sequence[TropicalSolution],
                polygon: LatticePolygon) -> str:
     """One SVG document showing all solutions overlaid, plus the dual
-    subdivision of the first solution in the degree polygon as an inset."""
+    subdivision of the first solution in the degree polygon as an inset;
+    reads each curve's `positions()` once, for the box and the drawing."""
     if not solutions:
         raise ValueError("nothing to draw")
     width, height, inset_size, pad = 720, 540, 170, 40
 
-    points: list[tuple[Fraction, Fraction]] = []
-    for sol in solutions:
-        points.extend(sol.positions().values())
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+    placed = [sol.positions() for sol in solutions]
+    xs = [x for pos in placed for x, _ in pos.values()]
+    ys = [y for pos in placed for _, y in pos.values()]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin, Fraction(1))
@@ -106,9 +105,8 @@ def render_svg(solutions: Sequence[TropicalSolution],
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for i, sol in enumerate(solutions):
+    for i, (sol, pos) in enumerate(zip(solutions, placed)):
         color = _PALETTE[i % len(_PALETTE)]
-        pos = sol.positions()
         parts.append(f'<g stroke="{color}" fill="none" stroke-linecap="round">')
         for e in sol.ctype.bounded_edges:
             (x1, y1), (x2, y2) = to_svg(pos[e[0]]), to_svg(pos[e[1]])

@@ -12,7 +12,7 @@ five demos and the SVG files of the gallery, and the stdout of
     PYTHONPATH=src python3 tests/output_hashes.py --write   # re-pin
 
 A check prints every case whose bytes differ and exits 1; it takes about
-40 s on one core. pytest does not collect this file.
+25 s on one core. pytest does not collect this file.
 """
 
 import hashlib

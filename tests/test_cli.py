@@ -592,6 +592,60 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(argv, marker):
     assert outputs[0] == outputs[1] and marker in outputs[0]
 
 
+COUNTED = ("serialize", "positions", "refined_multiplicity")
+
+
+@pytest.mark.parametrize("argv, once", [
+    (["enumerate", CUBIC, "--seed=1"], COUNTED),
+    (["enumerate", CUBIC, "--seed=1", "--format=text"], COUNTED),
+    (["realize", CUBIC, "--s=1", "--seed=1"], ("serialize",)),
+    (["realize", CUBIC, "--s=1", "--seed=1", "--format=text"], ("serialize",)),
+    (["plot", CUBIC, "--seed=1"], ("positions",)),
+], ids=["enumerate", "enumerate-text", "realize", "realize-text", "plot"])
+def test_each_printed_value_is_computed_once_per_curve(capsys, monkeypatch,
+                                                       argv, once):
+    # a runner reads its text off its payload, and a picture reads each
+    # curve's positions once; the count itself is not counted here
+    from tropical_refine import cli, solver, trees
+
+    calls = dict.fromkeys(COUNTED, 0)
+    for owner, name in zip((trees.CombinatorialType, solver.TropicalSolution,
+                            solver.TropicalSolution), COUNTED):
+        def counted(self, _real=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _real(self)
+        monkeypatch.setattr(owner, name, counted)
+    curves = []
+    real_count = cli.count_curves
+
+    def count_curves(args, delta_s):
+        found = real_count(args, delta_s)
+        curves.append(len(found[2]))
+        calls.update(dict.fromkeys(COUNTED, 0))
+        return found
+
+    monkeypatch.setattr(cli, "count_curves", count_curves)
+    code, _ = run_cli(capsys, argv)
+    assert code == 0 and len(curves) == 1 and curves[0] > 1
+    assert {name: calls[name] for name in once} == dict.fromkeys(once,
+                                                                 curves[0])
+
+
+NAMED_CONIC = ('--degree={"entries": [[-1,0],[-1,0],[0,-1],[0,-1],[1,1],'
+               '[1,1]], "name": "conic"}')
+
+
+def test_a_merged_degree_has_an_unnamed_parent(capsys):
+    # the parent holds the six primitive ends, so "conic(1)" is not its name
+    merged = run_json(capsys, ["invariant", NAMED_CONIC, "--s=1",
+                               "--trials=1"])
+    assert merged["degree"]["name"] == "conic(1)"
+    assert "name" not in merged["parentDegree"]
+    plain = run_json(capsys, ["invariant", NAMED_CONIC, "--trials=1"])
+    assert plain["degree"] == plain["parentDegree"]
+    assert plain["parentDegree"]["name"] == "conic"
+
+
 @pytest.mark.parametrize("seed", [1, 4, 9])
 def test_seeded_and_given_moments_print_the_same_bytes(capsys, seed):
     # a seeded run prints the count that accepted its draw, a given one

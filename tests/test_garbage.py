@@ -109,11 +109,12 @@ class _CompactJson:
     (["enumerate", CONIC, "--seed=3", "--format=text"], 0),
     (["plot", CONIC, "--seed=3"], 0),
     (["invariant", CONIC, "--s=1", "--trials=3"], 0),
+    (["invariant", CONIC, "--trials=3"], 0),
     (["realize", CONIC, "--s=1", "--seed=3"], 0),
     (["quantum", "--m1=5", "--delta=2"], 0),
     (["quantum", "--bogus"], 1),
-], ids=["enumerate", "enumerate-text", "plot", "invariant", "realize",
-        "quantum", "usage-error"])
+], ids=["enumerate", "enumerate-text", "plot", "invariant", "invariant-s0",
+        "realize", "quantum", "usage-error"])
 def test_each_cli_runner_leaves_no_cycles(argv, status, monkeypatch):
     # the whole call, parsing included: `cli` builds its parser once, at
     # load; the JSON is encoded compactly, because the standard library's

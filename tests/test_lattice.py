@@ -140,6 +140,19 @@ def test_split_even_ends_is_derived_once_per_degree():
     assert split_even_ends(twin)[0] is not parent
 
 
+def test_only_an_unmerged_parent_keeps_the_name():
+    # with s >= 1 the parent's ends are not the named degree's
+    merged = build_delta_s(delta_d(2), Vec(-1, 0), 1)
+    parent, s = split_even_ends(merged)
+    assert merged.name == "delta_2(1)" and s == 1 and parent.name is None
+    # with s = 0 the parent is the degree, name and all, but a new record:
+    # the degree's cache holding the degree itself would be a cycle
+    plain = delta_d(2)
+    parent, s = split_even_ends(plain)
+    assert (parent, s) == (plain, 0) and parent.name == "delta_2"
+    assert parent is not plain
+
+
 def test_as_fraction_returns_a_fraction_unchanged():
     f = Fraction(-7, 3)
     assert as_fraction(f) is f

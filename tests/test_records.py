@@ -48,8 +48,9 @@ RECORDS = [
      True),
     ("TropicalSolution", _merged_conic_curve, "scale", True),
     ("TrialRecord", lambda: sample_trial(CONIC_MERGED, 0), "n_trop", True),
-    ("InvariantReport", lambda: invariance_audit(CONIC_MERGED, trials=1),
-     "r_inv", True),
+    ("InvariantReport",
+     lambda: invariance_audit(CONIC_MERGED, trials=1, seed=2024), "r_inv",
+     True),
     ("WeightedPlaneParam",
      lambda: WeightedPlaneParam.from_solution(_merged_conic_curve()),
      "tree", True),
