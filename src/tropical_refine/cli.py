@@ -19,10 +19,10 @@ text only), and `plot` is `enumerate` with an SVG default. `--n1` needs
 Degrees are read as a JSON literal ({"entries": [[x, y], ...]} or the bare
 list) or the compact form "x,y;x,y;...", inline or from a file. Moments are
 exact rationals; either n-1 values (the first end's moment is implied) or
-all n (checked to sum to zero). Each command's runner returns its JSON
-payload and its text, which for `--format svg` is the picture of the curves
-it counted; `main` encodes the payload for json and writes the text
-otherwise. A runner builds its payload first and reads its text off it, so
+all n (checked to sum to zero). Every command's JSON payload is built in
+this module, by its runner, which returns it with its text (for `--format
+svg`, the picture of the curves it counted); `main` encodes the payload for
+json and writes the text otherwise. A runner builds its payload first and reads its text off it, so
 each tree, root and polynomial string is made once. All JSON and SVG
 output is deterministic byte for byte: identical invocations produce
 identical files. Fatal mathematical conditions and usage errors print a
@@ -46,12 +46,14 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import MenelausViolation, TooFewEnds, TropicalError
-from .lattice import (Degree, MomentVector, Vec, build_delta_s, frac_str,
-                      menelaus_sum, polygon_of, primitive, split_even_ends)
+from .errors import MenelausViolation, TropicalError
+from .lattice import (Degree, MomentVector, Vec, _three_ends, build_delta_s,
+                      frac_str, menelaus_sum, polygon_of, primitive,
+                      split_even_ends)
 from .laurent import HalfLaurent, w_pow_minus_inverse
 
 if TYPE_CHECKING:
+    from .invariants import InvariantReport
     from .solver import TropicalSolution
 
 FORMATS = ("json", "text", "svg")
@@ -119,9 +121,8 @@ def parse_moment(text: str) -> Fraction:
 
 
 def parse_moments(text: str, delta_s: Degree) -> MomentVector:
+    _three_ends(delta_s.entries)    # else no moment count fits
     n = len(delta_s)
-    if n < 3:   # no moment count fits, so say what `curves_through` says
-        raise TooFewEnds(f"a curve needs at least 3 ends, got {n}")
     chunks = text.split(",")
     if "" in chunks:
         raise ValueError(f"moment {chunks.index('') + 1} of {text!r} is empty")
@@ -198,12 +199,35 @@ def run_enumerate(args: argparse.Namespace) -> tuple[dict, str]:
     return payload, "\n".join(lines) + "\n"
 
 
+def invariant_json(report: InvariantReport) -> dict:
+    return {
+        "command": "invariant",
+        "degree": report.delta_s.to_json(),
+        "parentDegree": report.delta.to_json(),
+        "s": report.s,
+        "m": report.m,
+        "trials": report.trials,
+        "trialRecords": [{
+            "seed": t.seed,
+            "moments": [frac_str(v) for v in t.moments.values],
+            "solutionCount": len(t.curves),
+            "refinedCount": t.n_trop.to_json_pairs(),
+        } for t in report.trial_records],
+        "refinedCount": report.n_trop.to_json_pairs(),
+        "refinedCountText": str(report.n_trop),
+        "realInvariant": report.r_inv.to_json_pairs(),
+        "realInvariantText": str(report.r_inv),
+        "broccoli": report.broccoli.to_json_pairs(),
+        "broccoliText": str(report.broccoli),
+    }
+
+
 def run_invariant(args: argparse.Namespace) -> tuple[dict, str]:
     from .invariants import invariance_audit
 
     delta_s = resolve_degree(args)
-    report = invariance_audit(delta_s, trials=args.trials, seed=args.seed)
-    payload = {"command": "invariant", **report.to_json()}
+    payload = invariant_json(invariance_audit(delta_s, trials=args.trials,
+                                              seed=args.seed))
     counts = [t["solutionCount"] for t in payload["trialRecords"]]
     lines = [f"degree: {degree_text(payload['degree'])}   s = {payload['s']}"
              f"   m = {payload['m']}",
@@ -259,7 +283,7 @@ def run_realize(args: argparse.Namespace) -> tuple[dict, str]:
     entries = []
     for sol in sols:
         split = maximal_split(WeightedPlaneParam.from_solution(sol))
-        mp = m_prime(split, sol.ctype.multiplicities())
+        mp = m_prime(split, dict(enumerate(sol.mults, len(sol.dirs))))
         total = total + mp
         entries.append({
             "tree": sol.ctype.serialize(),

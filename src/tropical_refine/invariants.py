@@ -1,4 +1,5 @@
-"""Refined curve counts and the real invariant derived from them.
+"""Refined curve counts and the real invariant derived from them: the
+counting math only, as `cli` builds every command's payload.
 
 The refined count N of a degree is the sum, over all parametrized curves
 through a generic boundary-moment constraint, of the product of quantum
@@ -251,14 +252,6 @@ class TrialRecord(Record):
     def solutions(self) -> tuple[TropicalSolution, ...]:
         return tuple(sorted(self.curves, key=lambda curve: curve.place))
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "moments": [frac_str(v) for v in self.moments.values],
-            "solutionCount": len(self.curves),
-            "refinedCount": self.n_trop.to_json_pairs(),
-        }
-
 
 class InvariantReport(NamedTuple):
     """Outcome of an invariance audit over several seeded constraints."""
@@ -279,22 +272,6 @@ class InvariantReport(NamedTuple):
     @property
     def solutions_per_trial(self) -> tuple[int, ...]:
         return tuple(len(t.curves) for t in self.trial_records)
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.delta_s.to_json(),
-            "parentDegree": self.delta.to_json(),
-            "s": self.s,
-            "m": self.m,
-            "trials": self.trials,
-            "trialRecords": [t.to_json() for t in self.trial_records],
-            "refinedCount": self.n_trop.to_json_pairs(),
-            "refinedCountText": str(self.n_trop),
-            "realInvariant": self.r_inv.to_json_pairs(),
-            "realInvariantText": str(self.r_inv),
-            "broccoli": self.broccoli.to_json_pairs(),
-            "broccoliText": str(self.broccoli),
-        }
 
 
 def _describe(rec: TrialRecord) -> str:

@@ -11,7 +11,9 @@ Conventions used throughout the package:
 * the *moment* of an end with direction n passing through a point p is
   wedge(n, p); the moments of all ends of a curve sum to zero (the tropical
   Menelaus relation), so a constraint vector only ever stores the moments of
-  ends 2..n and end 1 is implied.
+  ends 2..n and end 1 is implied;
+* the degree rules every count rests on are checked here, each by one
+  helper: 3 or more ends, weight-2 ends on one divisor, not all on a line.
 
 Records are `NamedTuple`s (`LatticePolygon`) or `Record`s (`Degree`,
 `MomentVector` and the package's other small immutable classes), because
@@ -28,7 +30,7 @@ from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (DegenerateDegree, InsufficientMultiplicity, LengthMismatch,
-                     MultipleDivisors)
+                     MultipleDivisors, TooFewEnds)
 
 
 def _int(name: str, value):
@@ -102,6 +104,26 @@ def primitive(v) -> Vec:
     if g == 0:
         raise ValueError("zero vector has no direction")
     return Vec(v[0] // g, v[1] // g)
+
+
+def _three_ends(dirs: Sequence) -> None:
+    if len(dirs) < 3:
+        raise TooFewEnds(f"a curve needs at least 3 ends, got {len(dirs)}")
+
+
+def _one_divisor(dirs: Iterable) -> None:
+    """The weight-2 ends `dirs` are parallel, as the theorem needs."""
+    k = len(set(map(primitive, dirs)))
+    if k > 1:
+        raise MultipleDivisors(
+            f"even ends span {k} directions, need exactly one")
+
+
+def _spans_plane(dirs: Iterable) -> None:
+    """Nonzero ends summing to zero lie on one line exactly when they have
+    fewer than 3 primitive directions."""
+    if len(set(map(primitive, dirs))) < 3:
+        raise DegenerateDegree("all directions lie on one line")
 
 
 def rot90(v) -> Vec:
@@ -203,8 +225,7 @@ class Degree(Record):
     def _split_even_ends(self) -> tuple["Degree", int]:
         """split_even_ends(self), derived once per degree object and kept."""
         out: list[Vec] = []
-        evens: set[Vec] = set()
-        s = 0
+        evens: list[Vec] = []
         for e in self.entries:
             w = lattice_length(e)
             if w == 1:
@@ -212,20 +233,14 @@ class Degree(Record):
             elif w == 2:
                 p = primitive(e)
                 out.extend((p, p))
-                evens.add(p)
-                s += 1
+                evens.append(e)
             else:
                 raise ValueError(
                     f"end of weight {w} not supported, only 1 and 2")
-        if len(evens) > 1:
-            raise MultipleDivisors(
-                f"even ends span {len(evens)} directions, need exactly one")
-        # nonzero directions all lie on one line when each is parallel to
-        # the next
-        if not any(wedge(a, b) for a, b in zip(out, out[1:])):
-            raise DegenerateDegree("all directions lie on one line")
+        _one_divisor(evens)
+        _spans_plane(out)
         # a new record even for s = 0: self in its own cache is a cycle
-        return Degree(tuple(out), name=None if s else self.name), s
+        return Degree(tuple(out), name=None if evens else self.name), len(evens)
 
     def to_json(self) -> dict:
         d: dict = {"entries": [[e.x, e.y] for e in self.entries]}
@@ -295,10 +310,8 @@ def split_even_ends(delta_s: Degree) -> tuple[Degree, int]:
 
     Each weight-2 entry 2*n becomes two consecutive copies of n; weight-1
     entries pass through. Entries of weight > 2 are rejected, and so are
-    weight-2 ends of more than one direction (MultipleDivisors): the theorem
-    covers pairs on one toric divisor, the image of build_delta_s. A degree
-    whose ends all lie on one line bounds no curve and raises
-    DegenerateDegree, as polygon_of does.
+    weight-2 ends of more than one direction (`_one_divisor`) and ends on
+    one line (`_spans_plane`), which bound no curve.
     """
     return delta_s._split_even_ends
 
@@ -330,12 +343,11 @@ def _anchor(vertices: Sequence[Vec]) -> tuple[Vec, ...]:
 def polygon_of(delta: Degree) -> LatticePolygon:
     """Dual polygon of a degree: each distinct primitive direction becomes an
     outward normal whose side has the summed weight as lattice length."""
+    _spans_plane(delta.entries)
     weight_by_normal: dict[Vec, int] = {}
     for e in delta.entries:
         weight_by_normal.setdefault(primitive(e), 0)
         weight_by_normal[primitive(e)] += lattice_length(e)
-    if len(weight_by_normal) < 3:
-        raise DegenerateDegree("all directions lie on one line")
     normals = sorted(weight_by_normal, key=functools.cmp_to_key(angle_cmp))
     verts: list[Vec] = [ZERO]
     for n in normals[:-1]:

@@ -41,11 +41,8 @@ A RealSplit stores only what defines it: the base curve, the cut points at
 vertices and inside edges, and the split edges. Its nodes, quadrivalent
 vertices and flat nodes are read off the edges on first use.
 
-`SplitEdge` is a `NamedTuple`; `WeightedPlaneParam` and `RealSplit` are
-`lattice.Record`s, because they cache derived structure on the instance.
-Neither kind needs the standard library's record decorator, whose import
-(`inspect`, `ast`, `dis`) and per-class code generation would add close to
-20 ms to every cold `realize` command.
+An end is even when its lattice length is 2, as in `lattice`, whose
+`_one_divisor` is the one check that the even ends are parallel.
 """
 
 from __future__ import annotations
@@ -55,10 +52,10 @@ import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import (FlatVertex, InadmissibleSet, MultipleDivisors,
-                     OddQuadMultiplicity, OutOfRange, TropicalError)
-from .lattice import (Record, Vec, _int, as_fraction, lattice_length,
-                      primitive, wedge)
+from .errors import (FlatVertex, InadmissibleSet, OddQuadMultiplicity,
+                     OutOfRange, TropicalError)
+from .lattice import (Record, Vec, _int, _one_divisor, as_fraction,
+                      lattice_length, wedge)
 from .laurent import HalfLaurent, w_pow_minus_inverse
 
 if TYPE_CHECKING:
@@ -71,10 +68,6 @@ EdgeKey = tuple[int, int]
 def _key(e) -> EdgeKey:
     a, b = e
     return (a, b) if a <= b else (b, a)
-
-
-def _is_even(v: Vec) -> bool:
-    return v.x % 2 == 0 and v.y % 2 == 0
 
 
 class WeightedPlaneParam(Record):
@@ -113,7 +106,7 @@ class WeightedPlaneParam(Record):
         side), read off the clades."""
         _, parent, clade = self.tree.clades
         odd = sum(1 << l for l, d in enumerate(self.tree.leaf_dirs)
-                  if not _is_even(d))
+                  if lattice_length(d) != 2)
         out = {}
         for v, u in parent.items():
             if not clade[v][0] & odd:
@@ -147,7 +140,7 @@ class WeightedPlaneParam(Record):
 
     def even_leaves(self) -> tuple[int, ...]:
         return tuple(l for l, d in enumerate(self.tree.leaf_dirs)
-                     if _is_even(d))
+                     if lattice_length(d) == 2)
 
 
 def gamma_even(base: WeightedPlaneParam) -> frozenset[EdgeKey]:
@@ -430,11 +423,7 @@ def maximal_split(base: WeightedPlaneParam) -> RealSplit:
     """
     tree = base.tree
     evens = base.even_leaves()
-    if evens:
-        prims = {primitive(tree.leaf_dirs[l]) for l in evens}
-        if len(prims) > 1:
-            raise MultipleDivisors(
-                f"even ends span {len(prims)} directions, need exactly one")
+    _one_divisor([tree.leaf_dirs[l] for l in evens])
     end_edges = {_key(tree.end_edge(l)) for l in evens}
     if gamma_even(base) != end_edges:
         raise FlatVertex("even subgraph extends past the weight-2 ends; "
@@ -457,8 +446,8 @@ def m_prime(split: RealSplit, mults: Mapping[int, int]) -> HalfLaurent:
     (w^m - w^-m) / (w^2 - w^-2) = w^(m-2) + w^(m-6) + ... + w^(2-m), which
     is quad_refined_sum(m/2, 1).
 
-    mults must equal the base tree's `CombinatorialType.multiplicities()`,
-    every internal vertex with its multiplicity; else TropicalError.
+    mults, every internal vertex with the multiplicity its count found, must
+    equal the base tree's `multiplicities()`; else TropicalError.
     """
     quads = dict(split.quad_vertices)
     for v, m in quads.items():

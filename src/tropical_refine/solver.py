@@ -51,8 +51,8 @@ from fractions import Fraction
 from math import gcd, inf, lcm, prod
 from weakref import WeakKeyDictionary
 
-from .errors import DegenerateType, NonGenericMoments, TooFewEnds, TropicalError
-from .lattice import Degree, MomentVector, Record, Vec
+from .errors import DegenerateType, NonGenericMoments, TropicalError
+from .lattice import Degree, MomentVector, Record, Vec, _three_ends
 from .laurent import HalfLaurent, q_analog
 from .trees import CombinatorialType, type_from_clades
 
@@ -420,9 +420,8 @@ def curves_through(delta: Degree,
     on a wall: the backtracking meets a child split at its parent's key.
     The moment sums are integers over the lcm of the denominators of
     mu.values; the implied moment of end 1 is never summed."""
+    _three_ends(delta.entries)
     n = len(delta.entries)
-    if n < 3:
-        raise TooFewEnds(f"a curve needs at least 3 ends, got {n}")
     _check_moment_count(mu, n)
     table = _split_table(delta)
     scale_mu = lcm(*[v.denominator for v in mu.values])

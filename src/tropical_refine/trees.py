@@ -22,7 +22,7 @@ import functools
 from typing import Iterable, Iterator
 
 from .errors import TooFewEnds, TropicalError
-from .lattice import Degree, Record, Vec, _int
+from .lattice import Degree, Record, Vec, _int, _three_ends
 
 
 class CombinatorialType(Record):
@@ -181,9 +181,8 @@ def enumerate_types(delta: Degree) -> Iterator[CombinatorialType]:
     time. Order is deterministic (insertion-position lexicographic).
     """
     dirs = tuple(delta.entries)
+    _three_ends(dirs)
     n = len(dirs)
-    if n < 3:
-        raise TooFewEnds(f"a curve needs at least 3 ends, got {n}")
     return _grow(dirs, [(0, n), (1, n), (2, n)], 3)
 
 

@@ -304,6 +304,32 @@ def test_realize_divides_twice(capsys, count_divisions):
     assert count_divisions == [HalfLaurent({1: 1, -1: 1}), 4]
 
 
+def test_realize_checks_the_multiplicities_it_counted(capsys, monkeypatch):
+    # m' reads each curve's counted multiplicities, vertex n + i taking
+    # mults[i], and checks them against the curve's tree; a count that
+    # disagrees with its tree is one error line, not a payload
+    from tropical_refine import cli
+    from tropical_refine.solver import TropicalSolution
+
+    real_count = cli.count_curves
+
+    def count_curves(args, delta_s):
+        mu, n_trop, sols = real_count(args, delta_s)
+        c = sols[-1]
+        mults = c.mults[:-1] + (c.mults[-1] + 2,)
+        return mu, n_trop, [*sols[:-1], TropicalSolution(
+            c.dirs, c.moments, c.splits, mults, c.points, c.scale)]
+
+    monkeypatch.setattr(cli, "count_curves", count_curves)
+    code, out = run_cli(capsys, ["realize",
+                                 "--degree=-1,0;0,-1;0,-1;1,1;1,1;1,0;-2,0",
+                                 "--seed", "1"])
+    assert code == 1 and out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["error"] == "TropicalError"
+    assert payload["message"].startswith("multiplicities {")
+
+
 def _bench_spans():
     """The benchmark's span tracer, loaded from its file."""
     spec = importlib.util.spec_from_file_location("bench_spans",

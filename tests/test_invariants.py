@@ -503,8 +503,9 @@ def test_audit_report_symmetry_and_specialization(conic_merged):
 
 
 def test_audit_json_shape(triangle):
-    report = invariance_audit(triangle, trials=2, seed=1)
-    data = report.to_json()
+    from tropical_refine.cli import invariant_json
+
+    data = invariant_json(invariance_audit(triangle, trials=2, seed=1))
     assert data["trials"] == 2
     assert len(data["trialRecords"]) == 2
     assert data["refinedCount"] == [[0, 1]]

@@ -199,6 +199,102 @@ def test_the_n_rule_sees_each_caller():
         "invariants.refined_count", "invariants.sample_trial"]
 
 
+def _message_sites(code: str, module: str, text: str) -> list[str]:
+    """The `_sites` of every `raise` whose message holds `text`, in a
+    plain string or in a literal part of an f-string."""
+    return _sites(code, module, lambda node: isinstance(node, ast.Raise)
+                  and node.exc is not None
+                  and any(isinstance(part, ast.Constant)
+                          and isinstance(part.value, str) and text in part.value
+                          for part in ast.walk(node.exc)))
+
+
+DEGREE_RULES = {"a curve needs at least 3 ends": "lattice._three_ends",
+                "directions, need exactly one": "lattice._one_divisor",
+                "all directions lie on one line": "lattice._spans_plane"}
+
+
+@pytest.mark.parametrize("text", DEGREE_RULES)
+def test_each_degree_rule_is_raised_by_its_lattice_helper(text):
+    # the degree rules a count rests on are written once, in lattice; a
+    # second raise of one is a second copy of its test and its words
+    found = sorted(site for path in sorted(SRC.rglob("*.py"))
+                   for site in _message_sites(path.read_text(encoding="utf-8"),
+                                              path.stem, text))
+    assert found == [DEGREE_RULES[text]]
+
+
+def test_the_message_rule_sees_each_kind():
+    code = ("raise TooFewEnds('a curve needs at least 3 ends')\n"
+            "def f(n):\n"
+            "    raise errors.TooFewEnds(f'a curve needs at least 3 ends, "
+            "got {n}') from None\n"
+            "def g(n):\n    raise ValueError(n, 'so a curve needs at least "
+            "3 ends')\n"
+            "def h(n):\n    text = 'a curve needs at least 3 ends'\n"
+            "    raise TooFewEnds(f'need at least 3 ends, got {n}')\n")
+    assert _message_sites(code, "mod", "a curve needs at least 3 ends") == [
+        "mod.<module>", "mod.f", "mod.g"]
+
+
+def _camel_keyed_dict(node) -> bool:
+    """A dict display with a camelCase string key, as a payload has."""
+    return isinstance(node, ast.Dict) and any(
+        isinstance(key, ast.Constant) and isinstance(key.value, str)
+        and key.value[:1].islower() and not key.value.islower()
+        for key in node.keys)
+
+
+def _json_functions(code: str, module: str) -> list[str]:
+    """Every function of a module whose name says json, as
+    `module.Class.function`."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                if "json" in child.name and not isinstance(child, ast.ClassDef):
+                    found.append(".".join((module, *owner, child.name)))
+                visit(child, owner + (child.name,))
+
+    visit(ast.parse(code), ())
+    return found
+
+
+JSON_VALUE_FORMATS = ["lattice.Degree.from_json", "lattice.Degree.to_json",
+                      "laurent.HalfLaurent.from_json_pairs",
+                      "laurent.HalfLaurent.to_json_pairs"]
+
+
+def test_only_cli_builds_a_command_payload():
+    # each command's JSON shape lives in cli, next to its runner; the other
+    # modules keep only the value formats a payload is made of
+    payloads, functions = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        code = path.read_text(encoding="utf-8")
+        payloads |= {site.split(".")[0]
+                     for site in _sites(code, path.stem, _camel_keyed_dict)}
+        if path.stem != "cli":
+            functions += _json_functions(code, path.stem)
+    assert payloads == {"cli"}
+    assert sorted(functions) == JSON_VALUE_FORMATS
+
+
+def test_the_payload_rules_see_each_kind():
+    code = ("PAYLOAD = {'solutionCount': 1}\n"
+            "class Report:\n    def to_json(self):\n"
+            "        return {'seed': 1, **{'refinedCountText': ''}}\n"
+            "    def text(self):\n        return {'seed': 1, 'Name': 2}\n"
+            "def solution_json(sol):\n    return dict(solutionCount=1)\n"
+            "async def as_json():\n    def inner_json(): pass\n")
+    assert _sites(code, "mod", _camel_keyed_dict) == [
+        "mod.<module>", "mod.Report.to_json"]
+    assert _json_functions(code, "mod") == [
+        "mod.Report.to_json", "mod.solution_json", "mod.as_json",
+        "mod.as_json.inner_json"]
+
+
 def test_every_export_exists_once():
     # a deleted name left in __all__ breaks `from tropical_refine import *`
     names = tropical_refine.__all__
@@ -437,12 +533,31 @@ def _unused_names(code: str) -> list[str]:
                   + [name for name in defined if name not in loaded])
 
 
+def _package_imports(code: str) -> set[tuple[str, str]]:
+    """(module, name) for every `from .module import name` of a module."""
+    return {(node.module, alias.name) for node in ast.walk(ast.parse(code))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module for alias in node.names}
+
+
 def test_no_unused_imports_or_private_names_in_src():
-    # a deleted helper must take its imports and constants with it
-    found = [f"{path.relative_to(SRC)}: {name}"
-             for path in sorted(SRC.rglob("*.py"))
-             for name in _unused_names(path.read_text(encoding="utf-8"))]
+    # a deleted helper must take its imports and constants with it; a
+    # private helper another module imports, as `lattice._int`, has a caller
+    paths = sorted(SRC.rglob("*.py"))
+    imported = {pair for path in paths
+                for pair in _package_imports(path.read_text(encoding="utf-8"))}
+    found = [f"{path.relative_to(SRC)}: {name}" for path in paths
+             for name in _unused_names(path.read_text(encoding="utf-8"))
+             if not (_private(name) and (path.stem, name) in imported)]
     assert found == []
+
+
+def test_the_package_import_rule_reads_relative_imports():
+    code = ("from .lattice import _int, Vec as V\nfrom . import solver\n"
+            "from lattice import _three_ends\nimport trees\n"
+            "def f():\n    from .laurent import _poly\n")
+    assert _package_imports(code) == {("lattice", "_int"), ("lattice", "Vec"),
+                                      ("laurent", "_poly")}
 
 
 def test_the_unused_name_rule_sees_each_kind():
