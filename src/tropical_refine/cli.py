@@ -21,12 +21,12 @@ list) or the compact form "x,y;x,y;...", inline or from a file. Moments are
 exact rationals; either n-1 values (the first end's moment is implied) or
 all n (checked to sum to zero). Every command's JSON payload is built in
 this module, by its runner, which returns it with its text (for `--format
-svg`, the picture of the curves it counted); `main` encodes the payload for
-json and writes the text otherwise. A runner builds its payload first and reads its text off it, so
-each tree, root and polynomial string is made once. All JSON and SVG
-output is deterministic byte for byte: identical invocations produce
-identical files. Fatal mathematical conditions and usage errors print a
-one-line error JSON to stdout and exit 1.
+svg`, the picture of the curves it counted), read off the payload so that
+each tree, root and polynomial string is made once; `main` encodes the
+payload for json and writes the text otherwise. All JSON and SVG output is
+deterministic byte for byte: identical invocations produce identical files.
+Fatal mathematical conditions and usage errors print a one-line error JSON
+to stdout and exit 1.
 
 Each command imports only the modules it runs. Loading this module loads
 `errors`, `lattice` and `laurent`; `quantum` adds `realsplit`; `enumerate`

@@ -225,7 +225,7 @@ class Degree(Record):
     def _split_even_ends(self) -> tuple["Degree", int]:
         """split_even_ends(self), derived once per degree object and kept."""
         out: list[Vec] = []
-        evens: list[Vec] = []
+        even: list[Vec] = []
         for e in self.entries:
             w = lattice_length(e)
             if w == 1:
@@ -233,14 +233,14 @@ class Degree(Record):
             elif w == 2:
                 p = primitive(e)
                 out.extend((p, p))
-                evens.append(e)
+                even.append(e)
             else:
                 raise ValueError(
                     f"end of weight {w} not supported, only 1 and 2")
-        _one_divisor(evens)
+        _one_divisor(even)
         _spans_plane(out)
         # a new record even for s = 0: self in its own cache is a cycle
-        return Degree(tuple(out), name=None if evens else self.name), len(evens)
+        return Degree(tuple(out), name=None if even else self.name), len(even)
 
     def to_json(self) -> dict:
         d: dict = {"entries": [[e.x, e.y] for e in self.entries]}

@@ -1,16 +1,24 @@
 """Mutation gate: each mutant is one exact text replacement in `src/`, and
 the test files named with it must fail on the mutated copy.
 
-    python3 tests/mutants.py            # every mutant
-    python3 tests/mutants.py NAME ...   # the named ones
+    python3 tests/mutants.py
 
 For each mutant the script copies `src/` to a temporary directory, replaces
 the mutant's old text, which must occur exactly once in its file, and runs
 pytest on the mutant's test files with `PYTHONPATH` (and pytest's
-`pythonpath` setting) pointing at the copy. It prints one JSON line per
-mutant: its name, whether the tests killed it (pytest exited non-zero or
-ran past TIMEOUT_S), the first failing test, pytest's exit status and the
-seconds taken. It exits 1 if a mutant expected to be killed survives.
+`pythonpath` setting) pointing at the copy. A mutant is killed when a test
+fails (pytest exits 1) or the run passes TIMEOUT_S, and survives when every
+test passes (exit 0). Any other exit, such as a collection error or no
+tests collected, tested nothing: the gate stops there with an error.
+
+The first mutant is a control that changes only a comment and must
+survive, on every test file the other mutants name. If one of those files
+already fails on an unmutated copy, the control reads killed and the gate
+fails, instead of counting every mutant as killed.
+
+The script prints one JSON line per mutant: its name, the expected and the
+actual outcome, the first failing test, pytest's exit status and the
+seconds taken. It exits 1 if a mutant's outcome is not the expected one.
 Standard library only; pytest does not collect this file, and
 `tests/test_mutants.py` checks that every old text is still in the source.
 """
@@ -40,6 +48,11 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    # a comment only: the named tests must pass on the copy
+    Mutant("control-changes-a-comment", "tropical_refine/invariants.py",
+           "Q_PLUS = HalfLaurent({2: 1, -2: 1})",
+           "Q_PLUS = HalfLaurent({2: 1, -2: 1})  # control",
+           ("tests/test_solver.py", "tests/test_invariants.py"), False),
     # a child split at its parent's key is a wall; without the raise the
     # count returns a curve with an edge of length zero
     Mutant("solver-drops-the-tie-raise", "tropical_refine/solver.py",
@@ -65,6 +78,10 @@ MUTANTS = (
            ("tests/test_invariants.py",), True),
 )
 
+# pytest's exit statuses that decide a mutant: a test failed, every test
+# passed; a run past TIMEOUT_S (status None) also kills it
+KILLED, SURVIVED = 1, 0
+
 
 def occurrences(mutant: Mutant) -> int:
     """How often the mutant's old text occurs in its file under src/."""
@@ -80,7 +97,8 @@ def run(mutant: Mutant) -> dict:
         text = target.read_text(encoding="utf-8")
         if text.count(mutant.old) != 1:
             raise SystemExit(f"{mutant.name}: the old text occurs "
-                             f"{text.count(mutant.old)} times in {mutant.path}")
+                             f"{text.count(mutant.old)} times in "
+                             f"{mutant.path}")
         target.write_text(text.replace(mutant.old, mutant.new),
                           encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(src),
@@ -95,33 +113,31 @@ def run(mutant: Mutant) -> dict:
             proc = subprocess.run(command, cwd=ROOT, env=env,
                                   capture_output=True, text=True,
                                   timeout=TIMEOUT_S)
-            status, out = proc.returncode, proc.stdout
+            status, out = proc.returncode, proc.stdout + proc.stderr
         except subprocess.TimeoutExpired:
             status, out = None, ""
         seconds = time.perf_counter() - start
+    if status not in (KILLED, SURVIVED, None):
+        raise SystemExit(f"{mutant.name}: pytest exited {status} and "
+                         f"decided nothing\n{out[-2000:]}")
     failures = [line.split(" - ")[0].split(" ", 1)[1]
                 for line in out.splitlines()
                 if line.startswith(("FAILED ", "ERROR "))]
-    return {"mutant": mutant.name, "killed": status != 0,
+    return {"mutant": mutant.name, "killed": status != SURVIVED,
             "expected": "killed" if mutant.expect_killed else "survives",
             "status": status, "seconds": round(seconds, 1),
             "killed_by": failures[0] if failures else None,
             "tests": list(mutant.tests)}
 
 
-def main(names: list[str]) -> int:
-    unknown = sorted(set(names) - {m.name for m in MUTANTS})
-    if unknown:
-        raise SystemExit(f"no mutant named {', '.join(unknown)}")
+def main() -> int:
     failed = False
     for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
         result = run(mutant)
         print(json.dumps(result, sort_keys=True), flush=True)
-        failed |= mutant.expect_killed and not result["killed"]
+        failed |= result["killed"] != mutant.expect_killed
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -36,3 +36,14 @@ def test_each_mutant_changes_one_place_under_src(mutant):
 def test_mutant_names_are_distinct():
     names = [m.name for m in MUTANTS.MUTANTS]
     assert len(set(names)) == len(names)
+
+
+def test_the_control_comes_first_and_covers_every_test_file():
+    # a control that must survive shows the named test files pass on an
+    # unmutated copy; run first, on all of them, it vouches for each kill
+    control, *mutants = MUTANTS.MUTANTS
+    assert not control.expect_killed
+    assert all(m.expect_killed for m in mutants)
+    assert control.new.startswith(control.old)
+    assert control.new[len(control.old):].lstrip().startswith("#")
+    assert {t for m in mutants for t in m.tests} <= set(control.tests)

@@ -205,7 +205,8 @@ def _message_sites(code: str, module: str, text: str) -> list[str]:
     return _sites(code, module, lambda node: isinstance(node, ast.Raise)
                   and node.exc is not None
                   and any(isinstance(part, ast.Constant)
-                          and isinstance(part.value, str) and text in part.value
+                          and isinstance(part.value, str)
+                          and text in part.value
                           for part in ast.walk(node.exc)))
 
 
@@ -254,7 +255,8 @@ def _json_functions(code: str, module: str) -> list[str]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
-                if "json" in child.name and not isinstance(child, ast.ClassDef):
+                if ("json" in child.name
+                        and not isinstance(child, ast.ClassDef)):
                     found.append(".".join((module, *owner, child.name)))
                 visit(child, owner + (child.name,))
 
