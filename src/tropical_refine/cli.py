@@ -73,6 +73,14 @@ def _json(text: str):
         raise ValueError("the degree's JSON is nested too deeply") from None
 
 
+def _fields(text: str, sep: str, kind: str) -> list[str]:
+    """text split at sep; ValueError naming the first empty field's place."""
+    fields = text.split(sep)
+    if "" in fields:
+        raise ValueError(f"{kind} {fields.index('') + 1} of {text!r} is empty")
+    return fields
+
+
 def load_degree(source: str) -> Degree:
     """A degree from a JSON literal or the compact "x,y;x,y;..." form, given
     inline or as the path of a file that holds it."""
@@ -84,10 +92,7 @@ def load_degree(source: str) -> Degree:
         return Degree.from_json(_json(stripped))
     if stripped.startswith("["):
         return Degree.from_json({"entries": _json(stripped)})
-    chunks = stripped.split(";")
-    if "" in chunks:
-        raise ValueError(f"entry {chunks.index('') + 1} of {stripped!r} is empty")
-    return Degree(tuple(map(parse_vec, chunks)))
+    return Degree(tuple(map(parse_vec, _fields(stripped, ";", "entry"))))
 
 
 def default_n1(delta: Degree, s: int) -> Vec:
@@ -123,10 +128,7 @@ def parse_moment(text: str) -> Fraction:
 def parse_moments(text: str, delta_s: Degree) -> MomentVector:
     _three_ends(delta_s.entries)    # else no moment count fits
     n = len(delta_s)
-    chunks = text.split(",")
-    if "" in chunks:
-        raise ValueError(f"moment {chunks.index('') + 1} of {text!r} is empty")
-    values = [parse_moment(chunk) for chunk in chunks]
+    values = [parse_moment(chunk) for chunk in _fields(text, ",", "moment")]
     if len(values) == n:
         total = menelaus_sum(values, delta_s)
         if total != 0:

@@ -37,8 +37,8 @@ class InsufficientMultiplicity(TropicalError):
     """Degree surgery asked to pair off more ends than are available."""
 
 
-class LengthMismatch(TropicalError):
-    """A moment list does not match the number of ends it is checked against."""
+class LengthMismatch(TropicalError, ValueError):
+    """A moment list does not match its number of ends; also a ValueError."""
 
 
 class NonPositive(TropicalError, ValueError):

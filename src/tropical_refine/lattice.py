@@ -12,8 +12,9 @@ Conventions used throughout the package:
   wedge(n, p); the moments of all ends of a curve sum to zero (the tropical
   Menelaus relation), so a constraint vector only ever stores the moments of
   ends 2..n and end 1 is implied;
-* the degree rules every count rests on are checked here, each by one
-  helper: 3 or more ends, weight-2 ends on one divisor, not all on a line.
+* each end rule every count rests on has one checker here, which degrees,
+  trees and the real side share: 3 or more ends, a zero sum, weight 1 or 2,
+  weight-2 ends on one divisor, not all on a line, one moment per end.
 
 Records are `NamedTuple`s (`LatticePolygon`) or `Record`s (`Degree`,
 `MomentVector` and the package's other small immutable classes), because
@@ -111,6 +112,27 @@ def _three_ends(dirs: Sequence) -> None:
         raise TooFewEnds(f"a curve needs at least 3 ends, got {len(dirs)}")
 
 
+def _balanced(dirs: Iterable) -> None:
+    """The ends `dirs` sum to zero, as the ends of every curve do."""
+    total = tuple(map(sum, zip((0, 0), *dirs)))
+    if total != (0, 0):
+        raise DegenerateDegree(f"degree entries must sum to zero, got {total}")
+
+
+def _end_weight(v) -> int:
+    """The weight of the end v when it is 1 or 2; else ValueError."""
+    w = lattice_length(v)
+    if w not in (1, 2):
+        raise ValueError(f"end of weight {w} not supported, only 1 and 2")
+    return w
+
+
+def _moment_count(k: int, n: int) -> None:
+    """k moments given for n ends: one moment per end."""
+    if k != n:
+        raise LengthMismatch(f"{k} moments for a degree with {n} ends")
+
+
 def _one_divisor(dirs: Iterable) -> None:
     """The weight-2 ends `dirs` are parallel, as the theorem needs."""
     k = len(set(map(primitive, dirs)))
@@ -199,10 +221,7 @@ class Degree(Record):
             raise ValueError(f"a degree name is a string, got {name!r}")
         if any(e == ZERO for e in ents):
             raise DegenerateDegree("degree entries must be nonzero")
-        total = functools.reduce(Vec.__add__, ents, ZERO)
-        if total != ZERO:
-            raise DegenerateDegree(
-                f"degree entries must sum to zero, got {tuple(total)}")
+        _balanced(ents)
         object.__setattr__(self, "entries", ents)
         object.__setattr__(self, "name", name)
 
@@ -224,19 +243,9 @@ class Degree(Record):
     @functools.cached_property
     def _split_even_ends(self) -> tuple["Degree", int]:
         """split_even_ends(self), derived once per degree object and kept."""
-        out: list[Vec] = []
-        even: list[Vec] = []
-        for e in self.entries:
-            w = lattice_length(e)
-            if w == 1:
-                out.append(e)
-            elif w == 2:
-                p = primitive(e)
-                out.extend((p, p))
-                even.append(e)
-            else:
-                raise ValueError(
-                    f"end of weight {w} not supported, only 1 and 2")
+        ends = [(_end_weight(e), primitive(e)) for e in self]
+        out = [p for w, p in ends for _ in range(w)]
+        even = [p for w, p in ends if w == 2]
         _one_divisor(even)
         _spans_plane(out)
         # a new record even for s = 0: self in its own cache is a cycle
@@ -309,9 +318,9 @@ def split_even_ends(delta_s: Degree) -> tuple[Degree, int]:
     The parent keeps delta_s's name only when s = 0, where the two are equal.
 
     Each weight-2 entry 2*n becomes two consecutive copies of n; weight-1
-    entries pass through. Entries of weight > 2 are rejected, and so are
-    weight-2 ends of more than one direction (`_one_divisor`) and ends on
-    one line (`_spans_plane`), which bound no curve.
+    entries pass through. Entries of weight > 2 are rejected (`_end_weight`),
+    and so are weight-2 ends of more than one direction (`_one_divisor`)
+    and ends on one line (`_spans_plane`), which bound no curve.
     """
     return delta_s._split_even_ends
 
@@ -410,7 +419,5 @@ def frac_str(value) -> str:
 def menelaus_sum(full_moments: Iterable, delta: Degree) -> Fraction:
     """Sum of a full moment list; zero for any actual curve of this degree."""
     vals = [as_fraction(v) for v in full_moments]
-    if len(vals) != len(delta):
-        raise LengthMismatch(
-            f"{len(vals)} moments for a degree with {len(delta)} ends")
+    _moment_count(len(vals), len(delta))
     return sum(vals, Fraction(0))

@@ -12,11 +12,25 @@ symmetric under q -> 1/q and evaluate at q=1 to ordinary integers.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import NonPositive, NotDivisible
 from .lattice import Record, _int
+
+
+def _operand(method):
+    """`method` with its operand made a HalfLaurent: an int becomes a
+    constant, and any other type (a bool too) gets NotImplemented."""
+    @functools.wraps(method)
+    def operator(self, other):
+        if type(other) is int:
+            other = HalfLaurent(other)
+        elif not isinstance(other, HalfLaurent):
+            return NotImplemented
+        return method(self, other)
+    return operator
 
 
 class HalfLaurent(Record):
@@ -74,11 +88,8 @@ class HalfLaurent(Record):
     def __bool__(self) -> bool:
         return bool(self._c)
 
+    @_operand
     def __eq__(self, other) -> bool:
-        if type(other) is int:
-            other = HalfLaurent(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
         return self._c == other._c
 
     def __hash__(self):
@@ -89,11 +100,8 @@ class HalfLaurent(Record):
 
     # -- ring operations ---------------------------------------------------
 
+    @_operand
     def __add__(self, other):
-        if type(other) is int:
-            other = HalfLaurent(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
         d = dict(self._c)
         for k, c in other._c.items():
             d[k] = d.get(k, 0) + c
@@ -104,23 +112,16 @@ class HalfLaurent(Record):
     def __neg__(self):
         return HalfLaurent._of({k: -c for k, c in self._c.items()})
 
+    @_operand
     def __sub__(self, other):
-        if type(other) is int:
-            other = HalfLaurent(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
         return self + (-other)
 
+    @_operand
     def __rsub__(self, other):
-        if type(other) is not int:
-            return NotImplemented
-        return HalfLaurent(other) - self
+        return other - self
 
+    @_operand
     def __mul__(self, other):
-        if type(other) is int:
-            return HalfLaurent._of({k: c * other for k, c in self._c.items()})
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
         d: dict[int, int] = {}
         for k1, c1 in self._c.items():
             for k2, c2 in other._c.items():

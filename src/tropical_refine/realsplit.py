@@ -42,7 +42,7 @@ vertices and inside edges, and the split edges. Its nodes, quadrivalent
 vertices and flat nodes are read off the edges on first use.
 
 An end is even when its lattice length is 2, as in `lattice`, whose
-`_one_divisor` is the one check that the even ends are parallel.
+`_end_weight` and `_one_divisor` check weights 1 or 2 and parallel even ends.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (FlatVertex, InadmissibleSet, OddQuadMultiplicity,
                      OutOfRange, TropicalError)
-from .lattice import (Record, Vec, _int, _one_divisor, as_fraction,
-                      lattice_length, wedge)
+from .lattice import (Record, Vec, _end_weight, _int, _one_divisor,
+                      as_fraction, lattice_length, wedge)
 from .laurent import HalfLaurent, w_pow_minus_inverse
 
 if TYPE_CHECKING:
@@ -80,10 +80,7 @@ class WeightedPlaneParam(Record):
     """
 
     def __init__(self, tree: CombinatorialType):
-        weights = [lattice_length(d) for d in tree.leaf_dirs]
-        if any(w > 2 for w in weights):
-            raise ValueError("end weights above 2 are out of scope")
-        if all(w == 2 for w in weights):
+        if 1 not in [_end_weight(d) for d in tree.leaf_dirs]:
             raise ValueError("need at least one odd (weight-1) end")
         object.__setattr__(self, "tree", tree)
 
@@ -488,15 +485,19 @@ def trivalent_quantum_index(u: Vec, v: Vec) -> tuple[Fraction, Fraction]:
     return (Fraction(m, 2), Fraction(-m, 2))
 
 
+def _at_least_1(name: str, value: int) -> None:
+    """OutOfRange naming an int argument, checked for its type, below 1."""
+    if value < 1:
+        raise OutOfRange(f"{name} must be at least 1, got {value}")
+
+
 def quad_indices(m1: int, delta: int) -> list[int]:
     """Quantum indices of the m1 first-order solutions at a quadrivalent
     vertex of type (m1; delta): delta * (2k + 1 - m1) for k = 0..m1-1."""
     _int("m1", m1)
     _int("delta", delta)
-    if m1 < 1:
-        raise OutOfRange(f"m1 must be at least 1, got {m1}")
-    if delta < 1:
-        raise OutOfRange(f"delta must be at least 1, got {delta}")
+    _at_least_1("m1", m1)
+    _at_least_1("delta", delta)
     return [delta * (2 * k + 1 - m1) for k in range(m1)]
 
 
@@ -512,8 +513,7 @@ def coamoeba_area(m1: int, k: int) -> Fraction:
     (2k + 1)/m1 - 1."""
     _int("m1", m1)
     _int("k", k)
-    if m1 < 1:
-        raise OutOfRange(f"m1 must be at least 1, got {m1}")
+    _at_least_1("m1", m1)
     if not 0 <= k < m1:
         raise OutOfRange(f"k must lie in [0, {m1}), got {k}")
     return Fraction(2 * k + 1 - m1, m1)
@@ -522,6 +522,5 @@ def coamoeba_area(m1: int, k: int) -> Fraction:
 def c_k_values(m1: int) -> list[Fraction]:
     """Cotangent arguments of the solution sheets, as exact multiples of pi:
     (2k + 1) / (2 m1) for k = 0..m1-1."""
-    if _int("m1", m1) < 1:
-        raise OutOfRange(f"m1 must be at least 1, got {m1}")
+    _at_least_1("m1", _int("m1", m1))
     return [Fraction(2 * k + 1, 2 * m1) for k in range(m1)]

@@ -52,7 +52,8 @@ from math import gcd, inf, lcm, prod
 from weakref import WeakKeyDictionary
 
 from .errors import DegenerateType, NonGenericMoments, TropicalError
-from .lattice import Degree, MomentVector, Record, Vec, _three_ends
+from .lattice import (Degree, MomentVector, Record, Vec, _moment_count,
+                      _three_ends)
 from .laurent import HalfLaurent, q_analog
 from .trees import CombinatorialType, type_from_clades
 
@@ -253,11 +254,6 @@ def _walk(ctype: CombinatorialType, root: tuple[Fraction, Fraction],
     return pos
 
 
-def _check_moment_count(mu: MomentVector, n: int) -> None:
-    if len(mu) != n:
-        raise ValueError(f"moment vector for {len(mu)} ends, type has {n}")
-
-
 def solve(ctype: CombinatorialType, mu: MomentVector) -> TropicalSolution | None:
     """Solve the moment constraints for one combinatorial type.
 
@@ -268,12 +264,12 @@ def solve(ctype: CombinatorialType, mu: MomentVector) -> TropicalSolution | None
     can only mean a bug in the matrix or the elimination. The curve's
     vertices are numbered as enumerate_types numbers its type.
     """
-    _check_moment_count(mu, ctype.n)
+    _moment_count(len(mu), ctype.n)
+    mults = ctype.multiplicities()
     matrix = evaluation_matrix(ctype)
     det, x = _solve_exact(matrix, list(mu.values))
     if det == 0:
         raise DegenerateType("singular evaluation map (flat vertex)")
-    mults = ctype.multiplicities()
     if abs(det) != prod(mults.values()):
         raise TropicalError(
             f"determinant {det} is not the product of the vertex "
@@ -422,7 +418,7 @@ def curves_through(delta: Degree,
     mu.values; the implied moment of end 1 is never summed."""
     _three_ends(delta.entries)
     n = len(delta.entries)
-    _check_moment_count(mu, n)
+    _moment_count(len(mu), n)
     table = _split_table(delta)
     scale_mu = lcm(*[v.denominator for v in mu.values])
     moment = _subset_sums([v.numerator * (scale_mu // v.denominator)

@@ -14,6 +14,10 @@ balancing condition forces the edge's direction, oriented downwards, to be
 the sum of the clade's leaf directions; one walk (`CombinatorialType.clades`)
 finds every clade, and every edge direction, the vertex multiplicities and
 everything else derived from the tree are read off them.
+
+`_grow` and `type_from_clades` each write out the three-line insertion
+step: `_grow` is the brute-force oracle's inner loop, which a shared helper
+made a fifth slower, and a test replays each copy against the other.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import functools
 from typing import Iterable, Iterator
 
 from .errors import TooFewEnds, TropicalError
-from .lattice import Degree, Record, Vec, _int, _three_ends
+from .lattice import Degree, Record, Vec, _balanced, _int, _three_ends
 
 
 class CombinatorialType(Record):
@@ -115,8 +119,10 @@ class CombinatorialType(Record):
     def _multiplicities(self) -> dict[int, int]:
         """Multiplicity |x_a y_b - y_a x_b| of the two child clades a, b at
         every internal vertex, in vertex order; built once per tree. Raises
-        TropicalError, naming the first offending vertex, unless every leaf
-        has one edge, every internal vertex three, and all hang from leaf 0."""
+        DegenerateDegree unless the ends sum to zero, and TropicalError,
+        naming the first offending vertex, unless every leaf has one edge,
+        every internal vertex three, and all hang from leaf 0."""
+        _balanced(self.leaf_dirs)
         for v, nbrs in self.adjacency.items():
             want = 1 if v < self.n else 3
             if len(nbrs) != want:

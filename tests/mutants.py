@@ -52,7 +52,8 @@ MUTANTS = (
     Mutant("control-changes-a-comment", "tropical_refine/invariants.py",
            "Q_PLUS = HalfLaurent({2: 1, -2: 1})",
            "Q_PLUS = HalfLaurent({2: 1, -2: 1})  # control",
-           ("tests/test_solver.py", "tests/test_invariants.py"), False),
+           ("tests/test_solver.py", "tests/test_invariants.py",
+            "tests/test_realsplit.py"), False),
     # a child split at its parent's key is a wall; without the raise the
     # count returns a curve with an edge of length zero
     Mutant("solver-drops-the-tie-raise", "tropical_refine/solver.py",
@@ -75,6 +76,20 @@ MUTANTS = (
     Mutant("invariants-wrong-q-plus", "tropical_refine/invariants.py",
            "Q_PLUS = HalfLaurent({2: 1, -2: 1})",
            "Q_PLUS = HalfLaurent({1: 1, -1: 1})",
+           ("tests/test_invariants.py",), True),
+    # a tree whose ends do not sum to zero is solved as if it bounded a
+    # curve
+    Mutant("trees-drops-the-balance-check", "tropical_refine/trees.py",
+           "        _balanced(self.leaf_dirs)\n", "",
+           ("tests/test_solver.py",), True),
+    # an end of weight 0 passes the one weight check
+    Mutant("lattice-admits-weight-zero", "tropical_refine/lattice.py",
+           "if w not in (1, 2):", "if w not in (0, 1, 2):",
+           ("tests/test_realsplit.py",), True),
+    # too few moments pass the one moment-count check
+    Mutant("lattice-admits-too-few-moments", "tropical_refine/lattice.py",
+           "    if k != n:\n        raise LengthMismatch",
+           "    if k > n:\n        raise LengthMismatch",
            ("tests/test_invariants.py",), True),
 )
 

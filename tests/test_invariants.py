@@ -11,16 +11,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropical_refine import (DegenerateDegree, Degree, ExhaustedRetries,
-                             HalfLaurent, InvarianceViolation, MomentVector,
-                             NonGenericMoments, NotDivisible, SplitMix64,
-                             TooFewEnds, TrialRecord, TropicalError,
-                             TropicalSolution, Vec, WeightedPlaneParam,
-                             broccoli_from_r, build_delta_s, delta_d,
-                             enumerate_types, evaluation_matrix,
-                             invariance_audit, invariants, lattice_length,
-                             m_prime, maximal_split, polygon_of, q_analog,
-                             r_from_n, random_generic_moments, refined_count,
-                             sample_trial, solver, split_even_ends,
+                             HalfLaurent, InvarianceViolation, LengthMismatch,
+                             MomentVector, NonGenericMoments, NotDivisible,
+                             SplitMix64, TooFewEnds, TrialRecord,
+                             TropicalError, TropicalSolution, Vec,
+                             WeightedPlaneParam, broccoli_from_r,
+                             build_delta_s, delta_d, enumerate_types,
+                             evaluation_matrix, invariance_audit, invariants,
+                             lattice_length, m_prime, maximal_split,
+                             menelaus_sum, polygon_of, q_analog, r_from_n,
+                             random_generic_moments, refined_count,
+                             sample_trial, solve, solver, split_even_ends,
                              w_pow_minus_inverse, wedge)
 from tropical_refine.invariants import moment_from_draw, refined_count_brute
 
@@ -65,6 +66,24 @@ def test_refined_count_square(square, square_mu):
 def test_refined_count_doubled_quad(doubled_quad, doubled_quad_mu):
     n_trop, _ = refined_count(doubled_quad, doubled_quad_mu)
     assert n_trop == W_PLUS
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_every_count_refuses_a_moment_list_of_the_wrong_length(triangle,
+                                                               count):
+    # one checker, lattice._moment_count: the fast count, the oracle, one
+    # solve and the Menelaus sum refuse too few or too many moments alike,
+    # with an error that is also a ValueError
+    mu = MomentVector(range(1, count))      # count moments, end 1 implied
+    ctype = next(enumerate_types(triangle))
+    message = rf"^{count} moments for a degree with 3 ends$"
+    for call in (lambda: refined_count(triangle, mu),
+                 lambda: refined_count_brute(triangle, mu),
+                 lambda: solve(ctype, mu),
+                 lambda: menelaus_sum(mu.full(), triangle)):
+        with pytest.raises(ValueError, match=message) as info:
+            call()
+        assert type(info.value) is LengthMismatch
 
 
 def test_random_generic_moments_deterministic(conic):

@@ -118,6 +118,22 @@ def test_weighted_param_rejects_weights_above_two():
         WeightedPlaneParam(CombinatorialType(dirs, edges))
 
 
+@pytest.mark.parametrize("dirs, w", [
+    ((Vec(0, 0), Vec(1, 0), Vec(-1, 0)), 0),
+    ((Vec(1, 0), Vec(0, 0), Vec(-1, 0)), 0),
+    ((Vec(-1, 0), Vec(3, 0), Vec(-1, 0), Vec(-1, 0)), 3),
+], ids=["first", "after-weight-1", "weight-3-after-weight-1"])
+def test_weighted_param_checks_every_end_weight(dirs, w):
+    # the one weight check, lattice._end_weight, that Degree also uses; a
+    # bad end after a weight-1 end is still seen
+    n = len(dirs)
+    edges = (((0, 3), (1, 3), (2, 3)) if n == 3
+             else ((0, 4), (1, 4), (4, 5), (2, 5), (3, 5)))
+    msg = rf"^end of weight {w} not supported, only 1 and 2$"
+    with pytest.raises(ValueError, match=msg):
+        WeightedPlaneParam(CombinatorialType(dirs, edges))
+
+
 def test_weighted_param_needs_an_odd_end():
     dirs = (Vec(2, 0), Vec(0, 2), Vec(-2, -2))
     edges = ((0, 3), (1, 3), (2, 3))

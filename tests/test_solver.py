@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropical_refine import (CombinatorialType, Degree, DegenerateType,
-                             HalfLaurent, MomentVector, NonGenericMoments,
-                             TropicalError, Vec, build_delta_s, delta_d,
-                             enumerate_types, evaluation_matrix, q_analog,
+from tropical_refine import (CombinatorialType, Degree, DegenerateDegree,
+                             DegenerateType, HalfLaurent, MomentVector,
+                             NonGenericMoments, TropicalError, Vec,
+                             build_delta_s, delta_d, enumerate_types,
+                             evaluation_matrix, q_analog,
                              random_generic_moments, refined_count,
                              sample_trial, solve, solver)
 from test_invariants import (assert_matches_brute, degrees_with_moments,
@@ -32,6 +33,17 @@ def only_type(degree: Degree) -> CombinatorialType:
 def test_evaluation_matrix_triangle(triangle):
     t = only_type(triangle)
     assert evaluation_matrix(t) == [[1, 0], [-1, 1]]
+
+
+def test_solve_refuses_a_tree_whose_ends_do_not_sum_to_zero():
+    # the ends sum to (2, 1), so no curve has them; solving the star
+    # anyway gave a curve whose own verify() found its moments off
+    tree = CombinatorialType((Vec(1, 0), Vec(1, 0), Vec(0, 1)),
+                             ((0, 3), (1, 3), (2, 3)))
+    with pytest.raises(DegenerateDegree,
+                       match=r"^degree entries must sum to zero, "
+                             r"got \(2, 1\)$"):
+        solve(tree, MomentVector((1, 2)))
 
 
 def test_solve_triangle_oracle(triangle, triangle_mu):

@@ -1,9 +1,11 @@
 """Rules on the package source itself."""
 
 import ast
+import io
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -210,19 +212,28 @@ def _message_sites(code: str, module: str, text: str) -> list[str]:
                           for part in ast.walk(node.exc)))
 
 
-DEGREE_RULES = {"a curve needs at least 3 ends": "lattice._three_ends",
-                "directions, need exactly one": "lattice._one_divisor",
-                "all directions lie on one line": "lattice._spans_plane"}
+RULE_CHECKERS = {
+    "a curve needs at least 3 ends": "lattice._three_ends",
+    "degree entries must sum to zero": "lattice._balanced",
+    "not supported, only 1 and 2": "lattice._end_weight",
+    "directions, need exactly one": "lattice._one_divisor",
+    "all directions lie on one line": "lattice._spans_plane",
+    "moments for a degree with": "lattice._moment_count",
+    "must be at least 1": "realsplit._at_least_1",
+    "is empty": "cli._fields",
+}
 
 
-@pytest.mark.parametrize("text", DEGREE_RULES)
-def test_each_degree_rule_is_raised_by_its_lattice_helper(text):
-    # the degree rules a count rests on are written once, in lattice; a
-    # second raise of one is a second copy of its test and its words
+@pytest.mark.parametrize("text", RULE_CHECKERS)
+def test_each_rule_is_raised_by_its_one_checker(text):
+    # the end rules a count rests on are written once, in lattice, and
+    # shared by degrees, trees and the real side; the quantum helpers'
+    # range and the CLI's empty field have one checker each too. A second
+    # raise of one is a second copy of its test and its words
     found = sorted(site for path in sorted(SRC.rglob("*.py"))
                    for site in _message_sites(path.read_text(encoding="utf-8"),
                                               path.stem, text))
-    assert found == [DEGREE_RULES[text]]
+    assert found == [RULE_CHECKERS[text]]
 
 
 def test_the_message_rule_sees_each_kind():
@@ -236,6 +247,76 @@ def test_the_message_rule_sees_each_kind():
             "    raise TooFewEnds(f'need at least 3 ends, got {n}')\n")
     assert _message_sites(code, "mod", "a curve needs at least 3 ends") == [
         "mod.<module>", "mod.f", "mod.g"]
+
+
+COPY_LINES = 4
+
+
+def _code_lines(code: str) -> list[tuple[int, str]]:
+    """(line number, text) of every code line of a module, with comments
+    cut off and runs of whitespace made one space; blank lines, comments,
+    docstrings and imports are left out."""
+    skip = set()
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            skip.update(range(node.lineno, node.end_lineno + 1))
+        elif isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                               ast.AsyncFunctionDef)):
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                skip.update(range(first.lineno, first.end_lineno + 1))
+    lines = code.splitlines()
+    for token in tokenize.generate_tokens(io.StringIO(code).readline):
+        if token.type == tokenize.COMMENT:
+            row, col = token.start
+            lines[row - 1] = lines[row - 1][:col]
+    return [(number, " ".join(text.split()))
+            for number, text in enumerate(lines, 1)
+            if number not in skip and text.strip()]
+
+
+def _copied_blocks(modules: dict[str, str]) -> list[list[str]]:
+    """Every run of COPY_LINES consecutive code lines that occurs more than
+    once in the modules (name: source), as the `name:line` where each copy
+    starts."""
+    starts: dict[tuple[str, ...], list[str]] = {}
+    for name, code in modules.items():
+        lines = _code_lines(code)
+        for i in range(len(lines) - COPY_LINES + 1):
+            block = tuple(text for _, text in lines[i:i + COPY_LINES])
+            starts.setdefault(block, []).append(f"{name}:{lines[i][0]}")
+    return [places for places in starts.values() if len(places) > 1]
+
+
+def test_no_block_of_code_is_written_twice():
+    # a copied block is a second place to keep in step with the first;
+    # it becomes one helper. trees._grow and type_from_clades share a
+    # three-line leaf insertion, under the limit, on purpose (see trees)
+    modules = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py"))}
+    assert _copied_blocks(modules) == []
+
+
+def test_the_copy_rule_sees_each_kind():
+    head = ('"""A module."""\nimport os\nimport sys\n'
+            'from json import (dumps,\n                  loads)\n')
+    one = head + ("def f(xs):\n"
+                  "    \"\"\"Sum xs.\n\n    Each one.\n    \"\"\"\n"
+                  "    total = 0\n    for x in xs:  # each\n\n"
+                  "        total += x\n    return total\n")
+    two = head + ("class K:\n    \"\"\"Sum xs.\n\n    Each one.\n    \"\"\"\n"
+                  "    def g(self, xs):\n        total  =  0\n"
+                  "        # every x\n        for x in xs:\n"
+                  "            total += x\n        return total\n"
+                  "def h(xs):\n    total = 0\n    for x in xs:\n"
+                  "        total -= x\n    return total\n")
+    # the docstrings and imports repeat, and so do three lines of h
+    assert _copied_blocks({"one": one, "two": two}) == [["one:11",
+                                                         "two:12"]]
+    assert _code_lines(one)[:2] == [(6, "def f(xs):"), (11, "total = 0")]
+    assert _copied_blocks({"one": one}) == []
 
 
 def _camel_keyed_dict(node) -> bool:
