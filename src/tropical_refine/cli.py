@@ -212,7 +212,7 @@ def invariant_json(report: InvariantReport) -> dict:
         "trialRecords": [{
             "seed": t.seed,
             "moments": [frac_str(v) for v in t.moments.values],
-            "solutionCount": len(t.curves),
+            "solutionCount": t.count,
             "refinedCount": t.n_trop.to_json_pairs(),
         } for t in report.trial_records],
         "refinedCount": report.n_trop.to_json_pairs(),

@@ -87,8 +87,8 @@ class InvarianceViolation(TropicalError):
 
     This is a bug detector: the refined count is a theorem-level invariant,
     so unequal values mean the implementation (not the input) is wrong.
-    `trials` holds the two disagreeing TrialRecords whole, so they can be
-    replayed from their seeds and diffed curve by curve.
+    `trials` holds the two disagreeing TrialRecords, which keep their
+    seeds, splits and tallies and build their curves when first read.
     """
 
 

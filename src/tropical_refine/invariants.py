@@ -25,20 +25,21 @@ a degree's first audit divides once, whatever its number of trials, and a
 repeat audit or `r_from_n` of a seen N divides not at all.
 
 A count becomes N in one place, its `TrialRecord`, which tallies the
-curves' sorted vertex multiplicities and sums N in one pass
+count's sorted multiplicity tuples and sums N in one pass
 (`laurent.linear_combination`): each tuple's product [m_V] times the
-number of curves that carry it, not one addition per curve.
+number of curves that carry it, not one addition per curve. It builds its
+curve records only when they are first read, so an audit builds none.
 
 Generic constraints are drawn from a fixed portable generator (SplitMix64)
 so that every run of a given seed is reproducible down to the byte. N and
-sampling read the counted curves' vertex data alone; a curve builds its
-tree only when a record's `solutions` sorts it.
+sampling read the count's splits alone.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .errors import (DegenerateType, ExhaustedRetries, InvarianceViolation,
@@ -47,7 +48,7 @@ from .lattice import (Degree, MomentVector, Record, _int, frac_str,
                       split_even_ends)
 from .laurent import (HalfLaurent, _poly, linear_combination,
                       w_pow_minus_inverse)
-from .solver import TropicalSolution, _q_product, curves_through, solve
+from .solver import TropicalSolution, _count, _curves, _q_product, solve
 from .trees import enumerate_types
 
 _MASK64 = (1 << 64) - 1
@@ -80,24 +81,20 @@ def moment_from_draw(draw: int) -> Fraction:
     return Fraction(draw % 2001 - 1000, 1 + draw % 7)
 
 
-def _n_from_mults(mults: Iterable[tuple[int, ...]]) -> HalfLaurent:
-    """N from the curves' vertex multiplicities: each sorted tuple's product
-    [m_V] times the number of curves that carry it, summed in one pass."""
-    tally: dict[tuple[int, ...], int] = {}
-    for m in mults:
-        key = tuple(sorted(m))
-        tally[key] = tally.get(key, 0) + 1
+def _n_from_mults(tally: Iterable[tuple[tuple, int]]) -> HalfLaurent:
+    """N from (sorted multiplicity tuple, number of curves) pairs: each
+    tuple's product [m_V] times its number, summed in one pass."""
     return linear_combination((_q_product(tup), count)
-                              for tup, count in tally.items())
+                              for tup, count in tally)
 
 
 def refined_count(delta_s: Degree,
                   mu: MomentVector) -> tuple[HalfLaurent, list[TropicalSolution]]:
-    """N and the curves through mu in enumerate_types order, read from the
-    TrialRecord of one `solver.curves_through` count, as `sample_trial`
-    builds it but with no coincidence check: equal to `refined_count_brute`,
-    and raising NonGenericMoments exactly when it does."""
-    trial = TrialRecord(None, mu, delta_s, curves_through(delta_s, mu))
+    """N and the curves through mu in enumerate_types order, read from
+    the TrialRecord of mu, as `sample_trial` builds it but with no
+    coincidence check: equal to `refined_count_brute`, and raising
+    NonGenericMoments exactly when it does."""
+    trial = TrialRecord(None, mu, delta_s)
     return trial.n_trop, list(trial.solutions)
 
 
@@ -116,23 +113,19 @@ def refined_count_brute(
             continue
         if sol is not None:
             solutions.append(sol)
-    return _n_from_mults(sol.mults for sol in solutions), solutions
-
-
-def _position_signature(curve: TropicalSolution) -> tuple:
-    """Equal exactly for curves with the same vertex positions."""
-    return curve.scale, tuple(sorted(curve.points))
+    return _n_from_mults(Counter(tuple(sorted(sol.mults))
+                                 for sol in solutions).items()), solutions
 
 
 def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
     """Seeded generic moments for ends 2..n and the count that accepted them.
 
     A candidate is rejected when some type solves onto a wall (zero length)
-    or two curves coincide as point sets (a lone curve has none to meet).
-    Raises ExhaustedRetries, with the reason for every rejection, after
-    MAX_ATTEMPTS candidates. The TrialRecord of the accepted count sums
-    its N, as `refined_count`'s does; an audit takes R and BG from it. N
-    and the coincidence test read vertex data only: no tree is built here.
+    or two curves coincide as point sets. Raises ExhaustedRetries, with the
+    reason for every rejection, after MAX_ATTEMPTS candidates. The
+    TrialRecord of the accepted count keeps its splits, tally and N, as
+    `refined_count`'s does; an audit takes R and BG from it. No curve
+    record and no tree is built here.
 
     The coincident-curve guard has never fired: not in a census of 24 000
     draws on eight degrees of 5 to 11 ends (52 walls), and not on stretched
@@ -147,15 +140,14 @@ def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
         mu = MomentVector(moment_from_draw(stream.next_u64())
                           for _ in range(n - 1))
         try:
-            curves = curves_through(delta_s, mu)
+            trial = TrialRecord(seed, mu, delta_s)
         except NonGenericMoments:
             reasons.append("wall")
             continue
-        if (len(curves) > 1 and len(set(map(_position_signature, curves)))
-                != len(curves)):
+        if trial.point_sets != trial.count:
             reasons.append("coincident curves")
             continue
-        return TrialRecord(seed, mu, delta_s, curves)
+        return trial
     counts = ", ".join(f"{reasons.count(r)} {r}"
                        for r in dict.fromkeys(reasons))
     raise ExhaustedRetries(f"no generic moments for seed {seed} in "
@@ -229,24 +221,37 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
 
 
 class TrialRecord(Record):
-    """One counted constraint: seed (None for given moments), moments,
-    degree and the curves `solver.curves_through` counted, kept whole so a
-    failure can be diffed curve by curve, and the N it sums from them;
-    `solutions`, sorted when first read, are the curves in enumerate_types
-    order. An audit takes R and BG from the N its trials agree on."""
+    """The count through `moments` of seed (None for given moments) and
+    degree, which fix it: each curve as its split pairs (`splits`), each
+    sorted multiplicity tuple with its number of curves (`tally`), the
+    number of curves and of distinct vertex-point sets (equal point sets
+    have equal sorted point ids), and the N summed from the tally. `curves`
+    and `solutions`, in enumerate_types order, are built when first read;
+    a copy counts again. Raises NonGenericMoments on a wall."""
 
     def __init__(self, seed: int | None, moments: MomentVector,
-                 delta_s: Degree, curves: Iterable[TropicalSolution]):
-        curves = tuple(curves)
+                 delta_s: Degree):
+        splits, (mult, place, _) = _count(delta_s, moments)
+        tally, point_sets = {}, set()
+        for found in splits:
+            key = tuple(sorted(map(mult.__getitem__, found)))
+            tally[key] = tally.get(key, 0) + 1
+            point_sets.add(tuple(sorted(map(place.__getitem__, found))))
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "moments", moments)
         object.__setattr__(self, "delta_s", delta_s)
-        object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "n_trop",
-                           _n_from_mults(curve.mults for curve in curves))
+        object.__setattr__(self, "splits", tuple(splits))
+        object.__setattr__(self, "tally", tuple(tally.items()))
+        object.__setattr__(self, "count", len(splits))
+        object.__setattr__(self, "point_sets", len(point_sets))
+        object.__setattr__(self, "n_trop", _n_from_mults(self.tally))
 
     def identity(self) -> tuple:
-        return self.seed, self.moments, self.delta_s, self.curves
+        return self.seed, self.moments, self.delta_s
+
+    @functools.cached_property
+    def curves(self) -> tuple[TropicalSolution, ...]:
+        return tuple(_curves(self.delta_s, self.moments, self.splits))
 
     @functools.cached_property
     def solutions(self) -> tuple[TropicalSolution, ...]:
@@ -271,7 +276,7 @@ class InvariantReport(NamedTuple):
 
     @property
     def solutions_per_trial(self) -> tuple[int, ...]:
-        return tuple(len(t.curves) for t in self.trial_records)
+        return tuple(t.count for t in self.trial_records)
 
 
 def _describe(rec: TrialRecord) -> str:

@@ -13,8 +13,8 @@ Conventions used throughout the package:
   Menelaus relation), so a constraint vector only ever stores the moments of
   ends 2..n and end 1 is implied;
 * each end rule every count rests on has one checker here, which degrees,
-  trees and the real side share: 3 or more ends, a zero sum, weight 1 or 2,
-  weight-2 ends on one divisor, not all on a line, one moment per end.
+  trees and the real side share: 3 to MAX_ENDS ends, a zero sum, weight 1
+  or 2, even ends on one divisor, not all on a line, one moment per end.
 
 Records are `NamedTuple`s (`LatticePolygon`) or `Record`s (`Degree`,
 `MomentVector` and the package's other small immutable classes), because
@@ -31,7 +31,7 @@ from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (DegenerateDegree, InsufficientMultiplicity, LengthMismatch,
-                     MultipleDivisors, TooFewEnds)
+                     MultipleDivisors, OutOfRange, TooFewEnds)
 
 
 def _int(name: str, value):
@@ -110,6 +110,15 @@ def primitive(v) -> Vec:
 def _three_ends(dirs: Sequence) -> None:
     if len(dirs) < 3:
         raise TooFewEnds(f"a curve needs at least 3 ends, got {len(dirs)}")
+
+
+MAX_ENDS = 16   # 5 157 849 split-table rows, a 1659 MiB peak, at 16 ends
+
+
+def _at_most_max_ends(n: int) -> None:
+    if n > MAX_ENDS:
+        raise OutOfRange(f"a count of {n} ends is past the bound of "
+                         f"{MAX_ENDS}: its table would not fit in memory")
 
 
 def _balanced(dirs: Iterable) -> None:

@@ -25,10 +25,11 @@ with a key at or past the parent's; an equal key is a wall. So it finds
 exactly the curves with every length > 0, or meets the wall on its way
 down, and it builds no reference cycle.
 
-Both give a curve as one `TropicalSolution`: its splits, its vertex
-multiplicities (each split's |d|) and its vertex positions, integers over
-the least common scale. Weighing curves and comparing them as point sets
-needs no tree; a curve builds its tree from its splits when first asked.
+The count gives each curve as the tuple of its split pairs, and each
+split's |d| and vertex point once: enough to weigh the curves and compare
+them as point sets. `solve` and `curves_through` give a curve as one
+`TropicalSolution`: its splits, its vertex multiplicities and its vertex
+positions, integers over the least common scale, and its tree when asked.
 
 Everything that depends on the degree alone (the direction sums of the end
 sets, their splits with d = wedge(n_A, n_B) != 0 and no dead side, the
@@ -52,8 +53,8 @@ from math import gcd, inf, lcm, prod
 from weakref import WeakKeyDictionary
 
 from .errors import DegenerateType, NonGenericMoments, TropicalError
-from .lattice import (Degree, MomentVector, Record, Vec, _moment_count,
-                      _three_ends)
+from .lattice import (Degree, MomentVector, Record, Vec, _at_most_max_ends,
+                      _moment_count, _three_ends)
 from .laurent import HalfLaurent, q_analog
 from .trees import CombinatorialType, type_from_clades
 
@@ -66,6 +67,7 @@ def evaluation_matrix(ctype: CombinatorialType) -> list[list[int]]:
     ctype.bounded_edges. The entry of end j and edge e is x_j*y_e - y_j*x_e
     when the clade (x_e, y_e) below e holds j, and 0 otherwise.
     """
+    ctype.multiplicities()      # refuses ends that do not sum to zero
     dirs = ctype.leaf_dirs
     _, parent, clade = ctype.clades
     rows = [[-d.y, d.x] for d in dirs[1:]]
@@ -408,21 +410,25 @@ def _side(placed_at: list, x: int,
     return _subtrees(placed_at, x, i)
 
 
-def curves_through(delta: Degree,
-                   mu: MomentVector) -> list[TropicalSolution]:
-    """Every curve through mu, unordered; the vertex of the split (A, B) is
-    n + low(B) - 2, as enumerate_types inserts end low(B), the lowest end
-    of B, there (the star's centre n takes end 2). Raises NonGenericMoments
-    on a wall: the backtracking meets a child split at its parent's key.
-    The moment sums are integers over the lcm of the denominators of
-    mu.values; the implied moment of end 1 is never summed."""
-    _three_ends(delta.entries)
+def _moment_sums(mu: MomentVector) -> tuple[int, list[int]]:
+    """The lcm of mu's denominators, and each end set's moment sum times it
+    (end 1's implied moment is never summed)."""
+    scale_mu = lcm(*[v.denominator for v in mu.values])
+    return scale_mu, _subset_sums([v.numerator * (scale_mu // v.denominator)
+                                   for v in mu.values])
+
+
+def _count(delta: Degree, mu: MomentVector) -> tuple[list[tuple], tuple]:
+    """Every curve through mu as the tuple of its split pairs, unordered,
+    each placed row's one pair shared by every curve through it, and their
+    `_vertices`. Raises NonGenericMoments on a wall: the backtracking meets
+    a child split at its parent's key."""
     n = len(delta.entries)
+    _three_ends(delta.entries)
+    _at_most_max_ends(n)
     _moment_count(len(mu), n)
     table = _split_table(delta)
-    scale_mu = lcm(*[v.denominator for v in mu.values])
-    moment = _subset_sums([v.numerator * (scale_mu // v.denominator)
-                           for v in mu.values])
+    moment = _moment_sums(mu)[1]
     # per end set: its placed splits sorted by key, as tuples (key, (A, B),
     # along_a, along_b), and top, its largest key. By induction every
     # placed split has a subtree with every length >= 0 on each side, so a
@@ -447,28 +453,54 @@ def curves_through(delta: Degree,
         if placed:
             placed.sort()
             placed_at[mask], top[mask] = placed, placed[-1][0]
+    chosen = _subtrees(placed_at, size - 2, 0)
+    return chosen, _vertices(table, moment, chosen)
 
-    chosen = _subtrees(placed_at, (1 << n) - 2, 0)
+
+def _vertices(table: _SplitTable, moment: list[int], chosen: list) -> tuple:
+    """`mult`, each split's |d|, and `place`, the id of its vertex point,
+    for the splits of `chosen`, each worked out once; `ids` numbers the
+    points, at the count's common scale so that equal points are equal."""
     sx, sy, scale = table.sx, table.sy, table.scale
-    common, dirs = scale_mu * scale, delta.entries
+    mult, place, ids = {}, {}, {}
+    for found in chosen:
+        for split in found:
+            if split not in mult:
+                a, b = split
+                xa, ya, xb, yb = sx[a], sy[a], sx[b], sy[b]
+                d = xa * yb - ya * xb
+                f = scale // d
+                ma, mb = moment[a], moment[b]
+                point = (ma * xb - xa * mb) * f, (ma * yb - ya * mb) * f
+                mult[split] = abs(d)
+                place[split] = ids.setdefault(point, len(ids))
+    return mult, place, ids
+
+
+def _curves(delta: Degree, mu: MomentVector,
+            chosen: list) -> list[TropicalSolution]:
+    """The records of a count's split tuples, in their order; the vertex of
+    the split (A, B) is n + low(B) - 2, as enumerate_types inserts end
+    low(B), the lowest end of B, there (the star's centre n takes end 2)."""
+    table, (scale_mu, moment) = _split_table(delta), _moment_sums(mu)
+    mult, place, ids = _vertices(table, moment, chosen)
+    at, common, n = list(ids), scale_mu * table.scale, len(delta)
     curves = []
-    # popped as each record is built: never both split orders of every curve
-    chosen.reverse()
-    while chosen:
-        found = chosen.pop()
+    for found in chosen:
         splits, mults, points = [()] * (n - 2), [0] * (n - 2), [()] * (n - 2)
         g = common
         for split in found:
-            a, b = split
-            xa, ya, xb, yb = sx[a], sy[a], sx[b], sy[b]
-            d = xa * yb - ya * xb
-            f = scale // d
-            ma, mb = moment[a], moment[b]
-            x, y = (ma * xb - xa * mb) * f, (ma * yb - ya * mb) * f
-            i = (b & -b).bit_length() - 3
-            splits[i], mults[i], points[i] = split, abs(d), (x, y)
+            x, y = at[place[split]]
+            i = (split[1] & -split[1]).bit_length() - 3
+            splits[i], mults[i], points[i] = split, mult[split], (x, y)
             g = gcd(g, x, y)
         curves.append(TropicalSolution(
-            dirs, mu, tuple(splits), tuple(mults),
+            delta.entries, mu, tuple(splits), tuple(mults),
             tuple([(x // g, y // g) for x, y in points]), common // g))
     return curves
+
+
+def curves_through(delta: Degree,
+                   mu: MomentVector) -> list[TropicalSolution]:
+    """Every curve through mu, unordered; NonGenericMoments on a wall."""
+    return _curves(delta, mu, _count(delta, mu)[0])

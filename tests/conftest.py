@@ -85,14 +85,14 @@ def doubled_quad_mu() -> MomentVector:
 @pytest.fixture
 def count_solves(monkeypatch):
     """Counters, from here on, of counts ("solves": calls of the one count
-    step, `solver.curves_through`, where `invariants` looks it up) and of
+    step, `solver._count`, where `invariants` looks it up) and of
     moments drawn by sampling ("draws"; n - 1 per attempt). Counts whose
     1-based number is in the set "walls" raise NonGenericMoments instead, as
     a constraint on a wall would."""
     from tropical_refine import NonGenericMoments, invariants
 
     counts = {"solves": 0, "draws": 0, "walls": set()}
-    real_count = invariants.curves_through
+    real_count = invariants._count
     real_draw = invariants.moment_from_draw
 
     def count(delta, mu):
@@ -105,7 +105,7 @@ def count_solves(monkeypatch):
         counts["draws"] += 1
         return real_draw(draw)
 
-    monkeypatch.setattr(invariants, "curves_through", count)
+    monkeypatch.setattr(invariants, "_count", count)
     monkeypatch.setattr(invariants, "moment_from_draw", moment_from_draw)
     return counts
 

@@ -69,9 +69,22 @@ MUTANTS = (
     # vertex n of every counted curve moves by one unit of the count's
     # scale, 1/(scale_mu * table scale), in x
     Mutant("solver-moves-a-vertex-point", "tropical_refine/solver.py",
-           "points[i] = split, abs(d), (x, y)",
-           "points[i] = split, abs(d), (x + (i == 0), y)",
+           "points[i] = split, mult[split], (x, y)",
+           "points[i] = split, mult[split], (x + (i == 0), y)",
            ("tests/test_solver.py", "tests/test_invariants.py"), True),
+    # a trial's pass over its split tuples skips the last curve: its N and
+    # tally miss that curve's term
+    Mutant("invariants-tally-drops-the-last-curve",
+           "tropical_refine/invariants.py",
+           "for found in splits:", "for found in splits[:-1]:",
+           ("tests/test_invariants.py",), True),
+    # the guard compares splits, not vertex points: two curves with one
+    # point set but different splits no longer coincide
+    Mutant("invariants-guard-compares-splits",
+           "tropical_refine/invariants.py",
+           "point_sets.add(tuple(sorted(map(place.__getitem__, found))))",
+           "point_sets.add(tuple(sorted(found)))",
+           ("tests/test_invariants.py",), True),
     # q + 1/q written as w + 1/w: only BG reads it
     Mutant("invariants-wrong-q-plus", "tropical_refine/invariants.py",
            "Q_PLUS = HalfLaurent({2: 1, -2: 1})",

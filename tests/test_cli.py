@@ -15,7 +15,7 @@ import pytest
 
 import tropical_refine
 from tropical_refine import (Degree, HalfLaurent, MenelausViolation,
-                             TropicalError, Vec, polygon_of,
+                             TropicalError, Vec, delta_d, polygon_of,
                              random_generic_moments, refined_count)
 from tropical_refine.cli import (build_parser, default_n1, load_degree, main,
                                  parse_moments, parse_vec)
@@ -382,6 +382,26 @@ def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == streamed
+
+
+def test_a_degree_past_the_end_bound_is_one_error_line(capsys, monkeypatch):
+    # delta_d(6) with one pair merged has 17 ends: refused before the
+    # split table is built
+    from tropical_refine import solver
+
+    def build(dirs):
+        raise AssertionError("the split table was built")
+
+    monkeypatch.setattr(solver, "_SplitTable", build)
+    degree = ";".join(f"{e.x},{e.y}" for e in delta_d(6))
+    code, out = run_cli(capsys, ["invariant", f"--degree={degree}", "--s",
+                                 "1", "--n1=-1,0", "--trials", "1"])
+    assert code == 1 and out.count("\n") == 1
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema("error"))
+    assert payload == {"error": "OutOfRange",
+                       "message": "a count of 17 ends is past the bound of "
+                                  "16: its table would not fit in memory"}
 
 
 def error_case(capsys, argv, error_name):

@@ -5,6 +5,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -118,17 +119,17 @@ def test_exhausted_retries_gives_every_reason(square, monkeypatch):
 
 def test_exhausted_retries_tells_walls_from_coincident_curves(conic,
                                                               monkeypatch):
-    real = invariants.curves_through
+    real = invariants._count
     calls = []
 
     def wall_then_doubled(delta, mu):
         calls.append(mu)
         if len(calls) % 2:
             raise NonGenericMoments("forced wall")
-        curves = real(delta, mu)
-        return curves + curves      # every curve twice: they coincide
+        splits, vertices = real(delta, mu)
+        return splits + splits, vertices    # every curve twice: they coincide
 
-    monkeypatch.setattr(invariants, "curves_through", wall_then_doubled)
+    monkeypatch.setattr(invariants, "_count", wall_then_doubled)
     with pytest.raises(ExhaustedRetries) as info:
         sample_trial(conic, 8)
     assert info.value.reasons == ["wall", "coincident curves"] * 32
@@ -810,19 +811,130 @@ def test_dp_curves_carry_the_tree_data_at_twelve_ends(seed):
     assert_carries_the_tree_data(record.solutions)
 
 
-def test_position_signature_is_the_point_set(conic_merged):
-    # sample_trial's coincident-curve rule: equal signatures exactly when
-    # the Fraction point sets are equal, whatever the vertex ids
-    sols = [sol for delta in (conic_merged, delta_d(3)) for seed in range(3)
-            for sol in sample_trial(delta, seed).solutions]
-    sols += [with_fields(sol, points=sol.points[::-1]) for sol in sols[::4]]
-    sols.append(with_fields(sols[0], scale=2 * sols[0].scale))
-    point_sets = [sorted(sol.positions().values()) for sol in sols]
-    signatures = [invariants._position_signature(sol) for sol in sols]
-    for i, j in itertools.combinations(range(len(sols)), 2):
-        assert ((signatures[i] == signatures[j])
-                == (point_sets[i] == point_sets[j]))
-    assert len(set(signatures)) < len(sols)
+def point_sets(delta, mu, tuples, vertices) -> int:
+    """The number of distinct vertex-point sets a trial of mu finds when its
+    count gives the split tuples `tuples`, with the count's `vertices`."""
+    with mock.patch.object(invariants, "_count",
+                           lambda *_: (list(tuples), vertices)):
+        return TrialRecord(None, mu, delta).point_sets
+
+
+def test_point_ids_are_the_point_set(conic_merged):
+    # sample_trial's coincident-curve rule: two split tuples have one
+    # sorted tuple of point ids exactly when their Fraction point sets are
+    # equal, whatever the order of their splits
+    for delta in (conic_merged, delta_d(3)):
+        for seed in range(3):
+            mu = sample_trial(delta, seed).moments
+            splits, vertices = solver._count(delta, mu)
+            sets = [sorted(curve.positions().values())
+                    for curve in solver._curves(delta, mu, splits)]
+            tuples = splits + [found[::-1] for found in splits]
+            sets += sets
+            for i, j in itertools.combinations(range(len(tuples)), 2):
+                found = point_sets(delta, mu, (tuples[i], tuples[j]),
+                                   vertices)
+                assert (found == 1) == (sets[i] == sets[j])
+
+
+def record_path(delta, mu) -> tuple:
+    """N, the number of curves and the tally of sorted multiplicity tuples,
+    read off `curves_through`'s curve records one by one."""
+    curves = solver.curves_through(delta, mu)
+    total = HalfLaurent(0)
+    for curve in curves:
+        total = total + curve.refined_multiplicity()
+    return total, len(curves), Counter(tuple(sorted(curve.mults))
+                                       for curve in curves)
+
+
+def record_path_trial(delta, seed) -> tuple:
+    """The seeded draw on curve records: the first draw that is off every
+    wall and whose curves have distinct Fraction point sets, with its
+    record_path."""
+    stream = SplitMix64(seed)
+    for _ in range(invariants.MAX_ATTEMPTS):
+        mu = MomentVector(moment_from_draw(stream.next_u64())
+                          for _ in range(len(delta) - 1))
+        try:
+            curves = solver.curves_through(delta, mu)
+        except NonGenericMoments:
+            continue
+        if len({tuple(sorted(curve.positions().values()))
+                for curve in curves}) == len(curves):
+            return (mu, *record_path(delta, mu))
+    raise AssertionError(f"no draw for seed {seed}")
+
+
+@settings(max_examples=25, deadline=None)
+@given(degrees_with_moments(max_ends=9))
+def test_a_trial_counts_as_its_curve_records(case):
+    # a trial keeps split tuples, not curves: its N, count and tally are
+    # those of the records, and of brute force where it runs
+    delta, mu = case
+    fast = count_or_wall(lambda d, m: TrialRecord(None, m, d), delta, mu)
+    want = count_or_wall(record_path, delta, mu)
+    if isinstance(fast, tuple):
+        assert fast == want and want[0] == "wall"
+        return
+    assert (fast.n_trop, fast.count, dict(fast.tally)) == want
+    assert fast.point_sets <= fast.count
+    if len(delta) <= 7:
+        n_trop, sols = refined_count_brute(delta, mu)
+        assert want == (n_trop, len(sols),
+                        Counter(tuple(sorted(sol.mults)) for sol in sols))
+
+
+@pytest.mark.parametrize("delta", [
+    delta_d(4), build_delta_s(delta_d(5), Vec(-1, 0), 2)],
+    ids=["12-ends", "13-ends"])
+def test_an_audit_trial_is_the_record_path_above_brute_force(delta):
+    trial = sample_trial(delta, 1)
+    mu, n_trop, count, tally = record_path_trial(delta, 1)
+    assert trial.moments == mu and count > 100
+    assert (trial.n_trop, trial.count, dict(trial.tally)) == (n_trop, count,
+                                                                tally)
+
+
+def test_an_audit_builds_no_curve_record(monkeypatch):
+    delta = build_delta_s(delta_d(3), Vec(-1, 0), 1)
+
+    def built(*_):
+        raise TropicalError("a curve record was built")
+
+    monkeypatch.setattr(TropicalSolution, "__init__", built)
+    report = invariance_audit(delta, trials=2, seed=3)
+    # the guard is live: the records are built when first read
+    trial = report.trial_records[0]
+    with pytest.raises(TropicalError, match="record was built"):
+        trial.solutions
+    monkeypatch.undo()
+    assert list(trial.solutions) == refined_count(delta, trial.moments)[1]
+    assert len(trial.curves) == trial.count > 1
+
+
+@pytest.mark.parametrize("seed, shared", [(8, 3), (9, 2)])
+def test_the_guard_numbers_points_not_splits(seed, shared):
+    # at 13 ends, distinct splits of a draw's curves can share a vertex
+    # point: the guard gives such a point one id, so a curve with one of
+    # them swapped for the other has the same point set
+    delta = build_delta_s(delta_d(5), Vec(-1, 0), 2)
+    trial = sample_trial(delta, seed)
+    splits_at = {}
+    for curve in trial.curves:
+        points = curve.positions()
+        for i, split in enumerate(curve.splits):
+            splits_at.setdefault(points[len(delta) + i], set()).add(split)
+    twins = [sorted(at) for at in splits_at.values() if len(at) > 1]
+    assert len(twins) == shared and all(len(at) == 2 for at in twins)
+    splits, vertices = solver._count(delta, trial.moments)
+    mult, _, ids = vertices
+    assert len(ids) == len(splits_at) == len(mult) - shared
+    for one, other in twins:
+        found = next(found for found in splits if one in found)
+        swapped = tuple(other if split == one else split for split in found)
+        assert point_sets(delta, trial.moments, (found, swapped),
+                          vertices) == 1
 
 
 def test_counting_never_walks_the_tree(conic_merged, monkeypatch):
@@ -904,14 +1016,19 @@ def test_every_curve_divides_above_brute_force(d, s, seed, monkeypatch):
     curves = report.trial_records[0].curves
     target = next(c for c in curves if sum(x % 2 == 0 for x in c.mults) == s)
     i = next(i for i, x in enumerate(target.mults) if x % 2 == 0)
-    mutated = with_fields(target, mults=target.mults[:i]
-                          + (target.mults[i] - 1,) + target.mults[i + 1:])
-    real_count = invariants.curves_through
+    want = tuple(sorted(target.mults))
+    mutated = tuple(sorted(target.mults[:i] + (target.mults[i] - 1,)
+                           + target.mults[i + 1:]))
+    real_n = invariants._n_from_mults
 
-    def count(delta, mu):
-        return [mutated if c == target else c for c in real_count(delta, mu)]
+    def n_from_mults(tally):
+        # the target curve is summed with the mutated multiplicities
+        tally = dict(tally)
+        tally[want] -= 1
+        tally[mutated] = tally.get(mutated, 0) + 1
+        return real_n(tally.items())
 
-    monkeypatch.setattr(invariants, "curves_through", count)
+    monkeypatch.setattr(invariants, "_n_from_mults", n_from_mults)
     with pytest.raises(NotDivisible):
         invariance_audit(delta_s, trials=1, seed=seed)
 

@@ -120,7 +120,8 @@ DERIVED = [
      {"dirs", "moments", "splits", "mults", "points", "scale"}),
     ("TrialRecord", lambda: sample_trial(CONIC_MERGED, 0),
      lambda r: r.solutions,
-     {"seed", "moments", "delta_s", "curves", "n_trop"}),
+     {"seed", "moments", "delta_s", "splits", "tally", "count", "point_sets",
+      "n_trop"}),
     ("WeightedPlaneParam",
      lambda: WeightedPlaneParam.from_solution(_merged_conic_curve()),
      maximal_split, {"tree"}),

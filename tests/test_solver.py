@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 from tropical_refine import (CombinatorialType, Degree, DegenerateDegree,
                              DegenerateType, HalfLaurent, MomentVector,
-                             NonGenericMoments, TropicalError, Vec,
-                             build_delta_s, delta_d, enumerate_types,
-                             evaluation_matrix, q_analog,
+                             NonGenericMoments, OutOfRange, TropicalError,
+                             Vec, build_delta_s, delta_d, enumerate_types,
+                             evaluation_matrix, invariance_audit, q_analog,
                              random_generic_moments, refined_count,
                              sample_trial, solve, solver)
+from tropical_refine.lattice import MAX_ENDS
 from test_invariants import (assert_matches_brute, degrees_with_moments,
                              with_fields)
 
@@ -44,6 +45,36 @@ def test_solve_refuses_a_tree_whose_ends_do_not_sum_to_zero():
                        match=r"^degree entries must sum to zero, "
                              r"got \(2, 1\)$"):
         solve(tree, MomentVector((1, 2)))
+
+
+def test_evaluation_matrix_refuses_a_tree_whose_ends_do_not_sum_to_zero():
+    # the public evaluation map checks the tree's balance as solve does,
+    # instead of returning a matrix for ends that bound no curve
+    tree = CombinatorialType((Vec(1, 0), Vec(1, 0), Vec(0, 1)),
+                             ((0, 3), (1, 3), (2, 3)))
+    with pytest.raises(DegenerateDegree,
+                       match=r"^degree entries must sum to zero, "
+                             r"got \(2, 1\)$"):
+        evaluation_matrix(tree)
+
+
+def test_a_count_past_the_end_bound_builds_no_table(monkeypatch):
+    # 17 ends would take a split table of about 5 GB: every count path
+    # refuses the degree before it builds one
+    delta = build_delta_s(delta_d(6), Vec(-1, 0), 1)
+    assert len(delta) == 17 == MAX_ENDS + 1
+
+    def build(dirs):
+        raise AssertionError("the split table was built")
+
+    monkeypatch.setattr(solver, "_SplitTable", build)
+    mu = MomentVector(tuple(range(1, 17)))
+    for count in (solver.curves_through, refined_count):
+        with pytest.raises(OutOfRange, match=r"^a count of 17 ends is past "
+                                             r"the bound of 16: "):
+            count(delta, mu)
+    with pytest.raises(OutOfRange):
+        invariance_audit(delta, trials=1, seed=1)
 
 
 def test_solve_triangle_oracle(triangle, triangle_mu):

@@ -179,8 +179,9 @@ def test_the_name_rule_sees_each_kind():
 
 
 def test_one_place_sums_n_from_a_count():
-    # a count becomes N in its TrialRecord, which refined_count and
-    # sample_trial both build; the brute-force oracle sums its own N
+    # a count becomes N in its TrialRecord, which sums it from the tally of
+    # its split tuples and which refined_count and sample_trial both build;
+    # the brute-force oracle sums its own N
     found = sorted(site for path in sorted(SRC.rglob("*.py"))
                    for site in _name_sites(path.read_text(encoding="utf-8"),
                                            path.stem, "_n_from_mults"))
@@ -219,6 +220,7 @@ RULE_CHECKERS = {
     "directions, need exactly one": "lattice._one_divisor",
     "all directions lie on one line": "lattice._spans_plane",
     "moments for a degree with": "lattice._moment_count",
+    "ends is past the bound of": "lattice._at_most_max_ends",
     "must be at least 1": "realsplit._at_least_1",
     "is empty": "cli._fields",
 }
