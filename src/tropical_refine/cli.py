@@ -53,7 +53,7 @@ from .lattice import (Degree, MomentVector, Vec, _three_ends, build_delta_s,
 from .laurent import HalfLaurent, w_pow_minus_inverse
 
 if TYPE_CHECKING:
-    from .invariants import InvariantReport
+    from .invariants import InvariantReport, TrialRecord
     from .solver import TropicalSolution
 
 FORMATS = ("json", "text", "svg")
@@ -141,16 +141,14 @@ def parse_moments(text: str, delta_s: Degree) -> MomentVector:
     return MomentVector(tuple(values))
 
 
-def count_curves(args: argparse.Namespace, delta_s: Degree):
-    """(moments, N, curves) for --moments, or for the seeded draw, whose
-    count is the one sampling accepted it with."""
-    from .invariants import refined_count, sample_trial
+def count_curves(args: argparse.Namespace, delta_s: Degree) -> TrialRecord:
+    """The TrialRecord of --moments, or of the seeded draw, whose count is
+    the one sampling accepted it with."""
+    from .invariants import TrialRecord, sample_trial
 
     if args.moments is None:
-        trial = sample_trial(delta_s, args.seed)
-        return trial.moments, trial.n_trop, trial.solutions
-    mu = parse_moments(args.moments, delta_s)
-    return (mu, *refined_count(delta_s, mu))
+        return sample_trial(delta_s, args.seed)
+    return TrialRecord(None, parse_moments(args.moments, delta_s), delta_s)
 
 
 def degree_text(degree: dict) -> str:   # of a degree's JSON
@@ -179,17 +177,17 @@ def solution_json(sol: TropicalSolution) -> dict:
 
 def run_enumerate(args: argparse.Namespace) -> tuple[dict, str]:
     delta_s = resolve_degree(args)
-    mu, n_trop, sols = count_curves(args, delta_s)
+    trial = count_curves(args, delta_s)
     if args.format == "svg":
-        return {}, render_svg(sols, polygon_of(delta_s))
+        return {}, render_svg(trial.solutions, polygon_of(delta_s))
     payload = {
         "command": "enumerate",
         "degree": delta_s.to_json(),
-        "moments": [frac_str(v) for v in mu.full()],
-        "solutionCount": len(sols),
-        "refinedCount": n_trop.to_json_pairs(),
-        "refinedCountText": str(n_trop),
-        "solutions": [solution_json(s) for s in sols],
+        "moments": [frac_str(v) for v in trial.moments.full()],
+        "solutionCount": len(trial.solutions),
+        "refinedCount": trial.n_trop.to_json_pairs(),
+        "refinedCountText": str(trial.n_trop),
+        "solutions": [solution_json(s) for s in trial.solutions],
     }
     lines = [f"degree: {degree_text(payload['degree'])}",
              f"moments: {', '.join(payload['moments'])}",
@@ -278,12 +276,12 @@ def run_realize(args: argparse.Namespace) -> tuple[dict, str]:
                             oriented_solution_count)
 
     delta_s = resolve_degree(args)
-    mu, n_trop, sols = count_curves(args, delta_s)
+    trial = count_curves(args, delta_s)
     delta, s = split_even_ends(delta_s)
-    r_inv = r_from_n(n_trop, len(delta), s)
+    r_inv = r_from_n(trial.n_trop, len(delta), s)
     total = HalfLaurent(0)
     entries = []
-    for sol in sols:
+    for sol in trial.solutions:
         split = maximal_split(WeightedPlaneParam.from_solution(sol))
         mp = m_prime(split, dict(enumerate(sol.mults, len(sol.dirs))))
         total = total + mp
@@ -301,7 +299,7 @@ def run_realize(args: argparse.Namespace) -> tuple[dict, str]:
     payload = {
         "command": "realize",
         "degree": delta_s.to_json(),
-        "moments": [frac_str(v) for v in mu.full()],
+        "moments": [frac_str(v) for v in trial.moments.full()],
         "s": s,
         "m": len(delta),
         "solutions": entries,

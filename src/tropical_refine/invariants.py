@@ -24,11 +24,12 @@ memoised per (N, m, s) (`_r_and_bg`). The trials of an audit agree on N, so
 a degree's first audit divides once, whatever its number of trials, and a
 repeat audit or `r_from_n` of a seen N divides not at all.
 
-A count becomes N in one place, its `TrialRecord`, which tallies the
-count's sorted multiplicity tuples and sums N in one pass
-(`laurent.linear_combination`): each tuple's product [m_V] times the
-number of curves that carry it, not one addition per curve. It builds its
-curve records only when they are first read, so an audit builds none.
+A count becomes N in one place, its `TrialRecord`, which stores what
+`solver._count` returns (split tuples, multiplicity tally, number of point
+sets) and sums N from the tally in one pass (`laurent.linear_combination`):
+each tuple's product [m_V] times the number of curves that carry it. It
+builds its curve records only when they are first read, so an audit builds
+none.
 
 Generic constraints are drawn from a fixed portable generator (SplitMix64)
 so that every run of a given seed is reproducible down to the byte. N and
@@ -222,40 +223,33 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
 
 class TrialRecord(Record):
     """The count through `moments` of seed (None for given moments) and
-    degree, which fix it: each curve as its split pairs (`splits`), each
-    sorted multiplicity tuple with its number of curves (`tally`), the
-    number of curves and of distinct vertex-point sets (equal point sets
-    have equal sorted point ids), and the N summed from the tally. `curves`
-    and `solutions`, in enumerate_types order, are built when first read;
-    a copy counts again. Raises NonGenericMoments on a wall."""
+    degree, which fix it. A trial stores what `solver._count` returns: each
+    curve as its split pairs (`splits`), each sorted multiplicity tuple
+    with its number of curves (`tally`) and the number of distinct
+    vertex-point sets (`point_sets`); and the number of curves (`count`)
+    and the N summed from the tally. `solutions`, the curve records in
+    enumerate_types order, are built when first read; a copy counts again.
+    Raises NonGenericMoments on a wall."""
 
     def __init__(self, seed: int | None, moments: MomentVector,
                  delta_s: Degree):
-        splits, (mult, place, _) = _count(delta_s, moments)
-        tally, point_sets = {}, set()
-        for found in splits:
-            key = tuple(sorted(map(mult.__getitem__, found)))
-            tally[key] = tally.get(key, 0) + 1
-            point_sets.add(tuple(sorted(map(place.__getitem__, found))))
+        splits, tally, point_sets = _count(delta_s, moments)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "moments", moments)
         object.__setattr__(self, "delta_s", delta_s)
         object.__setattr__(self, "splits", tuple(splits))
-        object.__setattr__(self, "tally", tuple(tally.items()))
+        object.__setattr__(self, "tally", tally)
         object.__setattr__(self, "count", len(splits))
-        object.__setattr__(self, "point_sets", len(point_sets))
-        object.__setattr__(self, "n_trop", _n_from_mults(self.tally))
+        object.__setattr__(self, "point_sets", point_sets)
+        object.__setattr__(self, "n_trop", _n_from_mults(tally))
 
     def identity(self) -> tuple:
         return self.seed, self.moments, self.delta_s
 
     @functools.cached_property
-    def curves(self) -> tuple[TropicalSolution, ...]:
-        return tuple(_curves(self.delta_s, self.moments, self.splits))
-
-    @functools.cached_property
     def solutions(self) -> tuple[TropicalSolution, ...]:
-        return tuple(sorted(self.curves, key=lambda curve: curve.place))
+        return tuple(sorted(_curves(self.delta_s, self.moments, self.splits),
+                            key=lambda curve: curve.place))
 
 
 class InvariantReport(NamedTuple):

@@ -64,11 +64,6 @@ class HalfLaurent(Record):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def monomial(cls, half_exp: int) -> "HalfLaurent":
-        """q^(half_exp / 2)."""
-        return cls({half_exp: 1})
-
-    @classmethod
     def q_power(cls, exp: int) -> "HalfLaurent":
         """q^exp for a whole exponent."""
         return cls({2 * _int("exp", exp): 1})
@@ -81,9 +76,6 @@ class HalfLaurent(Record):
     def items(self) -> Iterator[tuple[int, int]]:
         """(half_exponent, coefficient) pairs, descending by exponent."""
         return iter(sorted(self._c.items(), reverse=True))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._c))
 
     def __bool__(self) -> bool:
         return bool(self._c)

@@ -274,9 +274,6 @@ class RealSplit(Record):
         return {nd: len(sl) for nd, sl in self._outgoing.items()
                 if self.is_finite(nd)}
 
-    def outgoing_slopes(self, node) -> tuple[Vec, ...]:
-        return self._outgoing[node]
-
     @property
     def is_realizable(self) -> bool:
         return not self.flat_nodes
@@ -491,6 +488,16 @@ def _at_least_1(name: str, value: int) -> None:
         raise OutOfRange(f"{name} must be at least 1, got {value}")
 
 
+MAX_M1 = 10_000     # about 1 KB per unit of m1: `quantum` at the cap, 25 MiB
+
+
+def _at_most_max_m1(m1: int) -> None:
+    """OutOfRange for an m1 past MAX_M1, before a table of m1 entries."""
+    if m1 > MAX_M1:
+        raise OutOfRange(f"m1 = {m1} is past the bound of {MAX_M1}: the "
+                         f"quantum tables take about 1 KB per unit of m1")
+
+
 def quad_indices(m1: int, delta: int) -> list[int]:
     """Quantum indices of the m1 first-order solutions at a quadrivalent
     vertex of type (m1; delta): delta * (2k + 1 - m1) for k = 0..m1-1."""
@@ -498,6 +505,7 @@ def quad_indices(m1: int, delta: int) -> list[int]:
     _int("delta", delta)
     _at_least_1("m1", m1)
     _at_least_1("delta", delta)
+    _at_most_max_m1(m1)
     return [delta * (2 * k + 1 - m1) for k in range(m1)]
 
 
@@ -514,6 +522,7 @@ def coamoeba_area(m1: int, k: int) -> Fraction:
     _int("m1", m1)
     _int("k", k)
     _at_least_1("m1", m1)
+    _at_most_max_m1(m1)
     if not 0 <= k < m1:
         raise OutOfRange(f"k must lie in [0, {m1}), got {k}")
     return Fraction(2 * k + 1 - m1, m1)
@@ -523,4 +532,5 @@ def c_k_values(m1: int) -> list[Fraction]:
     """Cotangent arguments of the solution sheets, as exact multiples of pi:
     (2k + 1) / (2 m1) for k = 0..m1-1."""
     _at_least_1("m1", _int("m1", m1))
+    _at_most_max_m1(m1)
     return [Fraction(2 * k + 1, 2 * m1) for k in range(m1)]

@@ -9,8 +9,8 @@ multiplicities. `solve` handles one type this way, by fraction-free
 elimination over the integers; it is the reference the fast path is tested
 against.
 
-`curves_through` finds the curves of every type at once. Hang the tree from
-end 1; the vertex above an end set S with children A and B sits where the
+The count, `_count`, finds the curves of every type at once. Hang the tree
+from end 1; the vertex above an end set S with children A and B sits where the
 lines L_A and L_B meet, L_X = {p : wedge(n_X, p) = sum of the moments of
 X}, so its position depends on the split (A, B) alone, and the edge down to
 A has positive length exactly when A's own vertex lies further along n_A. A
@@ -25,11 +25,13 @@ with a key at or past the parent's; an equal key is a wall. So it finds
 exactly the curves with every length > 0, or meets the wall on its way
 down, and it builds no reference cycle.
 
-The count gives each curve as the tuple of its split pairs, and each
-split's |d| and vertex point once: enough to weigh the curves and compare
-them as point sets. `solve` and `curves_through` give a curve as one
-`TropicalSolution`: its splits, its vertex multiplicities and its vertex
-positions, integers over the least common scale, and its tree when asked.
+The count gives each curve as the tuple of its split pairs and, from each
+split's |d| and vertex point worked out once, the tally of the curves'
+sorted multiplicity tuples and their number of distinct point sets: enough
+to weigh the curves and compare them as point sets. `solve`, and `_curves`
+from a count's split tuples, give a curve as one `TropicalSolution`: its
+splits, its vertex multiplicities and its vertex positions, integers over
+the least common scale, and its tree when asked.
 
 Everything that depends on the degree alone (the direction sums of the end
 sets, their splits with d = wedge(n_A, n_B) != 0 and no dead side, the
@@ -123,8 +125,8 @@ class TropicalSolution(Record):
     leaves below it into splits[i] = (A, B), bitmasks by leaf with A
     holding the lowest leaf; it has multiplicity mults[i] and lies at
     points[i] / scale, with scale the least that makes every coordinate
-    whole. That form is unique, so `solve` and `curves_through` give equal
-    records for one curve, and equal point sets have equal scales and
+    whole. That form is unique, so `solve` and `_curves` give equal records
+    for one curve, and equal point sets have equal scales and
     sorted points. `ctype`, and `place`, which sorts as the type does in
     enumerate_types order, come from one `type_from_clades` call when
     either is first read; `lengths` reads the edge lengths off the points.
@@ -297,7 +299,7 @@ def solve(ctype: CombinatorialType, mu: MomentVector) -> TropicalSolution | None
 
 
 class _SplitTable:
-    """What `curves_through` needs of a degree that the moments do not touch.
+    """What the count needs of a degree that the moments do not touch.
 
     sx and sy hold the direction sums of every end set (a bitmask over ends
     1..n-1; end 0 is in none). A split S = A | B, where A holds the lowest
@@ -418,11 +420,13 @@ def _moment_sums(mu: MomentVector) -> tuple[int, list[int]]:
                                    for v in mu.values])
 
 
-def _count(delta: Degree, mu: MomentVector) -> tuple[list[tuple], tuple]:
-    """Every curve through mu as the tuple of its split pairs, unordered,
-    each placed row's one pair shared by every curve through it, and their
-    `_vertices`. Raises NonGenericMoments on a wall: the backtracking meets
-    a child split at its parent's key."""
+def _count(delta: Degree, mu: MomentVector) -> tuple[list[tuple], tuple, int]:
+    """(splits, tally, point sets) of the curves through mu: each curve as
+    the tuple of its split pairs, unordered, each placed row's one pair
+    shared by every curve through it; each sorted multiplicity tuple with
+    its number of curves; and the number of distinct vertex-point sets
+    (equal point sets have equal sorted point ids). Raises NonGenericMoments
+    on a wall: the backtracking meets a child split at its parent's key."""
     n = len(delta.entries)
     _three_ends(delta.entries)
     _at_most_max_ends(n)
@@ -453,8 +457,14 @@ def _count(delta: Degree, mu: MomentVector) -> tuple[list[tuple], tuple]:
         if placed:
             placed.sort()
             placed_at[mask], top[mask] = placed, placed[-1][0]
-    chosen = _subtrees(placed_at, size - 2, 0)
-    return chosen, _vertices(table, moment, chosen)
+    splits = _subtrees(placed_at, size - 2, 0)
+    mult, place, _ = _vertices(table, moment, splits)
+    tally, point_sets = {}, set()
+    for found in splits:
+        key = tuple(sorted(map(mult.__getitem__, found)))
+        tally[key] = tally.get(key, 0) + 1
+        point_sets.add(tuple(sorted(map(place.__getitem__, found))))
+    return splits, tuple(tally.items()), len(point_sets)
 
 
 def _vertices(table: _SplitTable, moment: list[int], chosen: list) -> tuple:
@@ -498,9 +508,3 @@ def _curves(delta: Degree, mu: MomentVector,
             delta.entries, mu, tuple(splits), tuple(mults),
             tuple([(x // g, y // g) for x, y in points]), common // g))
     return curves
-
-
-def curves_through(delta: Degree,
-                   mu: MomentVector) -> list[TropicalSolution]:
-    """Every curve through mu, unordered; NonGenericMoments on a wall."""
-    return _curves(delta, mu, _count(delta, mu)[0])

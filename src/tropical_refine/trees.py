@@ -143,9 +143,6 @@ class CombinatorialType(Record):
     def multiplicities(self) -> dict[int, int]:
         return dict(self._multiplicities)
 
-    def has_flat_vertex(self) -> bool:
-        return 0 in self._multiplicities.values()
-
     def canonical_key(self):
         """Label-respecting canonical form hung off the vertex adjacent to
         leaf 0. Leaves become (0, label), internal nodes (1, child, child)

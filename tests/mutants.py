@@ -72,16 +72,14 @@ MUTANTS = (
            "points[i] = split, mult[split], (x, y)",
            "points[i] = split, mult[split], (x + (i == 0), y)",
            ("tests/test_solver.py", "tests/test_invariants.py"), True),
-    # a trial's pass over its split tuples skips the last curve: its N and
-    # tally miss that curve's term
-    Mutant("invariants-tally-drops-the-last-curve",
-           "tropical_refine/invariants.py",
+    # the count's pass over its split tuples skips the last curve: a
+    # trial's N and tally miss that curve's term
+    Mutant("solver-tally-drops-the-last-curve", "tropical_refine/solver.py",
            "for found in splits:", "for found in splits[:-1]:",
            ("tests/test_invariants.py",), True),
     # the guard compares splits, not vertex points: two curves with one
     # point set but different splits no longer coincide
-    Mutant("invariants-guard-compares-splits",
-           "tropical_refine/invariants.py",
+    Mutant("solver-guard-compares-splits", "tropical_refine/solver.py",
            "point_sets.add(tuple(sorted(map(place.__getitem__, found))))",
            "point_sets.add(tuple(sorted(found)))",
            ("tests/test_invariants.py",), True),
@@ -104,6 +102,19 @@ MUTANTS = (
            "    if k != n:\n        raise LengthMismatch",
            "    if k > n:\n        raise LengthMismatch",
            ("tests/test_invariants.py",), True),
+    # every quadrivalent index lands one half-exponent too high
+    Mutant("realsplit-shifts-the-quad-exponents",
+           "tropical_refine/realsplit.py",
+           "HalfLaurent({2 * idx: 1 for idx",
+           "HalfLaurent({2 * idx + 1: 1 for idx",
+           ("tests/test_realsplit.py",), True),
+    # the weight check stops at the first weight-1 end, so a bad end after
+    # it is never read
+    Mutant("realsplit-weight-check-stops-early",
+           "tropical_refine/realsplit.py",
+           "if 1 not in [_end_weight(d) for d in tree.leaf_dirs]:",
+           "if 1 not in (_end_weight(d) for d in tree.leaf_dirs):",
+           ("tests/test_realsplit.py",), True),
 )
 
 # pytest's exit statuses that decide a mutant: a test failed, every test

@@ -9,14 +9,16 @@ import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import pytest
 
 import tropical_refine
 from tropical_refine import (Degree, HalfLaurent, MenelausViolation,
-                             TropicalError, Vec, delta_d, polygon_of,
-                             random_generic_moments, refined_count)
+                             MomentVector, TropicalError, Vec, build_delta_s,
+                             delta_d, polygon_of, random_generic_moments,
+                             refined_count)
 from tropical_refine.cli import (build_parser, default_n1, load_degree, main,
                                  parse_moments, parse_vec)
 from tropical_refine.lattice import frac_str
@@ -25,6 +27,14 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 TRIANGLE = "-1,0;0,-1;1,1"
 CONIC = "-1,0;-1,0;0,-1;0,-1;1,1;1,1"
+
+
+class Counted(NamedTuple):
+    """A stand-in for the TrialRecord `cli.count_curves` returns: only what
+    the runners read of it."""
+    moments: MomentVector
+    n_trop: HalfLaurent
+    solutions: tuple
 
 
 def schema(name: str) -> dict:
@@ -154,6 +164,32 @@ def test_given_moments_are_counted_once(capsys, count_solves, command):
                                "--moments", "3,2"])
     assert code == 0
     assert (count_solves["solves"], count_solves["draws"]) == (1, 0)
+
+
+# the seed-1 draw of the cubic with one pair of (-1, 0) ends merged: 4 curves
+CUBIC_S1_MOMENTS = "682/3,819,-265/2,262,851/6,-83/3,821"
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate"], ["plot", "--format=json"], ["realize"]],
+    ids=["enumerate", "plot-json", "realize"])
+def test_given_moments_print_refined_counts_curves(capsys, count_solves,
+                                                   command):
+    # a given constraint is counted once, by the trial the runner prints,
+    # and its curves are refined_count's, in the same order
+    payload = run_json(capsys, [*command, CUBIC, "--s=1",
+                                f"--moments={CUBIC_S1_MOMENTS}"])
+    assert (count_solves["solves"], count_solves["draws"]) == (1, 0)
+    delta_s = load_degree(CUBIC.removeprefix("--degree="))
+    delta_s = build_delta_s(delta_s, default_n1(delta_s, 1), 1)
+    mu = parse_moments(CUBIC_S1_MOMENTS, delta_s)
+    n_trop, sols = refined_count(delta_s, mu)
+    assert [(c["tree"], c["root"]) for c in payload["solutions"]] == [
+        (sol.ctype.serialize(), [frac_str(x) for x in sol.root])
+        for sol in sols]
+    assert len(sols) == 4
+    if command[0] != "realize":
+        assert payload["refinedCount"] == n_trop.to_json_pairs()
 
 
 def test_enumerate_output_is_byte_identical(capsys):
@@ -314,11 +350,11 @@ def test_realize_checks_the_multiplicities_it_counted(capsys, monkeypatch):
     real_count = cli.count_curves
 
     def count_curves(args, delta_s):
-        mu, n_trop, sols = real_count(args, delta_s)
-        c = sols[-1]
+        trial = real_count(args, delta_s)
+        *sols, c = trial.solutions
         mults = c.mults[:-1] + (c.mults[-1] + 2,)
-        return mu, n_trop, [*sols[:-1], TropicalSolution(
-            c.dirs, c.moments, c.splits, mults, c.points, c.scale)]
+        return Counted(trial.moments, trial.n_trop, (*sols, TropicalSolution(
+            c.dirs, c.moments, c.splits, mults, c.points, c.scale)))
 
     monkeypatch.setattr(cli, "count_curves", count_curves)
     code, out = run_cli(capsys, ["realize",
@@ -402,6 +438,24 @@ def test_a_degree_past_the_end_bound_is_one_error_line(capsys, monkeypatch):
     assert payload == {"error": "OutOfRange",
                        "message": "a count of 17 ends is past the bound of "
                                   "16: its table would not fit in memory"}
+
+
+def test_an_m1_past_its_cap_is_one_error_line(capsys):
+    # the quantum tables take about 1 KB per unit of m1: past MAX_M1 the
+    # command prints one error line; m1 = 50, the largest the acceptance
+    # suite and the benchmark use, still runs
+    from tropical_refine.realsplit import MAX_M1
+
+    code, out = run_cli(capsys, ["quantum", f"--m1={MAX_M1 + 1}"])
+    assert code == 1 and out.count("\n") == 1
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema("error"))
+    assert payload == {"error": "OutOfRange",
+                       "message": "m1 = 10001 is past the bound of 10000: "
+                                  "the quantum tables take about 1 KB per "
+                                  "unit of m1"}
+    payload = run_json(capsys, ["quantum", "--m1=50"])
+    assert len(payload["indices"]) == 50 and payload["closedFormAgrees"]
 
 
 def error_case(capsys, argv, error_name):
@@ -665,10 +719,10 @@ def test_each_printed_value_is_computed_once_per_curve(capsys, monkeypatch,
     real_count = cli.count_curves
 
     def count_curves(args, delta_s):
-        found = real_count(args, delta_s)
-        curves.append(len(found[2]))
+        trial = real_count(args, delta_s)
+        curves.append(len(trial.solutions))
         calls.update(dict.fromkeys(COUNTED, 0))
-        return found
+        return Counted(trial.moments, trial.n_trop, trial.solutions)
 
     monkeypatch.setattr(cli, "count_curves", count_curves)
     code, _ = run_cli(capsys, argv)

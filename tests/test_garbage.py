@@ -20,7 +20,6 @@ from tropical_refine import (WeightedPlaneParam, admissible_sets, cli,
                              polygon_of, random_generic_moments,
                              refined_count, render_svg, sample_trial)
 from tropical_refine.invariants import refined_count_brute
-from tropical_refine.solver import curves_through
 
 LABELS = ("triangle", "square", "conic", "conic_merged", "doubled_quad",
           "delta_2", "six_ends_s2", "six_ends_s1", "seven_ends_s1",
@@ -60,7 +59,6 @@ def test_the_guard_sees_a_cycle():
 def test_counting_leaves_no_cycles(label, named_degrees):
     delta = named_degrees[label]
     mu = random_generic_moments(delta, 1)
-    assert_no_cyclic_garbage(lambda: curves_through(delta, mu))
     assert_no_cyclic_garbage(lambda: sample_trial(delta, 1))
     assert_no_cyclic_garbage(lambda: invariance_audit(delta, 2, 5))
     assert_no_cyclic_garbage(lambda: refined_count(delta, mu))

@@ -27,6 +27,7 @@ from tropical_refine import (CombinatorialType, Degree, FlatVertex,
                              stem_of, trivalent_quantum_index,
                              w_pow_minus_inverse, wedge)
 from tropical_refine.cli import main
+from tropical_refine.realsplit import MAX_M1
 
 W_MINUS = w_pow_minus_inverse(1)   # q^(1/2) - q^(-1/2)
 
@@ -68,13 +69,14 @@ def check_symmetric_model(split, base):
     for e in split.edges:
         pair = (split.sigma(e.a), split.sigma(e.b))
         assert (e.slope, e.image) in table[pair]
-    # balancing survives the split at every finite node
-    for nd in split.nodes:
-        if split.is_finite(nd):
-            total = Vec(0, 0)
-            for s in split.outgoing_slopes(nd):
-                total = total + s
-            assert total == Vec(0, 0)
+    # balancing survives the split at every finite node: the slopes of its
+    # edges, read off split.edges directed away from it, sum to zero
+    total = dict.fromkeys(split.nodes, Vec(0, 0))
+    for e in split.edges:
+        total[e.a] = total[e.a] + e.slope
+        total[e.b] = total[e.b] - e.slope
+    assert [nd for nd, t in total.items()
+            if split.is_finite(nd) and t != Vec(0, 0)] == []
     # the fixed subgraph is connected
     fixed = set(split.fixed_nodes)
     adj = {nd: [] for nd in fixed}
@@ -780,6 +782,19 @@ def test_quantum_helpers_refuse_non_int_arguments(bad):
     for fn, args, name in calls:
         with pytest.raises(TypeError, match=rf"\b{name}\b.*{got}"):
             fn(*args)
+
+
+def test_quantum_helpers_refuse_m1_past_its_cap():
+    # each helper checks m1 against MAX_M1 before it builds a list of m1
+    # entries; quad_refined_sum is covered through quad_indices
+    over = MAX_M1 + 1
+    for fn, args in [(quad_indices, (over, 1)), (quad_refined_sum, (over, 1)),
+                     (coamoeba_area, (over, 0)), (c_k_values, (over,))]:
+        with pytest.raises(OutOfRange, match=rf"^m1 = {over} is past the "
+                                             rf"bound of {MAX_M1}: "):
+            fn(*args)
+    assert len(quad_indices(50, 1)) == len(c_k_values(50)) == 50
+    assert coamoeba_area(50, 49) == Fraction(49, 50)
 
 
 def test_coamoeba_areas():

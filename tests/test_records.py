@@ -115,7 +115,7 @@ def test_no_record_takes_a_state_after_it_is_built(name, make, field,
 DERIVED = [
     ("Degree", lambda: build_delta_s(delta_d(2), Vec(-1, 0), 1),
      split_even_ends, {"entries", "name"}),
-    ("TropicalSolution", lambda: sample_trial(CONIC_MERGED, 0).curves[0],
+    ("TropicalSolution", _merged_conic_curve,
      lambda r: r.ctype,
      {"dirs", "moments", "splits", "mults", "points", "scale"}),
     ("TrialRecord", lambda: sample_trial(CONIC_MERGED, 0),

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from tropical_refine import (CombinatorialType, Degree, DegenerateDegree,
                              DegenerateType, HalfLaurent, MomentVector,
-                             NonGenericMoments, OutOfRange, TropicalError,
-                             Vec, build_delta_s, delta_d, enumerate_types,
-                             evaluation_matrix, invariance_audit, q_analog,
+                             NonGenericMoments, OutOfRange, TrialRecord,
+                             TropicalError, Vec, build_delta_s, delta_d,
+                             enumerate_types, evaluation_matrix,
+                             invariance_audit, q_analog,
                              random_generic_moments, refined_count,
                              sample_trial, solve, solver)
 from tropical_refine.lattice import MAX_ENDS
@@ -69,10 +70,9 @@ def test_a_count_past_the_end_bound_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(solver, "_SplitTable", build)
     mu = MomentVector(tuple(range(1, 17)))
-    for count in (solver.curves_through, refined_count):
-        with pytest.raises(OutOfRange, match=r"^a count of 17 ends is past "
-                                             r"the bound of 16: "):
-            count(delta, mu)
+    with pytest.raises(OutOfRange, match=r"^a count of 17 ends is past "
+                                         r"the bound of 16: "):
+        refined_count(delta, mu)
     with pytest.raises(OutOfRange):
         invariance_audit(delta, trials=1, seed=1)
 
@@ -101,7 +101,7 @@ def test_triangle_always_solves(mu2, mu3):
 def test_square_realizes_exactly_one_pairing(square, square_mu):
     realized = []
     for t in enumerate_types(square):
-        if t.has_flat_vertex():
+        if 0 in t.multiplicities().values():
             with pytest.raises(DegenerateType):
                 solve(t, square_mu)
             continue
@@ -120,7 +120,7 @@ def test_square_wall_detected(square):
     wall_mu = MomentVector((Fraction(1), Fraction(2), Fraction(-2)))
     hits = 0
     for t in enumerate_types(square):
-        if t.has_flat_vertex():
+        if 0 in t.multiplicities().values():
             continue
         try:
             sol = solve(t, wall_mu)
@@ -131,7 +131,8 @@ def test_square_wall_detected(square):
 
 
 def test_flat_type_is_degenerate(square, square_mu):
-    flats = [t for t in enumerate_types(square) if t.has_flat_vertex()]
+    flats = [t for t in enumerate_types(square)
+             if 0 in t.multiplicities().values()]
     assert len(flats) == 1
     with pytest.raises(DegenerateType):
         solve(flats[0], square_mu)
@@ -141,14 +142,15 @@ def test_negative_length_returns_none(square):
     # moments picking the other pairing: exactly one of the two good
     # types must solve, the other must come out with a negative length
     mu = MomentVector((Fraction(3), Fraction(2), Fraction(-7)))
-    good = [t for t in enumerate_types(square) if not t.has_flat_vertex()]
+    good = [t for t in enumerate_types(square)
+            if 0 not in t.multiplicities().values()]
     sols = [solve(t, mu) for t in good]
     assert sols.count(None) == 1
 
 
 def test_determinant_factors_over_vertices(doubled_quad, doubled_quad_mu):
     for t in enumerate_types(doubled_quad):
-        if t.has_flat_vertex():
+        if 0 in t.multiplicities().values():
             continue
         try:
             sol = solve(t, doubled_quad_mu)
@@ -167,7 +169,7 @@ def test_determinant_factors_over_vertices(doubled_quad, doubled_quad_mu):
 def test_determinant_mismatch_raises(doubled_quad, doubled_quad_mu,
                                      monkeypatch):
     ctype = next(t for t in enumerate_types(doubled_quad)
-                 if not t.has_flat_vertex())
+                 if 0 not in t.multiplicities().values())
     wrong = {v: m + 1 for v, m in ctype.multiplicities().items()}
     monkeypatch.setattr(CombinatorialType, "multiplicities",
                         lambda self: wrong)
@@ -349,9 +351,12 @@ def test_the_table_drops_exactly_the_dead_rows(delta, kept, dropped,
                for _, out in table.splits for a, b, *_ in out
                for side in (a, b))
     records = [sample_trial(delta, seed) for seed in (0, 1)]
+    want = [(rec.splits, rec.tally, rec.point_sets, rec.solutions)
+            for rec in records]
     monkeypatch.setitem(solver._TABLES, delta, full)
-    assert [tuple(solver.curves_through(delta, rec.moments))
-            for rec in records] == [rec.curves for rec in records]
+    again = [TrialRecord(None, rec.moments, delta) for rec in records]
+    assert [(rec.splits, rec.tally, rec.point_sets, rec.solutions)
+            for rec in again] == want
 
 
 # -- the one-comparison reject against a count that bisects every split ----
@@ -373,9 +378,9 @@ def strict_subtrees(placed_at, keys, mask, start):
 
 
 def bisecting_splits(delta, mu):
-    """The split tuples of the curves through mu, in `curves_through`'s
-    order, each in vertex order (the vertex of (A, B) is n + low(B) - 2),
-    or "wall": the count as it ran before the one-comparison reject.
+    """The split tuples of the curves through mu, in the count's order,
+    each in vertex order (the vertex of (A, B) is n + low(B) - 2), or
+    "wall": the count as it ran before the one-comparison reject.
     Every split looks up both children's counts by bisection, and every end
     set of two or more ends is sorted and summed; none is seeded. A wall is
     a shortfall: the backtracking, which takes only children strictly past
@@ -413,10 +418,13 @@ def bisecting_splits(delta, mu):
 
 
 def curve_splits(delta, mu):
+    """The split tuples of the curves through mu, in the count's order, as
+    their records hold them; or "wall"."""
     try:
-        return [curve.splits for curve in solver.curves_through(delta, mu)]
+        splits = solver._count(delta, mu)[0]
     except NonGenericMoments:
         return "wall"
+    return [curve.splits for curve in solver._curves(delta, mu, splits)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,8 @@ import pytest
 
 import tropical_refine
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _raised_name(node) -> str | None:
@@ -222,6 +223,7 @@ RULE_CHECKERS = {
     "moments for a degree with": "lattice._moment_count",
     "ends is past the bound of": "lattice._at_most_max_ends",
     "must be at least 1": "realsplit._at_least_1",
+    "quantum tables take about": "realsplit._at_most_max_m1",
     "is empty": "cli._fields",
 }
 
@@ -230,7 +232,8 @@ RULE_CHECKERS = {
 def test_each_rule_is_raised_by_its_one_checker(text):
     # the end rules a count rests on are written once, in lattice, and
     # shared by degrees, trees and the real side; the quantum helpers'
-    # range and the CLI's empty field have one checker each too. A second
+    # range and m1 cap and the CLI's empty field have one checker each too.
+    # A second
     # raise of one is a second copy of its test and its words
     found = sorted(site for path in sorted(SRC.rglob("*.py"))
                    for site in _message_sites(path.read_text(encoding="utf-8"),
@@ -790,3 +793,70 @@ def test_the_cache_rule_sees_each_kind():
             "@functools.wraps(a)\ndef g(): pass\n")
     assert sorted(_caches(code, "mod")) == [
         "mod.a", "mod.b", "mod.c", "mod.d", "mod.f"]
+
+
+def _public_defs(code: str, module: str) -> list[str]:
+    """Every public function or method a module defines, at any depth, as
+    `module.name`; a name that starts with `_` is not public."""
+    return [f"{module}.{fn.name}" for fn in ast.walk(ast.parse(code))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("_")]
+
+
+def _uses(code: str) -> set[str]:
+    """Every name a module reads as a plain name or as an attribute; a
+    string, such as a docstring or an entry of `__init__._EXPORTS`, is no
+    use."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(code))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+# public names no code under src/, demos/ or bench/ calls, and why each stays
+CALLED_BY_TESTS_ONLY = {
+    "refined_count_brute": "the brute-force oracle every count is checked "
+                           "against",
+    "verify": "the test-time reference check of a curve record",
+    "is_symmetric": "the test-time reference check of q -> 1/q symmetry",
+    "normals_of": "ROADMAP item 7's theorem atlas calls it",
+    "coeff": "the stable-range check and the reference division read "
+             "single coefficients",
+    "sigma": "the split model's involution, which tests check",
+}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a public method only tests call is API kept for its tests alone: it
+    # goes, and its tests use the public path it stood for, unless it
+    # stays for a reason written above
+    defined = [site for path in sorted(SRC.rglob("*.py"))
+               for site in _public_defs(path.read_text(encoding="utf-8"),
+                                        path.stem)]
+    used = set().union(*(_uses(path.read_text(encoding="utf-8"))
+                         for top in ("src", "demos", "bench")
+                         for path in sorted((ROOT / top).rglob("*.py"))))
+    unused = sorted({site.split(".")[1] for site in defined} - used)
+    assert unused == sorted(CALLED_BY_TESTS_ONLY)
+
+
+def test_the_public_name_rule_sees_each_kind():
+    code = ('''"""Calls called_in_a_docstring."""\n'''
+            "_EXPORTS = {'mod': ('exported_only',)}\n"
+            "def exported_only(): pass\n"
+            "def called_in_a_docstring(): pass\n"
+            "def called(): pass\n"
+            "def _private(): pass\n"
+            "class K:\n    def __init__(self): pass\n"
+            "    def method(self): return called()\n"
+            "    def unread(self): return self.method\n"
+            "    async def stored(self): pass\n"
+            "def outer():\n    def inner(): pass\n    return inner\n"
+            "stored = 1\n")
+    assert _public_defs(code, "mod") == [
+        "mod.exported_only", "mod.called_in_a_docstring", "mod.called",
+        "mod.outer", "mod.method", "mod.unread", "mod.stored", "mod.inner"]
+    defined = {site.split(".")[1] for site in _public_defs(code, "mod")}
+    assert sorted(defined - _uses(code)) == [
+        "called_in_a_docstring", "exported_only", "outer", "stored",
+        "unread"]

@@ -44,7 +44,7 @@ def test_dual_subdivision_tiles_the_polygon(conic, square, doubled_quad):
         want = polygon_of(delta).area2()
         n = len(delta.entries)
         for ctype in enumerate_types(delta):
-            if ctype.has_flat_vertex():
+            if 0 in ctype.multiplicities().values():
                 continue
             sub = dual_subdivision(ctype)
             assert len(sub) == n - 2

@@ -15,7 +15,7 @@ import pytest
 from tropical_refine import (CombinatorialType, Degree, TooFewEnds,
                              TropicalError, Vec, WeightedPlaneParam,
                              double_factorial_count, enumerate_types,
-                             maximal_split, wedge)
+                             evaluation_matrix, maximal_split, wedge)
 from tropical_refine.trees import type_from_clades
 
 
@@ -171,7 +171,7 @@ def test_vertex_multiplicities_square():
     for t in enumerate_types(square):
         mults = t.multiplicities()
         assert set(mults) == set(t.internal_vertices)
-        if t.has_flat_vertex():
+        if 0 in t.multiplicities().values():
             flat += 1
     assert flat == 1  # the pairing {0,1|2,3} has slope-zero internal edge
 
@@ -251,7 +251,7 @@ def test_leaf_of_valence_two_is_rejected():
     with pytest.raises(TropicalError, match=message):
         tree.multiplicities()
     with pytest.raises(TropicalError, match=message):
-        tree.has_flat_vertex()
+        evaluation_matrix(tree)
 
 
 def test_tree_with_a_detached_cycle_is_rejected():
