@@ -6,8 +6,9 @@ record. Plain ValueError/TypeError stay reserved for ordinary misuse of the
 Python API (wrong argument shapes and the like).
 
 A TypeError comes from one of two private checkers, `lattice._int` (exactly
-an int, never a bool) and `laurent._poly` (exactly a HalfLaurent), each as
-"<name> is an int, got <value>" or "<name> is a HalfLaurent, got <value>";
+an int, never a bool) and `lattice._exactly` (exactly a given class: a
+HalfLaurent, a Degree or a MomentVector), each as "<name> is an int, got
+<value>" or, say, "<name> is a HalfLaurent, got <value>";
 from `lattice.as_fraction`, the one exact-rational check; or from the shape
 checks of the `Vec` and `HalfLaurent` constructors.
 `tests/test_source.py` pins these sites.

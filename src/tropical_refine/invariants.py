@@ -45,10 +45,9 @@ from typing import Iterable, NamedTuple
 
 from .errors import (DegenerateType, ExhaustedRetries, InvarianceViolation,
                      NonGenericMoments)
-from .lattice import (Degree, MomentVector, Record, _int, frac_str,
+from .lattice import (Degree, MomentVector, Record, _exactly, _int, frac_str,
                       split_even_ends)
-from .laurent import (HalfLaurent, _poly, linear_combination,
-                      w_pow_minus_inverse)
+from .laurent import HalfLaurent, linear_combination, w_pow_minus_inverse
 from .solver import TropicalSolution, _count, _curves, _q_product, solve
 from .trees import enumerate_types
 
@@ -182,7 +181,7 @@ def _theorem(n_trop: HalfLaurent, m: int,
     earlier: an int N or a bool m would otherwise hit the key of an equal
     HalfLaurent or int."""
     _check_theorem_args(m, s)
-    return _r_and_bg(_poly("N", n_trop), m, s)
+    return _r_and_bg(_exactly("N", n_trop, HalfLaurent), m, s)
 
 
 @functools.cache
@@ -217,7 +216,7 @@ def broccoli_from_r(r: HalfLaurent, m: int, s: int) -> HalfLaurent:
     `r_from_n`.
     """
     _check_theorem_args(m, s)
-    _poly("R", r)
+    _exactly("R", r, HalfLaurent)
     return (r * Q_PLUS ** s).exact_div(W_MINUS ** (m - 2 - 2 * s))
 
 

@@ -43,6 +43,14 @@ def _int(name: str, value):
     return value
 
 
+def _exactly(name: str, value, cls):
+    """value, when its type is exactly cls; else TypeError naming the
+    argument."""
+    if type(value) is not cls:
+        raise TypeError(f"{name} is a {cls.__name__}, got {value!r}")
+    return value
+
+
 class Vec(tuple):
     """An integer lattice vector.
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import NonPositive, NotDivisible
-from .lattice import Record, _int
+from .lattice import Record, _exactly, _int
 
 
 def _operand(method):
@@ -145,7 +145,7 @@ class HalfLaurent(Record):
         """
         if type(den) is int:
             den = HalfLaurent(den)
-        if not _poly("a divisor", den):
+        if not _exactly("a divisor", den, HalfLaurent):
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return HalfLaurent(0)
@@ -227,14 +227,6 @@ class HalfLaurent(Record):
         return cls(d)
 
 
-def _poly(name: str, value) -> HalfLaurent:
-    """value, when it is exactly a HalfLaurent; else TypeError naming the
-    argument."""
-    if type(value) is not HalfLaurent:
-        raise TypeError(f"{name} is a HalfLaurent, got {value!r}")
-    return value
-
-
 def linear_combination(
         terms: Iterable[tuple[HalfLaurent, int]]) -> HalfLaurent:
     """The sum of count * poly over (poly, count) pairs: the sum that `+`
@@ -244,7 +236,7 @@ def linear_combination(
     get = out.get
     for poly, count in terms:
         _int("a count", count)
-        for k, c in _poly("a term", poly)._c.items():
+        for k, c in _exactly("a term", poly, HalfLaurent)._c.items():
             out[k] = get(k, 0) + c * count
     return HalfLaurent._of(out)
 

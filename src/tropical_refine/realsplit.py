@@ -118,7 +118,11 @@ class WeightedPlaneParam(Record):
 
         Returns (children, stems): children maps each vertex to the sorted
         even edges whose stem side it is, and stems maps each component, in
-        the order of the stems, to its stem.
+        the order of the stems, to its stem. A stem has exactly one even
+        edge: the tree is checked, its ends have weight 1 or 2 and one of
+        them 1, so it has two or more odd ends and no leaf is a stem; and by
+        the closure rule a vertex with two even edges below it pulls in its
+        third.
         """
         orient = self._gamma_even
         children: dict[int, list[EdgeKey]] = {}
@@ -127,9 +131,6 @@ class WeightedPlaneParam(Record):
         stems = {}
         for stem in sorted(children.keys() - {f for _, f in orient.values()}):
             comp = list(children[stem])
-            # a stem is an internal vertex with one even edge and two odd
-            if stem < self.tree.n or len(comp) != 1:
-                raise TropicalError("even component has no unique stem vertex")
             for e in comp:
                 comp.extend(children.get(orient[e][1], ()))
             stems[frozenset(comp)] = stem

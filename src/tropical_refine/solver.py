@@ -56,7 +56,7 @@ from weakref import WeakKeyDictionary
 
 from .errors import DegenerateType, NonGenericMoments, TropicalError
 from .lattice import (Degree, MomentVector, Record, Vec, _at_most_max_ends,
-                      _moment_count, _three_ends)
+                      _exactly, _moment_count, _three_ends)
 from .laurent import HalfLaurent, q_analog
 from .trees import CombinatorialType, type_from_clades
 
@@ -69,7 +69,6 @@ def evaluation_matrix(ctype: CombinatorialType) -> list[list[int]]:
     ctype.bounded_edges. The entry of end j and edge e is x_j*y_e - y_j*x_e
     when the clade (x_e, y_e) below e holds j, and 0 otherwise.
     """
-    ctype.multiplicities()      # refuses ends that do not sum to zero
     dirs = ctype.leaf_dirs
     _, parent, clade = ctype.clades
     rows = [[-d.y, d.x] for d in dirs[1:]]
@@ -268,7 +267,7 @@ def solve(ctype: CombinatorialType, mu: MomentVector) -> TropicalSolution | None
     can only mean a bug in the matrix or the elimination. The curve's
     vertices are numbered as enumerate_types numbers its type.
     """
-    _moment_count(len(mu), ctype.n)
+    _moment_count(len(_exactly("mu", mu, MomentVector)), ctype.n)
     mults = ctype.multiplicities()
     matrix = evaluation_matrix(ctype)
     det, x = _solve_exact(matrix, list(mu.values))
@@ -427,10 +426,10 @@ def _count(delta: Degree, mu: MomentVector) -> tuple[list[tuple], tuple, int]:
     its number of curves; and the number of distinct vertex-point sets
     (equal point sets have equal sorted point ids). Raises NonGenericMoments
     on a wall: the backtracking meets a child split at its parent's key."""
-    n = len(delta.entries)
+    n = len(_exactly("delta", delta, Degree).entries)
     _three_ends(delta.entries)
     _at_most_max_ends(n)
-    _moment_count(len(mu), n)
+    _moment_count(len(_exactly("mu", mu, MomentVector)), n)
     table = _split_table(delta)
     moment = _moment_sums(mu)[1]
     # per end set: its placed splits sorted by key, as tuples (key, (A, B),

@@ -11,9 +11,9 @@ Node convention: leaves are 0..n-1, internal vertices are n..2n-3 (vertex n
 is the initial star center, vertex n+k-2 is created when leaf k is inserted).
 Hung from leaf 0, every edge cuts off a clade: the leaves below it. The
 balancing condition forces the edge's direction, oriented downwards, to be
-the sum of the clade's leaf directions; one walk (`CombinatorialType.clades`)
-finds every clade, and every edge direction, the vertex multiplicities and
-everything else derived from the tree are read off them.
+the sum of the clade's leaf directions. One walk (`CombinatorialType.clades`)
+finds every clade and checks the tree once; every edge direction, the vertex
+multiplicities and all else derived from the tree are read off that walk.
 
 `_grow` and `type_from_clades` each write out the three-line insertion
 step: `_grow` is the brute-force oracle's inner loop, which a shared helper
@@ -26,7 +26,8 @@ import functools
 from typing import Iterable, Iterator
 
 from .errors import TooFewEnds, TropicalError
-from .lattice import Degree, Record, Vec, _balanced, _int, _three_ends
+from .lattice import (Degree, Record, Vec, _balanced, _exactly, _int,
+                      _three_ends)
 
 
 class CombinatorialType(Record):
@@ -56,23 +57,22 @@ class CombinatorialType(Record):
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         adj: dict[int, list[int]] = {v: [] for v in range(2 * self.n - 2)}
         for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
         return {v: tuple(nb) for v, nb in adj.items()}
 
     @functools.cached_property
     def bounded_edges(self) -> tuple[tuple[int, int], ...]:
         """Internal-internal edges as sorted pairs, in sorted order."""
-        n = self.n
-        out = [tuple(sorted(e)) for e in self.edges if e[0] >= n and e[1] >= n]
-        return tuple(sorted(out))
+        order, parent, _ = self.clades
+        return tuple(sorted(tuple(sorted((parent[v], v))) for v in order[1:]))
 
     def end_edge(self, leaf: int) -> tuple[int, int]:
         """The (leaf, vertex) edge carrying end `leaf`, as a sorted pair."""
         return tuple(sorted((leaf, self.leaf_vertex(leaf))))
 
     def leaf_vertex(self, leaf: int) -> int:
-        return self.adjacency[leaf][0]
+        return self.clades[1][leaf] if leaf else self.clades[0][0]
 
     @property
     def root_vertex(self) -> int:
@@ -81,15 +81,30 @@ class CombinatorialType(Record):
 
     @functools.cached_property
     def clades(self) -> tuple[list[int], dict[int, int], dict[int, tuple]]:
-        """The tree hung from leaf 0 (end 1), in one walk.
+        """The tree hung from leaf 0 (end 1), in one walk, which checks it.
 
         Returns (order, parent, clade): the internal vertices with each
         parent before its children, the parent of every vertex but leaf 0,
         and for each of those vertices its clade (mask, x, y), the bitmask
         of the leaves below it and the sum (x, y) of their directions: the
         edge direction down from its parent. Every direction is read off it.
+
+        Every reader of the tree goes through this walk, so it checks the
+        tree, once: DegenerateDegree unless the ends sum to zero, and
+        TropicalError, naming the first bad vertex, unless leaves 0..n-1
+        have one edge, vertices n..2n-3 three, no other id any, and all hang
+        from leaf 0 (then 2n-3 edges join the 2n-2 vertices: a tree).
         """
-        n, adj, root = self.n, self.adjacency, self.root_vertex
+        _balanced(self.leaf_dirs)
+        n, adj = self.n, self.adjacency
+        for v, nbrs in adj.items():
+            want = 1 if 0 <= v < n else 3 if n <= v < 2 * n - 2 else 0
+            if len(nbrs) != want:
+                kind = "leaf" if v < n else "internal vertex"
+                raise TropicalError(
+                    f"{kind} {v} has valence {len(nbrs)}; a trivalent tree "
+                    f"needs {want}")
+        root = adj[0][0]
         order, parent = [root], {root: 0}
         for v in order:
             for w in adj[v]:
@@ -97,6 +112,8 @@ class CombinatorialType(Record):
                     parent[w] = v
                     if w >= n:
                         order.append(w)
+        if len(parent) != 2 * n - 3:
+            raise TropicalError("the edges do not join every vertex to leaf 0")
         clade = {leaf: (1 << leaf, d.x, d.y)
                  for leaf, d in enumerate(self.leaf_dirs) if leaf}
         for v in reversed(order):
@@ -118,21 +135,8 @@ class CombinatorialType(Record):
     @functools.cached_property
     def _multiplicities(self) -> dict[int, int]:
         """Multiplicity |x_a y_b - y_a x_b| of the two child clades a, b at
-        every internal vertex, in vertex order; built once per tree. Raises
-        DegenerateDegree unless the ends sum to zero, and TropicalError,
-        naming the first offending vertex, unless every leaf has one edge,
-        every internal vertex three, and all hang from leaf 0."""
-        _balanced(self.leaf_dirs)
-        for v, nbrs in self.adjacency.items():
-            want = 1 if v < self.n else 3
-            if len(nbrs) != want:
-                kind = "leaf" if v < self.n else "internal vertex"
-                raise TropicalError(
-                    f"{kind} {v} has valence {len(nbrs)}; a trivalent tree "
-                    f"needs {want}")
+        every internal vertex, in vertex order; built once per tree."""
         _, parent, clade = self.clades
-        if len(parent) != 2 * self.n - 3:
-            raise TropicalError("the edges do not join every vertex to leaf 0")
         out = {}
         for v in self.internal_vertices:
             (_, xa, ya), (_, xb, yb) = (clade[w] for w in self.adjacency[v]
@@ -183,7 +187,7 @@ def enumerate_types(delta: Degree) -> Iterator[CombinatorialType]:
     Memory stays O(n); the shared mutable edge list is copied only at yield
     time. Order is deterministic (insertion-position lexicographic).
     """
-    dirs = tuple(delta.entries)
+    dirs = tuple(_exactly("delta", delta, Degree).entries)
     _three_ends(dirs)
     n = len(dirs)
     return _grow(dirs, [(0, n), (1, n), (2, n)], 3)

@@ -53,7 +53,7 @@ MUTANTS = (
            "Q_PLUS = HalfLaurent({2: 1, -2: 1})",
            "Q_PLUS = HalfLaurent({2: 1, -2: 1})  # control",
            ("tests/test_solver.py", "tests/test_invariants.py",
-            "tests/test_realsplit.py"), False),
+            "tests/test_realsplit.py", "tests/test_trees.py"), False),
     # a child split at its parent's key is a wall; without the raise the
     # count returns a curve with an edge of length zero
     Mutant("solver-drops-the-tie-raise", "tropical_refine/solver.py",
@@ -93,6 +93,11 @@ MUTANTS = (
     Mutant("trees-drops-the-balance-check", "tropical_refine/trees.py",
            "        _balanced(self.leaf_dirs)\n", "",
            ("tests/test_solver.py",), True),
+    # the walk that checks a tree takes one whose edges leave some vertex
+    # out of reach of leaf 0
+    Mutant("trees-walk-admits-a-detached-part", "tropical_refine/trees.py",
+           "if len(parent) != 2 * n - 3:", "if len(parent) > 2 * n - 3:",
+           ("tests/test_trees.py",), True),
     # an end of weight 0 passes the one weight check
     Mutant("lattice-admits-weight-zero", "tropical_refine/lattice.py",
            "if w not in (1, 2):", "if w not in (0, 1, 2):",

@@ -447,6 +447,32 @@ def test_broccoli_from_r_takes_only_a_polynomial(monkeypatch):
     assert broccoli_from_r(HalfLaurent(1), 4, 1) == invariants.Q_PLUS
 
 
+def test_a_count_refuses_arguments_of_the_wrong_type():
+    # a list of moments was measured against a MomentVector's length, which
+    # counts the implied first end, and was refused as "2 moments for a
+    # degree with 3 ends"; a list of ends raised AttributeError
+    delta, mu = delta_d(1), MomentVector([1, 2])
+    ends = [(1, 0), (0, 1), (-1, -1)]
+    tree = next(enumerate_types(delta))
+    for count in (refined_count, refined_count_brute,
+                  lambda d, m: TrialRecord(None, m, d)):
+        with pytest.raises(TypeError, match=re.escape(
+                "mu is a MomentVector, got [1, 2]")):
+            count(delta, [1, 2])
+        with pytest.raises(TypeError, match=re.escape(
+                f"delta is a Degree, got {ends!r}")):
+            count(ends, mu)
+    with pytest.raises(TypeError, match=re.escape(
+            "mu is a MomentVector, got [1, 2]")):
+        solve(tree, [1, 2])
+    with pytest.raises(TypeError, match=re.escape(
+            f"delta is a Degree, got {ends!r}")):
+        enumerate_types(ends)
+    with pytest.raises(TypeError, match="delta is a Degree, got "):
+        sample_trial(ends, 1)
+    assert refined_count(delta, mu)[0] == HalfLaurent(1)
+
+
 def test_r_from_n_not_divisible_is_fatal():
     with pytest.raises(NotDivisible):
         r_from_n(HalfLaurent(1), 4, 1)
@@ -892,6 +918,39 @@ def test_an_audit_trial_is_the_record_path_above_brute_force(delta):
     assert trial.moments == mu and count > 100
     assert (trial.n_trop, trial.count, dict(trial.tally)) == (n_trop, count,
                                                                 tally)
+
+
+T_SHIFT = (Fraction(1, 3), Fraction(-2, 5))
+LAMBDA = Fraction(7, 2)
+MOVES = {
+    # the curve moved by t: each end's moment gains wedge(n_j, t)
+    "translated": (lambda n, m: m + wedge(n, T_SHIFT),
+                   lambda x, y: (x + T_SHIFT[0], y + T_SHIFT[1])),
+    # the plane scaled by lambda: so is every moment
+    "scaled": (lambda n, m: LAMBDA * m, lambda x, y: (LAMBDA * x, LAMBDA * y)),
+}
+
+
+@pytest.mark.parametrize("move", MOVES)
+@pytest.mark.parametrize("delta", [
+    delta_d(4), build_delta_s(delta_d(5), Vec(-1, 0), 2)],
+    ids=["12-ends", "13-ends"])
+def test_a_moved_plane_moves_every_curve_above_brute_force(delta, move):
+    # an oracle where brute force cannot go: translating or scaling the
+    # plane maps the curves through the old moments onto those through
+    # the moved ones, so the count must find the same splits, curve for
+    # curve, with every vertex moved exactly, and the same N
+    moment, point = MOVES[move]
+    mu = sample_trial(delta, 1).moments
+    moved = MomentVector(moment(n, m) for n, m in zip(delta.entries[1:],
+                                                      mu.values))
+    (n_trop, curves), (n_moved, moved_curves) = (refined_count(delta, mu),
+                                                 refined_count(delta, moved))
+    assert n_moved == n_trop and len(curves) > 100
+    assert [c.splits for c in moved_curves] == [c.splits for c in curves]
+    for curve, moved_curve in zip(curves, moved_curves):
+        assert moved_curve.positions() == {
+            v: point(*p) for v, p in curve.positions().items()}
 
 
 def test_an_audit_builds_no_curve_record(monkeypatch):

@@ -61,6 +61,7 @@ def test_the_gate_runs_these_mutants():
         "solver-guard-compares-splits",
         "invariants-wrong-q-plus",
         "trees-drops-the-balance-check",
+        "trees-walk-admits-a-detached-part",
         "lattice-admits-weight-zero",
         "lattice-admits-too-few-moments",
         "realsplit-shifts-the-quad-exponents",

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tropical_refine import (CombinatorialType, Degree, FlatVertex,
+from tropical_refine import (CombinatorialType, Degree, DegenerateDegree,
+                             FlatVertex,
                              HalfLaurent, InadmissibleSet, MomentVector,
                              MultipleDivisors, OddQuadMultiplicity, OutOfRange,
                              RealSplit, TropicalError, TropicalSolution, Vec,
@@ -370,21 +371,26 @@ def test_stem_queries_reject_edge_sets_that_are_not_components():
 
 
 def test_components_without_a_unique_stem_are_rejected():
-    # ends that do not balance: the closure swallows the whole star
+    # an even component without one stem vertex needs a tree that breaks a
+    # tree rule, and the tree's own check refuses it first
+    # ends that do not balance: the closure would swallow the whole star
     unbalanced = CombinatorialType((Vec(2, 0), Vec(0, 2), Vec(1, 1)),
                                    ((0, 3), (1, 3), (2, 3)))
-    # a quadrivalent vertex holding both even ends meets them through two
-    # even edges
+    # a quadrivalent vertex holding both even ends would meet them through
+    # two even edges
     quadrivalent = CombinatorialType(
         (Vec(3, 1), Vec(1, -1), Vec(-2, 0), Vec(-2, 0)),
         ((0, 4), (1, 4), (2, 4), (3, 4)))
-    for tree in (unbalanced, quadrivalent):
+    for tree, error, message in (
+            (unbalanced, DegenerateDegree,
+             "degree entries must sum to zero, got (3, 3)"),
+            (quadrivalent, TropicalError,
+             "internal vertex 4 has valence 4; a trivalent tree needs 3")):
         base = WeightedPlaneParam(tree)
-        assert gamma_even(base)
-        with pytest.raises(TropicalError, match="no unique stem vertex"):
-            even_components(base)
-        with pytest.raises(TropicalError, match="no unique stem vertex"):
-            build_split(base, [])
+        for reader in (gamma_even, even_components,
+                       lambda b: build_split(b, [])):
+            with pytest.raises(error, match=re.escape(message)):
+                reader(base)
 
 
 def _generated_bases():

@@ -80,12 +80,12 @@ def _raise_sites(code: str, module: str, name: str) -> list[str]:
                   and _raised_name(node) == name)
 
 
-TYPE_CHECKERS = {"lattice._int", "laurent._poly", "lattice.as_fraction",
+TYPE_CHECKERS = {"lattice._int", "lattice._exactly", "lattice.as_fraction",
                  "lattice.Vec.__new__", "laurent.HalfLaurent.__init__"}
 
 
 def test_every_type_error_is_raised_by_a_checker():
-    # one argument policy: `_int` and `_poly` refuse a wrong type and name
+    # one argument policy: `_int` and `_exactly` refuse a wrong type and name
     # the argument, `as_fraction` is the one exact-rational check, and the
     # Vec and HalfLaurent constructors check their shapes; a hand-written
     # refusal elsewhere is a new message shape and a check to keep in step
@@ -225,16 +225,18 @@ RULE_CHECKERS = {
     "must be at least 1": "realsplit._at_least_1",
     "quantum tables take about": "realsplit._at_most_max_m1",
     "is empty": "cli._fields",
+    "a trivalent tree needs": "trees.CombinatorialType.clades",
+    "do not join every vertex to leaf 0": "trees.CombinatorialType.clades",
 }
 
 
 @pytest.mark.parametrize("text", RULE_CHECKERS)
 def test_each_rule_is_raised_by_its_one_checker(text):
     # the end rules a count rests on are written once, in lattice, and
-    # shared by degrees, trees and the real side; the quantum helpers'
-    # range and m1 cap and the CLI's empty field have one checker each too.
-    # A second
-    # raise of one is a second copy of its test and its words
+    # shared by degrees, trees and the real side; the tree rules live in
+    # the walk every reader of a tree takes, and the quantum helpers' range
+    # and m1 cap and the CLI's empty field have one checker each too. A
+    # second raise of one is a second copy of its test and its words
     found = sorted(site for path in sorted(SRC.rglob("*.py"))
                    for site in _message_sites(path.read_text(encoding="utf-8"),
                                               path.stem, text))

@@ -9,13 +9,17 @@ comparing canonical-key sets checks both the count and the shapes.
 
 import itertools
 import math
+import re
 
 import pytest
 
-from tropical_refine import (CombinatorialType, Degree, TooFewEnds,
-                             TropicalError, Vec, WeightedPlaneParam,
-                             double_factorial_count, enumerate_types,
-                             evaluation_matrix, maximal_split, wedge)
+from tropical_refine import (CombinatorialType, Degree, DegenerateDegree,
+                             MomentVector, TooFewEnds, TropicalError, Vec,
+                             WeightedPlaneParam, build_split,
+                             double_factorial_count, dual_subdivision,
+                             enumerate_types, evaluation_matrix,
+                             even_components, gamma_even, maximal_split, solve,
+                             wedge)
 from tropical_refine.trees import type_from_clades
 
 
@@ -232,33 +236,76 @@ def test_multiplicity_is_wedge_of_outgoing_slopes():
 
 
 SQUARE_DIRS = (Vec(1, 0), Vec(0, 1), Vec(-1, 0), Vec(0, -1))
+# four and six ends, end 3 even
+EVEN_DIRS = (Vec(1, 0), Vec(0, 1), Vec(1, -1), Vec(-2, 0))
+EVEN_DIRS_6 = EVEN_DIRS + (Vec(1, 1), Vec(-1, -1))
 
-
-def test_quadrivalent_star_is_rejected_by_valence():
-    # vertex 4 holds all four ends and vertex 5 none
-    star = CombinatorialType(SQUARE_DIRS, ((0, 4), (1, 4), (2, 4), (3, 4)))
-    message = "internal vertex 4 has valence 4; a trivalent tree needs 3"
-    with pytest.raises(TropicalError, match=message):
-        star.multiplicities()
-    with pytest.raises(TropicalError, match=message):
-        maximal_split(WeightedPlaneParam(star))
-
-
-def test_leaf_of_valence_two_is_rejected():
+VALENCE = "has valence {}; a trivalent tree needs {}"
+MALFORMED = {
     # end 3 hangs from leaf 0 instead of from an internal vertex
-    tree = CombinatorialType(SQUARE_DIRS, ((0, 4), (1, 4), (2, 4), (3, 0)))
-    message = "leaf 0 has valence 2; a trivalent tree needs 1"
-    with pytest.raises(TropicalError, match=message):
-        tree.multiplicities()
-    with pytest.raises(TropicalError, match=message):
-        evaluation_matrix(tree)
-
-
-def test_tree_with_a_detached_cycle_is_rejected():
+    "leaf-of-valence-two": (
+        SQUARE_DIRS, ((0, 4), (1, 4), (2, 4), (3, 0)), TropicalError,
+        "leaf 0 " + VALENCE.format(2, 1)),
+    # vertex 4 holds all four ends and vertex 5 none
+    "quadrivalent-star": (
+        EVEN_DIRS, ((0, 4), (1, 4), (2, 4), (3, 4)), TropicalError,
+        "internal vertex 4 " + VALENCE.format(4, 3)),
+    # end 3 hangs from vertex 9; a tree on four ends has vertices 0..5
+    "edge-past-the-last-vertex": (
+        EVEN_DIRS, ((0, 4), (1, 4), (4, 5), (5, 2), (3, 9)), TropicalError,
+        "internal vertex 5 " + VALENCE.format(2, 3)),
+    # every vertex 0..5 has its valence, but the tree hung from leaf 0
+    # runs through vertex 9, and vertex 5 holds three ids below 0
+    "second-tree-on-other-ids": (
+        EVEN_DIRS, ((0, 4), (1, 4), (4, 9), (9, 2), (9, 3), (5, -1),
+                    (5, -2), (5, -3)), TropicalError,
+        "internal vertex 9 " + VALENCE.format(3, 0)),
+    # ends 2 and 3 are joined to each other, not to vertex 5
+    "two-leaves-joined": (
+        EVEN_DIRS, ((0, 4), (1, 4), (4, 5), (2, 3)), TropicalError,
+        "internal vertex 5 " + VALENCE.format(1, 3)),
     # every valence is right, but ends 3, 4, 5 hang from a triangle of
     # internal vertices that no path joins to leaf 0
-    dirs = generic_degree(6).entries
-    tree = CombinatorialType(dirs, ((0, 6), (1, 6), (2, 6), (7, 8), (8, 9),
-                                    (9, 7), (3, 7), (4, 8), (5, 9)))
-    with pytest.raises(TropicalError, match="do not join every vertex"):
-        tree.multiplicities()
+    "detached-cycle": (
+        EVEN_DIRS_6, ((0, 6), (1, 6), (2, 6), (7, 8), (8, 9), (9, 7), (3, 7),
+                      (4, 8), (5, 9)), TropicalError,
+        "the edges do not join every vertex to leaf 0"),
+    # a trivalent tree whose ends sum to (0, 2)
+    "unbalanced-ends": (
+        (Vec(1, 0), Vec(0, 1), Vec(1, -1), Vec(-2, 2)),
+        ((0, 4), (1, 4), (4, 5), (5, 2), (5, 3)), DegenerateDegree,
+        "degree entries must sum to zero, got (0, 2)"),
+    # the even end has no edge
+    "even-leaf-without-an-edge": (
+        EVEN_DIRS, ((0, 4), (1, 4), (4, 5), (5, 2)), TropicalError,
+        "leaf 3 " + VALENCE.format(0, 1)),
+}
+
+READERS = {
+    "slope": lambda t: t.slope(*t.edges[0]),
+    "serialize": CombinatorialType.serialize,
+    "canonical_key": CombinatorialType.canonical_key,
+    "multiplicities": CombinatorialType.multiplicities,
+    "leaf_vertex": lambda t: t.leaf_vertex(1),
+    "end_edge": lambda t: t.end_edge(1),
+    "root_vertex": lambda t: t.root_vertex,
+    "bounded_edges": lambda t: t.bounded_edges,
+    "evaluation_matrix": evaluation_matrix,
+    "solve": lambda t: solve(t, MomentVector(range(1, t.n))),
+    "dual_subdivision": dual_subdivision,
+    "gamma_even": lambda t: gamma_even(WeightedPlaneParam(t)),
+    "even_components": lambda t: even_components(WeightedPlaneParam(t)),
+    "build_split": lambda t: build_split(WeightedPlaneParam(t), []),
+    "maximal_split": lambda t: maximal_split(WeightedPlaneParam(t)),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("case", MALFORMED)
+def test_every_reader_refuses_a_malformed_tree(case, reader):
+    # the tree is checked in the one walk every reader takes, so each
+    # public path, read first on a fresh tree, raises the broken rule's
+    # own error: never a KeyError or IndexError, and never a value
+    dirs, edges, error, message = MALFORMED[case]
+    with pytest.raises(error, match=re.escape(message)):
+        READERS[reader](CombinatorialType(dirs, edges))
