@@ -32,21 +32,25 @@ builds its curve records only when they are first read, so an audit builds
 none.
 
 Generic constraints are drawn from a fixed portable generator (SplitMix64)
-so that every run of a given seed is reproducible down to the byte. N and
-sampling read the count's splits alone.
+so that every run of a given seed is reproducible down to the byte. Each
+64-bit draw gives one moment as an integer pair (p, q), and the
+`MomentVector` is built from those pairs as integers over one scale, the
+form the count reads; the moments become Fractions only when something
+reads them as values (CLI output, `solve`, equality). So a seeded trial,
+from draw to N, does no Fraction arithmetic. N and sampling read the
+count's splits alone.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .errors import (DegenerateType, ExhaustedRetries, InvarianceViolation,
                      NonGenericMoments)
-from .lattice import (Degree, MomentVector, Record, _exactly, _int, frac_str,
-                      split_even_ends)
+from .lattice import (Degree, MomentVector, Record, _exactly, _int,
+                      _moments_of_pairs, frac_str, split_even_ends)
 from .laurent import HalfLaurent, linear_combination, w_pow_minus_inverse
 from .solver import TropicalSolution, _count, _curves, _q_product, solve
 from .trees import enumerate_types
@@ -75,10 +79,11 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
-def moment_from_draw(draw: int) -> Fraction:
-    """One pseudorandom moment: numerator in [-1000, 1000], denominator in
-    [1, 7], both taken from the same 64-bit draw."""
-    return Fraction(draw % 2001 - 1000, 1 + draw % 7)
+def _draw_moment(draw: int) -> tuple[int, int]:
+    """One pseudorandom moment p/q as the pair (p, q), not yet in lowest
+    terms: p in [-1000, 1000] and q in [1, 7], both taken from the same
+    64-bit draw."""
+    return draw % 2001 - 1000, 1 + draw % 7
 
 
 def _n_from_mults(tally: Iterable[tuple[tuple, int]]) -> HalfLaurent:
@@ -120,12 +125,14 @@ def refined_count_brute(
 def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
     """Seeded generic moments for ends 2..n and the count that accepted them.
 
-    A candidate is rejected when some type solves onto a wall (zero length)
-    or two curves coincide as point sets. Raises ExhaustedRetries, with the
-    reason for every rejection, after MAX_ATTEMPTS candidates. The
-    TrialRecord of the accepted count keeps its splits, tally and N, as
-    `refined_count`'s does; an audit takes R and BG from it. No curve
-    record and no tree is built here.
+    Each candidate is built from its draws' integer pairs, with no
+    Fraction, and counted on those integers. A candidate is rejected when
+    some type solves onto a wall (zero length) or two curves coincide as
+    point sets. Raises ExhaustedRetries, with the reason for every
+    rejection, after MAX_ATTEMPTS candidates. The TrialRecord of the
+    accepted count keeps its splits, tally and N, as `refined_count`'s
+    does; an audit takes R and BG from it. No curve record and no tree is
+    built here.
 
     The coincident-curve guard has never fired: not in a census of 24 000
     draws on eight degrees of 5 to 11 ends (52 walls), and not on stretched
@@ -137,8 +144,8 @@ def sample_trial(delta_s: Degree, seed: int) -> TrialRecord:
     n = len(delta_s)
     reasons = []
     for _ in range(MAX_ATTEMPTS):
-        mu = MomentVector(moment_from_draw(stream.next_u64())
-                          for _ in range(n - 1))
+        mu = _moments_of_pairs([_draw_moment(stream.next_u64())
+                                for _ in range(n - 1)])
         try:
             trial = TrialRecord(seed, mu, delta_s)
         except NonGenericMoments:

@@ -12,6 +12,10 @@ Conventions used throughout the package:
   wedge(n, p); the moments of all ends of a curve sum to zero (the tropical
   Menelaus relation), so a constraint vector only ever stores the moments of
   ends 2..n and end 1 is implied;
+* a constraint vector holds its moments as integers over the lcm of their
+  denominators, the form the count reads. Given values keep their
+  Fractions; a seeded draw's integer pairs (`_moments_of_pairs`) make none
+  until `values` is first read, by CLI output, `solve` or equality;
 * each end rule every count rests on has one checker here, which degrees,
   trees and the real side share: 3 to MAX_ENDS ends, a zero sum, weight 1
   or 2, even ends on one divisor, not all on a line, one moment per end.
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (DegenerateDegree, InsufficientMultiplicity, LengthMismatch,
@@ -405,14 +409,34 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """For the moments p/q of int pairs (p, q) with q > 0: the lcm of their
+    denominators in lowest terms (0/q has 1), and each moment times it."""
+    scale = lcm(*[q // gcd(p, q) for p, q in pairs])
+    return scale, tuple([p * scale // q for p, q in pairs])
+
+
 class MomentVector(Record):
     """Moments of ends 2..n; the moment of end 1 is forced by Menelaus.
 
+    Held for the count as integers over one scale: `_scale`, the lcm of the
+    moments' denominators in lowest terms, and `_nums`, each moment times
+    it. `values`, the moments as Fractions, are kept as given here; a
+    vector `_moments_of_pairs` builds makes them when they are first read.
     Equal and hashed by its values.
     """
 
     def __init__(self, values: Iterable):
-        object.__setattr__(self, "values", tuple(map(as_fraction, values)))
+        vals = tuple(map(as_fraction, values))
+        scale, nums = _over_lcm([(v.numerator, v.denominator) for v in vals])
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_nums", nums)
+
+    @functools.cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The moments as Fractions, made from the integers if not given."""
+        return tuple([Fraction(x, self._scale) for x in self._nums])
 
     def identity(self) -> tuple:
         return (self.values,)
@@ -425,7 +449,19 @@ class MomentVector(Record):
         return (self.implied_first,) + self.values
 
     def __len__(self) -> int:
-        return len(self.values) + 1
+        return len(self._nums) + 1
+
+
+def _moments_of_pairs(pairs: list[tuple[int, int]]) -> MomentVector:
+    """The moments p/q of int pairs (p, q) with q > 0, held as
+    `MomentVector(values)` holds them but built with no Fraction: `values`
+    are made when first read. The seeded draw's constructor, so a count
+    through drawn moments does no Fraction arithmetic."""
+    mu = object.__new__(MomentVector)
+    scale, nums = _over_lcm(pairs)
+    object.__setattr__(mu, "_scale", scale)
+    object.__setattr__(mu, "_nums", nums)
+    return mu
 
 
 def frac_str(value) -> str:

@@ -14,13 +14,15 @@ from end 1; the vertex above an end set S with children A and B sits where the
 lines L_A and L_B meet, L_X = {p : wedge(n_X, p) = sum of the moments of
 X}, so its position depends on the split (A, B) alone, and the edge down to
 A has positive length exactly when A's own vertex lies further along n_A. A
-subset dynamic program over end sets, on integer moment sums over one
-common denominator and with no linear algebra, places each set's splits
-sorted by their position along n_S, their key. A split is placed only when
-its position along each side of two or more ends is at most that side's
-largest placed key, so every placed split has a subtree with every length
->= 0 on each side, and one comparison per side rejects a split. The
-backtracking (`_subtrees` and `_side`) enters each side at its first row
+subset dynamic program over end sets, on integer moment sums and with no
+linear algebra, places each set's splits sorted by their position along
+n_S, their key. The sums are made from the integers a `MomentVector`
+holds, its moments over one common denominator, so the count reads no
+Fraction; only `solve` reads the moments as values. A split is placed
+only when its position along each side of two or more ends is at most
+that side's largest placed key, so every placed split has a subtree with
+every length >= 0 on each side, and one comparison per side rejects a
+split. The backtracking (`_subtrees` and `_side`) enters each side at its first row
 with a key at or past the parent's; an equal key is a wall. So it finds
 exactly the curves with every length > 0, or meets the wall on its way
 down, and it builds no reference cycle.
@@ -52,6 +54,7 @@ import functools
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
+from typing import Sequence
 from weakref import WeakKeyDictionary
 
 from .errors import DegenerateType, NonGenericMoments, TropicalError
@@ -362,7 +365,7 @@ def _split_table(delta: Degree) -> _SplitTable:
     return table
 
 
-def _subset_sums(values: list[int]) -> list[int]:
+def _subset_sums(values: Sequence[int]) -> list[int]:
     """For each bitmask of ends 0..len(values), the sum of values[j - 1]
     over its ends j; end 0 adds nothing, so each sum is made once."""
     half = [0]
@@ -412,11 +415,10 @@ def _side(placed_at: list, x: int,
 
 
 def _moment_sums(mu: MomentVector) -> tuple[int, list[int]]:
-    """The lcm of mu's denominators, and each end set's moment sum times it
-    (end 1's implied moment is never summed)."""
-    scale_mu = lcm(*[v.denominator for v in mu.values])
-    return scale_mu, _subset_sums([v.numerator * (scale_mu // v.denominator)
-                                   for v in mu.values])
+    """mu's scale, the lcm of its denominators, and each end set's moment
+    sum times it, from the integers mu holds (end 1's implied moment is
+    never summed)."""
+    return mu._scale, _subset_sums(mu._nums)
 
 
 def _count(delta: Degree, mu: MomentVector) -> tuple[list[tuple], tuple, int]:

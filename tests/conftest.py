@@ -93,7 +93,7 @@ def count_solves(monkeypatch):
 
     counts = {"solves": 0, "draws": 0, "walls": set()}
     real_count = invariants._count
-    real_draw = invariants.moment_from_draw
+    real_draw = invariants._draw_moment
 
     def count(delta, mu):
         counts["solves"] += 1
@@ -101,12 +101,12 @@ def count_solves(monkeypatch):
             raise NonGenericMoments("forced wall")
         return real_count(delta, mu)
 
-    def moment_from_draw(draw):
+    def draw_moment(draw):
         counts["draws"] += 1
         return real_draw(draw)
 
     monkeypatch.setattr(invariants, "_count", count)
-    monkeypatch.setattr(invariants, "moment_from_draw", moment_from_draw)
+    monkeypatch.setattr(invariants, "_draw_moment", draw_moment)
     return counts
 
 

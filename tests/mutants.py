@@ -66,11 +66,13 @@ MUTANTS = (
     Mutant("solver-probes-past-the-key", "tropical_refine/solver.py",
            "bisect_left(rows, (along,))", "bisect_left(rows, (along + 1,))",
            ("tests/test_solver.py", "tests/test_invariants.py"), True),
-    # vertex n of every counted curve moves by one unit of the count's
-    # scale, 1/(scale_mu * table scale), in x
+    # vertex n of every counted curve moves in x by the running gcd, a
+    # multiple of the g the record divides by, so by one or more units of
+    # the record's scale (a unit of 1 would vanish in that division
+    # whenever g > 1)
     Mutant("solver-moves-a-vertex-point", "tropical_refine/solver.py",
            "points[i] = split, mult[split], (x, y)",
-           "points[i] = split, mult[split], (x + (i == 0), y)",
+           "points[i] = split, mult[split], (x + (i == 0) * g, y)",
            ("tests/test_solver.py", "tests/test_invariants.py"), True),
     # the count's pass over its split tuples skips the last curve: a
     # trial's N and tally miss that curve's term
@@ -98,6 +100,13 @@ MUTANTS = (
     Mutant("trees-walk-admits-a-detached-part", "tropical_refine/trees.py",
            "if len(parent) != 2 * n - 3:", "if len(parent) > 2 * n - 3:",
            ("tests/test_trees.py",), True),
+    # each numerator is scaled by scale // q, exact only for a pair in
+    # lowest terms, as a Fraction's is: a drawn 4/6 over scale 3 is held
+    # as 0, and the drawn vector is no longer that of its Fractions
+    Mutant("lattice-scales-an-unreduced-pair", "tropical_refine/lattice.py",
+           "tuple([p * scale // q for p, q in pairs])",
+           "tuple([p * (scale // q) for p, q in pairs])",
+           ("tests/test_invariants.py",), True),
     # an end of weight 0 passes the one weight check
     Mutant("lattice-admits-weight-zero", "tropical_refine/lattice.py",
            "if w not in (1, 2):", "if w not in (0, 1, 2):",

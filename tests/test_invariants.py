@@ -1,14 +1,16 @@
 """Refined counts, the invariance audit, and the theorem conversions."""
 
+import copy
 import itertools
 import math
+import pickle
 import re
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tropical_refine import (DegenerateDegree, Degree, ExhaustedRetries,
@@ -24,7 +26,8 @@ from tropical_refine import (DegenerateDegree, Degree, ExhaustedRetries,
                              random_generic_moments, refined_count,
                              sample_trial, solve, solver, split_even_ends,
                              w_pow_minus_inverse, wedge)
-from tropical_refine.invariants import moment_from_draw, refined_count_brute
+from tropical_refine.invariants import _draw_moment, refined_count_brute
+from tropical_refine.lattice import _moments_of_pairs
 
 W_MINUS = w_pow_minus_inverse(1)   # q^(1/2) - q^(-1/2)
 W_PLUS = HalfLaurent({1: 1, -1: 1})
@@ -44,12 +47,19 @@ def test_splitmix64_is_seed_deterministic():
     assert SplitMix64(124).next_u64() != SplitMix64(123).next_u64()
 
 
+def moment_from_draw(draw: int) -> Fraction:
+    """The seeded recipe's moment of one 64-bit draw, as a Fraction."""
+    return Fraction(*_draw_moment(draw))
+
+
 def test_moment_from_draw_recipe():
-    # moment = (draw mod 2001 - 1000) / (1 + draw mod 7)
+    # moment = (draw mod 2001 - 1000) / (1 + draw mod 7), drawn as the pair
+    # (numerator, denominator), not yet in lowest terms
     assert moment_from_draw(0) == Fraction(-1000)
     assert moment_from_draw(1000) == Fraction(0, 1)
     assert moment_from_draw(2001) == Fraction(-1000, 7)
     assert moment_from_draw(1001) == Fraction(1, 1 + 1001 % 7)
+    assert _draw_moment(1000) == (0, 7)
 
 
 def test_refined_count_triangle(triangle, triangle_mu):
@@ -102,14 +112,14 @@ def test_random_generic_moments_triangle_never_rejects(triangle):
 
 def test_random_generic_moments_exhaustion(square, monkeypatch):
     # all-zero moments put every curve of the square onto a wall
-    monkeypatch.setattr(invariants, "moment_from_draw", lambda draw: Fraction(0))
+    monkeypatch.setattr(invariants, "_draw_moment", lambda draw: (0, 1))
     with pytest.raises(ExhaustedRetries):
         random_generic_moments(square, 0)
 
 
 def test_exhausted_retries_gives_every_reason(square, monkeypatch):
     # all-zero moments put every curve of the square onto a wall
-    monkeypatch.setattr(invariants, "moment_from_draw", lambda draw: Fraction(0))
+    monkeypatch.setattr(invariants, "_draw_moment", lambda draw: (0, 1))
     with pytest.raises(ExhaustedRetries) as info:
         sample_trial(square, 3)
     assert info.value.reasons == ["wall"] * 64
@@ -170,7 +180,7 @@ def test_split_table_is_built_once_across_retries(square, count_solves,
     assert count_tables == [merged.entries]
     # walls the solver finds itself: every attempt reaches the table
     count_solves["walls"].clear()
-    monkeypatch.setattr(invariants, "moment_from_draw", lambda draw: Fraction(0))
+    monkeypatch.setattr(invariants, "_draw_moment", lambda draw: (0, 1))
     walled = Degree(square.entries, name="table across real walls")
     with pytest.raises(ExhaustedRetries):
         sample_trial(walled, 3)
@@ -656,6 +666,78 @@ def test_dp_matches_brute_on_fixture_moments(triangle, triangle_mu, square,
 def test_dp_raises_on_the_same_wall(square):
     wall = MomentVector((Fraction(1), Fraction(2), Fraction(-2)))
     assert assert_matches_brute(square, wall)[0] == "wall"
+
+
+# -- seeded draws held as integers ------------------------------------------
+
+
+def draw_for(p: int, q: int) -> int:
+    """The least 64-bit draw whose moment pair is (p, q): 2001 is a unit
+    mod 7, so one of seven draws with p's residue has q's."""
+    return next(d for d in range(p + 1000, 2001 * 7, 2001) if d % 7 == q - 1)
+
+
+def drawn_moments(n: int, seed: int) -> MomentVector:
+    """Seeded moments as `sample_trial` builds them, without rejection
+    sampling, so walls stay possible."""
+    stream = SplitMix64(seed)
+    return _moments_of_pairs([_draw_moment(stream.next_u64())
+                              for _ in range(n - 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8))
+@example([draw_for(0, 5), draw_for(4, 6), draw_for(-6, 4), draw_for(0, 1)])
+@example([draw_for(-1000, 7), draw_for(1000, 7), draw_for(3, 6)])
+def test_a_drawn_vector_is_the_vector_of_its_fractions(draws):
+    # the integer form a draw builds is the one MomentVector(values) builds
+    # from the pairs in lowest terms, 0/q as 0/1; the count reads it before
+    # any value is made, and pickle and copy keep it
+    pairs = [_draw_moment(d) for d in draws]
+    drawn = _moments_of_pairs(pairs)
+    given_ = MomentVector(Fraction(p, q) for p, q in pairs)
+    assert solver._moment_sums(drawn) == solver._moment_sums(given_)
+    assert len(drawn) == len(given_) == len(draws) + 1
+    for mu in (drawn, pickle.loads(pickle.dumps(drawn)), copy.copy(drawn),
+               copy.deepcopy(drawn)):
+        assert mu == given_ and hash(mu) == hash(given_)
+        assert mu.values == given_.values
+        assert solver._moment_sums(mu) == solver._moment_sums(given_)
+
+
+@pytest.mark.parametrize("name", FIXTURE_DEGREES)
+def test_a_drawn_vector_counts_as_brute_force(name, request):
+    # the count reads the drawn integers, brute force the values made from
+    # them on first read: the same curves, N and walls
+    delta = request.getfixturevalue(name)
+    for seed in range(6):
+        assert_matches_brute(delta, drawn_moments(len(delta), seed))
+
+
+# the degrees of the benchmark's `audit` workload (bench/workloads.py)
+AUDIT_DEGREES = ("delta_2", "conic_merged", "six_ends_s2", "six_ends_s1",
+                 "seven_ends_s1")
+
+
+def test_a_warm_audit_builds_no_fraction(named_degrees, monkeypatch):
+    # once an audit has filled the theorem's memo and the split table, a
+    # seeded audit keeps its moments as integers from the draw to N and R;
+    # reading a trial's values then makes one Fraction per moment
+    degrees = [named_degrees[name] for name in AUDIT_DEGREES]
+    for delta in degrees:
+        invariance_audit(delta, trials=1, seed=0)
+    made = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    reports = [invariance_audit(delta, trials=1, seed=1) for delta in degrees]
+    assert made == []
+    moments = reports[-1].trial_records[0].moments
+    assert len(moments.values) == len(made) == len(degrees[-1]) - 1
 
 
 @pytest.mark.parametrize("entries, wall", [

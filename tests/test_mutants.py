@@ -62,6 +62,7 @@ def test_the_gate_runs_these_mutants():
         "invariants-wrong-q-plus",
         "trees-drops-the-balance-check",
         "trees-walk-admits-a-detached-part",
+        "lattice-scales-an-unreduced-pair",
         "lattice-admits-weight-zero",
         "lattice-admits-too-few-moments",
         "realsplit-shifts-the-quad-exponents",

@@ -484,16 +484,21 @@ def test_every_record_field_is_stored_by_its_constructor():
     # a record's fields are stored once, by its own constructor, past the
     # guard lattice.Record puts on setting them; the one lazy field is the
     # curve's tree, and a pickled or copied record is rebuilt by its
-    # constructor. A store anywhere else writes into a record that may
-    # already be shared, hashed or a cache key, so a new writer has to be
-    # added here, where review sees it. functools.cached_property values
-    # are derived, not fields, and bypass the guard by design.
+    # constructor. Two constructors build a new record without `__init__`,
+    # from ints whose checks their callers made: HalfLaurent._of, from an
+    # arithmetic result, and lattice._moments_of_pairs, from a seeded
+    # draw's (p, q) pairs, so that no Fraction is made. A store anywhere
+    # else writes into a record that may already be shared, hashed or a
+    # cache key, so a new writer has to be added here, where review sees
+    # it. functools.cached_property values are derived, not fields, and
+    # bypass the guard by design.
     found = sorted({site for path in sorted(SRC.rglob("*.py"))
                     for site in _sites(path.read_text(encoding="utf-8"),
                                        path.stem, _stores)})
     assert found == ["invariants.TrialRecord.__init__",
                      "lattice.Degree.__init__",
                      "lattice.MomentVector.__init__",
+                     "lattice._moments_of_pairs",
                      "laurent.HalfLaurent.__init__",
                      "laurent.HalfLaurent._of",
                      "realsplit.RealSplit.__init__",
